@@ -20,7 +20,7 @@ import json
 import time
 
 from repro.algorithms import PageRankProgram
-from repro.bsp import JobSpec, run_job, run_job_process, run_job_threaded
+from repro.bsp import JobSpec, run_job
 from repro.graph import generators as gen
 
 from helpers import banner, run_once
@@ -28,11 +28,8 @@ from helpers import banner, run_once
 ITERATIONS = 20
 NUM_WORKERS = 4
 
-RUNNERS = {
-    "sequential": run_job,
-    "threaded": run_job_threaded,
-    "process": run_job_process,
-}
+#: report label -> run_job engine name
+RUNNERS = {"sequential": "sim", "threaded": "threaded", "process": "process"}
 
 
 def make_job(graph):
@@ -52,9 +49,9 @@ def test_engines_wall_clock(benchmark):
     wall = {}
 
     def run_all():
-        for name, runner in RUNNERS.items():
+        for name, engine in RUNNERS.items():
             t0 = time.perf_counter()
-            results[name] = runner(make_job(graph))
+            results[name] = run_job(make_job(graph), engine=engine)
             wall[name] = time.perf_counter() - t0
         return results["sequential"]
 

@@ -26,14 +26,13 @@ import time
 import numpy as np
 
 from repro.algorithms import PageRankProgram
-from repro.bsp import JobSpec, run_job, run_job_process
+from repro.bsp import JobSpec, run_job
 from repro.graph.datasets import webgoogle_analogue
 from repro.net import (
     LocalDaemonFleet,
     StreamDecoder,
     encode_stream_frame,
     pack_frame,
-    run_job_tcp,
     unpack_frame,
 )
 
@@ -196,13 +195,13 @@ def test_net_plane(benchmark):
     def run_all():
         fleet = LocalDaemonFleet(3)
         try:
-            for name, runner, kwargs in (
-                ("sim", run_job, {}),
-                ("process", run_job_process, {}),
-                ("tcp", run_job_tcp, {"endpoints": fleet.endpoints()}),
+            for name, kwargs in (
+                ("sim", {}),
+                ("process", {}),
+                ("tcp", {"endpoints": fleet.endpoints()}),
             ):
                 t0 = time.perf_counter()
-                results[name] = runner(make_job(graph), **kwargs)
+                results[name] = run_job(make_job(graph), engine=name, **kwargs)
                 wall[name] = time.perf_counter() - t0
         finally:
             fleet.shutdown()

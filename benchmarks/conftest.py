@@ -14,11 +14,6 @@ import pytest
 from repro.analysis import bc_scenario
 
 
-def run_once(benchmark, fn, *args, **kwargs):
-    """Benchmark ``fn`` with a single round and return its result."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
 @pytest.fixture(scope="session")
 def wg_scenario():
     return bc_scenario("WG")
@@ -27,10 +22,3 @@ def wg_scenario():
 @pytest.fixture(scope="session")
 def cp_scenario():
     return bc_scenario("CP")
-
-
-def banner(title: str) -> None:
-    print()
-    print("=" * 72)
-    print(title)
-    print("=" * 72)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from ..bsp.engine import ENGINES
 from ..check.costmodel import FanoutClass
 
 __all__ = ["EngineDecision", "select_engine", "dense_refused_features"]
@@ -36,6 +37,7 @@ _SCORES_MULTI = {
 _SCORES_SINGLE = {
     "dense-ref": 100, "sim": 30, "threaded": 20, "process": 15, "tcp": 10,
 }
+assert set(_SCORES_MULTI) == set(_SCORES_SINGLE) == set(ENGINES)
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def dense_refused_features(
                     f"plan was lifted for {name}=None but the program "
                     f"binds {name}={getattr(program, name)!r}"
                 )
-        if getattr(plan, "_needs_prune", False) and initial_messages:
+        if plan.needs_prune and initial_messages:
             out.append(
                 "peel plans cannot start from injected messages"
             )

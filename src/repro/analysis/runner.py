@@ -18,7 +18,7 @@ from ..algorithms import bc as bc_mod
 from ..algorithms.apsp import APSPProgram
 from ..algorithms.bc import BCProgram
 from ..algorithms.pagerank import PageRankProgram
-from ..bsp.engine import BSPEngine
+from ..bsp.engine import make_engine
 from ..bsp.job import JobResult, JobSpec
 from ..cloud.costmodel import DEFAULT_PERF_MODEL, PerfModel
 from ..cloud.specs import LARGE_VM, VMSpec, scaled_large
@@ -92,40 +92,20 @@ class RunConfig:
         )
 
 
-def _make_engine(cfg: RunConfig, job: JobSpec) -> BSPEngine:
+def _make_engine(cfg: RunConfig, job: JobSpec):
     """Instantiate the backend ``cfg.engine`` names for ``job``."""
-    if cfg.engine == "sim":
-        return BSPEngine(job)
-    if cfg.engine == "threaded":
-        from ..bsp.parallel import ThreadedBSPEngine
-
-        return ThreadedBSPEngine(job)
-    if cfg.engine == "process":
-        from ..dist import ProcessBSPEngine
-
-        return ProcessBSPEngine(job)
-    if cfg.engine == "tcp":
-        from ..net.engine import TcpBSPEngine
-
-        hosts = cfg.tcp_hosts
-        if isinstance(hosts, str):
-            return TcpBSPEngine(job, workers_file=hosts)
-        return TcpBSPEngine(job, endpoints=hosts)
-    if cfg.engine == "dense-ref":
-        from ..bsp.dense_ref import DenseRefEngine
-
-        return DenseRefEngine(job)
     if cfg.engine == "auto":
         # the runners resolve "auto" via _resolve_auto before building
-        # the job; reaching here means a caller skipped that step
+        # the engine; reaching here means a caller skipped that step
         raise ValueError(
             "engine 'auto' must be resolved by the runner before "
             "_make_engine (see _resolve_auto)"
         )
-    raise ValueError(
-        f"unknown engine {cfg.engine!r}; use 'sim', 'threaded', 'process', "
-        "'tcp', 'dense-ref' or 'auto'"
-    )
+    kwargs = {}
+    if cfg.tcp_hosts is not None and cfg.engine == "tcp":
+        key = "workers_file" if isinstance(cfg.tcp_hosts, str) else "endpoints"
+        kwargs[key] = cfg.tcp_hosts
+    return make_engine(cfg.engine, job, **kwargs)
 
 
 def _auto_profile(cfg: RunConfig, program) -> Any:
@@ -194,13 +174,11 @@ def _auto_plan(cfg: RunConfig, program) -> Any:
 
 def _resolve_auto(
     cfg: RunConfig,
-    program,
+    job: JobSpec,
     profile,
     verdict,
     *,
-    observers: Sequence = (),
     sanitized: bool = False,
-    initial_messages: Sequence = (),
 ) -> tuple[RunConfig, Any]:
     """Resolve ``engine="auto"`` to a concrete engine before the job runs.
 
@@ -223,12 +201,12 @@ def _resolve_auto(
         if sink is not None
     ]
     features = dense_refused_features(
-        program,
+        job.program,
         verdict,
-        observers=observers,
+        observers=job.observers,
         sanitize=sanitized,
         sinks=sinks,
-        initial_messages=initial_messages,
+        initial_messages=job.initial_messages,
     )
     decision = select_engine(
         verdict=verdict,
@@ -288,11 +266,10 @@ def run_pagerank(
         program = wrap_program(program)
     profile = _auto_profile(cfg, program)
     verdict = _auto_plan(cfg, program)
-    cfg, decision = _resolve_auto(
-        cfg, program, profile, verdict,
-        observers=observers, sanitized=wrap_program is not None,
-    )
     job = cfg.job(program, graph, observers=list(observers))
+    cfg, decision = _resolve_auto(
+        cfg, job, profile, verdict, sanitized=wrap_program is not None,
+    )
     result = _make_engine(cfg, job).run()
     result.profile = profile
     if result.kernel_plan is None and verdict is not None:
@@ -341,14 +318,12 @@ def run_traversal(
         metrics=cfg.metrics,
         timeline=cfg.timeline,
     )
-    cfg, decision = _resolve_auto(
-        cfg, program, profile, verdict,
-        observers=[controller, *extra_observers],
-        sanitized=wrap_program is not None,
-    )
     job = cfg.job(
         program, graph, initially_active=False,
         observers=[controller, *extra_observers],
+    )
+    cfg, decision = _resolve_auto(
+        cfg, job, profile, verdict, sanitized=wrap_program is not None,
     )
     result = _make_engine(cfg, job).run()
     result.profile = profile

@@ -1,6 +1,6 @@
 """Core Pregel-style BSP engine on the simulated cloud (Pregel.NET analogue)."""
 
-from .api import MasterContext, VertexContext, VertexProgram, run_job_process
+from .api import MasterContext, VertexContext, VertexProgram
 from .aggregators import (
     Aggregator,
     AndAggregator,
@@ -11,9 +11,9 @@ from .aggregators import (
     SumAggregator,
 )
 from .combiners import Combiner, MaxCombiner, MinCombiner, SumCombiner
-from .dense_ref import DenseRefEngine, PlanRefusedError, run_job_dense_ref
+from .dense_ref import DenseRefEngine, PlanRefusedError
 from .engine import BSPEngine, SuperstepObserver, run_job
-from .parallel import ThreadedBSPEngine, run_job_threaded
+from .parallel import ThreadedBSPEngine
 from .debug import InvariantChecker, MessageRecord, TracingProgram
 from .job import JobResult, JobSpec, RecoveryEvent
 from .superstep import JobTrace, SuperstepStats, WorkerStepStats
@@ -37,12 +37,9 @@ __all__ = [
     "BSPEngine",
     "DenseRefEngine",
     "PlanRefusedError",
-    "run_job_dense_ref",
     "SuperstepObserver",
     "run_job",
-    "run_job_process",
     "ThreadedBSPEngine",
-    "run_job_threaded",
     "InvariantChecker",
     "MessageRecord",
     "TracingProgram",

@@ -30,22 +30,7 @@ __all__ = [
     "VertexContext",
     "VertexProgram",
     "MasterContext",
-    "run_job_process",
 ]
-
-
-def run_job_process(job, **engine_kwargs):
-    """Run a job on the multiprocess engine (:mod:`repro.dist`).
-
-    Mirror of ``run_job`` / ``run_job_threaded`` for the third backend;
-    the import is lazy so programs that never go multiprocess don't pay
-    for it.  ``engine_kwargs`` pass through to
-    :class:`~repro.dist.ProcessBSPEngine` (``heartbeat_interval``,
-    ``heartbeat_timeout``, ``start_method``).
-    """
-    from ..dist import ProcessBSPEngine
-
-    return ProcessBSPEngine(job, **engine_kwargs).run()
 
 
 class MasterContext:

@@ -40,7 +40,7 @@ from .superstep import JobTrace
 if TYPE_CHECKING:  # import cycle: repro.check imports repro.bsp
     from ..check.vectorize import KernelPlan
 
-__all__ = ["DenseRefEngine", "PlanRefusedError", "run_job_dense_ref"]
+__all__ = ["DenseRefEngine", "PlanRefusedError"]
 
 
 class PlanRefusedError(RuntimeError):
@@ -121,8 +121,7 @@ class _Eval:
     def vertex(self, expr) -> Any:
         return self._eval(expr, None, None)
 
-    def scalar(self, expr) -> Any:
-        return self._eval(expr, None, None)
+    scalar = vertex  # phase guards evaluate in vertex space too
 
     def arc(self, expr, arcs: np.ndarray) -> Any:
         return self._eval(expr, arcs, self.e.src[arcs])
@@ -153,30 +152,9 @@ class _Eval:
                     and v.shape[0] == self.e.n:
                 return v[rows]
             return v
-        head = expr[0]
-        if head == "edge_weight":
+        if expr[0] == "edge_weight":
             return self.e.weights[arcs]
-        a = self._eval_hoist(expr[1], arcs, rows)
-        if head == "not":
-            return np.logical_not(a)
-        if head == "neg":
-            return np.negative(a)
-        if head == "abs":
-            return np.abs(a)
-        if head == "cast_int":
-            return np.asarray(a).astype(np.int64) if isinstance(
-                a, np.ndarray) else int(a)
-        if head == "cast_float":
-            return np.asarray(a).astype(np.float64) if isinstance(
-                a, np.ndarray) else float(a)
-        if head == "cast_bool":
-            return np.asarray(a).astype(bool) if isinstance(
-                a, np.ndarray) else bool(a)
-        b = self._eval_hoist(expr[2], arcs, rows)
-        if head == "where":
-            c = self._eval_hoist(expr[3], arcs, rows)
-            return np.where(a, b, c)
-        return _BINARY[head](a, b)
+        return self._apply(expr, arcs, rows, self._eval_hoist)
 
     def _eval(self, expr, arcs, rows) -> Any:
         key = (id(expr), -1 if arcs is None else id(arcs))
@@ -220,7 +198,14 @@ class _Eval:
             if arcs is None:
                 raise PlanRefusedError("edge_weight outside a scatter payload")
             return self.e.weights[arcs]
-        a = self._eval(expr[1], arcs, rows)
+        return self._apply(expr, arcs, rows, self._eval)
+
+    @staticmethod
+    def _apply(expr, arcs, rows, recur) -> Any:
+        """The operator dispatch (unary, casts, ``where``, :data:`_BINARY`)
+        shared by both evaluation orders; ``recur`` evaluates an operand."""
+        head = expr[0]
+        a = recur(expr[1], arcs, rows)
         if head == "not":
             return np.logical_not(a)
         if head == "neg":
@@ -236,9 +221,9 @@ class _Eval:
         if head == "cast_bool":
             return np.asarray(a).astype(bool) if isinstance(
                 a, np.ndarray) else bool(a)
-        b = self._eval(expr[2], arcs, rows)
+        b = recur(expr[2], arcs, rows)
         if head == "where":
-            c = self._eval(expr[3], arcs, rows)
+            c = recur(expr[3], arcs, rows)
             return np.where(a, b, c)
         return _BINARY[head](a, b)
 
@@ -334,11 +319,7 @@ class DenseRefEngine:
             self.weights = np.ones(self.m, dtype=np.float64)
         self.vertex_ids = np.arange(self.n, dtype=np.int64)
 
-        self._needs_prune = any(
-            op.kind == "prune_received"
-            for phase in plan.phases
-            for op in phase.ops
-        )
+        self._needs_prune = plan.needs_prune
         if self._needs_prune and len(job.initial_messages) > 0:
             raise PlanRefusedError(
                 "peel plans cannot start from injected messages (no arc "
@@ -637,9 +618,3 @@ class DenseRefEngine:
             aggregates=dict(agg_prev),
             kernel_plan=plan,
         )
-
-
-def run_job_dense_ref(job: JobSpec, plan: "KernelPlan | None" = None,
-                      optimize: bool = True) -> JobResult:
-    """Lift the job's program and interpret its KernelPlan with NumPy."""
-    return DenseRefEngine(job, plan=plan, optimize=optimize).run()

@@ -1,11 +1,11 @@
 """The BSP engine: job manager + superstep loop over partition workers.
 
 Plays Pregel.NET's job-manager role (§III): it builds the worker fleet from
-the job's partition, drives supersteps through the control-plane queues,
-moves bulk message buffers between workers at superstep boundaries, merges
-aggregators at the barrier, detects the halting condition (all vertices
-voted to halt and no messages in flight), and accounts simulated time and
-cost for every superstep via the cloud models.
+the job's partition, drives supersteps, moves bulk message buffers between
+workers at superstep boundaries, merges aggregators at the barrier, detects
+the halting condition (all vertices voted to halt and no messages in
+flight), and accounts simulated time and cost for every superstep via the
+cloud models.
 
 Observers (e.g. the swath controller, elastic policies' probes) are invoked
 at every superstep boundary with the fresh :class:`SuperstepStats`; they may
@@ -15,6 +15,7 @@ inject control-plane activation messages and keep the job alive via
 
 from __future__ import annotations
 
+from importlib import import_module
 from time import perf_counter
 from typing import Any
 
@@ -24,13 +25,12 @@ from ..cloud.billing import BillingMeter
 from ..cloud.costmeter import attribute_cost
 from ..cloud.memorymodel import MemoryModel
 from ..cloud.network import NetworkModel, TrafficSummary
-from ..cloud.services import QueueService
 from .api import MasterContext
 from .job import JobResult, JobSpec, RecoveryEvent
 from .superstep import JobTrace, SuperstepStats
 from .worker import PartitionWorker
 
-__all__ = ["BSPEngine", "SuperstepObserver", "run_job"]
+__all__ = ["BSPEngine", "ENGINES", "SuperstepObserver", "make_engine", "run_job"]
 
 
 class SuperstepObserver:
@@ -63,7 +63,6 @@ class BSPEngine:
         self.num_workers = job.num_workers
         self.network = NetworkModel(self.vm_spec, self.model)
         self.memory = MemoryModel(self.vm_spec, self.model)
-        self.queues = QueueService()  # control plane: step + barrier queues
         self.meter = BillingMeter()
         self.trace = JobTrace()
         self.superstep = 0
@@ -138,12 +137,21 @@ class BSPEngine:
 
     # ------------------------------------------------------------------
     @property
+    def _views(self):
+        """Per-worker views in worker-id order (see :meth:`_account_superstep`).
+
+        Read through ``self.workers`` every time: the elastic and
+        re-partitioning engines replace that list between supersteps.
+        """
+        return self.workers
+
+    @property
     def active_vertices(self) -> int:
-        return sum(w.active_count for w in self.workers)
+        return sum(w.active_count for w in self._views)
 
     @property
     def buffered_messages(self) -> bool:
-        return any(w.has_buffered_messages for w in self.workers)
+        return any(w.has_buffered_messages for w in self._views)
 
     def aggregated(self, name: str) -> Any:
         """Current (last barrier's) value of a named aggregator."""
@@ -198,8 +206,6 @@ class BSPEngine:
 
     def _run_loop(self) -> JobResult:
         job = self.job
-        step_queue = self.queues.queue("step")
-        barrier_queue = self.queues.queue("barrier")
 
         for obs in self._observers:
             obs.on_job_start(self)
@@ -245,12 +251,7 @@ class BSPEngine:
                 )
             stats = None
             try:
-                step_queue.put(("superstep", self.superstep))
                 stats = self._run_one_superstep()
-                step_queue.try_get()
-                barrier_queue.put(("checkin", self.superstep, stats.active_end))
-                barrier_queue.try_get()
-
                 self._maybe_checkpoint(stats)
                 failed = self._maybe_fail(stats)
                 for obs in self._observers:
@@ -283,8 +284,6 @@ class BSPEngine:
                     # repair the stack so this close cannot mask the error.
                     tracer.unwind(span, sim=self.sim_time)
                     tracer.end(span, sim=self.sim_time)
-        else:
-            halted = False
         if job_span is not None:
             tracer.end(job_span, sim=self.sim_time, supersteps=len(self.trace))
         if self.flight is not None:
@@ -315,6 +314,11 @@ class BSPEngine:
 
     # ------------------------------------------------------------------
     def _run_one_superstep(self) -> SuperstepStats:
+        """The one superstep body: compute, flush, merge, master, account.
+
+        An engine supplies :meth:`_compute_phase`, :meth:`_flush_phase`
+        and :attr:`_views`; everything around them is shared.
+        """
         tracer = self.tracer
         host_t0 = perf_counter() if self._em is not None else 0.0
         stats = SuperstepStats(
@@ -325,25 +329,59 @@ class BSPEngine:
         )
         self._injected_count = 0
 
-        # Compute phase: every worker drains its input buffer.
         compute_span = (
             tracer.start("compute", sim=self.sim_time)
             if tracer is not None else None
         )
-        for w in self.workers:
-            w.begin_superstep(self.superstep, self._agg_values)
-        self._compute_phase()
+        partials = self._compute_phase()
         if compute_span is not None:
             tracer.end(compute_span)
 
-        # Flush phase: move bulk remote buffers between workers.
         flush_span = (
             tracer.start("flush", sim=self.sim_time)
             if tracer is not None else None
         )
+        recv_msgs, recv_bytes, peers_in = self._flush_phase()
+        if flush_span is not None:
+            tracer.end(flush_span)
+
+        self._merge_aggregators(partials)
+        self._master_phase()
+        self._account_superstep(
+            stats,
+            recv_msgs=recv_msgs,
+            recv_bytes=recv_bytes,
+            peers_in=peers_in,
+            compute_span=compute_span,
+            flush_span=flush_span,
+            host_t0=host_t0,
+        )
+        return stats
+
+    def _compute_phase(self) -> list[dict]:
+        """Every worker drains its input buffer; returns the aggregator
+        partials in worker-id order."""
+        for w in self.workers:
+            w.begin_superstep(self.superstep, self._agg_values)
+        self._run_compute()
+        return [w._agg_partials for w in self.workers]
+
+    def _run_compute(self) -> None:
+        """Run every worker's compute loop (sequential by default).
+
+        :class:`~repro.bsp.parallel.ThreadedBSPEngine` overrides this with a
+        thread pool — safe because workers only touch their own buffers
+        during compute.
+        """
+        for w in self.workers:
+            w.run_compute()
+
+    def _flush_phase(self):
+        """Move bulk remote buffers between workers, in source-worker-id
+        order; returns ``(recv_msgs, recv_bytes, peers_in)`` per worker."""
         recv_msgs = np.zeros(self.num_workers, dtype=np.int64)
         recv_bytes = np.zeros(self.num_workers)
-        peers_in = [set() for _ in range(self.num_workers)]
+        peers_in = [0] * self.num_workers
         for w in self.workers:
             w.stats.peers_out = len(w.out_remote)
             for dst_worker, per_vertex in sorted(w.out_remote.items()):
@@ -352,24 +390,9 @@ class BSPEngine:
                     wire = target.deliver_remote(dst_v, payloads)
                     recv_bytes[dst_worker] += wire
                     recv_msgs[dst_worker] += len(payloads)
-                peers_in[dst_worker].add(w.worker_id)
+                peers_in[dst_worker] += 1
             w.stats.bytes_out = w.out_remote_wire_bytes
-        if flush_span is not None:
-            tracer.end(flush_span)
-
-        self._merge_aggregators([w._agg_partials for w in self.workers])
-        self._master_phase()
-        self._account_superstep(
-            stats,
-            views=self.workers,
-            recv_msgs=recv_msgs,
-            recv_bytes=recv_bytes,
-            peers_in=[len(p) for p in peers_in],
-            compute_span=compute_span,
-            flush_span=flush_span,
-            host_t0=host_t0,
-        )
-        return stats
+        return recv_msgs, recv_bytes, peers_in
 
     def _merge_aggregators(self, partials_by_worker: list[dict]) -> None:
         """Barrier aggregator merge: fold worker partials in worker-id order.
@@ -410,7 +433,6 @@ class BSPEngine:
     def _account_superstep(
         self,
         stats: SuperstepStats,
-        views,
         recv_msgs,
         recv_bytes,
         peers_in,
@@ -420,10 +442,10 @@ class BSPEngine:
     ) -> None:
         """Convert true counts into simulated seconds, then bill and record.
 
-        ``views`` are per-worker resource views in worker-id order: the live
-        :class:`~repro.bsp.worker.PartitionWorker` objects for the in-process
-        engines, or the :mod:`repro.dist` engine's marshalled reports.  Each
-        view exposes ``worker_id``, ``stats`` (a
+        :attr:`_views` are per-worker resource views in worker-id order: the
+        live :class:`~repro.bsp.worker.PartitionWorker` objects for the
+        in-process engines, or the :mod:`repro.dist` engine's marshalled
+        reports.  Each view exposes ``worker_id``, ``stats`` (a
         :class:`~repro.bsp.superstep.WorkerStepStats` with the compute-phase
         counts plus ``bytes_out``/``peers_out`` filled), and the resource
         hooks ``buffered_message_bytes()``, ``buffered_message_count()``,
@@ -433,7 +455,7 @@ class BSPEngine:
         tracer = self.tracer
         eff = model.effective_cores(self.vm_spec.cores)
         restart_total = 0.0
-        for w in views:
+        for w in self._views:
             ws = w.stats
             ws.bytes_in = float(recv_bytes[w.worker_id])
             ws.peers_in = int(peers_in[w.worker_id])
@@ -556,16 +578,6 @@ class BSPEngine:
             self.job.manager_vm, 1, stats.elapsed, label=f"manager-{stats.index}"
         )
 
-    def _compute_phase(self) -> None:
-        """Run every worker's compute loop (sequential by default).
-
-        :class:`~repro.bsp.parallel.ThreadedBSPEngine` overrides this with a
-        thread pool — safe because workers only touch their own buffers
-        during compute.
-        """
-        for w in self.workers:
-            w.run_compute()
-
     def _post_superstep(self, stats: SuperstepStats) -> None:
         """Hook for subclasses, called after observers at each boundary.
 
@@ -588,7 +600,7 @@ class BSPEngine:
     def _state_bytes_total(self) -> float:
         return sum(
             w.graph_bytes + w.total_state_bytes + w.in_next_payload_bytes
-            for w in self.workers
+            for w in self._views
         )
 
     def _capture_checkpoint(self, superstep: int) -> dict:
@@ -788,6 +800,34 @@ class _EngineInstruments:
         self.restarts.inc(sum(1 for w in stats.workers if w.restarted))
 
 
-def run_job(job: JobSpec) -> JobResult:
-    """Convenience: build an engine and run the job."""
-    return BSPEngine(job).run()
+#: Engine name -> ``"module:Class"``, resolved on first use so importing
+#: :mod:`repro.bsp` never imports :mod:`repro.dist` / :mod:`repro.net`
+#: (both import this module).  Every place that maps a name to a class —
+#: the runner, ``certify_determinism``, the CLI's ``--engine`` choices, the
+#: auto-selector's score tables — reads this table.
+ENGINES = {
+    "sim": "repro.bsp.engine:BSPEngine",
+    "threaded": "repro.bsp.parallel:ThreadedBSPEngine",
+    "process": "repro.dist.engine:ProcessBSPEngine",
+    "tcp": "repro.net.engine:TcpBSPEngine",
+    "dense-ref": "repro.bsp.dense_ref:DenseRefEngine",
+}
+
+
+def make_engine(name: str, job: JobSpec, **engine_kwargs: Any):
+    """Instantiate the engine ``name`` (a key of :data:`ENGINES`) for ``job``."""
+    if name not in ENGINES:
+        raise ValueError(
+            f"unknown engine {name!r}; use one of "
+            + ", ".join(repr(n) for n in ENGINES)
+        )
+    module, cls = ENGINES[name].split(":")
+    return getattr(import_module(module), cls)(job, **engine_kwargs)
+
+
+def run_job(job: JobSpec, engine: str = "sim", **engine_kwargs: Any) -> JobResult:
+    """Convenience: build the named engine and run the job.
+
+    ``engine_kwargs`` pass through to the engine's constructor.
+    """
+    return make_engine(engine, job, **engine_kwargs).run()

@@ -28,7 +28,7 @@ from time import perf_counter
 from .engine import BSPEngine
 from .job import JobSpec
 
-__all__ = ["ThreadedBSPEngine", "default_pool_size", "run_job_threaded"]
+__all__ = ["ThreadedBSPEngine", "default_pool_size"]
 
 
 def default_pool_size(num_workers: int) -> int:
@@ -66,7 +66,7 @@ class ThreadedBSPEngine(BSPEngine):
         else:
             self._m_task_host = None
 
-    def _compute_phase(self) -> None:
+    def _run_compute(self) -> None:
         if self._m_task_host is None:
             futures = [self._pool.submit(w.run_compute) for w in self.workers]
             for f in futures:
@@ -89,8 +89,3 @@ class ThreadedBSPEngine(BSPEngine):
             return super().run()
         finally:
             self._pool.shutdown(wait=True)
-
-
-def run_job_threaded(job: JobSpec, max_threads: int | None = None):
-    """Convenience mirror of :func:`repro.bsp.engine.run_job`."""
-    return ThreadedBSPEngine(job, max_threads=max_threads).run()

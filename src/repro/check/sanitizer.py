@@ -35,7 +35,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..bsp.api import VertexProgram
-from ..bsp.engine import BSPEngine, SuperstepObserver
+from ..bsp.engine import BSPEngine, SuperstepObserver, make_engine
 from ..bsp.job import JobSpec
 from ..bsp.parallel import ThreadedBSPEngine
 
@@ -321,7 +321,6 @@ def certify_determinism(
     num_workers: int = 4,
     *,
     engine: str = "threaded",
-    threaded: bool = True,
     initially_active: Any = True,
     initial_messages: Sequence[tuple[int, Any]] = (),
     max_supersteps: int = 10_000,
@@ -341,8 +340,12 @@ def certify_determinism(
     localhost worker daemons), or ``"dense-ref"``
     (:class:`~repro.bsp.dense_ref.DenseRefEngine`, interprets the
     program's static KernelPlan with NumPy — this is how RPC015 claims
-    are certified).  ``threaded=False`` is the deprecated spelling of
-    ``engine="sim"``.
+    are certified).  Any name in :data:`repro.bsp.engine.ENGINES` works.
+
+    What the report certifies is agreement *within tolerance* between the
+    1-worker sim and ``engine`` at ``num_workers``.  Bitwise equality is a
+    narrower contract (docs/runtime.md): sim ≡ threaded ≡ process ≡ tcp at
+    the same worker count and partition, and dense-ref ≡ the 1-worker sim.
 
     ``program_factory`` must build a *fresh* program per call — programs may
     carry instance state (converged_at, caches) that must not leak between
@@ -352,8 +355,6 @@ def certify_determinism(
     """
     if num_workers < 2:
         raise ValueError("num_workers must be >= 2 to exercise partitioning")
-    if not threaded and engine == "threaded":
-        engine = "sim"  # back-compat: threaded=False meant the sim engine
     kwargs = dict(
         initially_active=initially_active,
         initial_messages=list(initial_messages),
@@ -363,32 +364,12 @@ def certify_determinism(
     ref = BSPEngine(
         JobSpec(program=program_factory(), graph=graph, num_workers=1, **kwargs)
     ).run()
-    if engine == "sim":
-        engine_cls = BSPEngine
-    elif engine == "threaded":
-        engine_cls = ThreadedBSPEngine
-    elif engine == "process":
-        from ..dist import ProcessBSPEngine
-
-        engine_cls = ProcessBSPEngine
-    elif engine == "tcp":
-        from ..net.engine import TcpBSPEngine
-
-        engine_cls = TcpBSPEngine
-    elif engine == "dense-ref":
-        from ..bsp.dense_ref import DenseRefEngine
-
-        engine_cls = DenseRefEngine
-    else:
-        raise ValueError(
-            f"unknown engine {engine!r}; use 'sim', 'threaded', 'process', "
-            "'tcp' or 'dense-ref'"
-        )
-    alt = engine_cls(
+    alt = make_engine(
+        engine,
         JobSpec(
             program=program_factory(), graph=graph, num_workers=num_workers,
             **kwargs,
-        )
+        ),
     ).run()
 
     mismatches: list[tuple[int, Any, Any]] = []

@@ -251,6 +251,14 @@ class KernelPlan:
     def num_ops(self) -> int:
         return sum(len(p.ops) for p in self.phases)
 
+    @property
+    def needs_prune(self) -> bool:
+        """Peel plans prune by arc identity, so they cannot start from
+        injected messages (which arrive on no arc)."""
+        return any(
+            op.kind == "prune_received" for p in self.phases for op in p.ops
+        )
+
 
 def _expr_json(e: Expr) -> list:
     """Tuples -> lists, recursively (canonical JSON form)."""

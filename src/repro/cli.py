@@ -87,6 +87,7 @@ import sys
 from .analysis import RunConfig, run_pagerank, run_traversal
 from .analysis.traces import read_json, write_json
 from .bsp.debug import InvariantChecker
+from .bsp.engine import ENGINES
 from .cloud import CostMeter
 from .cloud.costmodel import SCALED_PERF_MODEL
 from .obs import (
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roots", type=int, default=20, help="bc/apsp traversal roots")
     p.add_argument(
         "--engine",
-        choices=["sim", "threaded", "process", "tcp", "dense-ref", "auto"],
+        choices=[*ENGINES, "auto"],
         default="sim",
         help="execution backend: sequential simulator, thread pool, real "
              "worker processes (repro.dist), TCP worker daemons "

@@ -17,17 +17,11 @@ from .engine import (
     ProcessBSPEngine,
     ProgramSafetyError,
     WorkerFailure,
-    run_job_process,
 )
-from .frames import FrameError, pack_frame, unpack_frame
 
 __all__ = [
     "ProcessBSPEngine",
     "WorkerFailure",
     "ChildError",
     "ProgramSafetyError",
-    "run_job_process",
-    "FrameError",
-    "pack_frame",
-    "unpack_frame",
 ]

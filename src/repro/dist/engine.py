@@ -57,7 +57,6 @@ all labeled with the transport name.
 from __future__ import annotations
 
 import sys
-from time import monotonic
 from typing import Any
 
 import numpy as np
@@ -81,13 +80,7 @@ __all__ = [
     "WorkerFailure",
     "ChildError",
     "ProgramSafetyError",
-    "run_job_process",
 ]
-
-try:
-    from time import perf_counter
-except ImportError:  # pragma: no cover - perf_counter is always there
-    perf_counter = monotonic
 
 
 class WorkerFailure(RuntimeError):
@@ -134,13 +127,14 @@ class ChildError(RuntimeError):
 class _WorkerView:
     """Parent-side mirror of one worker's resource numbers and step stats.
 
-    Duck-types the per-worker surface
-    :meth:`BSPEngine._account_superstep` reads; refreshed from the worker's
-    barrier report each superstep.
+    Duck-types the per-worker surface :class:`BSPEngine` reads (fleet
+    state and :meth:`BSPEngine._account_superstep`), under the worker's own
+    attribute names; refreshed from the worker's barrier report each
+    superstep.
     """
 
     __slots__ = (
-        "worker_id", "stats", "active_count", "has_buffered",
+        "worker_id", "stats", "active_count", "has_buffered_messages",
         "graph_bytes", "total_state_bytes", "in_next_payload_bytes",
         "_buffered_bytes", "_queue_depth", "_memory",
     )
@@ -151,7 +145,7 @@ class _WorkerView:
         self.worker_id = worker.worker_id
         self.stats = worker.stats
         self.active_count = worker.active_count
-        self.has_buffered = worker.has_buffered_messages
+        self.has_buffered_messages = worker.has_buffered_messages
         self.graph_bytes = worker.graph_bytes
         self.total_state_bytes = worker.total_state_bytes
         self.in_next_payload_bytes = worker.in_next_payload_bytes
@@ -161,7 +155,7 @@ class _WorkerView:
 
     def apply_report(self, report: dict) -> None:
         self.active_count = int(report["active"])
-        self.has_buffered = bool(report["buffered"])
+        self.has_buffered_messages = bool(report["buffered"])
         self.graph_bytes = report["graph_bytes"]
         self.total_state_bytes = report["state_bytes"]
         self.in_next_payload_bytes = report["in_next_bytes"]
@@ -262,6 +256,9 @@ class ProcessBSPEngine(BSPEngine):
     ) -> None:
         if check_program:
             self._gate_program(job.program)
+        # Created first: the base __init__ injects the job's initial
+        # messages, which this engine buffers until the next boundary.
+        self._inject_buffer: list = []
         super().__init__(job)
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
@@ -287,7 +284,7 @@ class ProcessBSPEngine(BSPEngine):
             _DistInstruments(self.metrics, self._transport.name)
             if self.metrics is not None else None
         )
-        self._views = [_WorkerView(w) for w in self.workers]
+        self._mirrors = [_WorkerView(w) for w in self.workers]
         self._handles: list[WorkerChannel | None] = [None] * self.num_workers
         try:
             for w in range(self.num_workers):
@@ -313,21 +310,15 @@ class ProcessBSPEngine(BSPEngine):
     def inject_message(self, dst: int, payload: Any) -> None:
         if not 0 <= dst < self.graph.num_vertices:
             raise ValueError(f"inject to unknown vertex {dst}")
-        buf = getattr(self, "_inject_buffer", None)
-        if buf is None:
-            # Lazily created: the base __init__ injects initial messages
-            # before this subclass's __init__ body runs.
-            buf = self._inject_buffer = []
-        buf.append((int(dst), payload))
+        self._inject_buffer.append((int(dst), payload))
         self._injected_count += 1
 
     def _flush_injections(self) -> None:
-        buf = getattr(self, "_inject_buffer", None)
-        if not buf:
+        if not self._inject_buffer:
             return
         per_worker: dict[int, list] = {}
         assignment = self.partition.assignment
-        for dst, payload in buf:
+        for dst, payload in self._inject_buffer:
             per_worker.setdefault(int(assignment[dst]), []).append(
                 (dst, payload)
             )
@@ -337,39 +328,31 @@ class ProcessBSPEngine(BSPEngine):
         for h in targets:
             self._send(h, ("inject", epoch, per_worker[h.worker_id]))
         for h in targets:
-            self._views[h.worker_id].apply_report(
+            self._mirrors[h.worker_id].apply_report(
                 self._expect(h, "ok", epoch)
             )
 
     # ------------------------------------------------------------------
-    # Fleet-state properties come from the marshalled views, not the
-    # parent's (never-computed) PartitionWorkers.
+    # Fleet state comes from the marshalled views, not the parent's
+    # (never-computed) PartitionWorkers.
     # ------------------------------------------------------------------
     @property
-    def active_vertices(self) -> int:
-        return sum(v.active_count for v in self._views)
+    def _views(self):
+        return self._mirrors
 
     @property
     def buffered_messages(self) -> bool:
-        if getattr(self, "_inject_buffer", None):
-            return True
-        return any(v.has_buffered for v in self._views)
-
-    def _state_bytes_total(self) -> float:
-        return sum(
-            v.graph_bytes + v.total_state_bytes + v.in_next_payload_bytes
-            for v in self._views
-        )
+        return bool(self._inject_buffer) or super().buffered_messages
 
     # ------------------------------------------------------------------
-    # The superstep: the same phases as the sequential engine, executed
+    # The superstep: the sequential engine's body with both phases executed
     # over the wire.  Unplanned worker death aborts the attempt, rolls
     # back, and retries from the restored superstep.
     # ------------------------------------------------------------------
     def _run_one_superstep(self) -> SuperstepStats:
         while True:
             try:
-                return self._attempt_superstep()
+                return super()._run_one_superstep()
             except WorkerFailure as failure:
                 if self.job.checkpoint_interval <= 0:
                     raise RuntimeError(
@@ -388,31 +371,16 @@ class ProcessBSPEngine(BSPEngine):
                 )
                 self._recover(failure.worker_id, scratch)
 
-    def _attempt_superstep(self) -> SuperstepStats:
-        tracer = self.tracer
-        host_t0 = perf_counter() if self._em is not None else 0.0
-        stats = SuperstepStats(
-            index=self.superstep,
-            num_workers=self.num_workers,
-            active_begin=self.active_vertices,
-            injected=self._injected_count,
-        )
-        self._injected_count = 0
+    def _compute_phase(self) -> list[dict]:
+        """Every worker drains its input buffer concurrently."""
         self._flush_injections()
         self._drain_heartbeats()
         epoch = self._epoch
         handles = self._handles
-
-        # Compute phase: every worker drains its input buffer concurrently.
-        compute_span = (
-            tracer.start("compute", sim=self.sim_time)
-            if tracer is not None else None
-        )
         for h in handles:
             self._send(h, ("compute", epoch, (self.superstep, self._agg_values)))
         computed = [self._expect(h, "computed", epoch) for h in handles]
-        if compute_span is not None:
-            tracer.end(compute_span)
+        tracer = self.tracer
         if tracer is not None:
             for h, rep in zip(handles, computed):
                 extra = {}
@@ -431,13 +399,16 @@ class ProcessBSPEngine(BSPEngine):
                     host_duration=rep["host_seconds"], worker=h.worker_id,
                     **extra,
                 )
+        self._computed = computed  # frames + stats, consumed by the flush
+        return [c["agg_partials"] for c in computed]
 
-        # Flush phase: route each source's frames to their destinations in
-        # source-worker-id order (the sequential engine's delivery order).
-        flush_span = (
-            tracer.start("flush", sim=self.sim_time)
-            if tracer is not None else None
-        )
+    def _flush_phase(self):
+        """Route each source's frames to their destinations in
+        source-worker-id order (the sequential engine's delivery order),
+        then fold every worker's barrier reply into its view."""
+        epoch = self._epoch
+        handles = self._handles
+        computed, self._computed = self._computed, None
         inbound: list[list] = [[] for _ in range(self.num_workers)]
         for h, rep in zip(handles, computed):
             for dst, frame in sorted(rep["frames"].items()):
@@ -449,17 +420,10 @@ class ProcessBSPEngine(BSPEngine):
         for h in handles:
             self._send(h, ("deliver", epoch, inbound[h.worker_id]))
         delivered = [self._expect(h, "delivered", epoch) for h in handles]
-        if flush_span is not None:
-            tracer.end(flush_span)
 
-        recv_msgs = np.array(
-            [d["recv_msgs"] for d in delivered], dtype=np.int64
-        )
-        recv_bytes = np.array([d["recv_bytes"] for d in delivered])
-        peers_in = [len(inbound[w]) for w in range(self.num_workers)]
         violations = getattr(self.job.program, "violations", None)
         for view, h, comp, deliv in zip(
-            self._views, handles, computed, delivered
+            self._mirrors, handles, computed, delivered
         ):
             view.stats = comp["stats"]
             view.apply_report(deliv["report"])
@@ -476,20 +440,11 @@ class ProcessBSPEngine(BSPEngine):
                 violations.extend(deliv["violations"])
             if deliv.get("output"):
                 self._emit_child_output(view.worker_id, deliv["output"])
-
-        self._merge_aggregators([c["agg_partials"] for c in computed])
-        self._master_phase()
-        self._account_superstep(
-            stats,
-            views=self._views,
-            recv_msgs=recv_msgs,
-            recv_bytes=recv_bytes,
-            peers_in=peers_in,
-            compute_span=compute_span,
-            flush_span=flush_span,
-            host_t0=host_t0,
+        return (
+            np.array([d["recv_msgs"] for d in delivered], dtype=np.int64),
+            np.array([d["recv_bytes"] for d in delivered]),
+            [len(frames) for frames in inbound],
         )
-        return stats
 
     @staticmethod
     def _emit_child_output(worker_id: int, text: str) -> None:
@@ -596,7 +551,7 @@ class ProcessBSPEngine(BSPEngine):
         for h in self._handles:
             self._send(h, ("restore", epoch, snaps[h.worker_id]))
         for h in self._handles:
-            self._views[h.worker_id].apply_report(
+            self._mirrors[h.worker_id].apply_report(
                 self._expect(h, "restored", epoch)
             )
 
@@ -842,8 +797,3 @@ class ProcessBSPEngine(BSPEngine):
             h.close()
             h.alive = False
         self._transport.shutdown()
-
-
-def run_job_process(job: JobSpec, **engine_kwargs: Any) -> JobResult:
-    """Convenience mirror of ``run_job`` / ``run_job_threaded``."""
-    return ProcessBSPEngine(job, **engine_kwargs).run()

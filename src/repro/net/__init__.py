@@ -75,7 +75,6 @@ __all__ = [
     "pack_frame",
     "parse_endpoint",
     "probe_endpoint",
-    "run_job_tcp",
     "serve",
     "unpack_frame",
 ]
@@ -85,8 +84,8 @@ def __getattr__(name: str):
     # TcpBSPEngine pulls in repro.dist (which imports repro.net.transport);
     # resolving it lazily keeps `import repro.dist` and `import repro.net`
     # both cycle-free regardless of which loads first.
-    if name in ("TcpBSPEngine", "run_job_tcp"):
-        from . import engine
+    if name == "TcpBSPEngine":
+        from .engine import TcpBSPEngine
 
-        return getattr(engine, name)
+        return TcpBSPEngine
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -29,13 +29,13 @@ checkpoint.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
-from ..bsp.job import JobResult, JobSpec
+from ..bsp.job import JobSpec
 from ..dist.engine import ProcessBSPEngine
 from .tcp import LocalDaemonFleet, TcpTransport, load_workers_file
 
-__all__ = ["TcpBSPEngine", "run_job_tcp"]
+__all__ = ["TcpBSPEngine"]
 
 
 class TcpBSPEngine(ProcessBSPEngine):
@@ -103,8 +103,3 @@ class TcpBSPEngine(ProcessBSPEngine):
         super().shutdown()
         if self._owned_fleet is not None:
             self._owned_fleet.shutdown()
-
-
-def run_job_tcp(job: JobSpec, **engine_kwargs: Any) -> JobResult:
-    """Convenience mirror of ``run_job`` / ``run_job_process``."""
-    return TcpBSPEngine(job, **engine_kwargs).run()

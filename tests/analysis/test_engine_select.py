@@ -74,6 +74,41 @@ def test_job_features_exclude_dense_ref():
     assert sum(1 for e, _ in decision.excluded if e == "dense-ref") == 3
 
 
+def test_peel_plan_with_injected_messages_excludes_dense_ref():
+    # Regression: the prune check used to read an attribute KernelPlan never
+    # had, so auto picked dense-ref and DenseRefEngine then refused the job.
+    from repro.bsp import JobSpec
+    from repro.bsp.dense_ref import DenseRefEngine, PlanRefusedError
+
+    program = KCoreProgram(k=2)
+    verdict = lift_of(program)
+    features = dense_refused_features(
+        program, verdict, initial_messages=[(0, 1)]
+    )
+    assert features == ["peel plans cannot start from injected messages"]
+    decision = select_engine(
+        verdict=verdict, profile=profile_of(program), num_workers=4,
+        features=features,
+    )
+    assert decision.engine != "dense-ref"
+    # the selector's verdict and the engine's own gate agree
+    job = JobSpec(
+        program=program, graph=gen.ring(6), num_workers=2,
+        initial_messages=[(0, 1)],
+    )
+    with pytest.raises(PlanRefusedError, match="injected messages"):
+        DenseRefEngine(job)
+    # ... and the runners hand the job's injected messages to the selector
+    from repro.analysis.runner import _resolve_auto
+
+    cfg, auto = _resolve_auto(
+        RunConfig(engine="auto", num_workers=2), job,
+        profile_of(program), verdict,
+    )
+    assert cfg.engine == auto.engine != "dense-ref"
+    assert dense_refused_features(program, verdict) == []
+
+
 def test_flight_recorder_is_not_a_dense_blocker():
     program = PageRankProgram(iterations=5)
     assert dense_refused_features(program, lift_of(program)) == []

@@ -1,5 +1,5 @@
 """DenseRefEngine: bit-equivalence against BSPEngine, refusal gates, and
-the engine-selection wiring (sanitizer, runner, run_job_dense_ref).
+the engine-selection wiring (sanitizer, runner, run_job).
 """
 
 from __future__ import annotations
@@ -18,12 +18,8 @@ from repro.algorithms import (
     SSSPProgram,
     WCCProgram,
 )
-from repro.bsp import BSPEngine, JobSpec
-from repro.bsp.dense_ref import (
-    DenseRefEngine,
-    PlanRefusedError,
-    run_job_dense_ref,
-)
+from repro.bsp import BSPEngine, JobSpec, run_job
+from repro.bsp.dense_ref import DenseRefEngine, PlanRefusedError
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 
@@ -160,11 +156,12 @@ def test_peel_plan_refuses_injected_messages():
 
 
 def test_run_job_dense_ref_helper(directed):
-    res = run_job_dense_ref(
+    res = run_job(
         JobSpec(
             program=PageRankProgram(iterations=5), graph=directed,
             num_workers=2,
-        )
+        ),
+        engine="dense-ref",
     )
     assert res.supersteps == 6
     assert res.halted

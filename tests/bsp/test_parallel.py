@@ -10,7 +10,7 @@ from repro.algorithms import (
     betweenness_reference,
 )
 from repro.algorithms import bc as bc_mod
-from repro.bsp import JobSpec, run_job, run_job_threaded
+from repro.bsp import JobSpec, run_job
 from repro.bsp.parallel import ThreadedBSPEngine
 from repro.graph import generators as gen
 
@@ -20,8 +20,9 @@ class TestEquivalence:
         seq = run_job(
             JobSpec(program=PageRankProgram(10), graph=small_world, num_workers=4)
         )
-        par = run_job_threaded(
-            JobSpec(program=PageRankProgram(10), graph=small_world, num_workers=4)
+        par = run_job(
+            JobSpec(program=PageRankProgram(10), graph=small_world, num_workers=4),
+            engine="threaded",
         )
         assert seq.values == par.values
         assert seq.total_time == pytest.approx(par.total_time)
@@ -35,7 +36,7 @@ class TestEquivalence:
             initial_messages=bc_mod.start_messages(roots),
         )
         seq = run_job(mk())
-        par = run_job_threaded(mk(), max_threads=6)
+        par = run_job(mk(), engine="threaded", max_threads=6)
         ref = betweenness_reference(small_world, roots=roots)
         assert np.allclose(par.values_array(), ref, atol=1e-9)
         assert seq.values == par.values
@@ -44,15 +45,17 @@ class TestEquivalence:
         seq = run_job(
             JobSpec(program=KCoreProgram(2), graph=small_world, num_workers=4)
         )
-        par = run_job_threaded(
-            JobSpec(program=KCoreProgram(2), graph=small_world, num_workers=4)
+        par = run_job(
+            JobSpec(program=KCoreProgram(2), graph=small_world, num_workers=4),
+            engine="threaded",
         )
         assert seq.values == par.values
 
     def test_repeated_runs_deterministic(self, small_world):
         runs = [
-            run_job_threaded(
-                JobSpec(program=PageRankProgram(6), graph=small_world, num_workers=8)
+            run_job(
+                JobSpec(program=PageRankProgram(6), graph=small_world, num_workers=8),
+                engine="threaded",
             ).values_array()
             for _ in range(3)
         ]
@@ -72,7 +75,10 @@ class TestMechanics:
                 return state
 
         with pytest.raises(RuntimeError, match="kaboom"):
-            run_job_threaded(JobSpec(program=Boom(), graph=ring10, num_workers=3))
+            run_job(
+                JobSpec(program=Boom(), graph=ring10, num_workers=3),
+                engine="threaded",
+            )
 
     def test_thread_cap_validation(self, ring10):
         with pytest.raises(ValueError):
@@ -82,8 +88,9 @@ class TestMechanics:
             )
 
     def test_single_thread_works(self, ring10):
-        res = run_job_threaded(
+        res = run_job(
             JobSpec(program=PageRankProgram(3), graph=ring10, num_workers=4),
+            engine="threaded",
             max_threads=1,
         )
         assert res.halted

@@ -10,7 +10,7 @@ interleaved half-lines under ``--engine process --progress`` looked like.
 import re
 
 from repro.algorithms import PageRankProgram
-from repro.bsp import JobSpec, run_job, run_job_process
+from repro.bsp import JobSpec, run_job
 
 
 class NoisyPageRank(PageRankProgram):
@@ -21,8 +21,9 @@ class NoisyPageRank(PageRankProgram):
 
 
 def test_child_prints_arrive_prefixed_and_whole(small_world, capfd):
-    res = run_job_process(
-        JobSpec(program=NoisyPageRank(6), graph=small_world, num_workers=3)
+    res = run_job(
+        JobSpec(program=NoisyPageRank(6), graph=small_world, num_workers=3),
+        engine="process",
     )
     err = capfd.readouterr().err
     probes = [ln for ln in err.splitlines() if "probe" in ln]
@@ -43,7 +44,8 @@ def test_child_prints_arrive_prefixed_and_whole(small_world, capfd):
 
 
 def test_quiet_programs_emit_nothing(small_world, capfd):
-    run_job_process(
-        JobSpec(program=PageRankProgram(4), graph=small_world, num_workers=2)
+    run_job(
+        JobSpec(program=PageRankProgram(4), graph=small_world, num_workers=2),
+        engine="process",
     )
     assert "[worker" not in capfd.readouterr().err

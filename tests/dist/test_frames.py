@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dist import pack_frame, unpack_frame
-from repro.dist.frames import _U32
+from repro.net.codec import _U32, pack_frame, unpack_frame
 
 
 class TestRoundtrip:

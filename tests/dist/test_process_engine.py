@@ -7,7 +7,7 @@ import pytest
 from repro.algorithms import BCProgram, PageRankProgram, betweenness_reference
 from repro.algorithms import bc as bc_mod
 from repro.analysis import RunConfig, run_pagerank, run_traversal
-from repro.bsp import JobSpec, run_job, run_job_process
+from repro.bsp import JobSpec, run_job
 from repro.check.sanitizer import certify_determinism
 from repro.dist import ChildError, ProcessBSPEngine
 from repro.obs import MetricsRegistry, SpanTracer, to_json_dict
@@ -22,7 +22,7 @@ def pr_job(graph, **kw):
 class TestEquivalence:
     def test_pagerank_identical(self, small_world):
         seq = run_job(pr_job(small_world))
-        proc = run_job_process(pr_job(small_world))
+        proc = run_job(pr_job(small_world), engine="process")
         assert seq.values == proc.values
         assert seq.supersteps == proc.supersteps
         assert seq.total_time == pytest.approx(proc.total_time)
@@ -39,14 +39,15 @@ class TestEquivalence:
             initial_messages=bc_mod.start_messages(roots),
         )
         seq = run_job(mk())
-        proc = run_job_process(mk())
+        proc = run_job(mk(), engine="process")
         assert seq.values == proc.values
         ref = betweenness_reference(small_world, roots=roots)
         assert np.allclose(proc.values_array(), ref, atol=1e-9)
 
     def test_repeated_runs_deterministic(self, ring10):
         runs = [
-            run_job_process(pr_job(ring10)).values_array() for _ in range(2)
+            run_job(pr_job(ring10), engine="process").values_array()
+            for _ in range(2)
         ]
         assert np.array_equal(runs[0], runs[1])
 
@@ -95,7 +96,7 @@ class TestTelemetry:
     def test_transport_and_worker_metrics(self, small_world):
         m_seq, m_proc = MetricsRegistry(), MetricsRegistry()
         run_job(pr_job(small_world, metrics=m_seq))
-        run_job_process(pr_job(small_world, metrics=m_proc))
+        run_job(pr_job(small_world, metrics=m_proc), engine="process")
 
         def series(reg, name):
             for metric in to_json_dict(reg)["metrics"]:
@@ -121,7 +122,7 @@ class TestTelemetry:
 
     def test_worker_compute_spans(self, ring10):
         tracer = SpanTracer()
-        run_job_process(pr_job(ring10, tracer=tracer))
+        run_job(pr_job(ring10, tracer=tracer), engine="process")
         spans = [s for s in tracer.spans if s.name == "worker-compute"]
         assert spans
         assert {s.attrs["worker"] for s in spans} == {0, 1, 2, 3}

@@ -6,7 +6,7 @@ import multiprocessing
 import pytest
 
 from repro.algorithms import PageRankProgram
-from repro.bsp import JobSpec, VertexProgram, run_job, run_job_process
+from repro.bsp import JobSpec, VertexProgram, run_job
 from repro.dist import ProcessBSPEngine, ProgramSafetyError
 
 
@@ -49,14 +49,16 @@ class TestGateRejects:
 
     def test_closure_in_state_rejected(self, ring10):
         with pytest.raises(ProgramSafetyError):
-            run_job_process(
-                JobSpec(program=ClosureStateProgram(), graph=ring10, num_workers=2)
+            run_job(
+                JobSpec(program=ClosureStateProgram(), graph=ring10, num_workers=2),
+                engine="process",
             )
 
     def test_run_job_process_propagates(self, ring10):
         with pytest.raises(ProgramSafetyError, match="unpicklable"):
-            run_job_process(
-                JobSpec(program=LambdaStateProgram(), graph=ring10, num_workers=2)
+            run_job(
+                JobSpec(program=LambdaStateProgram(), graph=ring10, num_workers=2),
+                engine="process",
             )
 
 
@@ -65,7 +67,9 @@ class TestGateAllows:
         spec = lambda: JobSpec(
             program=PageRankProgram(4), graph=ring10, num_workers=2
         )
-        assert run_job_process(spec()).values == run_job(spec()).values
+        assert (
+            run_job(spec(), engine="process").values == run_job(spec()).values
+        )
 
     def test_override_skips_gate(self, ring10):
         # The fixture never actually ships its lambda through a pickle

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.algorithms import PageRankProgram, SSSPProgram
-from repro.bsp import JobSpec, run_job, run_job_process
+from repro.bsp import JobSpec, run_job
 from repro.dist import ProcessBSPEngine
 
 PROGRAMS = {
@@ -34,10 +34,10 @@ def make_job(graph, program_factory, **kw):
 class TestScheduledFailure:
     def test_recovered_equals_failure_free(self, small_world, app, engine):
         factory = PROGRAMS[app]
-        runner = run_job if engine == "sim" else run_job_process
-        clean = runner(make_job(small_world, factory))
-        failed = runner(
-            make_job(small_world, factory, failure_schedule={3: 1})
+        clean = run_job(make_job(small_world, factory), engine=engine)
+        failed = run_job(
+            make_job(small_world, factory, failure_schedule={3: 1}),
+            engine=engine,
         )
         assert failed.recoveries, "the scheduled failure must have fired"
         assert failed.recoveries[0].failed_worker == 1
@@ -61,8 +61,9 @@ class TestKillWorkerAt:
         sim = run_job(
             make_job(small_world, PROGRAMS["pagerank"], failure_schedule=schedule)
         )
-        proc = run_job_process(
-            make_job(small_world, PROGRAMS["pagerank"], failure_schedule=schedule)
+        proc = run_job(
+            make_job(small_world, PROGRAMS["pagerank"], failure_schedule=schedule),
+            engine="process",
         )
         assert sim.values == proc.values
         assert sim.total_time == pytest.approx(proc.total_time)
@@ -89,7 +90,7 @@ class TestUnplannedDeath:
                 return super().compute(ctx, state, messages)
 
         clean = run_job(make_job(small_world, PROGRAMS["pagerank"]))
-        res = run_job_process(make_job(small_world, lambda: DieOnce(8)))
+        res = run_job(make_job(small_world, lambda: DieOnce(8)), engine="process")
         assert flag.exists()
         assert res.recoveries
         assert clean.values == res.values

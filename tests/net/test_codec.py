@@ -1,7 +1,7 @@
 """The shared frame codec: round-trips, malformed input, stream framing.
 
-Satellite contract: the codec extracted from repro.dist.frames is
-transport-agnostic (both backends import this one module), rejects
+Satellite contract: the codec is transport-agnostic (both backends import
+this one module), rejects
 truncated/oversized/trailing-garbage frames with a typed
 :class:`FrameError`, and reassembles frames from arbitrary byte-stream
 chunk boundaries.
@@ -134,20 +134,12 @@ class TestStreamFraming:
         assert MAX_FRAME_BYTES == 1 << 31  # the default ceiling (2 GiB)
 
 
-class TestDistShim:
-    def test_dist_frames_reexports_the_codec(self):
-        from repro.dist import frames
-        from repro.net import codec
+class TestCodecSurface:
+    def test_net_package_exports_the_codec(self):
+        from repro import net
 
-        assert frames.pack_frame is codec.pack_frame
-        assert frames.unpack_frame is codec.unpack_frame
-        assert frames.FrameError is codec.FrameError
-
-    def test_dist_package_exports_survive(self):
-        # The original import surface (tests, user code) keeps working.
-        from repro.dist import FrameError, pack_frame, unpack_frame
-
-        assert unpack_frame(pack_frame("x")) == "x"
+        assert net.unpack_frame(net.pack_frame("x")) == "x"
+        assert net.FrameError is FrameError
         assert issubclass(FrameError, ValueError)
 
     def test_pickle_protocol_5(self):

@@ -9,9 +9,9 @@ import pytest
 from repro.algorithms import BCProgram, PageRankProgram, betweenness_reference
 from repro.algorithms import bc as bc_mod
 from repro.analysis import RunConfig, run_pagerank, run_traversal
-from repro.bsp import JobSpec, VertexProgram, run_job, run_job_process
+from repro.bsp import JobSpec, VertexProgram, run_job
 from repro.check.sanitizer import certify_determinism
-from repro.net import LocalDaemonFleet, TcpBSPEngine, run_job_tcp
+from repro.net import LocalDaemonFleet, TcpBSPEngine
 from repro.obs import FlightRecorder, MetricsRegistry, to_json_dict
 
 
@@ -43,7 +43,9 @@ def pr_job(graph, **kw):
 class TestEquivalence:
     def test_pagerank_identical(self, small_world, fleet3):
         seq = run_job(pr_job(small_world))
-        tcp = run_job_tcp(pr_job(small_world), endpoints=fleet3.endpoints())
+        tcp = run_job(
+            pr_job(small_world), engine="tcp", endpoints=fleet3.endpoints()
+        )
         assert seq.values == tcp.values
         assert seq.supersteps == tcp.supersteps
         assert seq.total_time == pytest.approx(tcp.total_time)
@@ -60,14 +62,14 @@ class TestEquivalence:
             initial_messages=bc_mod.start_messages(roots),
         )
         seq = run_job(mk())
-        tcp = run_job_tcp(mk(), endpoints=fleet3.endpoints())
+        tcp = run_job(mk(), engine="tcp", endpoints=fleet3.endpoints())
         assert seq.values == tcp.values
         ref = betweenness_reference(small_world, roots=roots)
         assert np.allclose(tcp.values_array(), ref, atol=1e-9)
 
     def test_matches_pipe_backend_exactly(self, ring10, fleet3):
-        proc = run_job_process(pr_job(ring10))
-        tcp = run_job_tcp(pr_job(ring10), endpoints=fleet3.endpoints())
+        proc = run_job(pr_job(ring10), engine="process")
+        tcp = run_job(pr_job(ring10), engine="tcp", endpoints=fleet3.endpoints())
         assert proc.values == tcp.values
         assert proc.total_time == pytest.approx(tcp.total_time)
 
@@ -75,7 +77,7 @@ class TestEquivalence:
         # No endpoints at all: the engine spawns (and tears down) its own
         # localhost daemons.
         seq = run_job(pr_job(ring10))
-        tcp = run_job_tcp(pr_job(ring10), auto_daemons=2)
+        tcp = run_job(pr_job(ring10), engine="tcp", auto_daemons=2)
         assert seq.values == tcp.values
 
     def test_certify_determinism_tcp(self, small_world):
@@ -130,8 +132,9 @@ class TestRunnerIntegration:
 class TestTelemetry:
     def test_dist_metrics_carry_the_transport_label(self, ring10, fleet3):
         m = MetricsRegistry()
-        run_job_tcp(
-            pr_job(ring10, metrics=m), endpoints=fleet3.endpoints()
+        run_job(
+            pr_job(ring10, metrics=m), engine="tcp",
+            endpoints=fleet3.endpoints(),
         )
         labelled = {
             metric["name"]
@@ -148,7 +151,7 @@ class TestTelemetry:
 
     def test_pipe_backend_labels_pipe(self, ring10):
         m = MetricsRegistry()
-        run_job_process(pr_job(ring10, metrics=m))
+        run_job(pr_job(ring10, metrics=m), engine="process")
         for metric in to_json_dict(m)["metrics"]:
             if metric["name"] == "dist_frames_total":
                 assert metric["series"][0]["labels"]["transport"] == "pipe"
@@ -157,8 +160,9 @@ class TestTelemetry:
 
     def test_flight_records_worker_connects(self, ring10, fleet3):
         flight = FlightRecorder()
-        run_job_tcp(
-            pr_job(ring10, flight=flight), endpoints=fleet3.endpoints()
+        run_job(
+            pr_job(ring10, flight=flight), engine="tcp",
+            endpoints=fleet3.endpoints(),
         )
         connects = [
             e for e in flight.snapshot() if e.kind == "worker-connect"
@@ -209,8 +213,8 @@ class TestClockAlignment:
     def test_clock_sync_surfaces_in_flight_and_metrics(self, ring10, fleet3):
         flight = FlightRecorder()
         m = MetricsRegistry()
-        run_job_tcp(
-            pr_job(ring10, flight=flight, metrics=m),
+        run_job(
+            pr_job(ring10, flight=flight, metrics=m), engine="tcp",
             endpoints=fleet3.endpoints(),
         )
         synced = [e for e in flight.snapshot() if e.kind == "clock-sync"]
@@ -227,8 +231,9 @@ class TestClockAlignment:
         # land in its own recording order on the coordinator's clock,
         # and the events_since cursor must stay monotonic.
         flight = FlightRecorder(capacity=8192)
-        run_job_tcp(
-            pr_job(ring10, flight=flight), endpoints=fleet3.endpoints()
+        run_job(
+            pr_job(ring10, flight=flight), engine="tcp",
+            endpoints=fleet3.endpoints(),
         )
         events, cursor = flight.events_since(-1)
         assert cursor == events[-1].seq

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.algorithms import PageRankProgram
-from repro.bsp import JobSpec, run_job, run_job_process
+from repro.bsp import JobSpec, run_job
 from repro.net import TcpBSPEngine
 from repro.obs import FlightRecorder, RunTimeline
 
@@ -95,7 +95,7 @@ class TestTimelineRollback:
             )
 
         tl_pipe, tl_tcp = RunTimeline(), RunTimeline()
-        pipe = run_job_process(job(tl_pipe))
+        pipe = run_job(job(tl_pipe), engine="process")
         engine = TcpBSPEngine(job(tl_tcp), auto_daemons=3)
         tcp = engine.run()
         assert pipe.values == tcp.values

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.algorithms import PageRankProgram
-from repro.bsp import JobSpec, run_job, run_job_process, run_job_threaded
+from repro.bsp import JobSpec, run_job
 from repro.cloud.costmodel import DEFAULT_PERF_MODEL
 from repro.dist import ProcessBSPEngine
 from repro.obs import (
@@ -179,13 +179,9 @@ class TestEngineEquivalence:
             DEFAULT_PERF_MODEL, jitter=0.3, jitter_seed=7
         )
         dumps = {}
-        for name, runner in (
-            ("sim", run_job),
-            ("threaded", run_job_threaded),
-            ("process", run_job_process),
-        ):
+        for name in ("sim", "threaded", "process"):
             tl = RunTimeline()
-            runner(make_job(small_world, tl, perf_model=model))
+            run_job(make_job(small_world, tl, perf_model=model), engine=name)
             dumps[name] = json.dumps(timeline_to_dict(tl), sort_keys=True)
         assert dumps["sim"] == dumps["threaded"] == dumps["process"]
 
