@@ -176,8 +176,7 @@ class BCProgram(VertexProgram):
 
         # ---- 2. newly discovered records: forward wave + pred acks --------
         for root, rec in fwd_new.items():
-            for u in ctx.out_neighbors:
-                ctx.send(int(u), (_FWD, root, rec.depth, rec.sigma, v))
+            ctx.send_to_neighbors((_FWD, root, rec.depth, rec.sigma, v))
             for u in rec.preds:
                 ctx.send(u, (_SUCC, root))
 

@@ -139,11 +139,11 @@ class VertexContext:
         self._worker.emit(self._vertex, int(dst), payload)
 
     def send_to_neighbors(self, payload: Any) -> None:
-        """Send ``payload`` along every (current) out-edge."""
-        emit = self._worker.emit
-        v = self._vertex
-        for u in self._worker.effective_neighbors(v):
-            emit(v, int(u), payload)
+        """Send ``payload`` along every (current) out-edge.
+
+        One bulk send: every recipient receives the same payload object.
+        """
+        self._worker.emit_to_neighbors(self._vertex, payload)
 
     def vote_to_halt(self) -> None:
         """Deactivate this vertex until a message re-awakens it."""

@@ -384,12 +384,12 @@ class BSPEngine:
         peers_in = [0] * self.num_workers
         for w in self.workers:
             w.stats.peers_out = len(w.out_remote)
-            for dst_worker, per_vertex in sorted(w.out_remote.items()):
-                target = self.workers[dst_worker]
-                for dst_v, payloads in per_vertex.items():
-                    wire = target.deliver_remote(dst_v, payloads)
-                    recv_bytes[dst_worker] += wire
-                    recv_msgs[dst_worker] += len(payloads)
+            for dst_worker, bucket in sorted(w.out_remote.items()):
+                msgs, wire = self.workers[dst_worker].deliver_bucket(
+                    bucket.items()
+                )
+                recv_msgs[dst_worker] += msgs
+                recv_bytes[dst_worker] += wire
                 peers_in[dst_worker] += 1
             w.stats.bytes_out = w.out_remote_wire_bytes
         return recv_msgs, recv_bytes, peers_in

@@ -67,8 +67,11 @@ class PartitionWorker:
         self.in_next: dict[int, list] = {}
         self.in_next_payload_bytes = 0.0
 
-        # Remote out buffers for the running superstep:
+        # Remote out buffers for the running superstep.  During compute
+        # every non-hosted destination gets one box in the flat
+        # ``_pending`` dict; run_compute() ends by splitting it into
         # dst_worker -> dst_vertex -> list (or combined single payload).
+        self._pending: dict[int, list] = {}
         self.out_remote: dict[int, dict[int, list]] = {}
         self.out_remote_wire_bytes = 0.0
 
@@ -120,6 +123,7 @@ class PartitionWorker:
         self.in_cur = self.in_next
         self.in_next = {}
         self.in_next_payload_bytes = 0.0
+        self._pending = {}
         self.out_remote = {}
         self.out_remote_wire_bytes = 0.0
         self._agg_previous = agg_previous
@@ -136,25 +140,37 @@ class PartitionWorker:
         return sorted(pending)
 
     def run_compute(self) -> None:
-        """Run compute() for every active/messaged vertex of the partition."""
+        """Run compute() for every active/messaged vertex of the partition,
+        then route the superstep's remote boxes to their owners."""
         program = self.program
+        compute = program.compute
+        state_nbytes = program.state_nbytes
+        states = self.states
+        state_bytes = self._state_bytes
+        halted = self.halted
+        pop_msgs = self.in_cur.pop
         ctx = self._ctx
+        bind = ctx._bind
         superstep = self._superstep
+        calls = msgs_in = 0
         for v in self.compute_set():
-            msgs = self.in_cur.pop(v, ())
-            ctx._bind(self, v, superstep)
-            new_state = program.compute(ctx, self.states[v], msgs)
-            self.states[v] = new_state
-            nb = int(program.state_nbytes(new_state))
-            self.total_state_bytes += nb - self._state_bytes[v]
-            self._state_bytes[v] = nb
-            self.halted[v] = ctx._halted_flag
-            self.stats.compute_calls += 1
-            self.stats.msgs_in += len(msgs)
+            msgs = pop_msgs(v, ())
+            bind(self, v, superstep)
+            states[v] = new_state = compute(ctx, states[v], msgs)
+            nb = int(state_nbytes(new_state))
+            if nb != state_bytes[v]:
+                self.total_state_bytes += nb - state_bytes[v]
+                state_bytes[v] = nb
+            halted[v] = ctx._halted_flag
+            calls += 1
+            msgs_in += len(msgs)
         self.in_cur = {}
+        self.stats.compute_calls += calls
+        self.stats.msgs_in += msgs_in
+        self._route_pending()
         if self._m_compute_calls is not None:
-            self._m_compute_calls.inc(self.stats.compute_calls)
-            self._m_msgs_in.inc(self.stats.msgs_in)
+            self._m_compute_calls.inc(calls)
+            self._m_msgs_in.inc(msgs_in)
 
     # ------------------------------------------------------------------
     # Topology mutation (Pregel edge mutations, self-scope)
@@ -209,53 +225,157 @@ class PartitionWorker:
         self._pending_mutations = []
 
     # ------------------------------------------------------------------
-    # Message routing (called from VertexContext.send)
+    # Message plane (called from VertexContext.send / send_to_neighbors)
+    #
+    # A destination is local iff this worker hosts it.  Counters track
+    # *post-combine* messages — what is actually buffered and transferred,
+    # the quantity the paper plots; combining folds an emit into an
+    # existing buffered message at no extra cost.  emit() and
+    # emit_to_neighbors() state the same box rule twice (the bulk loop is
+    # the hot path); tests/bsp/test_message_plane.py holds them equal.
     # ------------------------------------------------------------------
     def emit(self, src: int, dst: int, payload: Any) -> None:
-        if not 0 <= dst < self.graph.num_vertices:
-            raise ValueError(f"message to unknown vertex {dst}")
-        dst_worker = int(self.assignment[dst])
-        combiner = self.program.combiner
-        # Counters track *post-combine* messages — what is actually buffered
-        # and transferred, the quantity the paper plots; combining folds an
-        # emit into an existing buffered message at no extra cost.
-        if dst_worker == self.worker_id:
-            box = self.in_next.setdefault(dst, [])
-            if combiner is not None and box:
-                box[0] = combiner.combine(box[0], payload)
-            else:
-                box.append(payload)
-                self.in_next_payload_bytes += self.program.payload_nbytes(payload)
-                self.stats.msgs_out_local += 1
+        local = dst in self.states
+        if local:
+            boxes = self.in_next
+        elif 0 <= dst < self.graph.num_vertices:
+            boxes = self._pending
         else:
-            bucket = self.out_remote.setdefault(dst_worker, {})
-            box = bucket.setdefault(dst, [])
-            if combiner is not None and box:
-                box[0] = combiner.combine(box[0], payload)
-            else:
-                box.append(payload)
-                self.out_remote_wire_bytes += self.model.message_wire_bytes(
-                    self.program.payload_nbytes(payload)
-                )
-                self.stats.msgs_out_remote += 1
+            raise ValueError(f"message to unknown vertex {dst}")
+        box = boxes.get(dst)
+        if box is None:
+            box = boxes[dst] = []
+        program = self.program
+        if box and program.combiner is not None:
+            box[0] = program.combiner.combine(box[0], payload)
+            return
+        box.append(payload)
+        nb = program.payload_nbytes(payload)
+        if local:
+            self.in_next_payload_bytes += nb
+            self.stats.msgs_out_local += 1
+        else:
+            self.out_remote_wire_bytes += self.model.message_wire_bytes(nb)
+            self.stats.msgs_out_remote += 1
+
+    def emit_to_neighbors(self, v: int, payload: Any) -> None:
+        """Emit ``payload`` along every (current) out-edge of ``v``.
+
+        Every recipient gets the same object; accounting is done once per
+        call (fresh boxes x payload bytes).
+        """
+        nbrs = self._overlay.get(v)
+        if nbrs is None:
+            indptr = self.graph.indptr
+            nbrs = self.graph.indices[indptr[v]:indptr[v + 1]].tolist()
+        states = self.states
+        in_next = self.in_next
+        pending = self._pending
+        combiner = self.program.combiner
+        local = remote = 0
+        if combiner is None:
+            for u in nbrs:
+                if u in states:
+                    box = in_next.get(u)
+                    if box is None:
+                        in_next[u] = [payload]
+                    else:
+                        box.append(payload)
+                    local += 1
+                else:
+                    box = pending.get(u)
+                    if box is None:
+                        pending[u] = [payload]
+                    else:
+                        box.append(payload)
+                    remote += 1
+        else:
+            combine = combiner.combine
+            for u in nbrs:
+                if u in states:
+                    box = in_next.get(u)
+                    if box:
+                        box[0] = combine(box[0], payload)
+                        continue
+                    if box is None:
+                        in_next[u] = [payload]
+                    else:
+                        box.append(payload)
+                    local += 1
+                else:
+                    box = pending.get(u)
+                    if box:
+                        box[0] = combine(box[0], payload)
+                        continue
+                    if box is None:
+                        pending[u] = [payload]
+                    else:
+                        box.append(payload)
+                    remote += 1
+        if local or remote:
+            nb = self.program.payload_nbytes(payload)
+            self.in_next_payload_bytes += local * nb
+            self.out_remote_wire_bytes += remote * self.model.message_wire_bytes(nb)
+            self.stats.msgs_out_local += local
+            self.stats.msgs_out_remote += remote
+
+    def _route_pending(self) -> None:
+        """Split the flat remote boxes into per-destination-worker buckets
+        (one vectorised owner lookup per superstep), keeping first-emit
+        order inside every bucket."""
+        pending = self._pending
+        if not pending:
+            return
+        keys = np.fromiter(pending, dtype=np.int64, count=len(pending))
+        owners = self.assignment[keys].tolist()
+        out = self.out_remote
+        for (dst, box), dw in zip(pending.items(), owners):
+            bucket = out.get(dw)
+            if bucket is None:
+                bucket = out[dw] = {}
+            bucket[dst] = box
+
+    def deliver_bucket(self, items) -> tuple[int, float]:
+        """Accept one source worker's whole bucket: ``(dst, payloads)``
+        pairs for vertices hosted here, in the sender's emission order.
+
+        Returns ``(messages, wire bytes)`` received, for the engine's
+        traffic matrix.  With a combiner, arriving payloads fold into the
+        buffered one; buffered bytes grow only when a box gains an element.
+        """
+        program = self.program
+        payload_nbytes = program.payload_nbytes
+        wire_bytes = self.model.message_wire_bytes
+        combiner = program.combiner
+        in_next = self.in_next
+        msgs = 0
+        wire = 0.0
+        buffered = 0
+        last_nb = last_wire = None
+        for dst, payloads in items:
+            box = in_next.get(dst)
+            if box is None:
+                box = in_next[dst] = []
+            msgs += len(payloads)
+            for p in payloads:
+                nb = payload_nbytes(p)
+                if nb != last_nb:
+                    last_nb = nb
+                    last_wire = wire_bytes(nb)
+                wire += last_wire
+                if combiner is not None and box:
+                    box[0] = combiner.combine(box[0], p)
+                else:
+                    box.append(p)
+                    buffered += nb
+        self.in_next_payload_bytes += buffered
+        return msgs, wire
 
     def deliver_remote(self, dst: int, payloads: list) -> float:
-        """Accept a batch of remote messages for local vertex ``dst``.
-
-        Returns the wire bytes received (for the engine's traffic matrix).
-        With a combiner, arriving payloads fold into the buffered one.
+        """Accept a batch of remote messages for local vertex ``dst``;
+        returns the wire bytes received (single-box :meth:`deliver_bucket`).
         """
-        combiner = self.program.combiner
-        box = self.in_next.setdefault(dst, [])
-        wire = 0.0
-        for p in payloads:
-            wire += self.model.message_wire_bytes(self.program.payload_nbytes(p))
-            if combiner is not None and box:
-                box[0] = combiner.combine(box[0], p)
-            else:
-                box.append(p)
-                self.in_next_payload_bytes += self.program.payload_nbytes(p)
-        return wire
+        return self.deliver_bucket(((dst, payloads),))[1]
 
     def inject(self, dst: int, payload: Any) -> None:
         """Control-plane activation message (job-manager originated).
@@ -404,5 +524,6 @@ class PartitionWorker:
         self.overlay_bytes = snap["overlay_bytes"]
         self._pending_mutations = list(snap["pending_mutations"])
         self.in_cur = {}
+        self._pending = {}
         self.out_remote = {}
         self.out_remote_wire_bytes = 0.0

@@ -172,11 +172,9 @@ class WorkerSession:
             recv_msgs = 0
             recv_bytes = 0.0
             for _src, frame in payload:
-                for dst_v, payloads in unpack_frame(frame):
-                    recv_bytes += worker.deliver_remote(
-                        int(dst_v), list(payloads)
-                    )
-                    recv_msgs += len(payloads)
+                msgs, wire = worker.deliver_bucket(unpack_frame(frame))
+                recv_msgs += msgs
+                recv_bytes += wire
             metrics_delta = None
             if self._registry is not None:
                 cur = self._snapshot_registry(self._registry)

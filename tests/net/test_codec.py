@@ -55,6 +55,15 @@ class TestRoundTrip:
     def test_empty_payload_object(self):
         assert unpack_frame(pack_frame(())) == ()
 
+    def test_message_bucket_keeps_int_keys_and_list_boxes(self):
+        # deliver_bucket consumes an unpacked frame as is: no re-int(), no
+        # copy of the boxes.
+        bucket = {7: [0.25], 3: [(0, 1, 2), (1, 4)], 11: [1.0, 2.0]}
+        back = unpack_frame(pack_frame(list(bucket.items())))
+        assert back == list(bucket.items())
+        for dst, box in back:
+            assert type(dst) is int and type(box) is list
+
 
 class TestMalformed:
     def test_header_truncated(self):
