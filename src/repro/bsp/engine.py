@@ -28,6 +28,7 @@ from ..cloud.network import NetworkModel, TrafficSummary
 from .api import MasterContext
 from .job import JobResult, JobSpec, RecoveryEvent
 from .superstep import JobTrace, SuperstepStats
+from .telemetry import Telemetry
 from .worker import PartitionWorker
 
 __all__ = ["BSPEngine", "ENGINES", "SuperstepObserver", "make_engine", "run_job"]
@@ -81,18 +82,14 @@ class BSPEngine:
             else None
         )
         self._observers: list[SuperstepObserver] = list(job.observers)
-        # Observability sinks (all optional; every instrumentation site is
-        # guarded by an `is None` check so unobserved runs pay ~nothing).
-        self.tracer = job.tracer
-        self.metrics = job.metrics
-        self.timeline = job.timeline
-        self.flight = job.flight
-        if self.tracer is not None and self.flight is not None:
-            # Spans echo into the flight ring as span-open/span-close
-            # events, so the crash tail shows which phase was in flight.
-            self.tracer.flight = self.flight
-        self._em = (
-            _EngineInstruments(self.metrics) if self.metrics is not None else None
+        # Observability: the engine emits events on the spine, which alone
+        # calls the attached sinks; they stay readable here for the
+        # postmortem writer and the diagnostic monitor.
+        self.tracer, self.metrics = job.tracer, job.metrics
+        self.timeline, self.flight = job.timeline, job.flight
+        self.telemetry = Telemetry(
+            self, self.tracer, self.metrics, self.timeline, self.flight,
+            job.postmortem,
         )
 
         active_ids = job.initial_active_ids()
@@ -108,7 +105,6 @@ class BSPEngine:
                 model=self.model,
                 assignment=assignment,
                 initially_active=active_ids is None,
-                metrics=self.metrics,
             )
             self.workers.append(worker)
         if active_ids is not None and len(active_ids):
@@ -182,27 +178,8 @@ class BSPEngine:
         try:
             return self._run_loop()
         except (Exception, KeyboardInterrupt) as exc:
-            self._capture_abort(exc)
+            self.telemetry.abort(exc)
             raise
-
-    def _capture_abort(self, exc: BaseException) -> None:
-        """Record the failure and dump a postmortem bundle (best-effort)."""
-        if self.tracer is not None:
-            try:  # close the job span (and any deeper strays) as aborted
-                self.tracer.unwind(sim=self.sim_time)
-            except Exception:
-                pass
-        if self.flight is not None:
-            self.flight.record(
-                "abort", superstep=self.superstep, sim=self.sim_time,
-                error=type(exc).__name__, message=str(exc)[:200],
-            )
-        pm = self.job.postmortem
-        if pm is not None:
-            try:
-                pm.dump(self, exc)
-            except Exception:  # a broken dump must never mask the failure
-                pass
 
     def _run_loop(self) -> JobResult:
         job = self.job
@@ -215,18 +192,8 @@ class BSPEngine:
             # can still roll back (Pregel checkpoints before superstep 0).
             self._checkpoint = self._capture_checkpoint(0)
 
-        tracer = self.tracer
-        job_span = (
-            tracer.start("job", sim=self.sim_time, category="engine",
-                         workers=self.num_workers)
-            if tracer is not None
-            else None
-        )
-        if self.flight is not None:
-            self.flight.record(
-                "job-start", sim=self.sim_time, workers=self.num_workers,
-                program=type(job.program).__name__,
-            )
+        tel = self.telemetry
+        tel.job_start()
         halted = False
         while self.superstep < job.max_supersteps:
             if not self.buffered_messages and self.active_vertices == 0:
@@ -235,62 +202,25 @@ class BSPEngine:
                     break
                 # Observers still hold work but injected nothing runnable:
                 # give them a boundary callback on an empty step.
-            # The superstep span closes after checkpoints, recovery, observers
-            # and the post-superstep hook so its simulated duration covers
-            # every cost charged to this superstep (== stats.elapsed).
-            span = (
-                tracer.start("superstep", sim=self.sim_time,
-                             superstep=self.superstep)
-                if tracer is not None
-                else None
-            )
-            if self.flight is not None:
-                self.flight.record(
-                    "superstep-open", superstep=self.superstep,
-                    sim=self.sim_time, active=self.active_vertices,
-                )
-            stats = None
-            try:
+            with tel.superstep():
                 stats = self._run_one_superstep()
                 self._maybe_checkpoint(stats)
                 failed = self._maybe_fail(stats)
                 for obs in self._observers:
                     obs.on_superstep_end(self, stats)
-                if self._master_halt and not failed:
-                    if self.timeline is not None:
-                        self.timeline.record_superstep(stats)
-                    halted = True
-                    self.superstep += 1
-                    break
-                if not failed:
+                if not (failed or self._master_halt):
                     self._post_superstep(stats)
-                    # Record only committed supersteps, after every cost
-                    # charged to this step (checkpoint, elastic resize) has
-                    # landed in stats.elapsed; failed steps roll back instead.
-                    if self.timeline is not None:
-                        self.timeline.record_superstep(stats)
+                # A failed step rolls back instead of committing — unless
+                # the failure struck after this boundary's checkpoint
+                # already captured it: recovery then resumes *past* the
+                # step, which keeps the recovery cost it absorbed.
+                tel.closed(stats, not failed or self.superstep > stats.index)
+                if not failed:
                     self.superstep += 1
-                elif self.timeline is not None and self.superstep > stats.index:
-                    # The failure struck after this boundary's checkpoint
-                    # already captured the step: recovery resumes *past* it,
-                    # so it is committed — record it, with the recovery cost
-                    # it absorbed.
-                    self.timeline.record_superstep(stats)
-            finally:
-                if span is not None:
-                    if stats is not None:
-                        span.attrs["active_end"] = stats.active_end
-                    # A compute/flush phase that raised left its span open;
-                    # repair the stack so this close cannot mask the error.
-                    tracer.unwind(span, sim=self.sim_time)
-                    tracer.end(span, sim=self.sim_time)
-        if job_span is not None:
-            tracer.end(job_span, sim=self.sim_time, supersteps=len(self.trace))
-        if self.flight is not None:
-            self.flight.record(
-                "job-end", sim=self.sim_time, supersteps=len(self.trace),
-                halted=halted,
-            )
+                    if self._master_halt:
+                        halted = True
+                        break
+        tel.job_end(halted)
 
         values = self._extract_values()
         result = JobResult(
@@ -319,8 +249,8 @@ class BSPEngine:
         An engine supplies :meth:`_compute_phase`, :meth:`_flush_phase`
         and :attr:`_views`; everything around them is shared.
         """
-        tracer = self.tracer
-        host_t0 = perf_counter() if self._em is not None else 0.0
+        tel = self.telemetry
+        host_t0 = perf_counter()
         stats = SuperstepStats(
             index=self.superstep,
             num_workers=self.num_workers,
@@ -329,33 +259,15 @@ class BSPEngine:
         )
         self._injected_count = 0
 
-        compute_span = (
-            tracer.start("compute", sim=self.sim_time)
-            if tracer is not None else None
-        )
-        partials = self._compute_phase()
-        if compute_span is not None:
-            tracer.end(compute_span)
-
-        flush_span = (
-            tracer.start("flush", sim=self.sim_time)
-            if tracer is not None else None
-        )
-        recv_msgs, recv_bytes, peers_in = self._flush_phase()
-        if flush_span is not None:
-            tracer.end(flush_span)
-
-        self._merge_aggregators(partials)
-        self._master_phase()
-        self._account_superstep(
-            stats,
-            recv_msgs=recv_msgs,
-            recv_bytes=recv_bytes,
-            peers_in=peers_in,
-            compute_span=compute_span,
-            flush_span=flush_span,
-            host_t0=host_t0,
-        )
+        with tel.phase("compute"):
+            partials = self._compute_phase()
+        with tel.phase("flush"):
+            recv_msgs, recv_bytes, peers_in = self._flush_phase()
+        with tel.phase("aggregate-merge"):
+            self._merge_aggregators(partials)
+        with tel.phase("master-compute"):
+            self._master_phase()
+        self._account_superstep(stats, recv_msgs, recv_bytes, peers_in, host_t0)
         return stats
 
     def _compute_phase(self) -> list[dict]:
@@ -400,11 +312,6 @@ class BSPEngine:
         The worker-id fold order is part of the determinism contract — both
         execution backends must reassociate float sums identically.
         """
-        tracer = self.tracer
-        agg_span = (
-            tracer.start("aggregate-merge", sim=self.sim_time)
-            if tracer is not None else None
-        )
         new_aggs: dict[str, Any] = {}
         for name, agg in self._aggregators.items():
             acc = agg.identity()
@@ -413,32 +320,16 @@ class BSPEngine:
                     acc = agg.merge(acc, partials[name])
             new_aggs[name] = acc
         self._agg_values = new_aggs
-        if agg_span is not None:
-            tracer.end(agg_span)
 
     def _master_phase(self) -> None:
         """GPS-style global computation at the barrier."""
-        tracer = self.tracer
-        master_span = (
-            tracer.start("master-compute", sim=self.sim_time)
-            if tracer is not None else None
-        )
         master_ctx = MasterContext(self)
         self.job.program.master_compute(master_ctx)
         if master_ctx._halt:
             self._master_halt = True
-        if master_span is not None:
-            tracer.end(master_span)
 
     def _account_superstep(
-        self,
-        stats: SuperstepStats,
-        recv_msgs,
-        recv_bytes,
-        peers_in,
-        compute_span,
-        flush_span,
-        host_t0: float,
+        self, stats: SuperstepStats, recv_msgs, recv_bytes, peers_in, host_t0: float
     ) -> None:
         """Convert true counts into simulated seconds, then bill and record.
 
@@ -452,7 +343,6 @@ class BSPEngine:
         ``graph_bytes``, ``total_state_bytes``, ``memory_footprint()``.
         """
         model = self.model
-        tracer = self.tracer
         eff = model.effective_cores(self.vm_spec.cores)
         restart_total = 0.0
         for w in self._views:
@@ -505,78 +395,23 @@ class BSPEngine:
 
         stats.barrier_time = model.barrier_time(self.num_workers)
         stats.restart_time = restart_total
-        slowest = max((ws.elapsed for ws in stats.workers), default=0.0)
-        stats.elapsed = slowest + stats.barrier_time + restart_total
+        stats.elapsed = stats.slowest_busy + stats.barrier_time + restart_total
         stats.active_end = self.active_vertices
-        if tracer is not None:
-            # Attribute simulated seconds to the already-closed phase spans:
-            # the cost model prices them in one lump after the fact.  The
-            # superstep span (closed by run()) stays authoritative.
-            compute_span.set_sim_duration(
-                max((ws.compute_time for ws in stats.workers), default=0.0)
-            )
-            flush_span.set_sim_duration(
-                max(
-                    (ws.serialize_time + ws.network_time + ws.disk_time
-                     for ws in stats.workers),
-                    default=0.0,
-                )
-            )
-            tracer.record(
-                "barrier", sim=self.sim_time + slowest,
-                sim_duration=stats.barrier_time, workers=self.num_workers,
-            )
-            end = self.sim_time + stats.elapsed
-            tracer.counter(
-                "messages-in-flight", sim=end,
-                buffered=sum(ws.queue_depth for ws in stats.workers),
-            )
-            tracer.counter(
-                "worker-memory-mb", sim=end,
-                **{f"w{ws.worker}": ws.memory_bytes / 1e6
-                   for ws in stats.workers},
-            )
-        if self.flight is not None:
-            self.flight.record(
-                "barrier-enter", superstep=stats.index,
-                sim=self.sim_time + slowest, workers=self.num_workers,
-            )
-            self.flight.record(
-                "message-batch", superstep=stats.index, sim=self.sim_time,
-                msgs_local=sum(ws.msgs_out_local for ws in stats.workers),
-                msgs_remote=sum(ws.msgs_out_remote for ws in stats.workers),
-                bytes_out=sum(ws.bytes_out for ws in stats.workers),
-                queued=sum(ws.queue_depth for ws in stats.workers),
-            )
-            self.flight.record(
-                "memory-sample", superstep=stats.index, sim=self.sim_time,
-                peak_bytes=stats.peak_memory,
-                worker_mb={
-                    str(ws.worker): round(ws.memory_bytes / 1e6, 3)
-                    for ws in stats.workers
-                },
-            )
+        self.telemetry.accounted(stats, perf_counter() - host_t0)
         self.sim_time += stats.elapsed
         stats.sim_time_end = self.sim_time
-        if self.flight is not None:
-            self.flight.record(
-                "barrier-exit", superstep=stats.index, sim=self.sim_time,
-                active=stats.active_end, elapsed=stats.elapsed,
-            )
         self.trace.append(stats)
-        if self._em is not None:
-            self._em.observe_superstep(stats, perf_counter() - host_t0)
+        self._bill(stats.elapsed, f"superstep-{stats.index}")
 
-        # Pay-as-you-go: every allocated VM bills for the whole superstep.
-        self.meter.charge(
-            self.vm_spec,
-            self.num_workers,
-            stats.elapsed,
-            label=f"superstep-{stats.index}",
-        )
-        self.meter.charge(
-            self.job.manager_vm, 1, stats.elapsed, label=f"manager-{stats.index}"
-        )
+    def _bill(self, seconds: float, label: str, fleet_billed: bool = False) -> None:
+        """Pay-as-you-go: every allocated VM — the manager included — bills
+        for ``seconds``, busy or waiting, which is also what
+        :func:`attribute_cost` charges from ``stats.elapsed``.
+        ``fleet_billed`` says the caller already charged the worker VMs
+        (the elastic provisioner bills a fleet that is changing size)."""
+        if not fleet_billed:
+            self.meter.charge(self.vm_spec, self.num_workers, seconds, label=label)
+        self.meter.charge(self.job.manager_vm, 1, seconds, label=f"manager-{label}")
 
     def _post_superstep(self, stats: SuperstepStats) -> None:
         """Hook for subclasses, called after observers at each boundary.
@@ -622,33 +457,32 @@ class BSPEngine:
         the failure implicitly (rollback is the only observable effect);
         the process engine overrides this to actually kill the worker."""
 
+    def _stall(
+        self, stats: SuperstepStats, seconds: float, label: str,
+        fleet_billed: bool = False,
+    ) -> None:
+        """Stall the whole job for ``seconds`` at this boundary (checkpoint
+        write, recovery, repartition, resize): the clock, the step's
+        elapsed time and the bill move together."""
+        self.sim_time += seconds
+        stats.elapsed += seconds
+        stats.sim_time_end = self.sim_time
+        self._bill(seconds, label, fleet_billed)
+
     def _maybe_checkpoint(self, stats: SuperstepStats) -> None:
         interval = self.job.checkpoint_interval
         if interval <= 0 or (self.superstep + 1) % interval != 0:
             return
-        span = (
-            self.tracer.start("checkpoint", sim=self.sim_time)
-            if self.tracer is not None else None
-        )
-        self._checkpoint = self._capture_checkpoint(self.superstep + 1)
-        # Writing states + buffered messages to blob storage takes time.
-        write_time = self._state_bytes_total() / self.model.checkpoint_bandwidth
-        self.sim_time += write_time
-        stats.elapsed += write_time
-        stats.sim_time_end = self.sim_time
-        self.meter.charge(
-            self.vm_spec, self.num_workers, write_time, label="checkpoint"
-        )
-        if span is not None:
-            self.tracer.end(span, sim=self.sim_time)
-        if self.flight is not None:
-            self.flight.record(
-                "checkpoint", superstep=self.superstep, sim=self.sim_time,
-                resume_point=self.superstep + 1, write_seconds=write_time,
+        with self.telemetry.phase("checkpoint"):
+            self._checkpoint = self._capture_checkpoint(self.superstep + 1)
+            # Writing states + buffered messages to blob storage takes time.
+            write_time = (
+                self._state_bytes_total() / self.model.checkpoint_bandwidth
             )
-        if self._em is not None:
-            self._em.checkpoints.inc()
-            self._em.checkpoint_sim.inc(write_time)
+            self._stall(stats, write_time, "checkpoint")
+        self.telemetry.stall(
+            "checkpoint", write_time, resume_point=self.superstep + 1
+        )
 
     def _maybe_fail(self, stats: SuperstepStats) -> bool:
         worker_id = self._failure_schedule.pop(self.superstep, None)
@@ -664,25 +498,18 @@ class BSPEngine:
         """Coordinated rollback: every worker reloads the last checkpoint
         (or the initial state when none was taken yet)."""
         assert self._checkpoint is not None  # taken at job start
-        span = (
-            self.tracer.start("recovery", sim=self.sim_time,
-                              failed_worker=worker_id)
-            if self.tracer is not None else None
-        )
+        tel = self.telemetry
         resume_from = self._checkpoint["superstep"]
-        self._restore_checkpoint()
-        self._agg_values = dict(self._checkpoint["agg_values"])
-        self._master_halt = False  # a halt decided in the lost epoch is void
-        restore_time = (
-            self.model.restart_time
-            + self._state_bytes_total() / self.model.checkpoint_bandwidth
-        )
-        self.sim_time += restore_time
-        stats.elapsed += restore_time
-        stats.sim_time_end = self.sim_time
-        self.meter.charge(
-            self.vm_spec, self.num_workers, restore_time, label="recovery"
-        )
+        with tel.phase("recovery", failed_worker=worker_id) as closing:
+            self._restore_checkpoint()
+            self._agg_values = dict(self._checkpoint["agg_values"])
+            self._master_halt = False  # a halt decided in the lost epoch is void
+            restore_time = (
+                self.model.restart_time
+                + self._state_bytes_total() / self.model.checkpoint_bandwidth
+            )
+            self._stall(stats, restore_time, "recovery")
+            closing["resumed_from"] = resume_from
         self.recoveries.append(
             RecoveryEvent(
                 failed_superstep=self.superstep,
@@ -691,113 +518,12 @@ class BSPEngine:
                 recovery_seconds=restore_time,
             )
         )
-        if span is not None:
-            self.tracer.end(span, sim=self.sim_time, resumed_from=resume_from)
-        if self.flight is not None:
-            self.flight.record(
-                "recovery", superstep=self.superstep, sim=self.sim_time,
-                failed_worker=worker_id, resumed_from=resume_from,
-                restore_seconds=restore_time,
-            )
-        if self._em is not None:
-            self._em.recoveries.inc()
-            self._em.recovery_sim.inc(restore_time)
-        if self.timeline is not None:
-            # The lost epoch's rows vanish with the checkpoint; the replayed
-            # supersteps re-record on commit.
-            self.timeline.rollback(resume_from)
+        tel.stall(
+            "recovery", restore_time,
+            failed_worker=worker_id, resumed_from=resume_from,
+        )
+        tel.rollback(resume_from)
         self.superstep = resume_from
-
-
-class _EngineInstruments:
-    """Engine metrics, resolved once so the superstep loop stays cheap.
-
-    Names and labels are documented in ``docs/observability.md``; the
-    registry is duck-typed (:class:`repro.obs.MetricsRegistry`) so the
-    engine keeps zero imports from the observability package.
-    """
-
-    def __init__(self, registry) -> None:
-        self.supersteps = registry.counter(
-            "bsp_supersteps_total",
-            help="Supersteps executed (replayed ones after recovery included)",
-        )
-        self.msgs_local = registry.counter(
-            "bsp_messages_total",
-            help="Messages emitted, post-combine, by delivery plane",
-            kind="local",
-        )
-        self.msgs_remote = registry.counter("bsp_messages_total", kind="remote")
-        self.remote_bytes = registry.counter(
-            "bsp_remote_bytes_total",
-            help="Wire bytes moved between workers at flush",
-        )
-        self.injected = registry.counter(
-            "bsp_injected_messages_total",
-            help="Control-plane activation messages injected at boundaries",
-        )
-        self.compute_calls = registry.counter(
-            "bsp_compute_calls_total", help="Vertex compute() invocations"
-        )
-        self.active = registry.gauge(
-            "bsp_active_vertices", help="Active vertices after the last barrier"
-        )
-        self.workers = registry.gauge(
-            "bsp_workers", help="Partition workers in the fleet"
-        )
-        self.sim_time = registry.gauge(
-            "bsp_sim_time_seconds", help="Cumulative simulated job time"
-        )
-        self.peak_memory = registry.gauge(
-            "bsp_superstep_peak_memory_bytes",
-            help="Peak per-worker memory in the last superstep",
-        )
-        self.step_sim = registry.histogram(
-            "bsp_superstep_sim_seconds",
-            help="Simulated superstep durations",
-        )
-        self.step_host = registry.histogram(
-            "bsp_superstep_host_seconds",
-            help="Host wall-clock superstep durations",
-        )
-        self.barrier_sim = registry.counter(
-            "bsp_barrier_sim_seconds_total",
-            help="Simulated seconds spent in barriers",
-        )
-        self.restarts = registry.counter(
-            "bsp_worker_restarts_total",
-            help="Fabric-initiated VM restarts from memory overflow",
-        )
-        self.checkpoints = registry.counter(
-            "bsp_checkpoints_total", help="Checkpoints written"
-        )
-        self.checkpoint_sim = registry.counter(
-            "bsp_checkpoint_sim_seconds_total",
-            help="Simulated seconds spent writing checkpoints",
-        )
-        self.recoveries = registry.counter(
-            "bsp_recoveries_total", help="Coordinated rollbacks executed"
-        )
-        self.recovery_sim = registry.counter(
-            "bsp_recovery_sim_seconds_total",
-            help="Simulated seconds spent restoring checkpoints",
-        )
-
-    def observe_superstep(self, stats: SuperstepStats, host_seconds: float) -> None:
-        self.supersteps.inc()
-        self.msgs_local.inc(sum(w.msgs_out_local for w in stats.workers))
-        self.msgs_remote.inc(sum(w.msgs_out_remote for w in stats.workers))
-        self.remote_bytes.inc(sum(w.bytes_out for w in stats.workers))
-        self.injected.inc(stats.injected)
-        self.compute_calls.inc(stats.compute_calls)
-        self.active.set(stats.active_end)
-        self.workers.set(stats.num_workers)
-        self.sim_time.set(stats.sim_time_end)
-        self.peak_memory.set(stats.peak_memory)
-        self.step_sim.observe(stats.elapsed)
-        self.step_host.observe(host_seconds)
-        self.barrier_sim.inc(stats.barrier_time)
-        self.restarts.inc(sum(1 for w in stats.workers if w.restarted))
 
 
 #: Engine name -> ``"module:Class"``, resolved on first use so importing

@@ -53,36 +53,24 @@ class ThreadedBSPEngine(BSPEngine):
             max_workers=pool_size,
             thread_name_prefix="bsp-worker",
         )
-        # Real-concurrency profiling: per-worker host time inside the pooled
-        # compute phase, the number the simulated clock cannot show.
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "bsp_compute_pool_threads", help="Compute thread-pool size"
-            ).set(pool_size)
-            self._m_task_host = self.metrics.histogram(
-                "bsp_worker_compute_host_seconds",
-                help="Host wall time of each worker's pooled compute task",
-            )
-        else:
-            self._m_task_host = None
+        self.telemetry.pool(pool_size)
 
     def _run_compute(self) -> None:
-        if self._m_task_host is None:
-            futures = [self._pool.submit(w.run_compute) for w in self.workers]
-            for f in futures:
-                f.result()  # propagate worker exceptions
-            return
-
-        def timed(worker) -> None:
+        # Real-concurrency profiling: per-worker host time inside the pooled
+        # compute phase, the number the simulated clock cannot show.
+        def timed(worker) -> tuple[float, float]:
             t0 = perf_counter()
             worker.run_compute()
-            # Histogram mutation is lock-protected, so observing from the
-            # pooled task itself is safe (no observe-after-join detour).
-            self._m_task_host.observe(perf_counter() - t0)
+            t1 = perf_counter()
+            return t1 - t0, t1
 
         futures = [self._pool.submit(timed, w) for w in self.workers]
-        for f in futures:
-            f.result()  # propagate worker exceptions
+        for w, f in zip(self.workers, futures):
+            host, ended = f.result()  # propagates worker exceptions
+            # Emitted from this thread, not the pooled task: one writer.
+            self.telemetry.worker_compute(
+                w.worker_id, host, perf_counter() - ended
+            )
 
     def run(self):
         try:

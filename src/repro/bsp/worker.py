@@ -37,7 +37,6 @@ class PartitionWorker:
         model: PerfModel,
         assignment: np.ndarray,
         initially_active: bool = True,
-        metrics: Any = None,
     ) -> None:
         self.worker_id = worker_id
         self.graph = graph
@@ -98,22 +97,6 @@ class PartitionWorker:
         self._ctx = VertexContext()
         self.stats = WorkerStepStats(worker=worker_id)
 
-        # Per-worker instruments (optional registry, resolved once here so
-        # run_compute() pays two counter bumps per superstep, not per vertex).
-        if metrics is not None:
-            wl = str(worker_id)
-            self._m_compute_calls = metrics.counter(
-                "bsp_worker_compute_calls_total",
-                help="compute() invocations per worker", worker=wl,
-            )
-            self._m_msgs_in = metrics.counter(
-                "bsp_worker_messages_in_total",
-                help="Messages drained by compute() per worker", worker=wl,
-            )
-        else:
-            self._m_compute_calls = None
-            self._m_msgs_in = None
-
     # ------------------------------------------------------------------
     # Superstep lifecycle
     # ------------------------------------------------------------------
@@ -168,9 +151,6 @@ class PartitionWorker:
         self.stats.compute_calls += calls
         self.stats.msgs_in += msgs_in
         self._route_pending()
-        if self._m_compute_calls is not None:
-            self._m_compute_calls.inc(calls)
-            self._m_msgs_in.inc(msgs_in)
 
     # ------------------------------------------------------------------
     # Topology mutation (Pregel edge mutations, self-scope)

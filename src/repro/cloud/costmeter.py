@@ -68,6 +68,22 @@ class PriceBook:
             return seconds
         return math.ceil(seconds / grain - 1e-9) * grain
 
+    def step_cost(
+        self, worker_vm: VMSpec, manager_vm: VMSpec, num_workers: int,
+        elapsed: float, egress_bytes: float,
+    ) -> tuple[float, float, float]:
+        """``(compute, manager, egress)`` dollars of one superstep.
+
+        Pay-as-you-go: every worker VM bills the step's full elapsed time
+        (idle at the barrier is still allocated), the manager alongside;
+        egress is priced on the bytes the step put on the wire.
+        """
+        return (
+            num_workers * elapsed * self.rate_per_second(worker_vm),
+            elapsed * self.rate_per_second(manager_vm),
+            self.egress_cost(egress_bytes),
+        )
+
 
 #: Pay-per-second, spec-listed instance prices, Azure-2012 egress.
 DEFAULT_PRICES = PriceBook()
@@ -186,10 +202,10 @@ def attribute_cost(
     run_seconds = 0.0
     max_workers = 0
     for index, num_workers, elapsed, rows in steps:
-        compute = num_workers * elapsed * w_rate
-        manager = elapsed * m_rate
-        step_bytes = sum(b for _, _, b in rows)
-        egress = prices.egress_cost(step_bytes)
+        compute, manager, egress = prices.step_cost(
+            worker_vm, manager_vm, num_workers, elapsed,
+            sum(b for _, _, b in rows),
+        )
         per_step.append({
             "superstep": index,
             "elapsed": elapsed,
@@ -312,25 +328,22 @@ class CostMeter:
         worker_vm = self.worker_vm or engine.vm_spec
         manager_vm = self.manager_vm or engine.job.manager_vm
         elapsed = float(stats.elapsed)
-        compute = stats.num_workers * elapsed * self.prices.rate_per_second(
-            worker_vm
+        compute, manager, egress = self.prices.step_cost(
+            worker_vm, manager_vm, stats.num_workers, elapsed,
+            sum(float(w.bytes_out) for w in stats.workers),
         )
-        manager = elapsed * self.prices.rate_per_second(manager_vm)
-        egress = self.prices.egress_cost(
-            sum(float(w.bytes_out) for w in stats.workers)
-        )
-        step_total = compute + manager + egress
         self.compute += compute
         self.manager += manager
         self.egress += egress
-        self.total += step_total
+        # Summed the way the report sums, so the two agree to the last bit.
+        self.total = self.compute + self.manager + self.egress
         self.run_seconds += elapsed
         self.max_workers = max(self.max_workers, int(stats.num_workers))
         self._g_compute.set(self.compute)
         self._g_manager.set(self.manager)
         self._g_egress.set(self.egress)
         self._g_total.set(self.total)
-        self._g_step.set(step_total)
+        self._g_step.set(compute + manager + egress)
 
     def on_job_end(self, engine, result) -> None:
         self.finalize(

@@ -46,12 +46,13 @@ the engine's existing checkpoint machinery.
 the same ``failure_schedule`` dict that
 :func:`repro.cloud.spot.spot_failure_schedule` produces.
 
-Telemetry parity: workers keep private metric registries and ship deltas
-at each barrier (:mod:`repro.obs.sync`); the parent folds them into the
-job's registry, records per-worker compute host time as ``worker-compute``
-spans, and adds transport (``dist_frames_total``, ``dist_frame_bytes_total``)
-and liveness (``dist_heartbeats_total``, ``dist_workers_alive``) series,
-all labeled with the transport name.
+Telemetry parity: workers keep no metrics registry — the per-worker
+series are derived coordinator-side from the step stats every ``computed``
+reply marshals.  The fleet events this engine emits on the spine
+(:mod:`repro.bsp.telemetry`) add per-worker compute host time as
+``worker-compute`` spans plus the transport (``dist_frames_total``,
+``dist_frame_bytes_total``) and liveness (``dist_heartbeats_total``,
+``dist_workers_alive``) series, all labeled with the transport name.
 """
 
 from __future__ import annotations
@@ -72,8 +73,6 @@ from ..net.transport import (
     WorkerInit,
     monotonic_now,
 )
-from ..obs.metrics import DEFAULT_SIZE_BUCKETS
-from ..obs.sync import apply_snapshot
 
 __all__ = [
     "ProcessBSPEngine",
@@ -173,74 +172,6 @@ class _WorkerView:
         return self._memory
 
 
-class _DistInstruments:
-    """Transport + liveness metrics (names in ``docs/runtime.md``).
-
-    Every series carries a ``transport`` label (``pipe``, ``tcp``, …) so
-    mixed-backend dashboards can tell the planes apart.
-    """
-
-    def __init__(self, registry, transport: str) -> None:
-        self._registry = registry
-        self._transport = transport
-        self.frames = registry.counter(
-            "dist_frames_total",
-            help="Bulk message frames routed through the coordinator",
-            transport=transport,
-        )
-        self.frame_bytes = registry.counter(
-            "dist_frame_bytes_total",
-            help="Serialized bytes of routed message frames",
-            transport=transport,
-        )
-        self.frame_size = registry.histogram(
-            "dist_frame_size_bytes",
-            help="Size distribution of routed message frames",
-            buckets=DEFAULT_SIZE_BUCKETS,
-            transport=transport,
-        )
-        self.failures = registry.counter(
-            "dist_worker_failures_total",
-            help="Workers lost (killed, crashed, dropped, or hung)",
-            transport=transport,
-        )
-        self.respawns = registry.counter(
-            "dist_worker_respawns_total",
-            help="Replacement workers started",
-            transport=transport,
-        )
-        self.alive = registry.gauge(
-            "dist_workers_alive", help="Live workers", transport=transport,
-        )
-
-    def heartbeats(self, worker_id: int):
-        return self._registry.counter(
-            "dist_heartbeats_total",
-            help="Heartbeats received from workers",
-            worker=str(worker_id),
-            transport=self._transport,
-        )
-
-    def record_clock(self, worker_id: int, stats: dict) -> None:
-        """Mirror a channel's ClockSync estimate into per-worker gauges."""
-        labels = {"worker": str(worker_id), "transport": self._transport}
-        self._registry.gauge(
-            "dist_clock_offset_seconds",
-            help="Estimated remote-minus-local monotonic clock offset",
-            **labels,
-        ).set(stats["offset_seconds"])
-        self._registry.gauge(
-            "dist_clock_uncertainty_seconds",
-            help="Clock offset error bound (half the handshake RTT)",
-            **labels,
-        ).set(stats["uncertainty_seconds"])
-        self._registry.gauge(
-            "dist_clock_drift_rate",
-            help="Relative clock drift (remote seconds per local second)",
-            **labels,
-        ).set(stats["drift_rate"])
-
-
 class ProcessBSPEngine(BSPEngine):
     """BSPEngine whose workers live behind a Transport (see module docs)."""
 
@@ -280,10 +211,6 @@ class ProcessBSPEngine(BSPEngine):
         )
         self._epoch = 0
         self._active_ids = job.initial_active_ids()
-        self._dm = (
-            _DistInstruments(self.metrics, self._transport.name)
-            if self.metrics is not None else None
-        )
         self._mirrors = [_WorkerView(w) for w in self.workers]
         self._handles: list[WorkerChannel | None] = [None] * self.num_workers
         try:
@@ -380,25 +307,13 @@ class ProcessBSPEngine(BSPEngine):
         for h in handles:
             self._send(h, ("compute", epoch, (self.superstep, self._agg_values)))
         computed = [self._expect(h, "computed", epoch) for h in handles]
-        tracer = self.tracer
-        if tracer is not None:
-            for h, rep in zip(handles, computed):
-                extra = {}
-                clock_end = rep.get("clock_end")
-                if clock_end is not None:
-                    # Place the span where the compute actually ended in
-                    # this tracer's timebase (remote stamp mapped through
-                    # the channel's clock alignment), not at the moment
-                    # the reply happened to arrive.
-                    since_end = monotonic_now() - h.clock.to_local(
-                        float(clock_end)
-                    )
-                    extra["host_end"] = tracer.now() - max(0.0, since_end)
-                tracer.record(
-                    "worker-compute", sim=self.sim_time, category="dist",
-                    host_duration=rep["host_seconds"], worker=h.worker_id,
-                    **extra,
-                )
+        for h, rep in zip(handles, computed):
+            # How long ago the compute ended: the remote stamp mapped
+            # through the channel's clock alignment, not reply arrival.
+            ended_ago = monotonic_now() - h.clock.to_local(rep["clock_end"])
+            self.telemetry.worker_compute(
+                h.worker_id, rep["host_seconds"], max(0.0, ended_ago)
+            )
         self._computed = computed  # frames + stats, consumed by the flush
         return [c["agg_partials"] for c in computed]
 
@@ -413,10 +328,7 @@ class ProcessBSPEngine(BSPEngine):
         for h, rep in zip(handles, computed):
             for dst, frame in sorted(rep["frames"].items()):
                 inbound[dst].append((h.worker_id, frame))
-                if self._dm is not None:
-                    self._dm.frames.inc()
-                    self._dm.frame_bytes.inc(len(frame))
-                    self._dm.frame_size.observe(len(frame))
+                self.telemetry.frame(len(frame))
         for h in handles:
             self._send(h, ("deliver", epoch, inbound[h.worker_id]))
         delivered = [self._expect(h, "delivered", epoch) for h in handles]
@@ -427,14 +339,10 @@ class ProcessBSPEngine(BSPEngine):
         ):
             view.stats = comp["stats"]
             view.apply_report(deliv["report"])
-            if self.metrics is not None and deliv["metrics"]:
-                apply_snapshot(self.metrics, deliv["metrics"])
-            if self.flight is not None and deliv.get("flight"):
-                self.flight.merge_remote(
+            if deliv["flight"]:
+                self.telemetry.remote_tail(
                     view.worker_id, deliv["flight"],
-                    restamp=self._flight_restamp(
-                        h, deliv.get("flight_epoch")
-                    ),
+                    self._remote_age(h, deliv["flight_epoch"]),
                 )
             if isinstance(violations, list) and deliv["violations"]:
                 violations.extend(deliv["violations"])
@@ -536,15 +444,7 @@ class ProcessBSPEngine(BSPEngine):
                     )
                 self._handles[i] = self._launch_worker(i, respawn=True)
                 self._respawns += 1
-                if self.flight is not None:
-                    self.flight.record(
-                        "worker-respawn", superstep=self.superstep,
-                        sim=self.sim_time, respawned_worker=i,
-                        respawns=self._respawns,
-                        budget=self._max_respawns,
-                    )
-                if self._dm is not None:
-                    self._dm.respawns.inc()
+                self.telemetry.respawn(i, self._respawns, self._max_respawns)
             else:
                 self._drain(h)
         snaps = self._checkpoint["workers"]
@@ -594,43 +494,22 @@ class ProcessBSPEngine(BSPEngine):
             assignment=self.partition.assignment,
             active_ids=self._active_ids,
             heartbeat_interval=self._hb_interval,
-            want_metrics=self.metrics is not None,
-            want_flight=self.flight is not None,
+            want_flight=self.telemetry.subscribed("remote_tail"),
         )
 
     def _launch_worker(
         self, worker_id: int, respawn: bool = False
     ) -> WorkerChannel:
         handle = self._transport.launch(self._worker_init(worker_id))
-        if self.flight is not None:
-            self.flight.record(
-                "worker-reconnect" if respawn else "worker-connect",
-                superstep=self.superstep, sim=self.sim_time,
-                connected_worker=worker_id, endpoint=handle.endpoint,
-                transport=handle.transport,
-            )
+        others = sum(
+            1 for h in self._handles
+            if h is not None and h.alive and h.worker_id != worker_id
+        )
+        self.telemetry.worker_up(
+            worker_id, handle.endpoint, handle.transport, respawn, 1 + others
+        )
         if handle.clock.synchronized:
-            stats = handle.clock.stats()
-            if self.flight is not None:
-                self.flight.record(
-                    "clock-sync", superstep=self.superstep,
-                    sim=self.sim_time, synced_worker=worker_id,
-                    endpoint=handle.endpoint,
-                    offset_seconds=round(stats["offset_seconds"], 6),
-                    uncertainty_seconds=round(
-                        stats["uncertainty_seconds"], 6
-                    ),
-                )
-            if self._dm is not None:
-                self._dm.record_clock(worker_id, stats)
-        if self._dm is not None:
-            self._dm.heartbeats(worker_id)  # create the series eagerly
-            self._dm.alive.set(
-                1 + sum(
-                    1 for h in self._handles
-                    if h is not None and h.alive and h.worker_id != worker_id
-                )
-            )
+            self.telemetry.clock(worker_id, handle.endpoint, handle.clock.stats())
         return handle
 
     def _mark_dead(self, h: WorkerChannel, reason: str = "unknown") -> None:
@@ -638,16 +517,10 @@ class ProcessBSPEngine(BSPEngine):
             return
         h.alive = False
         h.pending = 0
-        if self.flight is not None:
-            self.flight.record(
-                "worker-lost", superstep=self.superstep, sim=self.sim_time,
-                lost_worker=h.worker_id, reason=reason,
-            )
-        if self._dm is not None:
-            self._dm.failures.inc()
-            self._dm.alive.set(
-                sum(1 for x in self._handles if x is not None and x.alive)
-            )
+        self.telemetry.worker_lost(
+            h.worker_id, reason,
+            sum(1 for x in self._handles if x is not None and x.alive),
+        )
 
     def _reap(self, h: WorkerChannel) -> None:
         self._mark_dead(h)
@@ -687,39 +560,21 @@ class ProcessBSPEngine(BSPEngine):
             if h is None or not h.alive:
                 continue
             beats = h.drain_heartbeats()
-            if beats and self._dm is not None:
-                self._dm.heartbeats(h.worker_id).inc(beats)
-                if h.clock.synchronized:
-                    # Heartbeats carry one-way clock samples; refresh the
-                    # per-worker skew/drift gauges as the estimate moves.
-                    self._dm.record_clock(h.worker_id, h.clock.stats())
+            if beats:
+                self.telemetry.heartbeats(h.worker_id, beats, h.clock)
 
-    def _flight_restamp(self, h: WorkerChannel, flight_epoch):
-        """Build the remote→local flight-event restamp for one worker.
+    @staticmethod
+    def _remote_age(h: WorkerChannel, flight_epoch: float):
+        """How long ago, in local seconds, a shipped flight event happened.
 
         A shipped event's ``host`` is seconds since the remote session
         recorder's epoch.  ``epoch + host`` is absolute remote liveness
-        time; the channel's ClockSync maps it into the local liveness
-        clock; and an anchor pair read *now* converts that into this
-        recorder's timebase.  The map is affine per merge batch, so
-        per-worker event order is always preserved.  Returns ``None``
-        (merge-time stamping) when the remote epoch is unknown — e.g. a
-        pre-v2 daemon.
+        time, the channel's ClockSync maps it into the local liveness
+        clock, and one reading of that clock *now* turns it into an age
+        the recorder can subtract from its own ``now()``.
         """
-        if flight_epoch is None:
-            flight_epoch = h.flight_epoch
-        if flight_epoch is None or self.flight is None:
-            return None
-        epoch = float(flight_epoch)
-        clock = h.clock
-        anchor_rec = self.flight.now()
-        anchor_local = monotonic_now()
-
-        def restamp(worker_host: float) -> float:
-            local_t = clock.to_local(epoch + worker_host)
-            return anchor_rec - (anchor_local - local_t)
-
-        return restamp
+        clock, now = h.clock, monotonic_now()
+        return lambda host: now - clock.to_local(flight_epoch + host)
 
     def _check_liveness(self, waiting_on: WorkerChannel) -> None:
         """Drain heartbeats; fail the awaited worker if dead or hung."""
@@ -735,12 +590,7 @@ class ProcessBSPEngine(BSPEngine):
             self._hb_timeout is not None
             and h.heartbeat_age() > self._hb_timeout
         ):
-            if self.flight is not None:
-                self.flight.record(
-                    "heartbeat-miss", superstep=self.superstep,
-                    sim=self.sim_time, lost_worker=h.worker_id,
-                    age_seconds=round(h.heartbeat_age(), 3),
-                )
+            self.telemetry.heartbeat_miss(h.worker_id, h.heartbeat_age())
             h.kill()
             self._mark_dead(
                 h, f"heartbeat timeout ({self._hb_timeout:g}s)"

@@ -55,7 +55,6 @@ def worker_main(
     assignment,
     active_ids,
     heartbeat_interval: float,
-    want_metrics: bool,
     want_flight: bool = False,
 ) -> None:
     """Command loop for one worker process (the child's ``main``)."""
@@ -71,8 +70,7 @@ def worker_main(
 
     session = WorkerSession(
         worker_id, graph, vertex_ids, program, model, assignment, active_ids,
-        want_metrics=want_metrics, want_flight=want_flight,
-        drain_output=_drain_output,
+        want_flight=want_flight, drain_output=_drain_output,
     )
 
     stop = threading.Event()

@@ -242,45 +242,26 @@ class LiveElasticEngine(BSPEngine):
             raise ValueError(f"policy requested invalid fleet size {want}")
         if want == self.num_workers:
             return
-        before = self.num_workers
-        span = (
-            self.tracer.start("elastic-resize", sim=self.sim_time,
-                              from_workers=before, to_workers=want)
-            if self.tracer is not None else None
-        )
-        moved = self._resize_fleet(want)
-        overhead = self.provisioner.scale_to(
-            want, superstep=self.superstep, vertices_moved=moved
-        )
-        # Scaling stalls the job: everyone waits for boots/drains/migration.
-        self.sim_time += overhead
-        stats.elapsed += overhead
-        stats.sim_time_end = self.sim_time
-        self.scale_overhead_total += overhead
-        if self.timeline is not None:
-            # The resize happens between supersteps; its overhead lands in
-            # the *current* step's row (recorded right after this hook).
-            self.timeline.annotate(
-                stats.index, "elastic-resize",
-                from_workers=before, to_workers=want, vertices_moved=moved,
+        tel = self.telemetry
+        direction = "up" if want > self.num_workers else "down"
+        resize = {"from_workers": self.num_workers, "to_workers": want}
+        with tel.phase("elastic-resize", **resize) as closing:
+            moved = closing["vertices_moved"] = self._resize_fleet(want)
+            # Scaling stalls the job: everyone waits for boots, drains and
+            # migration; the provisioner bills the resizing fleet itself.
+            overhead = self.provisioner.scale_to(
+                want, superstep=self.superstep, vertices_moved=moved
             )
-        if span is not None:
-            self.tracer.end(span, sim=self.sim_time, vertices_moved=moved)
-        if self.metrics is not None:
-            direction = "up" if want > before else "down"
-            self.metrics.counter(
-                "elastic_scale_events_total",
-                help="Fleet resizes at superstep boundaries",
-                direction=direction,
-            ).inc()
-            self.metrics.counter(
-                "elastic_vertices_moved_total",
-                help="Vertices migrated across resizes",
-            ).inc(moved)
-            self.metrics.counter(
-                "elastic_overhead_sim_seconds_total",
-                help="Simulated seconds the job stalled for scaling",
-            ).inc(overhead)
+            self._stall(
+                stats, overhead, f"scale@{self.superstep}", fleet_billed=True
+            )
+        self.scale_overhead_total += overhead
+        # The resize happens between supersteps; its overhead lands in the
+        # *current* step's row (recorded right after this hook).
+        tel.annotate(stats.index, "elastic-resize", **resize, vertices_moved=moved)
+        tel.stall(
+            "elastic-resize", overhead, vertices_moved=moved, direction=direction
+        )
 
     def _resize_fleet(self, new_count: int) -> int:
         """Repartition and migrate vertex data; returns vertices moved."""
@@ -301,7 +282,6 @@ class LiveElasticEngine(BSPEngine):
                 model=self.model,
                 assignment=new_partition.assignment,
                 initially_active=False,
-                metrics=self.metrics,
             )
             for w in range(new_count)
         ]

@@ -48,8 +48,10 @@ __all__ = ["PROTOCOL_VERSION", "WorkerDaemon", "serve"]
 
 #: Handshake protocol version; a coordinator/daemon mismatch refuses the
 #: session rather than failing mid-superstep.  v2 added clock-alignment
-#: stamps to the ready payload and heartbeat frames (dict payload).
-PROTOCOL_VERSION = 2
+#: stamps to the ready payload and heartbeat frames (dict payload); v3
+#: dropped the worker-side metrics registry (``WorkerInit.want_metrics``
+#: and the ``metrics`` field of the ``delivered`` reply).
+PROTOCOL_VERSION = 3
 
 
 async def read_stream_frame(
@@ -232,7 +234,6 @@ class WorkerDaemon:
             lambda: WorkerSession(
                 init.worker_id, init.graph, init.vertex_ids, init.program,
                 init.model, init.assignment, init.active_ids,
-                want_metrics=init.want_metrics,
                 want_flight=init.want_flight,
             ),
         )

@@ -2,7 +2,7 @@
 
 :class:`WorkerSession` owns one
 :class:`~repro.bsp.worker.PartitionWorker` plus its private telemetry
-(metrics registry, flight-recorder ring, sanitizer-violation cursor) and
+(flight-recorder ring, sanitizer-violation cursor) and
 turns each coordinator command frame into a reply frame.  The forked
 child (:mod:`repro.dist.worker_proc`) and the TCP daemon
 (:mod:`repro.net.daemon`) differ only in how frames reach
@@ -19,8 +19,8 @@ epoch so the coordinator can discard ones that predate a recovery):
 ``deliver``   apply inbound frames in the order given (the coordinator
               sends them in source-worker-id order — the sequential
               engine's delivery order), return the barrier report:
-              resource numbers, metric deltas, fresh sanitizer
-              violations, flight-event tail, captured output
+              resource numbers, fresh sanitizer violations,
+              flight-event tail, captured output
 ``snapshot`` / ``restore``  checkpointing via the worker's own
               snapshot()/restore()
 ``extract``   map final vertex states through ``program.extract``
@@ -72,25 +72,14 @@ class WorkerSession:
         assignment: Any,
         active_ids: Any,
         *,
-        want_metrics: bool = False,
         want_flight: bool = False,
         drain_output: Callable[[], str] | None = None,
     ) -> None:
         self.worker_id = worker_id
         self._drain_output = drain_output
-        self._registry = None
-        self._snapshot_registry = self._delta_snapshot = None
-        if want_metrics:
-            from ..obs.metrics import MetricsRegistry
-            from ..obs.sync import delta_snapshot, snapshot_registry
-
-            self._registry = MetricsRegistry()
-            self._snapshot_registry = snapshot_registry
-            self._delta_snapshot = delta_snapshot
         # Session-private flight recorder: the fresh tail ships to the
         # coordinator in every barrier ("delivered") reply, which folds it
-        # in with FlightRecorder.merge_remote — same delta pattern as
-        # metrics.
+        # in with FlightRecorder.merge_remote.
         self.flight = None
         self._flight_cursor = -1
         if want_flight:
@@ -108,17 +97,12 @@ class WorkerSession:
             model=model,
             assignment=assignment,
             initially_active=active_ids is None,
-            metrics=self._registry,
         )
         if active_ids is not None:
             for v in active_ids:
                 v = int(v)
                 if int(assignment[v]) == worker_id:
                     self.worker.halted[v] = False
-        self._prev_metrics = (
-            self._snapshot_registry(self._registry)
-            if self._registry is not None else {}
-        )
         self._violations_seen = 0
 
     def handle(self, cmd: str, epoch: int, payload: Any) -> tuple:
@@ -175,11 +159,6 @@ class WorkerSession:
                 msgs, wire = worker.deliver_bucket(unpack_frame(frame))
                 recv_msgs += msgs
                 recv_bytes += wire
-            metrics_delta = None
-            if self._registry is not None:
-                cur = self._snapshot_registry(self._registry)
-                metrics_delta = self._delta_snapshot(cur, self._prev_metrics)
-                self._prev_metrics = cur
             # Sanitizer support: a wrapping program (duck-typed via its
             # `violations` list) accumulates in this host; ship the fresh
             # entries so the coordinator-side observer sees them at the
@@ -199,7 +178,6 @@ class WorkerSession:
                 "recv_msgs": recv_msgs,
                 "recv_bytes": recv_bytes,
                 "report": _report(worker),
-                "metrics": metrics_delta,
                 "violations": fresh,
                 "flight": flight_events,
                 # Liveness-clock reading of this recorder's epoch lets

@@ -69,7 +69,6 @@ class WorkerInit:
     assignment: Any
     active_ids: Any
     heartbeat_interval: float
-    want_metrics: bool
     want_flight: bool
 
 
@@ -251,8 +250,7 @@ class PipeTransport(Transport):
             args=(
                 init.worker_id, child_conn, hb_send, init.graph,
                 init.vertex_ids, init.program, init.model, init.assignment,
-                init.active_ids, init.heartbeat_interval, init.want_metrics,
-                init.want_flight,
+                init.active_ids, init.heartbeat_interval, init.want_flight,
             ),
             daemon=True,
         )

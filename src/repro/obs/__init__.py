@@ -46,8 +46,10 @@ Attach instruments through the job spec and read them after the run::
     print(to_prometheus_text(metrics))
     tracer.write_chrome_trace("run.trace.json")
 
-A job with neither attached runs exactly as before: every instrumentation
-site in the engine is guarded by a single ``is None`` check.
+The engines never call a sink: they emit a closed set of events on
+:class:`repro.bsp.telemetry.Telemetry`, which feeds each *attached* sink
+through one adapter.  A job with none attached dispatches every event to an
+empty list and runs exactly as before.
 """
 
 from .cluster import (
@@ -93,7 +95,7 @@ from .postmortem import (
 from .progress import RunReporter
 from .spans import Span, SpanTracer
 from .summary import summarize_events, summarize_spans, summarize_trace
-from .sync import apply_snapshot, delta_snapshot, snapshot_registry
+from .sync import apply_snapshot, snapshot_registry
 from .timeline import (
     RunTimeline,
     StepMeta,
@@ -121,7 +123,6 @@ __all__ = [
     "summarize_spans",
     "summarize_events",
     "snapshot_registry",
-    "delta_snapshot",
     "apply_snapshot",
     "RunTimeline",
     "TimelineRow",

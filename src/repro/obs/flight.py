@@ -42,9 +42,9 @@ Event vocabulary (the engines emit these; anything goes):
 ``sanitizer-violation``, ``abort``.
 
 Like every sink in :mod:`repro.obs`, the recorder attaches through the
-job spec (``JobSpec(flight=FlightRecorder())``); the engine guards each
-recording site with a single ``is None`` check, so unobserved runs pay
-nothing (``benchmarks/bench_flight.py`` bounds the attached overhead).
+job spec (``JobSpec(flight=FlightRecorder())``); the engines feed it
+through the flight adapter of :mod:`repro.bsp.telemetry`, installed only
+when one is attached (``benchmarks/bench_flight.py`` bounds the overhead).
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ Design points, mirrored from the Prometheus client-library data model:
 
 Everything is plain Python with no engine imports, so the registry can be
 used standalone (tests do) and the engine only ever talks to it through
-duck typing — a job with no registry attached pays a single ``is None``
-check per instrumentation site.
+duck typing — the metrics adapter of :mod:`repro.bsp.telemetry`, which a
+job with no registry attached never installs.
 """
 
 from __future__ import annotations
@@ -158,8 +158,8 @@ class Histogram(_Instrument):
     def add_raw(self, counts: Iterable[int], sum: float, count: int) -> None:
         """Merge another histogram's raw tallies (same bucket layout).
 
-        Backs cross-process marshalling (:mod:`repro.obs.sync`): a child
-        process observes locally and the parent folds the deltas in here.
+        Backs cross-process marshalling (:mod:`repro.obs.sync`): a fleet
+        daemon observes locally and ``/cluster`` folds its snapshot in here.
         """
         counts = list(counts)
         if len(counts) != len(self.counts):

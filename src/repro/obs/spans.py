@@ -33,8 +33,8 @@ time — messages in flight, per-worker memory — exported as Chrome "C"
 under the phase rows.  Counter samples bumped the span dump to format
 version 2; version-1 dumps (no ``counters`` key) stay readable.
 
-The engine holds a tracer only when the job attached one; with none
-attached every instrumentation site is a single ``is None`` check.
+The engines reach the tracer only through the span adapter of
+:mod:`repro.bsp.telemetry`, installed when the job attached one.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""Cross-process metric marshalling: snapshot deltas, apply to a registry.
+"""Cross-process metric marshalling: snapshot a registry, apply it to another.
 
-The process engine (:mod:`repro.dist`) runs each partition worker in its
-own OS process, and each child keeps a private :class:`MetricsRegistry`
-so hot-path instrumentation never crosses a process boundary.  At every
-superstep barrier the child ships *deltas* — what changed since the last
-barrier — and the coordinator folds them into the parent registry, so
-``--metrics-out`` sees one coherent registry regardless of engine.
+Every fleet daemon's telemetry server serves a snapshot of its registry on
+``/sync`` and the coordinator's ``/cluster`` route folds them into one
+merged view (:mod:`repro.obs.cluster`).  Job metrics never take this road:
+the engines derive per-worker series coordinator-side from the marshalled
+step stats, so partition workers keep no registry.
 
 Wire format is plain tuples/dicts (picklable, no instrument objects):
 
@@ -14,23 +13,20 @@ Wire format is plain tuples/dicts (picklable, no instrument objects):
 * ``key``   = ``(name, kind, labels, help, buckets-or-None)``
 * ``state`` = counter/gauge value, or ``(bucket_counts, sum, count)``
 
-``delta_snapshot(cur, prev)`` subtracts a previous snapshot (gauges are
-last-writer-wins, so their delta is the current value), and
-``apply_snapshot(reg, snap)`` replays a delta into a registry — counters
+``apply_snapshot(reg, snap)`` replays a snapshot into a registry — counters
 via :meth:`Counter.inc`, gauges via :meth:`Gauge.set`, histograms via
 :meth:`Histogram.add_raw`.  Applying is idempotent-free by design: apply
-each delta exactly once.
+each snapshot exactly once.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Histogram, MetricsRegistry
 
 __all__ = [
     "snapshot_registry",
-    "delta_snapshot",
     "apply_snapshot",
 ]
 
@@ -52,43 +48,8 @@ def snapshot_registry(reg: MetricsRegistry) -> dict[SnapKey, Any]:
     return snap
 
 
-def delta_snapshot(
-    cur: Mapping[SnapKey, Any], prev: Mapping[SnapKey, Any]
-) -> dict[SnapKey, Any]:
-    """What changed between two snapshots of the *same* registry.
-
-    Counters and histograms subtract; gauges carry their current value
-    (the parent will ``set()`` it).  Keys absent from ``prev`` pass
-    through whole.  Unchanged entries are dropped, keeping barrier
-    payloads proportional to activity, not registry size.
-    """
-    out: dict[SnapKey, Any] = {}
-    for key, cur_state in cur.items():
-        kind = key[1]
-        prev_state = prev.get(key)
-        if kind == "gauge":
-            if prev_state is None or prev_state != cur_state:
-                out[key] = cur_state
-        elif kind == "histogram":
-            if prev_state is None:
-                if cur_state[2]:  # any observations at all
-                    out[key] = cur_state
-                continue
-            counts = tuple(
-                c - p for c, p in zip(cur_state[0], prev_state[0])
-            )
-            d_count = cur_state[2] - prev_state[2]
-            if d_count:
-                out[key] = (counts, cur_state[1] - prev_state[1], d_count)
-        else:  # counter
-            delta = cur_state - (prev_state or 0.0)
-            if delta:
-                out[key] = delta
-    return out
-
-
 def apply_snapshot(reg: MetricsRegistry, snap: Mapping[SnapKey, Any]) -> None:
-    """Fold a (delta) snapshot into ``reg``, creating instruments lazily."""
+    """Fold a snapshot into ``reg``, creating instruments lazily."""
     for (name, kind, labels, help, buckets), state in snap.items():
         label_kwargs = dict(labels)
         if kind == "counter":

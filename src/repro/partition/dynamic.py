@@ -157,13 +157,7 @@ class DynamicRepartitioningEngine(BSPEngine):
         self._apply_moves(moves)
         after = self._remote_fraction(self.partition.assignment)
         overhead = self.model.migrate_per_vertex * len(moves)
-        self.sim_time += overhead
-        stats.elapsed += overhead
-        stats.sim_time_end = self.sim_time
-        self.meter.charge(
-            self.vm_spec, self.num_workers, overhead,
-            label=f"repartition@{self.superstep}",
-        )
+        self._stall(stats, overhead, f"repartition@{self.superstep}")
         self.migrations.append(
             MigrationEvent(
                 superstep=self.superstep,

@@ -109,7 +109,7 @@ class TestTelemetry:
         assert series(m_proc, "dist_frame_bytes_total")[0]["value"] > 0
         assert series(m_proc, "dist_heartbeats_total") is not None
         assert series(m_proc, "dist_workers_alive")[0]["value"] == 4
-        # Child-side instruments marshal back with identical totals.
+        # Per-worker series, derived from the marshalled step stats, match.
         for name in (
             "bsp_worker_compute_calls_total",
             "bsp_worker_messages_in_total",

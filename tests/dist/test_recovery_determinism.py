@@ -15,6 +15,7 @@ import pytest
 from repro.algorithms import PageRankProgram, SSSPProgram
 from repro.bsp import JobSpec, run_job
 from repro.dist import ProcessBSPEngine
+from repro.obs import SpanTracer
 
 PROGRAMS = {
     "pagerank": lambda: PageRankProgram(8),
@@ -90,7 +91,22 @@ class TestUnplannedDeath:
                 return super().compute(ctx, state, messages)
 
         clean = run_job(make_job(small_world, PROGRAMS["pagerank"]))
-        res = run_job(make_job(small_world, lambda: DieOnce(8)), engine="process")
+        tracer = SpanTracer()
+        res = run_job(
+            make_job(small_world, lambda: DieOnce(8), tracer=tracer),
+            engine="process",
+        )
         assert flag.exists()
         assert res.recoveries
         assert clean.values == res.values
+        # The attempt that died closes its compute span aborted, so the
+        # recovery and the retried attempt hang off the superstep again.
+        phases = [
+            s for s in tracer.spans
+            if s.name in ("compute", "flush", "aggregate-merge",
+                          "master-compute", "checkpoint", "recovery")
+        ]
+        assert [s for s in phases if s.attrs.get("aborted")]
+        assert {s.name for s in phases} >= {"compute", "recovery"}
+        assert all(tracer.spans[s.parent].name == "superstep" for s in phases)
+        assert tracer.open_spans == 0

@@ -182,7 +182,7 @@ class TestNoOpPath:
         eng = BSPEngine(job)
         assert eng.tracer is None
         assert eng.metrics is None
-        assert eng._em is None
+        assert eng.telemetry.adapters == []  # every event fans out to nothing
         eng.run()
 
 

@@ -5,7 +5,6 @@ import threading
 from repro.obs import (
     MetricsRegistry,
     apply_snapshot,
-    delta_snapshot,
     snapshot_registry,
     to_json_dict,
 )
@@ -33,42 +32,6 @@ class TestSnapshotRoundtrip:
         dst = MetricsRegistry()
         apply_snapshot(dst, snap)
         assert registries_equal(src, dst)
-
-    def test_delta_only_carries_changes(self):
-        reg = self.make_registry()
-        before = snapshot_registry(reg)
-        reg.counter("c_total", help="c").inc(3)
-        reg.histogram(
-            "h_seconds", help="h", buckets=(0.1, 1.0, 10.0)
-        ).observe(0.5)
-        delta = delta_snapshot(snapshot_registry(reg), before)
-        names = {key[0] for key in delta}
-        assert names == {"c_total", "h_seconds"}
-        [(key, value)] = [kv for kv in delta.items() if kv[0][0] == "c_total"]
-        assert value == 3
-
-    def test_incremental_deltas_reassemble_exactly(self):
-        """prev + sum(deltas) == final — the process-engine invariant."""
-        src = self.make_registry()
-        mirror = MetricsRegistry()
-        apply_snapshot(mirror, snapshot_registry(src))
-        prev = snapshot_registry(src)
-        for step in range(3):
-            src.counter("c_total", help="c").inc(step)
-            src.gauge("g", help="g").set(step - 0.5)
-            src.counter("lc_total", help="lc", worker="1").inc()
-            src.histogram(
-                "h_seconds", help="h", buckets=(0.1, 1.0, 10.0)
-            ).observe(step)
-            cur = snapshot_registry(src)
-            apply_snapshot(mirror, delta_snapshot(cur, prev))
-            prev = cur
-        assert registries_equal(src, mirror)
-
-    def test_empty_delta_when_nothing_changed(self):
-        reg = self.make_registry()
-        snap = snapshot_registry(reg)
-        assert delta_snapshot(snap, snap) == {}
 
     def test_snapshot_is_picklable(self):
         import pickle
