@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from ..bsp.dense_ref import dense_refused_features
 from ..bsp.engine import ENGINES
 from ..check.costmodel import FanoutClass
 
@@ -72,54 +73,6 @@ class EngineDecision:
         for h in self.hazards:
             lines.append(f"  ! {h}")
         return "\n".join(lines)
-
-
-def dense_refused_features(
-    program: Any,
-    verdict: Any,
-    *,
-    observers: Any = (),
-    sanitize: bool = False,
-    sinks: Any = (),
-    initial_messages: Any = (),
-) -> list[str]:
-    """Job-level features the dense executor does not model.
-
-    The lifter proves the *program*; these are properties of the *job*
-    binding it — live observers, per-delivery sinks, a sanitizing
-    wrapper, or a bound attribute the plan required to be None.  The
-    flight recorder is NOT such a feature: dense-ref emits no per-vertex
-    events but runs fine under one.
-    """
-    out: list[str] = []
-    if observers:
-        out.append(
-            f"job attaches {len(list(observers))} observer(s); dense-ref "
-            "has no per-superstep observer protocol"
-        )
-    if sanitize:
-        out.append(
-            "job requests --sanitize (per-delivery payload fingerprints); "
-            "dense-ref never materializes per-vertex deliveries"
-        )
-    for name in sinks:
-        out.append(
-            f"job attaches a {name} sink; dense-ref does not emit "
-            "per-vertex events into it"
-        )
-    plan = getattr(verdict, "plan", None) if verdict is not None else None
-    if plan is not None:
-        for name in plan.requires_none:
-            if getattr(program, name, None) is not None:
-                out.append(
-                    f"plan was lifted for {name}=None but the program "
-                    f"binds {name}={getattr(program, name)!r}"
-                )
-        if plan.needs_prune and initial_messages:
-            out.append(
-                "peel plans cannot start from injected messages"
-            )
-    return out
 
 
 def select_engine(

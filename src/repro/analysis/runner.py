@@ -173,12 +173,7 @@ def _auto_plan(cfg: RunConfig, program) -> Any:
 
 
 def _resolve_auto(
-    cfg: RunConfig,
-    job: JobSpec,
-    profile,
-    verdict,
-    *,
-    sanitized: bool = False,
+    cfg: RunConfig, job: JobSpec, profile, verdict
 ) -> tuple[RunConfig, Any]:
     """Resolve ``engine="auto"`` to a concrete engine before the job runs.
 
@@ -191,22 +186,8 @@ def _resolve_auto(
         return cfg, None
     from .engine_select import dense_refused_features, select_engine
 
-    sinks = [
-        name
-        for name, sink in (
-            ("tracer", cfg.tracer),
-            ("metrics", cfg.metrics),
-            ("timeline", cfg.timeline),
-        )
-        if sink is not None
-    ]
     features = dense_refused_features(
-        job.program,
-        verdict,
-        observers=job.observers,
-        sanitize=sanitized,
-        sinks=sinks,
-        initial_messages=job.initial_messages,
+        job.program, getattr(verdict, "plan", None), job.initial_messages
     )
     decision = select_engine(
         verdict=verdict,
@@ -225,6 +206,17 @@ def _resolve_auto(
             hazards=list(decision.hazards),
         )
     return replace(cfg, engine=decision.engine), decision
+
+
+def _run(cfg: RunConfig, job: JobSpec, profile, verdict) -> JobResult:
+    """Resolve the engine, run ``job``, attach the static analyses."""
+    cfg, decision = _resolve_auto(cfg, job, profile, verdict)
+    result = _make_engine(cfg, job).run()
+    result.profile = profile
+    if result.kernel_plan is None and verdict is not None:
+        result.kernel_plan = verdict.plan
+    result.engine_decision = decision
+    return result
 
 
 @dataclass
@@ -267,15 +259,7 @@ def run_pagerank(
     profile = _auto_profile(cfg, program)
     verdict = _auto_plan(cfg, program)
     job = cfg.job(program, graph, observers=list(observers))
-    cfg, decision = _resolve_auto(
-        cfg, job, profile, verdict, sanitized=wrap_program is not None,
-    )
-    result = _make_engine(cfg, job).run()
-    result.profile = profile
-    if result.kernel_plan is None and verdict is not None:
-        result.kernel_plan = verdict.plan
-    result.engine_decision = decision
-    return result
+    return _run(cfg, job, profile, verdict)
 
 
 def _traversal_pieces(kind: str):
@@ -322,14 +306,7 @@ def run_traversal(
         program, graph, initially_active=False,
         observers=[controller, *extra_observers],
     )
-    cfg, decision = _resolve_auto(
-        cfg, job, profile, verdict, sanitized=wrap_program is not None,
-    )
-    result = _make_engine(cfg, job).run()
-    result.profile = profile
-    if result.kernel_plan is None and verdict is not None:
-        result.kernel_plan = verdict.plan
-    result.engine_decision = decision
+    result = _run(cfg, job, profile, verdict)
     if not controller.completed_all:
         raise RuntimeError(
             "traversal ended with pending roots "

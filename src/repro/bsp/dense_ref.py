@@ -1,11 +1,15 @@
-"""NumPy reference executor for lifted KernelPlans (``--engine dense-ref``).
+"""NumPy executor for lifted KernelPlans (``--engine dense-ref``).
 
-Interprets the declarative :class:`~repro.check.vectorize.KernelPlan` IR
-directly over the graph's CSR arrays: one gather (bincount / ufunc.at /
-segmented mode) per superstep, masked map expressions for the state
-update, scatter along live arcs for sends, and boolean halt masks in
-place of per-vertex vote calls.  No per-vertex Python executes inside the
-superstep loop — that is the entire point.
+A compute backend of :meth:`BSPEngine._run_one_superstep`: it interprets
+the declarative :class:`~repro.check.vectorize.KernelPlan` IR directly
+over the graph's CSR arrays — one gather (bincount / ufunc.at / segmented
+mode) per superstep, masked map expressions for the state update, scatter
+along live arcs for sends, and boolean halt masks in place of per-vertex
+vote calls.  No per-vertex Python executes inside a superstep — that is
+the entire point.  It supplies the two phases and one small resource view
+per worker, whose step stats are filled from array ops; the loop, halting
+test, aggregator merge, ``master_compute``, clock, bill, checkpoints,
+observers and telemetry are :class:`BSPEngine`'s.
 
 Role in the honesty contract of ``repro check --kernel-plan``: every plan
 the static lifter emits is certified against :class:`BSPEngine` by
@@ -14,37 +18,67 @@ aggregates (``repro.check.sanitizer.certify_determinism`` with
 ``engine="dense-ref"``).  The analyzer may only claim RPC015 for programs
 this executor provably replays.
 
-Semantics mirrored from the simulation engine:
-
-* messages sent at superstep *s* are delivered at *s+1*;
-* a computed vertex is re-activated unless it votes again;
-* topology mutations (the k-core peel idiom) requested at *s* are applied
-  at the beginning of *s+1*;
-* aggregators merge fresh at every barrier; ``master_compute`` runs
-  natively on the real program instance after each barrier (lift-time
-  analysis already proved its halt decisions order-insensitive);
-* the job halts when no messages are in flight and every vertex has
-  voted, or when the master halts the job.
+Contracts (``docs/runtime.md``): values are bitwise the 1-worker sim's
+(every reduction folds in vertex order); trace, clock and bill are the
+sim's at the same worker count and partition.  The arrays keep the
+partition worker's rules: messages sent at superstep *s* arrive at *s+1*,
+injected ones after the data plane's; a computed vertex is re-activated
+unless it votes again; mutations (the k-core peel idiom) requested at *s*
+apply at the start of *s+1*; message counts are post-combine; payload and
+state sizes are the program's hooks, read once on a scalar of the dtype.
 """
 
 from __future__ import annotations
 
+from copy import deepcopy
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..cloud.billing import BillingMeter
+from .engine import BSPEngine
 from .job import JobResult, JobSpec
-from .superstep import JobTrace
+from .superstep import WorkerStepStats
+from .worker import PartitionWorker
 
 if TYPE_CHECKING:  # import cycle: repro.check imports repro.bsp
     from ..check.vectorize import KernelPlan
 
-__all__ = ["DenseRefEngine", "PlanRefusedError"]
+__all__ = ["DenseRefEngine", "PlanRefusedError", "dense_refused_features"]
 
 
 class PlanRefusedError(RuntimeError):
     """The program has no certified dense form for this job."""
+
+
+#: peel plans prune by arc identity; an injected message arrives on no arc
+_PEEL_INJECTED = "peel plans cannot start from injected messages"
+
+
+def dense_refused_features(program: Any, plan: "KernelPlan | None",
+                           initial_messages: Any = ()) -> list[str]:
+    """Why the dense executor cannot run this binding of ``plan``.
+
+    The lifter proves the *program*; these are properties of the *job*
+    binding it.  The one statement of them: :class:`DenseRefEngine` raises
+    the first, ``--engine auto`` excludes dense-ref for each.  Observers
+    and sinks are not among them: dense-ref feeds them like every engine.
+    """
+    if hasattr(program, "inner"):
+        return ["the program is wrapped (--sanitize): dense-ref never calls "
+                "compute(), so the wrapper would check nothing"]
+    out: list[str] = []
+    if plan is not None:
+        for name in plan.requires_none:
+            bound = getattr(program, name, None)
+            if bound is not None:
+                out.append(
+                    f"plan was lifted for {name}=None but the program "
+                    f"binds {name}={bound!r}"
+                )
+        if plan.needs_prune and len(initial_messages) > 0:
+            out.append(_PEEL_INJECTED)
+    return out
 
 
 _INT_MAX = np.iinfo(np.int64).max
@@ -59,40 +93,47 @@ def _reduce_identity(reduce: str, dtype: np.dtype) -> Any:
     return 0
 
 
-class _DenseMaster:
-    """Duck-typed :class:`~repro.bsp.api.MasterContext` over dense state."""
+def _touches_weight(expr) -> bool:
+    """Does ``expr`` read the ``edge_weight`` leaf?"""
+    return expr[0] == "edge_weight" or any(
+        _touches_weight(c) for c in expr[1:] if isinstance(c, tuple)
+    )
 
-    def __init__(self, superstep: int, num_workers: int, active: int,
-                 aggs: dict[str, Any]):
-        self._superstep = superstep
-        self._num_workers = num_workers
-        self._active = active
-        self._aggs = aggs
-        self._halt = False
+
+def _cat(parts: list, dtype: Any) -> np.ndarray:
+    """``parts`` as one array; a lone part is returned as is, uncopied."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+
+@dataclass
+class _View:
+    """One worker's resource numbers, refreshed from array ops every
+    superstep: the per-worker surface :class:`BSPEngine` reads.  The byte
+    formulas are :class:`PartitionWorker`'s own, so they are stated once."""
+
+    worker_id: int
+    model: Any
+    graph_bytes: int
+    total_state_bytes: int
+    stats: WorkerStepStats
+    active_count: int = 0
+    #: messages buffered for the next superstep, injected ones included
+    queue_depth: int = 0
+    in_next_payload_bytes: float = 0.0
+    out_remote_wire_bytes: float = 0.0
+    overlay_bytes: int = 0
 
     @property
-    def superstep(self) -> int:
-        return self._superstep
+    def has_buffered_messages(self) -> bool:
+        return self.queue_depth > 0
 
-    @property
-    def num_workers(self) -> int:
-        return self._num_workers
+    def buffered_message_count(self) -> int:
+        return self.queue_depth
 
-    @property
-    def active_vertices(self) -> int:
-        return self._active
-
-    def aggregated(self, name: str) -> Any:
-        return self._aggs[name]
-
-    def publish(self, name: str, value: Any) -> None:
-        raise PlanRefusedError(
-            "master publish() is not modeled by the dense executor "
-            "(the lifter refuses publishing programs)"
-        )
-
-    def halt_job(self) -> None:
-        self._halt = True
+    buffered_message_bytes = PartitionWorker.buffered_message_bytes
+    memory_footprint = PartitionWorker.memory_footprint
 
 
 class _Eval:
@@ -105,17 +146,14 @@ class _Eval:
     common-subexpression cache.
     """
 
-    def __init__(self, engine: "DenseRefEngine", superstep: int,
-                 state: np.ndarray, msg: np.ndarray | None,
-                 msg_count: np.ndarray, out_degree: np.ndarray,
-                 aggs: dict[str, Any]):
+    def __init__(self, engine: "DenseRefEngine", state: np.ndarray,
+                 msg: np.ndarray | None, msg_count: np.ndarray,
+                 out_degree: np.ndarray):
         self.e = engine
-        self.superstep = superstep
         self.state = state
         self.msg = msg
         self.msg_count = msg_count
         self.out_degree = out_degree
-        self.aggs = aggs
         self._memo: dict[tuple[int, int], Any] = {}
 
     def vertex(self, expr) -> Any:
@@ -123,8 +161,12 @@ class _Eval:
 
     scalar = vertex  # phase guards evaluate in vertex space too
 
+    def full(self, expr) -> np.ndarray:
+        """:meth:`vertex`, broadcast to an n-vector."""
+        return np.broadcast_to(np.asarray(self.vertex(expr)), (self.e.n,))
+
     def arc(self, expr, arcs: np.ndarray) -> Any:
-        return self._eval(expr, arcs, self.e.src[arcs])
+        return self._eval(expr, arcs, self.e._take(self.e.src, arcs))
 
     def arc_hoisted(self, expr, arcs: np.ndarray) -> Any:
         """Arc-space evaluation that computes edge-weight-free subtrees in
@@ -141,19 +183,19 @@ class _Eval:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        out = self._eval_hoist(expr, arcs, self.e.src[arcs])
+        out = self._eval_hoist(expr, arcs, self.e._take(self.e.src, arcs))
         self._memo[key] = out
         return out
 
     def _eval_hoist(self, expr, arcs, rows) -> Any:
-        if not self.e._touches_weight(expr):
+        if not _touches_weight(expr):
             v = self._eval(expr, None, None)
             if isinstance(v, np.ndarray) and v.ndim == 1 \
                     and v.shape[0] == self.e.n:
                 return v[rows]
             return v
         if expr[0] == "edge_weight":
-            return self.e.weights[arcs]
+            return self.e._take(self.e.weights, arcs)
         return self._apply(expr, arcs, rows, self._eval_hoist)
 
     def _eval(self, expr, arcs, rows) -> Any:
@@ -175,11 +217,11 @@ class _Eval:
         if head == "param":
             return self.e.params[expr[1]]
         if head == "superstep":
-            return self.superstep
+            return self.e.superstep
         if head == "nv":
             return self.e.n
         if head == "agg":
-            return self.aggs[expr[1]]
+            return self.e.aggregated(expr[1])
         if head == "state":
             return self._vec(self.state, rows)
         if head == "vertex":
@@ -197,7 +239,7 @@ class _Eval:
         if head == "edge_weight":
             if arcs is None:
                 raise PlanRefusedError("edge_weight outside a scatter payload")
-            return self.e.weights[arcs]
+            return self.e._take(self.e.weights, arcs)
         return self._apply(expr, arcs, rows, self._eval)
 
     @staticmethod
@@ -248,8 +290,14 @@ _BINARY = {
     "or": np.logical_or,
 }
 
+#: what a checkpoint copies: a worker's ``states``/``halted``/``in_next``
+#: as arrays, the queued injections and mutations, and the views
+_CHECKPOINTED = ("state", "halted", "pend_dst", "pend_val", "pend_arc",
+                 "edge_alive", "overlaid", "_injected", "_mutations",
+                 "workers")
 
-class DenseRefEngine:
+
+class DenseRefEngine(BSPEngine):
     """Run a :class:`JobSpec` by interpreting the program's KernelPlan.
 
     ``plan`` defaults to lifting the job's program from source (via
@@ -263,13 +311,7 @@ class DenseRefEngine:
 
     def __init__(self, job: JobSpec, plan: "KernelPlan | None" = None,
                  optimize: bool = True):
-        self.job = job
         program = job.program
-        unwrapped = 0
-        while hasattr(program, "inner") and unwrapped < 8:
-            program = program.inner
-            unwrapped += 1
-        self.program = program
         if plan is None:
             from ..check.vectorize import lift_of  # lazy: avoids cycle
 
@@ -290,57 +332,106 @@ class DenseRefEngine:
 
                 plan = optimize_plan(plan).plan
         self.plan = plan
-        self._weight_cache: dict[int, bool] = {}
+        refusals = dense_refused_features(program, plan, job.initial_messages)
+        if refusals:
+            raise PlanRefusedError(refusals[0])
         self.params: dict[str, Any] = {}
-        for name in plan.requires_none:
-            if getattr(program, name, None) is not None:
-                raise PlanRefusedError(
-                    f"plan was lifted for {name}=None but the program "
-                    f"binds {name}={getattr(program, name)!r}"
-                )
         for name in plan.params:
             if not hasattr(program, name):
                 raise PlanRefusedError(f"program lacks plan parameter {name!r}")
             self.params[name] = getattr(program, name)
+        super().__init__(job)
 
-        g = job.graph
-        self.n = int(g.num_vertices)
-        self.indptr = np.asarray(g.indptr, dtype=np.int64)
+    def _build_workers(self) -> None:
+        """The job's initial state as arrays plus one :class:`_View` per
+        worker — no per-vertex :class:`PartitionWorker` dicts."""
+        job, plan, model = self.job, self.plan, self.model
+        g, program = job.graph, job.program
+        self.n = n = int(g.num_vertices)
         self.dst = np.asarray(g.indices, dtype=np.int64)
         self.m = int(self.dst.shape[0])
-        degrees = np.diff(self.indptr)
-        self.src = np.repeat(
-            np.arange(self.n, dtype=np.int64), degrees
-        )
-        self.static_degree = degrees.astype(np.int64)
+        degrees = np.diff(np.asarray(g.indptr, dtype=np.int64))
+        self.vertex_ids = np.arange(n, dtype=np.int64)
+        self.src = np.repeat(self.vertex_ids, degrees)
+        self.static_degree = degrees
         if g.weights is not None:
             self.weights = np.asarray(g.weights, dtype=np.float64)
         else:
             self.weights = np.ones(self.m, dtype=np.float64)
-        self.vertex_ids = np.arange(self.n, dtype=np.int64)
 
-        self._needs_prune = plan.needs_prune
-        if self._needs_prune and len(job.initial_messages) > 0:
-            raise PlanRefusedError(
-                "peel plans cannot start from injected messages (no arc "
-                "identity to prune)"
+        sdt = np.dtype(plan.state_dtype)
+        self._mdt = mdt = np.dtype(plan.message_dtype)
+        self._assign = assign = self.partition.assignment.astype(np.int64)
+        workers = self.num_workers
+        self._payload_nb = int(program.payload_nbytes(mdt.type(0).item()))
+        state_nb = int(program.state_nbytes(sdt.type(0).item()))
+        self.workers = [
+            _View(
+                w, model, arcs * 6 + hosted * model.vertex_overhead_bytes,
+                hosted * state_nb, WorkerStepStats(worker=w),
             )
+            for w, (arcs, hosted) in enumerate(zip(
+                self._per_worker(self.vertex_ids, degrees),
+                self.partition.sizes().tolist(),
+            ))
+        ]
+        # What a live arc's message is counted under: with a combiner its
+        # (source worker, destination vertex) box, else its worker pair.
+        # int64 up front — a narrower key is re-widened on every use.
+        if program.combiner is not None:
+            self._key = np.repeat(assign * n, degrees)
+            self._key += self.dst
+            self._boxes = np.zeros(workers * n, dtype=bool)
+        else:
+            self._key = np.repeat(assign * workers, degrees)
+            self._key += assign[self.dst]
+            self._boxes = None
 
-    def _touches_weight(self, expr) -> bool:
-        """Does ``expr`` read the ``edge_weight`` leaf?  id-cached — plan
-        expression tuples are stable for the engine's lifetime."""
-        key = id(expr)
-        hit = self._weight_cache.get(key)
-        if hit is None:
-            hit = expr[0] == "edge_weight" or any(
-                self._touches_weight(c)
-                for c in expr[1:]
-                if isinstance(c, tuple)
-            )
-            self._weight_cache[key] = hit
-        return hit
+        self.halted = np.zeros(n, dtype=bool)
+        active_ids = job.initial_active_ids()
+        if active_ids is not None:
+            self.halted[:] = True
+            if active_ids.size:
+                self.halted[active_ids] = False
+        boot = _Eval(self, np.zeros(n, dtype=sdt), None,
+                     np.zeros(n, dtype=np.int64), degrees)
+        self.state = boot.full(plan.state_init).astype(sdt).copy()
+        # pending messages (read-only once set; they may alias graph arrays)
+        self.pend_dst = self.pend_arc = np.empty(0, dtype=np.int64)
+        self.pend_val = np.empty(0, dtype=mdt)
+        self._injected: list[tuple[int, Any]] = []  # (dst, payload)
+        #: (requesting vertices, arcs to remove) queued for the next step
+        self._mutations: list[tuple[np.ndarray, np.ndarray]] = []
+        self.edge_alive = self.overlaid = self._rev_arc = None
+        if plan.uses_mutation:
+            self.edge_alive = np.ones(self.m, dtype=bool)
+            #: vertices a worker keeps an explicit neighbour list for
+            self.overlaid = np.zeros(n, dtype=bool)
+        if plan.needs_prune:
+            self._rev_arc = self._reverse_arcs()
+        for view, active in zip(self.workers, self._per_worker(~self.halted)):
+            view.active_count = active
 
-    # -- graph helpers -------------------------------------------------
+    # -- array helpers -------------------------------------------------
+    def _take(self, per_arc: np.ndarray, arcs: np.ndarray) -> np.ndarray:
+        """``per_arc[arcs]``; ``arcs`` is sorted and duplicate-free, so all
+        m of them is the identity (a fresh arc-sized copy faults in slowly)."""
+        return per_arc if arcs.size == self.m else per_arc[arcs]
+
+    def _per_worker(self, vertices, weights=None) -> list[int]:
+        """Per-worker count (or sum of integer ``weights``) of ``vertices``
+        (ids or a mask), as Python ints."""
+        return np.bincount(
+            self._assign[vertices], weights=weights, minlength=self.num_workers
+        ).astype(np.int64).tolist()
+
+    def _live_arcs(self, mask: np.ndarray) -> np.ndarray:
+        """Live out-arcs of the vertices in ``mask``."""
+        arc_sel = mask[self.src]
+        if self.edge_alive is not None:
+            arc_sel &= self.edge_alive
+        return np.flatnonzero(arc_sel)
+
     def _reverse_arcs(self) -> np.ndarray:
         """arc -> index of the reciprocal arc (dst->src), -1 when absent.
 
@@ -352,10 +443,8 @@ class DenseRefEngine:
         skey = key[order]
         want = self.dst * self.n + self.src
         pos = np.searchsorted(skey, want)
-        pos_c = np.minimum(pos, self.m - 1) if self.m else pos
-        found = (pos < self.m) & (skey[pos_c] == want) if self.m else (
-            np.zeros(0, dtype=bool)
-        )
+        pos_c = np.minimum(pos, self.m - 1)
+        found = (pos < self.m) & (skey[pos_c] == want)
         return np.where(found, order[pos_c], -1)
 
     # -- gathers -------------------------------------------------------
@@ -368,7 +457,8 @@ class DenseRefEngine:
             return msg_count
         if reduce == "sum":
             reduced = np.bincount(
-                pend_dst, weights=pend_val.astype(np.float64), minlength=n
+                pend_dst, weights=pend_val.astype(np.float64, copy=False),
+                minlength=n,
             )
             if mdt.kind != "f":
                 reduced = reduced.astype(mdt)
@@ -412,209 +502,182 @@ class DenseRefEngine:
         np.minimum.at(out, run_dst[winners], run_val[winners])
         return out
 
-    # -- main loop -----------------------------------------------------
+    # -- the engine's surface ------------------------------------------
     def run(self) -> JobResult:
-        job, plan = self.job, self.plan
-        n = self.n
-        sdt = np.dtype(plan.state_dtype)
-        mdt = np.dtype(plan.message_dtype)
+        result = super().run()
+        result.kernel_plan = self.plan
+        return result
 
-        aggregators = dict(self.program.aggregators())
-        agg_prev = {k: a.identity() for k, a in aggregators.items()}
+    def inject_message(self, dst: int, payload: Any) -> None:
+        if not 0 <= dst < self.n:
+            raise ValueError(f"inject to unknown vertex {dst}")
+        if self._rev_arc is not None:
+            raise PlanRefusedError(_PEEL_INJECTED)
+        self._injected.append((dst, payload))
+        self.workers[self._assign[dst]].queue_depth += 1
+        self._injected_count += 1
 
-        edge_alive = (
-            np.ones(self.m, dtype=bool) if plan.uses_mutation else None
-        )
-        rev_arc = self._reverse_arcs() if self._needs_prune else None
+    def _apply_mutations(self) -> np.ndarray:
+        """Make last superstep's edge removals visible (a worker's
+        ``_apply_mutations``); returns the live out-degree."""
+        if self.edge_alive is None:
+            return self.static_degree
+        requested, self._mutations = self._mutations, []
+        for vertices, arcs in requested:
+            self.overlaid[vertices] = True
+            self.edge_alive[arcs] = False
+        out_degree = np.bincount(self.src[self.edge_alive], minlength=self.n)
+        if requested:
+            # A vertex that ever requested a removal — even one that found
+            # no edge — holds an explicit list: 16 B + 8 B per live edge.
+            listed = np.flatnonzero(self.overlaid)
+            sizes = self._per_worker(listed, 16 + 8 * out_degree[listed])
+            for view, nbytes in zip(self.workers, sizes):
+                view.overlay_bytes = nbytes
+        return out_degree
 
-        halted = np.zeros(n, dtype=bool)
-        active_ids = job.initial_active_ids()
-        if active_ids is not None:
-            halted[:] = True
-            if active_ids.size:
-                halted[active_ids] = False
+    @np.errstate(all="ignore")
+    def _compute_phase(self) -> list[dict]:
+        """Interpret the plan over every computed vertex at once; returns
+        the one aggregator partial, folded in vertex order like a worker's."""
+        plan, mdt = self.plan, self._mdt
+        pend_dst, pend_val = self.pend_dst, self.pend_val
+        if self._injected:
+            dsts, payloads = zip(*self._injected)
+            pend_dst = np.concatenate([pend_dst, np.asarray(dsts, np.int64)])
+            pend_val = np.concatenate([pend_val, np.asarray(payloads).astype(mdt)])
+            self._injected = []
+        out_degree = self._apply_mutations()
+        halted, aggregators = self.halted, self._aggregators
+        msg_count = np.bincount(pend_dst, minlength=self.n)
+        computed = (msg_count > 0) | (~halted)
+        halted[computed] = False
+        # this superstep's sends, one entry per scatter op
+        self._sent = next_dst, next_val, next_arc = [], [], []
+        contribs = {name: agg.identity() for name, agg in aggregators.items()}
 
-        boot = _Eval(self, 0, np.zeros(n, dtype=sdt), None,
-                     np.zeros(n, dtype=np.int64), self.static_degree,
-                     agg_prev)
-        state = np.broadcast_to(
-            np.asarray(boot.vertex(plan.state_init)), (n,)
-        ).astype(sdt).copy()
-
-        pend_dst = np.empty(0, dtype=np.int64)
-        pend_val = np.empty(0, dtype=mdt)
-        pend_arc = np.empty(0, dtype=np.int64)
-        if job.initial_messages:
-            pend_dst = np.asarray(
-                [int(v) for v, _ in job.initial_messages], dtype=np.int64
+        ev = _Eval(self, self.state, None, msg_count, out_degree)
+        if plan.reduce is not None:
+            default = (
+                ev.vertex(plan.gather_default)
+                if plan.gather_default is not None
+                else _reduce_identity(plan.reduce, mdt)
             )
-            pend_val = np.asarray(
-                [p for _, p in job.initial_messages]
-            ).astype(mdt)
-
-        queued_off: list[np.ndarray] = []
-        supersteps = 0
-        halted_flag = False
-
-        with np.errstate(all="ignore"):
-            while supersteps < job.max_supersteps:
-                if pend_dst.size == 0 and bool(halted.all()):
-                    halted_flag = True
-                    break
-                s = supersteps
-
-                if edge_alive is not None and queued_off:
-                    edge_alive[np.concatenate(queued_off)] = False
-                    queued_off = []
-                if edge_alive is not None:
-                    out_degree = np.bincount(
-                        self.src[edge_alive], minlength=n
-                    ).astype(np.int64)
-                else:
-                    out_degree = self.static_degree
-
-                msg_count = np.bincount(pend_dst, minlength=n).astype(
-                    np.int64
+            ev.msg = self._gather(
+                plan.reduce, pend_dst, pend_val, msg_count, self.state,
+                default, plan.include_self, mdt
+            )
+        ops = [  # guards read nothing an op writes
+            op for phase in plan.phases
+            if phase.guard is None or bool(ev.scalar(phase.guard))
+            for op in phase.ops
+        ]
+        for op in ops:
+            mask = computed
+            if op.where is not None:
+                mask = computed & ev.full(op.where).astype(bool)
+            if op.kind == "vote":
+                halted[mask] = True
+            elif op.kind == "scatter":
+                arcs = self._live_arcs(mask)
+                if arcs.size == 0:
+                    continue
+                arc_eval = ev.arc_hoisted if getattr(op, "hoist", False) else ev.arc
+                raw = arc_eval(op.payload, arcs)
+                next_dst.append(self._take(self.dst, arcs))
+                next_val.append(np.broadcast_to(np.asarray(raw, dtype=mdt), arcs.shape))
+                next_arc.append(arcs)
+            elif op.kind == "aggregate":
+                vals = ev.full(op.value)[mask]
+                if vals.size == 0:
+                    continue
+                # Left fold in vertex order, as a worker reduces: pairwise
+                # ``.sum()`` reassociates float adds.
+                part = (
+                    float(np.cumsum(vals)[-1])
+                    if vals.dtype.kind == "f" else int(vals.sum())
                 )
-                computed = (msg_count > 0) | (~halted)
-                halted[computed] = False
+                name = op.name or ""
+                contribs[name] = aggregators[name].reduce(contribs[name], part)
+            elif op.kind == "prune_received":
+                got = self.pend_arc[mask[self.dst[self.pend_arc]]]
+                if got.size:
+                    rev = self._rev_arc[got]
+                    self._mutations.append((self.dst[got], rev[rev >= 0]))
+            elif op.kind == "drop_edges":
+                arcs = self._live_arcs(mask)
+                if arcs.size:
+                    self._mutations.append((self._take(self.src, arcs), arcs))
+            else:
+                raise PlanRefusedError(f"unknown kernel op {op.kind!r}")
+        if plan.state_update is not None:
+            new = ev.full(plan.state_update).astype(self.state.dtype, copy=False)
+            self.state = np.where(computed, new, self.state)
 
-                ev = _Eval(self, s, state, None, msg_count, out_degree,
-                           agg_prev)
-                if plan.reduce is not None:
-                    default = (
-                        ev.vertex(plan.gather_default)
-                        if plan.gather_default is not None
-                        else _reduce_identity(plan.reduce, mdt)
-                    )
-                    ev.msg = self._gather(
-                        plan.reduce, pend_dst, pend_val, msg_count, state,
-                        default, plan.include_self, mdt
-                    )
+        for view, calls, active in zip(
+            self.workers, self._per_worker(computed), self._per_worker(~halted)
+        ):
+            view.stats = WorkerStepStats(
+                worker=view.worker_id, compute_calls=calls,
+                msgs_in=view.queue_depth,
+            )
+            view.active_count = active
+        return [contribs]
 
-                next_dst: list[np.ndarray] = []
-                next_val: list[np.ndarray] = []
-                next_arc: list[np.ndarray] = []
-                contribs: dict[str, Any] = {}
+    def _flush_phase(self):
+        """Swap the superstep's sends in as the pending arrays and count
+        them per worker pair (post-combine); returns ``(recv_msgs,
+        recv_bytes, peers_in)`` per worker."""
+        workers = self.num_workers
+        next_dst, next_val, next_arc = self._sent
+        self.pend_dst = _cat(next_dst, np.int64)
+        self.pend_val = _cat(next_val, self._mdt)
+        if self._rev_arc is not None:
+            self.pend_arc = _cat(next_arc, np.int64)
 
-                for phase in plan.phases:
-                    if phase.guard is not None and not bool(
-                        ev.scalar(phase.guard)
-                    ):
-                        continue
-                    for op in phase.ops:
-                        if op.where is None:
-                            mask = computed
-                        else:
-                            w = np.broadcast_to(
-                                np.asarray(ev.vertex(op.where)), (n,)
-                            )
-                            mask = computed & w.astype(bool)
-                        if op.kind == "vote":
-                            halted[mask] = True
-                        elif op.kind == "scatter":
-                            arc_sel = mask[self.src]
-                            if edge_alive is not None:
-                                arc_sel &= edge_alive
-                            arcs = np.flatnonzero(arc_sel)
-                            if arcs.size == 0:
-                                continue
-                            raw = (
-                                ev.arc_hoisted(op.payload, arcs)
-                                if getattr(op, "hoist", False)
-                                else ev.arc(op.payload, arcs)
-                            )
-                            payload = np.broadcast_to(
-                                np.asarray(raw, dtype=mdt),
-                                arcs.shape,
-                            )
-                            next_dst.append(self.dst[arcs])
-                            next_val.append(payload)
-                            next_arc.append(arcs)
-                        elif op.kind == "aggregate":
-                            vals = np.broadcast_to(
-                                np.asarray(ev.vertex(op.value)), (n,)
-                            )
-                            part = vals[mask].sum()
-                            part = (
-                                int(part) if vals.dtype.kind in "biu"
-                                else float(part)
-                            )
-                            name = op.name or ""
-                            if name in contribs:
-                                contribs[name] = aggregators[name].merge(
-                                    contribs[name], part
-                                )
-                            else:
-                                contribs[name] = part
-                        elif op.kind == "prune_received":
-                            if pend_arc.size:
-                                hit = mask[self.dst[pend_arc]]
-                                rev = rev_arc[pend_arc[hit]]
-                                rev = rev[rev >= 0]
-                                if rev.size:
-                                    queued_off.append(rev)
-                        elif op.kind == "drop_edges":
-                            arc_sel = mask[self.src]
-                            if edge_alive is not None:
-                                arc_sel &= edge_alive
-                            arcs = np.flatnonzero(arc_sel)
-                            if arcs.size:
-                                queued_off.append(arcs)
-                        else:
-                            raise PlanRefusedError(
-                                f"unknown kernel op {op.kind!r}"
-                            )
+        keys = [self._take(self._key, arcs) for arcs in next_arc]
+        if self._boxes is None:
+            pairs = np.zeros((workers, workers), dtype=np.int64)
+            for key in keys:
+                pairs += np.bincount(key, minlength=pairs.size).reshape(pairs.shape)
+            depth = pairs.sum(axis=0).tolist()
+        else:
+            self._boxes.fill(False)
+            for key in keys:
+                self._boxes[key] = True
+            rows = self._boxes.reshape(workers, self.n)
+            pairs = np.array([self._per_worker(row) for row in rows])
+            depth = self._per_worker(rows.any(axis=0))
+        local = pairs.diagonal().tolist()
+        np.fill_diagonal(pairs, 0)  # what is left crossed the wire
+        recv = pairs.sum(axis=0).tolist()
+        # Python-int products from here: equal to the worker's repeated
+        # additions bit for bit.
+        nb = self._payload_nb
+        wire = self.model.message_wire_bytes(nb)
+        for view, n_local, n_remote, peers, queued in zip(
+            self.workers, local, pairs.sum(axis=1).tolist(),
+            np.count_nonzero(pairs, axis=1).tolist(), depth,
+        ):
+            ws = view.stats
+            ws.msgs_out_local, ws.msgs_out_remote = n_local, n_remote
+            ws.peers_out = peers
+            ws.bytes_out = view.out_remote_wire_bytes = float(n_remote * wire)
+            view.queue_depth = queued
+            view.in_next_payload_bytes = float(queued * nb)
+        peers_in = np.count_nonzero(pairs, axis=0).tolist()
+        return recv, [r * wire for r in recv], peers_in
 
-                if plan.state_update is not None:
-                    new = np.broadcast_to(
-                        np.asarray(ev.vertex(plan.state_update)), (n,)
-                    ).astype(sdt, copy=False)
-                    state = np.where(computed, new, state).astype(
-                        sdt, copy=False
-                    )
+    def _extract_values(self) -> dict[int, Any]:
+        extract = self.job.program.extract
+        return {v: extract(v, sv) for v, sv in enumerate(self.state.tolist())}
 
-                agg_next = {}
-                for name, agg in aggregators.items():
-                    ident = agg.identity()
-                    if name in contribs:
-                        agg_next[name] = agg.merge(ident, contribs[name])
-                    else:
-                        agg_next[name] = ident
-
-                supersteps += 1
-                master = _DenseMaster(
-                    s, job.num_workers, int((~halted).sum()), agg_next
-                )
-                self.program.master_compute(master)
-                agg_prev = agg_next
-                if master._halt:
-                    halted_flag = True
-                    break
-
-                if next_dst:
-                    pend_dst = np.concatenate(next_dst)
-                    pend_val = np.concatenate(next_val)
-                    pend_arc = (
-                        np.concatenate(next_arc)
-                        if self._needs_prune
-                        else pend_arc
-                    )
-                else:
-                    pend_dst = np.empty(0, dtype=np.int64)
-                    pend_val = np.empty(0, dtype=mdt)
-                    pend_arc = np.empty(0, dtype=np.int64)
-
-        extract = self.program.extract
-        values = {
-            v: extract(v, sv) for v, sv in enumerate(state.tolist())
+    def _capture_checkpoint(self, superstep: int) -> dict:
+        return {
+            "superstep": superstep,
+            "agg_values": dict(self._agg_values),
+            "dense": deepcopy({k: getattr(self, k) for k in _CHECKPOINTED}),
         }
-        return JobResult(
-            values=values,
-            trace=JobTrace(),
-            meter=BillingMeter(),
-            supersteps=supersteps,
-            halted=halted_flag,
-            aggregates=dict(agg_prev),
-            kernel_plan=plan,
-        )
+
+    def _restore_checkpoint(self) -> None:
+        vars(self).update(deepcopy(self._checkpoint["dense"]))

@@ -92,6 +92,16 @@ class BSPEngine:
             job.postmortem,
         )
 
+        self._build_workers()
+        for dst, payload in job.initial_messages:
+            self.inject_message(int(dst), payload)
+
+        self._checkpoint: dict | None = None
+
+    def _build_workers(self) -> None:
+        """Build :attr:`workers` in the job's initial state (overridden by
+        an engine with its own state layout)."""
+        job = self.job
         active_ids = job.initial_active_ids()
         assignment = self.partition.assignment
         self.workers: list[PartitionWorker] = []
@@ -110,11 +120,6 @@ class BSPEngine:
         if active_ids is not None and len(active_ids):
             for v in active_ids:
                 self.workers[int(assignment[v])].halted[int(v)] = False
-
-        for dst, payload in job.initial_messages:
-            self.inject_message(int(dst), payload)
-
-        self._checkpoint: dict | None = None
 
     # ------------------------------------------------------------------
     # Control-plane message injection (job-manager originated)

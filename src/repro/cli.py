@@ -693,8 +693,7 @@ def _cmd_run(args) -> int:
         f"messages {trace.total_messages:,} | peak worker memory "
         f"{trace.peak_memory / 1e6:.2f} MB"
     )
-    if res.cost is not None:
-        print(f"cost attribution: {res.cost.summary()}")
+    print(f"cost attribution: {res.cost.summary()}")
     if args.trace_out:
         write_json(trace, args.trace_out)
         print(f"trace written to {args.trace_out}")

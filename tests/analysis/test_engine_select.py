@@ -60,18 +60,28 @@ def test_refused_program_falls_back_with_recorded_reason():
 
 
 def test_job_features_exclude_dense_ref():
-    program = PageRankProgram(iterations=5)
-    features = dense_refused_features(
-        program, lift_of(program),
-        observers=[object()], sanitize=True, sinks=["metrics"],
-    )
-    assert len(features) == 3
-    decision = select_engine(
-        verdict=lift_of(program), profile=profile_of(program),
-        num_workers=4, features=features,
-    )
-    assert decision.engine != "dense-ref"
-    assert sum(1 for e, _ in decision.excluded if e == "dense-ref") == 3
+    # What is left of the job-level exclusions now that dense-ref runs the
+    # one superstep body: a wrapped program (--sanitize), a bound attribute
+    # the plan needed None, a peel plan started from injected messages.
+    from repro.check import SanitizingProgram
+
+    cases = [
+        (SanitizingProgram(PageRankProgram(iterations=5)), {}, "--sanitize"),
+        (SSSPProgram(source=0, weight_fn=lambda u, v: 2.0), {}, "weight_fn"),
+        (KCoreProgram(k=2), {"initial_messages": [(0, 1)]}, "injected"),
+    ]
+    for program, kwargs, names in cases:
+        verdict = lift_of(program)
+        [feature] = dense_refused_features(program, verdict.plan, **kwargs)
+        assert names in feature
+        decision = select_engine(
+            verdict=verdict, profile=profile_of(program), num_workers=4,
+            features=[feature],
+        )
+        assert decision.engine != "dense-ref"
+        assert [r for e, r in decision.excluded if e == "dense-ref"] == [
+            feature
+        ]
 
 
 def test_peel_plan_with_injected_messages_excludes_dense_ref():
@@ -83,7 +93,7 @@ def test_peel_plan_with_injected_messages_excludes_dense_ref():
     program = KCoreProgram(k=2)
     verdict = lift_of(program)
     features = dense_refused_features(
-        program, verdict, initial_messages=[(0, 1)]
+        program, verdict.plan, initial_messages=[(0, 1)]
     )
     assert features == ["peel plans cannot start from injected messages"]
     decision = select_engine(
@@ -106,12 +116,47 @@ def test_peel_plan_with_injected_messages_excludes_dense_ref():
         profile_of(program), verdict,
     )
     assert cfg.engine == auto.engine != "dense-ref"
-    assert dense_refused_features(program, verdict) == []
+    assert dense_refused_features(program, verdict.plan) == []
 
 
 def test_flight_recorder_is_not_a_dense_blocker():
     program = PageRankProgram(iterations=5)
-    assert dense_refused_features(program, lift_of(program)) == []
+    assert dense_refused_features(program, lift_of(program).plan) == []
+
+
+def test_observers_and_sinks_do_not_change_the_selected_engine():
+    from repro.cloud.costmeter import CostMeter
+    from repro.obs import MetricsRegistry, RunTimeline, SpanTracer
+
+    metrics = MetricsRegistry()
+    meter = CostMeter(metrics)
+    res = run_pagerank(
+        gen.barabasi_albert(40, 2, seed=3),
+        RunConfig(
+            num_workers=4, engine="auto", metrics=metrics,
+            tracer=SpanTracer(), timeline=RunTimeline(),
+        ),
+        iterations=5, observers=[meter],
+    )
+    assert res.engine_decision.engine == "dense-ref"
+    assert len(res.trace) == 5 + 1
+    assert res.total_time > 0
+    assert meter.total == res.cost.total
+
+
+def test_auto_with_sanitizer_excludes_dense_ref():
+    from repro.check import SanitizingProgram
+
+    res = run_pagerank(
+        gen.barabasi_albert(40, 2, seed=3),
+        RunConfig(num_workers=4, engine="auto"), iterations=3,
+        wrap_program=SanitizingProgram,
+    )
+    assert res.engine_decision.engine != "dense-ref"
+    assert any(
+        e == "dense-ref" and "--sanitize" in r
+        for e, r in res.engine_decision.excluded
+    )
 
 
 def test_pickle_risks_exclude_process_and_tcp():

@@ -74,6 +74,22 @@ def test_pagerank_equivalence(directed):
     assert dense.kernel_plan.reduce == "sum"
 
 
+@pytest.mark.parametrize("graph", [
+    lambda: gen.watts_strogatz(200, 6, 0.1, seed=2),
+    # RMAT leaves dangling vertices, so the "dangling" aggregate is a real
+    # float sum: it must fold in vertex order like a worker's, not pairwise
+    # (70 of 256 and 3 673 of 4 096 values differed when it did not).
+    lambda: gen.rmat(8, 6, seed=1),
+    lambda: gen.rmat(12, 8, seed=3),
+], ids=["ws", "rmat8", "rmat12"])
+def test_pagerank_bitwise_equal_to_one_worker_sim(graph):
+    g = graph()
+    ref = run_job(JobSpec(PageRankProgram(8), g, num_workers=1), "sim")
+    dense = run_job(JobSpec(PageRankProgram(8), g, num_workers=4), "dense-ref")
+    assert dense.values == ref.values
+    assert dense.aggregates == ref.aggregates
+
+
 def test_sssp_weighted_equivalence(directed):
     rng = np.random.default_rng(4)
     gw = CSRGraph(
@@ -153,6 +169,25 @@ def test_peel_plan_refuses_injected_messages():
                 initial_messages=[(0, (1, 2))],
             )
         )
+
+
+def test_wrapped_program_is_refused_not_silently_unwrapped(directed, capsys):
+    # dense-ref never calls compute(), so a sanitizing wrapper would report
+    # "ok" having checked nothing.
+    from repro.check import SanitizingProgram
+    from repro.cli import main
+
+    wrapped = SanitizingProgram(PageRankProgram(iterations=3))
+    with pytest.raises(PlanRefusedError, match="--sanitize"):
+        DenseRefEngine(JobSpec(program=wrapped, graph=directed, num_workers=2))
+    code = main([
+        "run", "--dataset", "SD", "--scale", "0.05", "--app", "pagerank",
+        "--iterations", "3", "--engine", "dense-ref", "--sanitize",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--sanitize" in captured.err and "hint:" in captured.err
+    assert "sanitizer: ok" not in captured.out
 
 
 def test_run_job_dense_ref_helper(directed):

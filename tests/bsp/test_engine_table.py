@@ -1,6 +1,7 @@
 """The one engine table: every name runs, and every consumer reads it."""
 
 import argparse
+from dataclasses import asdict
 
 import pytest
 
@@ -23,13 +24,22 @@ def _job(num_workers):
 @pytest.mark.parametrize("name", list(ENGINES))
 def test_every_engine_matches_sim_bitwise(name):
     # The equivalence contract (docs/runtime.md): the per-vertex engines
-    # agree at the same worker count and partition; dense-ref has no
-    # partition, so it agrees with the 1-worker sim.
+    # agree at the same worker count and partition; dense-ref folds every
+    # reduction in vertex order, so its values are the 1-worker sim's.
     workers = 1 if name == "dense-ref" else 3
     ref = run_job(_job(workers), engine="sim")
     res = run_job(_job(3), engine=name)
     assert res.values == ref.values
     assert res.supersteps == ref.supersteps
+
+
+def test_dense_ref_trace_is_the_sims_at_the_same_worker_count():
+    # Contract (d): the other half of dense-ref's row in the table (the
+    # full differential is tests/bsp/test_dense_trace.py).
+    sim, dense = run_job(_job(3), engine="sim"), run_job(_job(3), "dense-ref")
+    assert [asdict(s) for s in dense.trace] == [asdict(s) for s in sim.trace]
+    assert dense.total_time == sim.total_time > 0
+    assert dense.total_cost == sim.total_cost > 0
 
 
 def test_cli_engine_choices_come_from_the_table():

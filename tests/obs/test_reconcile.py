@@ -33,7 +33,7 @@ from repro.obs import (
 WORKERS = 3
 
 
-@pytest.fixture(scope="module", params=["sim", "process"])
+@pytest.fixture(scope="module", params=["sim", "process", "dense-ref"])
 def run(request):
     """One run per engine, all four sinks plus the live cost meter."""
     graph = generators.watts_strogatz(60, 4, 0.3, seed=7)
