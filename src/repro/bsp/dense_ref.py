@@ -32,10 +32,12 @@ from __future__ import annotations
 
 from copy import deepcopy
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from .api import VertexProgram
 from .engine import BSPEngine
 from .job import JobResult, JobSpec
 from .superstep import WorkerStepStats
@@ -80,6 +82,13 @@ def dense_refused_features(program: Any, plan: "KernelPlan | None",
             out.append(_PEEL_INJECTED)
     return out
 
+
+#: the arc set "every arc", recognised by identity: :meth:`DenseRefEngine.
+#: _take` is the identity for it, so a superstep that sends along every arc
+#: builds nothing arc-sized to say so.  Not ``None``: :class:`_Eval` keys
+#: vertex space on that.
+_ALL_ARCS = np.empty(0, dtype=np.int64)
+_ALL_ARCS.flags.writeable = False
 
 _INT_MAX = np.iinfo(np.int64).max
 _INT_MIN = np.iinfo(np.int64).min
@@ -354,10 +363,6 @@ class DenseRefEngine(BSPEngine):
         self.vertex_ids = np.arange(n, dtype=np.int64)
         self.src = np.repeat(self.vertex_ids, degrees)
         self.static_degree = degrees
-        if g.weights is not None:
-            self.weights = np.asarray(g.weights, dtype=np.float64)
-        else:
-            self.weights = np.ones(self.m, dtype=np.float64)
 
         sdt = np.dtype(plan.state_dtype)
         self._mdt = mdt = np.dtype(plan.message_dtype)
@@ -375,17 +380,13 @@ class DenseRefEngine(BSPEngine):
                 self.partition.sizes().tolist(),
             ))
         ]
-        # What a live arc's message is counted under: with a combiner its
-        # (source worker, destination vertex) box, else its worker pair.
-        # int64 up front — a narrower key is re-widened on every use.
-        if program.combiner is not None:
-            self._key = np.repeat(assign * n, degrees)
-            self._key += self.dst
-            self._boxes = np.zeros(workers * n, dtype=bool)
-        else:
-            self._key = np.repeat(assign * workers, degrees)
-            self._key += assign[self.dst]
-            self._boxes = None
+        #: per-arc counting key, kept once a subset scatter asks for it
+        self._key: np.ndarray | None = None
+        #: with a combiner, one flag per (source worker, destination) box
+        self._boxes = (
+            np.zeros(workers * n, dtype=bool)
+            if program.combiner is not None else None
+        )
 
         self.halted = np.zeros(n, dtype=bool)
         active_ids = job.initial_active_ids()
@@ -395,7 +396,8 @@ class DenseRefEngine(BSPEngine):
                 self.halted[active_ids] = False
         boot = _Eval(self, np.zeros(n, dtype=sdt), None,
                      np.zeros(n, dtype=np.int64), degrees)
-        self.state = boot.full(plan.state_init).astype(sdt).copy()
+        with np.errstate(all="ignore"):  # as in _compute_phase: 1/n at n == 0
+            self.state = boot.full(plan.state_init).astype(sdt).copy()
         # pending messages (read-only once set; they may alias graph arrays)
         self.pend_dst = self.pend_arc = np.empty(0, dtype=np.int64)
         self.pend_val = np.empty(0, dtype=mdt)
@@ -404,7 +406,7 @@ class DenseRefEngine(BSPEngine):
         self._mutations: list[tuple[np.ndarray, np.ndarray]] = []
         self.edge_alive = self.overlaid = self._rev_arc = None
         if plan.uses_mutation:
-            self.edge_alive = np.ones(self.m, dtype=bool)
+            self.edge_alive = np.ones_like(self.dst, dtype=bool)
             #: vertices a worker keeps an explicit neighbour list for
             self.overlaid = np.zeros(n, dtype=bool)
         if plan.needs_prune:
@@ -413,10 +415,53 @@ class DenseRefEngine(BSPEngine):
             view.active_count = active
 
     # -- array helpers -------------------------------------------------
+    # Beyond ``src``/``dst`` an arc-sized array is built when a plan reads
+    # it; what is fixed with the graph and the partition is computed once.
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Per-arc weights: only the ``edge_weight`` leaf reads them."""
+        weights = self.job.graph.weights
+        if weights is None:
+            return np.ones(self.m, dtype=np.float64)
+        return np.asarray(weights, dtype=np.float64)
+
+    @cached_property
+    def _in_degree(self) -> np.ndarray:
+        """Messages per vertex when every arc carried one.  Read-only: a
+        ``count`` gather hands it to the plan as ``msg``."""
+        in_degree = np.bincount(self.dst, minlength=self.n)
+        in_degree.flags.writeable = False
+        return in_degree
+
+    @cached_property
+    def _all_arcs_sent(self) -> tuple[np.ndarray, list[int]]:
+        """:meth:`_count_sends` of one scatter along every arc."""
+        return self._count_sends([_ALL_ARCS])
+
     def _take(self, per_arc: np.ndarray, arcs: np.ndarray) -> np.ndarray:
-        """``per_arc[arcs]``; ``arcs`` is sorted and duplicate-free, so all
-        m of them is the identity (a fresh arc-sized copy faults in slowly)."""
-        return per_arc if arcs.size == self.m else per_arc[arcs]
+        """``per_arc[arcs]``, uncopied for :data:`_ALL_ARCS`."""
+        return per_arc if arcs is _ALL_ARCS else per_arc[arcs]
+
+    def _arc_ids(self, arcs: np.ndarray) -> np.ndarray:
+        """``arcs`` as ids that can be stored: ``pend_arc`` of a prune plan
+        and ``drop_edges`` index with them later."""
+        return np.arange(self.m, dtype=np.int64) if arcs is _ALL_ARCS else arcs
+
+    def _arc_keys(self, arcs: np.ndarray) -> np.ndarray:
+        """What each of ``arcs``' messages is counted under: with a combiner
+        its (source worker, destination vertex) box, else its worker pair."""
+        key = self._key
+        if key is None:
+            # int64 throughout — a narrower key is re-widened on every use
+            boxed, assign = self._boxes is not None, self._assign
+            key = np.repeat(
+                assign * (self.n if boxed else self.num_workers),
+                self.static_degree,
+            )
+            key += self.dst if boxed else assign[self.dst]
+            if arcs is not _ALL_ARCS:  # subsets recur; every arc is tallied once
+                self._key = key
+        return self._take(key, arcs)
 
     def _per_worker(self, vertices, weights=None) -> list[int]:
         """Per-worker count (or sum of integer ``weights``) of ``vertices``
@@ -425,12 +470,19 @@ class DenseRefEngine(BSPEngine):
             self._assign[vertices], weights=weights, minlength=self.num_workers
         ).astype(np.int64).tolist()
 
-    def _live_arcs(self, mask: np.ndarray) -> np.ndarray:
-        """Live out-arcs of the vertices in ``mask``."""
+    def _live_arcs(self, mask: np.ndarray,
+                   out_degree: np.ndarray) -> tuple[np.ndarray, int]:
+        """Live out-arcs of the vertices in ``mask`` and how many they are:
+        the sum of their live degrees, which reaches m only when every arc
+        is alive and selected — :data:`_ALL_ARCS`, found in O(n).  (The mask
+        itself need not be full: PageRank skips dangling vertices.)"""
+        count = int(out_degree.sum(where=mask))
+        if count == self.m:
+            return _ALL_ARCS, count
         arc_sel = mask[self.src]
         if self.edge_alive is not None:
             arc_sel &= self.edge_alive
-        return np.flatnonzero(arc_sel)
+        return np.flatnonzero(arc_sel), count
 
     def _reverse_arcs(self) -> np.ndarray:
         """arc -> index of the reciprocal arc (dst->src), -1 when absent.
@@ -549,7 +601,10 @@ class DenseRefEngine(BSPEngine):
             self._injected = []
         out_degree = self._apply_mutations()
         halted, aggregators = self.halted, self._aggregators
-        msg_count = np.bincount(pend_dst, minlength=self.n)
+        if pend_dst is self.dst:  # one message along every arc, none injected
+            msg_count = self._in_degree
+        else:
+            msg_count = np.bincount(pend_dst, minlength=self.n)
         computed = (msg_count > 0) | (~halted)
         halted[computed] = False
         # this superstep's sends, one entry per scatter op
@@ -579,13 +634,13 @@ class DenseRefEngine(BSPEngine):
             if op.kind == "vote":
                 halted[mask] = True
             elif op.kind == "scatter":
-                arcs = self._live_arcs(mask)
-                if arcs.size == 0:
+                arcs, count = self._live_arcs(mask, out_degree)
+                if count == 0:
                     continue
                 arc_eval = ev.arc_hoisted if getattr(op, "hoist", False) else ev.arc
                 raw = arc_eval(op.payload, arcs)
                 next_dst.append(self._take(self.dst, arcs))
-                next_val.append(np.broadcast_to(np.asarray(raw, dtype=mdt), arcs.shape))
+                next_val.append(np.broadcast_to(np.asarray(raw, dtype=mdt), (count,)))
                 next_arc.append(arcs)
             elif op.kind == "aggregate":
                 vals = ev.full(op.value)[mask]
@@ -605,9 +660,10 @@ class DenseRefEngine(BSPEngine):
                     rev = self._rev_arc[got]
                     self._mutations.append((self.dst[got], rev[rev >= 0]))
             elif op.kind == "drop_edges":
-                arcs = self._live_arcs(mask)
-                if arcs.size:
-                    self._mutations.append((self._take(self.src, arcs), arcs))
+                arcs, count = self._live_arcs(mask, out_degree)
+                if count:
+                    self._mutations.append(
+                        (self._take(self.src, arcs), self._arc_ids(arcs)))
             else:
                 raise PlanRefusedError(f"unknown kernel op {op.kind!r}")
         if plan.state_update is not None:
@@ -628,14 +684,20 @@ class DenseRefEngine(BSPEngine):
         """Swap the superstep's sends in as the pending arrays and count
         them per worker pair (post-combine); returns ``(recv_msgs,
         recv_bytes, peers_in)`` per worker."""
-        workers = self.num_workers
         next_dst, next_val, next_arc = self._sent
         self.pend_dst = _cat(next_dst, np.int64)
         self.pend_val = _cat(next_val, self._mdt)
         if self._rev_arc is not None:
-            self.pend_arc = _cat(next_arc, np.int64)
+            self.pend_arc = _cat([self._arc_ids(a) for a in next_arc], np.int64)
+        if len(next_arc) == 1 and next_arc[0] is _ALL_ARCS:  # counted once
+            return self._tally(*self._all_arcs_sent)
+        return self._tally(*self._count_sends(next_arc))
 
-        keys = [self._take(self._key, arcs) for arcs in next_arc]
+    def _count_sends(self, sent: list) -> tuple[np.ndarray, list[int]]:
+        """Post-combine message counts of the arc sets ``sent``: the (source
+        worker, destination worker) matrix and each worker's queue depth."""
+        workers = self.num_workers
+        keys = (self._arc_keys(arcs) for arcs in sent)  # one alive at a time
         if self._boxes is None:
             pairs = np.zeros((workers, workers), dtype=np.int64)
             for key in keys:
@@ -648,15 +710,19 @@ class DenseRefEngine(BSPEngine):
             rows = self._boxes.reshape(workers, self.n)
             pairs = np.array([self._per_worker(row) for row in rows])
             depth = self._per_worker(rows.any(axis=0))
-        local = pairs.diagonal().tolist()
-        np.fill_diagonal(pairs, 0)  # what is left crossed the wire
+        return pairs, depth
+
+    def _tally(self, pairs: np.ndarray, depth: list[int]):
+        """Write one superstep's send counts into the views' step stats."""
+        local = pairs.diagonal()
+        pairs = pairs - np.diag(local)  # what is left crossed the wire
         recv = pairs.sum(axis=0).tolist()
         # Python-int products from here: equal to the worker's repeated
         # additions bit for bit.
         nb = self._payload_nb
         wire = self.model.message_wire_bytes(nb)
         for view, n_local, n_remote, peers, queued in zip(
-            self.workers, local, pairs.sum(axis=1).tolist(),
+            self.workers, local.tolist(), pairs.sum(axis=1).tolist(),
             np.count_nonzero(pairs, axis=1).tolist(), depth,
         ):
             ws = view.stats
@@ -669,8 +735,10 @@ class DenseRefEngine(BSPEngine):
         return recv, [r * wire for r in recv], peers_in
 
     def _extract_values(self) -> dict[int, Any]:
-        extract = self.job.program.extract
-        return {v: extract(v, sv) for v, sv in enumerate(self.state.tolist())}
+        state, program = self.state.tolist(), self.job.program
+        if type(program).extract is VertexProgram.extract:  # the identity
+            return dict(enumerate(state))
+        return {v: program.extract(v, sv) for v, sv in enumerate(state)}
 
     def _capture_checkpoint(self, superstep: int) -> dict:
         return {

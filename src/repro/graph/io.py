@@ -64,48 +64,55 @@ def from_edge_list_bytes(data: bytes) -> CSRGraph:
     """Parse :func:`to_edge_list_bytes` output (or any SNAP edge list).
 
     Header comments are optional; without a ``# nodes:`` line the vertex
-    count is ``max id + 1`` and the graph is treated as directed.
+    count is ``max id + 1`` and the graph is treated as directed.  Every
+    edge line has the field count of the first: ``u v`` or ``u v weight``.
     """
     name = ""
     undirected = False
     weighted = False
     declared_n: int | None = None
-    src: list[int] = []
-    dst: list[int] = []
-    wts: list[float] = []
-    for raw in data.decode().splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("repro graph:"):
-                name = body.split(":", 1)[1].strip()
-                if name == "unnamed":
-                    name = ""
-            elif body.startswith("kind:"):
-                undirected = body.split(":", 1)[1].strip() == "undirected"
-            elif body.startswith("nodes:"):
-                declared_n = int(body.split()[1])
-            elif body.startswith("weighted:"):
-                weighted = body.split(":", 1)[1].strip() == "true"
-            continue
-        parts = line.split()
-        if len(parts) < 2:
-            raise ValueError(f"malformed edge line: {raw!r}")
-        src.append(int(parts[0]))
-        dst.append(int(parts[1]))
-        if len(parts) >= 3:
-            weighted = True
-            wts.append(float(parts[2]))
-        elif weighted:
-            raise ValueError(f"missing weight on line: {raw!r}")
-    n = declared_n if declared_n is not None else (max(src + dst) + 1 if src else 0)
+    at = data.find(b"#")
+    while at >= 0:  # header keys: hop from comment to comment
+        end = data.find(b"\n", at)
+        if end < 0:
+            end = len(data)
+        key, _, value = data[at + 1:end].decode().partition(":")
+        key, value = key.strip(), value.strip()
+        if key == "repro graph":
+            name = "" if value == "unnamed" else value
+        elif key == "kind":
+            undirected = value == "undirected"
+        elif key == "nodes":
+            declared_n = int(value.partition(" ")[0])
+        elif key == "weighted":
+            weighted = value == "true"
+        at = data.find(b"#", end)
+    fields = 0
+    for line in io.BytesIO(data):  # stops at the first edge line
+        fields = len(line.partition(b"#")[0].split())
+        if fields:
+            break
+    if not fields:
+        return GraphBuilder(declared_n or 0, undirected=undirected).build(name=name)
+    if not 2 <= fields <= 3:
+        raise ValueError(f"malformed edge line: {line!r}")
+    if weighted and fields == 2:
+        raise ValueError(f"missing weight on line: {line!r}")
+    weighted = fields == 3
+    dtype = [("u", np.int64), ("v", np.int64)]
+    if weighted:
+        dtype.append(("w", np.float64))
+    try:
+        # no usecols: a line with another field count, or an id that is not
+        # a decimal int64, is an error
+        edges = np.loadtxt(io.BytesIO(data), dtype=dtype, comments="#", ndmin=1)
+    except ValueError as exc:
+        missing = "missing weight or " if weighted else ""
+        raise ValueError(f"{missing}malformed edge line: {exc}") from None
+    src, dst = edges["u"], edges["v"]
+    n = declared_n if declared_n is not None else int(max(src.max(), dst.max())) + 1
     b = GraphBuilder(n, undirected=undirected)
-    if src:
-        b.add_edges(
-            np.array(src), np.array(dst), np.array(wts) if weighted else None
-        )
+    b.add_edges(src, dst, edges["w"] if weighted else None)
     return b.build(name=name)
 
 

@@ -19,8 +19,9 @@ from repro.algorithms import (
     WCCProgram,
 )
 from repro.bsp import BSPEngine, JobSpec, run_job
-from repro.bsp.dense_ref import DenseRefEngine, PlanRefusedError
+from repro.bsp.dense_ref import _ALL_ARCS, DenseRefEngine, PlanRefusedError
 from repro.graph import generators as gen
+from repro.graph.builder import GraphBuilder
 from repro.graph.csr import CSRGraph
 
 
@@ -236,3 +237,139 @@ def test_explicit_plan_override(directed):
         plan=plan,
     ).run()
     assert res.kernel_plan is plan
+
+
+# -- all-arcs supersteps ------------------------------------------------
+def _compaction(eng, mask):
+    """What ``_live_arcs`` did before it recognised "every arc": three
+    O(m) passes, kept here as the reference."""
+    arc_sel = mask[eng.src]
+    if eng.edge_alive is not None:
+        arc_sel &= eng.edge_alive
+    return np.flatnonzero(arc_sel)
+
+
+def _pagerank_engine(graph, workers=4, **program_kwargs):
+    return DenseRefEngine(JobSpec(
+        PageRankProgram(3, **program_kwargs), graph, num_workers=workers,
+    ))
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: gen.rmat(7, 6, seed=1, undirected=False),  # dangling vertices
+    lambda: gen.watts_strogatz(80, 4, 0.2, seed=9),
+    lambda: GraphBuilder(5).build(),  # m == 0: every arc, nothing to send
+], ids=["rmat", "ws", "no-arcs"])
+def test_live_arcs_is_all_arcs_exactly_when_the_compaction_is(graph):
+    eng = _pagerank_engine(graph())
+    n, m = eng.n, eng.m
+    rng = np.random.default_rng(20)
+    has_out = eng.static_degree > 0
+    masks = [np.ones(n, bool), np.zeros(n, bool), has_out, ~has_out]
+    for v in rng.integers(0, n, 6):  # one vertex short of everything
+        masks.append(has_out.copy())
+        masks[-1][v] = False
+    masks += [rng.random(n) < p for p in (0.05, 0.5, 0.95) for _ in range(4)]
+    alive = [None, np.ones(m, bool)]
+    for p in (0.5, 0.99):
+        alive.append(rng.random(m) < p)
+    if m:
+        alive.append(np.ones(m, bool))
+        alive[-1][rng.integers(m)] = False  # a single removed edge
+    seen_all = seen_some = 0
+    for edge_alive in alive:
+        eng.edge_alive = edge_alive
+        out_degree = eng.static_degree if edge_alive is None else np.bincount(
+            eng.src[edge_alive], minlength=n)
+        for mask in masks:
+            want = _compaction(eng, mask)
+            arcs, count = eng._live_arcs(mask, out_degree)
+            assert count == want.size
+            if want.size == m:
+                assert arcs is _ALL_ARCS
+                assert eng._take(eng.dst, arcs) is eng.dst
+                assert eng._arc_ids(arcs).tolist() == want.tolist()
+                seen_all += 1
+            else:
+                assert arcs is not _ALL_ARCS
+                assert arcs.dtype == want.dtype and arcs.tolist() == want.tolist()
+                seen_some += 1
+    assert seen_all and (seen_some or m == 0)
+
+
+@pytest.mark.parametrize("workers", [1, 3, 4])
+@pytest.mark.parametrize("use_combiner", [True, False])
+def test_all_arcs_tallies_equal_the_general_count(use_combiner, workers):
+    g = gen.rmat(7, 6, seed=1, undirected=False)
+    eng = _pagerank_engine(g, workers, use_combiner=use_combiner)
+    pairs, depth = eng._all_arcs_sent
+    assert eng._key is None  # the key of the one-off tally is not kept
+    every = np.arange(eng.m)
+    want_pairs, want_depth = eng._count_sends([every])
+    assert eng._key is not None  # a general scatter keeps it
+    assert pairs.tolist() == want_pairs.tolist() and depth == want_depth
+    if not use_combiner:  # one message per arc, sent and queued
+        assert pairs.sum() == sum(depth) == eng.m
+    assert eng._in_degree.tolist() == np.bincount(
+        eng.dst[every], minlength=eng.n).tolist()
+    assert not eng._in_degree.flags.writeable
+    # writing a superstep's stats from the kept matrix leaves it intact
+    first = eng._tally(pairs, depth)
+    assert eng._tally(pairs, depth) == first
+    assert pairs.tolist() == want_pairs.tolist()
+
+
+def test_arc_sized_arrays_exist_only_when_a_plan_reads_them(directed):
+    pr = _pagerank_engine(directed)
+    pr.run()
+    assert "weights" not in vars(pr) and pr._key is None
+    sssp = DenseRefEngine(JobSpec(SSSPProgram(source=0), directed, num_workers=4))
+    sssp.run()
+    assert sssp.weights.tolist() == [1.0] * sssp.m  # read by edge_weight
+    assert sssp._key is not None  # frontier scatters are strict subsets
+
+
+def test_pagerank_peak_is_under_six_arc_sized_arrays():
+    # src, dst, the pending and the next payloads, and one transient (the
+    # counting key of the first flush, a payload being gathered) are five
+    # 8-byte arrays per arc; the parent held eight at its peak (66.4 B).
+    import tracemalloc
+
+    from repro.check.planopt import optimize_plan
+    from repro.check.vectorize import lift_of
+
+    g = gen.rmat(12, 8, seed=3)
+    # the plan a default run executes, compiled outside the traced region
+    plan = optimize_plan(lift_of(PageRankProgram).plan).plan
+    job = JobSpec(PageRankProgram(8), g, num_workers=4)
+    tracemalloc.start()
+    try:
+        DenseRefEngine(job, plan=plan).run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * g.num_arcs, peak / g.num_arcs
+
+
+def test_state_init_runs_under_the_compute_errstate():
+    # 1/n at n == 0: sim never evaluates it, dense-ref must not warn
+    import warnings
+
+    job = JobSpec(PageRankProgram(2), GraphBuilder(0).build(), num_workers=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dense = run_job(job, "dense-ref")
+    assert dense.values == run_job(job, "sim").values == {}
+
+
+def test_extract_override_is_still_called(directed):
+    class Scaled(PageRankProgram):
+        def extract(self, vertex_id, state):
+            return (vertex_id, state * 2)
+
+    from repro.check.vectorize import lift_of
+
+    job = JobSpec(Scaled(3), directed, num_workers=1)
+    dense = run_job(job, "dense-ref", plan=lift_of(PageRankProgram).plan)
+    assert dense.values == run_job(job, "sim").values
+    assert dense.values[4][0] == 4

@@ -19,8 +19,9 @@ from repro.algorithms import (
     SSSPProgram,
     WCCProgram,
 )
-from repro.bsp import JobSpec, run_job
+from repro.bsp import JobSpec, SuperstepObserver, run_job
 from repro.graph import generators as gen
+from repro.graph.builder import GraphBuilder
 from repro.obs import PostmortemWriter
 
 PROGRAMS = {
@@ -96,6 +97,63 @@ def test_injected_messages_and_active_subset():
             return JobSpec(SSSPProgram(source=0), g, num_workers=3, **kwargs)
 
         assert_same_run(run_job(job(), "sim"), run_job(job(), "dense-ref"))
+
+
+# -- all-arcs supersteps: dense-ref keeps their in-degree and worker-pair
+# tallies; whatever breaks "one message along every arc, none injected"
+# must fall back to counting and still equal sim.
+def test_pagerank_with_injected_messages():
+    class InjectAt(SuperstepObserver):
+        """Control-plane messages landing beside an all-arcs scatter's."""
+
+        def on_superstep_end(self, engine, stats):
+            if stats.index in (1, 2, 4):
+                engine.inject_messages([(0, 0.125), (0, 0.5), (7, 0.25)])
+
+    for use_combiner in (True, False):
+        def job():
+            return JobSpec(
+                PageRankProgram(6, use_combiner=use_combiner), GRAPHS["rmat"](),
+                num_workers=3, initial_messages=[(0, 0.25), (5, 0.5), (5, 1.0)],
+                observers=[InjectAt()],
+            )
+
+        sim, dense = run_job(job(), "sim"), run_job(job(), "dense-ref")
+        assert_same_run(sim, dense)
+        assert sum(step.injected for step in dense.trace) == 12
+
+
+@pytest.mark.parametrize("program", ["pagerank", "sssp", "kcore"])
+def test_graph_without_arcs(program):
+    def job(num_workers=3):
+        return JobSpec(
+            PROGRAMS[program](), GraphBuilder(7, undirected=True).build(),
+            num_workers=num_workers,
+        )
+
+    dense = run_job(job(), "dense-ref")
+    assert_same_run(run_job(job(), "sim"), dense)
+    assert dense.values == run_job(job(1), "sim").values
+    assert sum(step.total_messages for step in dense.trace) == 0
+
+
+def test_pagerank_restored_twice_resumes_the_kept_tallies():
+    # the superstep after each restore gathers from deep-copied pending
+    # arrays (not the graph's own), the ones after it from the graph's again
+    g = GRAPHS["rmat"]()
+
+    def job():
+        return JobSpec(
+            PROGRAMS["pagerank"](), g, num_workers=3,
+            checkpoint_interval=1, failure_schedule={2: 0, 4: 1},
+        )
+
+    sim, dense = run_job(job(), "sim"), run_job(job(), "dense-ref")
+    assert len(dense.recoveries) == 2
+    assert_same_run(sim, dense)
+    assert dense.values == run_job(
+        JobSpec(PROGRAMS["pagerank"](), g, num_workers=1), "sim"
+    ).values
 
 
 def test_master_compute_failure_writes_the_postmortem(tmp_path):
