@@ -26,6 +26,10 @@ injected ones after the data plane's; a computed vertex is re-activated
 unless it votes again; mutations (the k-core peel idiom) requested at *s*
 apply at the start of *s+1*; message counts are post-combine; payload and
 state sizes are the program's hooks, read once on a scalar of the dtype.
+
+The interpreter itself (:class:`_PlanKernel`) also runs inside process and
+tcp worker sessions, over one worker's rows
+(:mod:`repro.bsp.dense_shard`, accepted by :func:`shard_plan`).
 """
 
 from __future__ import annotations
@@ -46,7 +50,9 @@ from .worker import PartitionWorker
 if TYPE_CHECKING:  # import cycle: repro.check imports repro.bsp
     from ..check.vectorize import KernelPlan
 
-__all__ = ["DenseRefEngine", "PlanRefusedError", "dense_refused_features"]
+__all__ = [
+    "DenseRefEngine", "PlanRefusedError", "dense_refused_features", "shard_plan",
+]
 
 
 class PlanRefusedError(RuntimeError):
@@ -83,6 +89,33 @@ def dense_refused_features(program: Any, plan: "KernelPlan | None",
     return out
 
 
+def shard_plan(program: Any, initial_messages: Any = ()) -> "KernelPlan | None":
+    """The optimised plan a worker session runs as a dense shard
+    (:class:`~repro.bsp.dense_shard.DenseShard`), or None: the sessions
+    then host :class:`PartitionWorker`\\ s.
+
+    A shard refuses what :func:`dense_refused_features` refuses, plus peel
+    plans — the receiver cannot name the arc a remote message came on —
+    and a combiner whose plan does not reduce by sum, min or max, the
+    monoids a sender folds its boxes with.
+    """
+    from ..check.planopt import optimized  # lazy: avoids cycle
+    from ..check.vectorize import lift_of
+
+    verdict = lift_of(program)
+    if verdict is None or verdict.plan is None:
+        return None
+    plan = optimized(verdict.plan)
+    if (
+        dense_refused_features(program, plan, initial_messages)
+        or plan.uses_mutation or plan.needs_prune
+        or (program.combiner is not None and plan.reduce not in _FOLD)
+        or not all(hasattr(program, name) for name in plan.params)
+    ):
+        return None
+    return plan
+
+
 #: the arc set "every arc", recognised by identity: :meth:`DenseRefEngine.
 #: _take` is the identity for it, so a superstep that sends along every arc
 #: builds nothing arc-sized to say so.  Not ``None``: :class:`_Eval` keys
@@ -100,6 +133,24 @@ def _reduce_identity(reduce: str, dtype: np.dtype) -> Any:
     if reduce == "max":
         return -np.inf if dtype.kind == "f" else _INT_MIN
     return 0
+
+
+#: the monoids a message fold can use, as the pairwise ufunc
+_FOLD = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+
+def _fold(reduce: str, n: int, dst: np.ndarray, val: np.ndarray,
+          mdt: np.dtype) -> np.ndarray:
+    """Fold ``val`` into ``n`` slots by ``dst``, each slot in array order
+    (a slot nothing reaches holds the monoid's identity)."""
+    if reduce == "sum":
+        out = np.bincount(
+            dst, weights=val.astype(np.float64, copy=False), minlength=n
+        )
+        return out if mdt.kind == "f" else out.astype(mdt)
+    out = np.full(n, _reduce_identity(reduce, mdt), dtype=mdt)
+    _FOLD[reduce].at(out, dst, val.astype(mdt, copy=False))
+    return out
 
 
 def _touches_weight(expr) -> bool:
@@ -148,14 +199,16 @@ class _View:
 class _Eval:
     """One superstep's expression evaluator with per-expression memoizing.
 
-    Vertex space evaluates over full n-vectors; arc space indexes the
-    vertex leaves through the arc's source vertex and adds the
+    Vertex space evaluates over one entry per row of the kernel (every
+    vertex for :class:`DenseRefEngine`, a worker's own for a shard; the
+    ``nv`` leaf is the graph's vertex count either way); arc space indexes
+    the row leaves through the arc's source row and adds the
     ``edge_weight`` leaf.  The lifter shares tuple identity between the
     state update, scatter payloads, and masks, so the memo doubles as a
     common-subexpression cache.
     """
 
-    def __init__(self, engine: "DenseRefEngine", state: np.ndarray,
+    def __init__(self, engine: "_PlanKernel", state: np.ndarray,
                  msg: np.ndarray | None, msg_count: np.ndarray,
                  out_degree: np.ndarray):
         self.e = engine
@@ -171,7 +224,7 @@ class _Eval:
     scalar = vertex  # phase guards evaluate in vertex space too
 
     def full(self, expr) -> np.ndarray:
-        """:meth:`vertex`, broadcast to an n-vector."""
+        """:meth:`vertex`, broadcast to one entry per row."""
         return np.broadcast_to(np.asarray(self.vertex(expr)), (self.e.n,))
 
     def arc(self, expr, arcs: np.ndarray) -> Any:
@@ -228,15 +281,13 @@ class _Eval:
         if head == "superstep":
             return self.e.superstep
         if head == "nv":
-            return self.e.n
+            return self.e.num_vertices
         if head == "agg":
             return self.e.aggregated(expr[1])
         if head == "state":
             return self._vec(self.state, rows)
         if head == "vertex":
-            if rows is not None:
-                return rows
-            return self.e.vertex_ids
+            return self._vec(self.e.vertex_ids, rows)
         if head == "out_degree":
             return self._vec(self.out_degree, rows)
         if head == "msg":
@@ -299,6 +350,167 @@ _BINARY = {
     "or": np.logical_or,
 }
 
+
+class _PlanKernel:
+    """The plan interpreter over one set of rows: every vertex of the
+    graph (:class:`DenseRefEngine`) or one worker's
+    (:class:`~repro.bsp.dense_shard.DenseShard`).  One op loop, one
+    gather, one arc selection for both.
+
+    A subclass provides ``plan``, ``params``, ``superstep``,
+    ``aggregated()``, ``_aggregators``, ``_mdt``, the ``n`` rows
+    (``vertex_ids``, ``state``, ``halted``), ``num_vertices`` of the graph,
+    and its ``m`` arcs: ``src`` (source row), ``dst`` (destination, in the
+    space its flush routes by), ``weights`` and ``edge_alive`` (None unless
+    a peel plan removes arcs).
+    """
+
+    def _take(self, per_arc: np.ndarray, arcs: np.ndarray) -> np.ndarray:
+        """``per_arc[arcs]``, uncopied for :data:`_ALL_ARCS`."""
+        return per_arc if arcs is _ALL_ARCS else per_arc[arcs]
+
+    def _boot_state(self, sdt: np.dtype, out_degree: np.ndarray) -> np.ndarray:
+        """The rows' state column before superstep 0 (``plan.state_init``)."""
+        boot = _Eval(self, np.zeros(self.n, dtype=sdt), None,
+                     np.zeros(self.n, dtype=np.int64), out_degree)
+        with np.errstate(all="ignore"):  # as in _step: 1/n at n == 0
+            return boot.full(self.plan.state_init).astype(sdt).copy()
+
+    def _live_arcs(self, mask: np.ndarray,
+                   out_degree: np.ndarray) -> tuple[np.ndarray, int]:
+        """Live out-arcs of the rows in ``mask`` and how many they are:
+        the sum of their live degrees, which reaches m only when every arc
+        is alive and selected — :data:`_ALL_ARCS`, found in O(n).  (The mask
+        itself need not be full: PageRank skips dangling vertices.)"""
+        count = int(out_degree.sum(where=mask))
+        if count == self.m:
+            return _ALL_ARCS, count
+        arc_sel = mask[self.src]
+        if self.edge_alive is not None:
+            arc_sel &= self.edge_alive
+        return np.flatnonzero(arc_sel), count
+
+    def _gather(self, reduce: str, pend_dst: np.ndarray,
+                pend_val: np.ndarray, msg_count: np.ndarray,
+                state: np.ndarray, default: np.ndarray | Any,
+                include_self: bool, mdt: np.dtype) -> np.ndarray:
+        if reduce == "count":
+            return msg_count
+        if reduce in _FOLD:
+            reduced = _fold(reduce, self.n, pend_dst, pend_val, mdt)
+        elif reduce == "mode":
+            reduced = self._gather_mode(
+                pend_dst, pend_val, msg_count, state, include_self, mdt
+            )
+        else:
+            raise PlanRefusedError(f"unknown reduce monoid {reduce!r}")
+        has = msg_count > 0
+        return np.where(has, reduced, default).astype(mdt, copy=False)
+
+    def _gather_mode(self, pend_dst, pend_val, msg_count, state,
+                     include_self, mdt) -> np.ndarray:
+        # (max multiplicity, then min label) — exactly the Counter idiom's
+        # `min(l for l, c in counts.items() if c == max(counts.values()))`.
+        n = self.n
+        if include_self:
+            recv = np.flatnonzero(msg_count > 0)
+            pend_dst = np.concatenate([pend_dst, recv])
+            pend_val = np.concatenate(
+                [pend_val, state[recv].astype(pend_val.dtype, copy=False)]
+            )
+        order = np.lexsort((pend_val, pend_dst))
+        d = pend_dst[order]
+        v = pend_val[order]
+        run_start = np.ones(d.size, dtype=bool)
+        run_start[1:] = (d[1:] != d[:-1]) | (v[1:] != v[:-1])
+        run_ids = np.cumsum(run_start) - 1
+        counts = np.bincount(run_ids)
+        run_dst = d[run_start]
+        run_val = v[run_start]
+        best = np.zeros(n, dtype=np.int64)
+        np.maximum.at(best, run_dst, counts)
+        winners = counts == best[run_dst]
+        out = np.full(n, _reduce_identity("min", mdt), dtype=mdt)
+        np.minimum.at(out, run_dst[winners], run_val[winners])
+        return out
+
+    @np.errstate(all="ignore")
+    def _step(self, pend_dst: np.ndarray, pend_val: np.ndarray,
+              msg_count: np.ndarray, out_degree: np.ndarray):
+        """One superstep of the plan over every computed row at once:
+        gather, the ops in plan order, the state update.  Returns the
+        computed mask, the sends as ``(arcs, payload per arc)`` per scatter
+        in op order, and the aggregator partials, folded in row order like
+        a worker's."""
+        plan, mdt, halted = self.plan, self._mdt, self.halted
+        aggregators = self._aggregators
+        computed = (msg_count > 0) | (~halted)
+        halted[computed] = False
+        sends: list[tuple[np.ndarray, np.ndarray]] = []
+        contribs = {name: agg.identity() for name, agg in aggregators.items()}
+
+        ev = _Eval(self, self.state, None, msg_count, out_degree)
+        if plan.reduce is not None:
+            default = (
+                ev.vertex(plan.gather_default)
+                if plan.gather_default is not None
+                else _reduce_identity(plan.reduce, mdt)
+            )
+            ev.msg = self._gather(
+                plan.reduce, pend_dst, pend_val, msg_count, self.state,
+                default, plan.include_self, mdt
+            )
+        ops = [  # guards read nothing an op writes
+            op for phase in plan.phases
+            if phase.guard is None or bool(ev.scalar(phase.guard))
+            for op in phase.ops
+        ]
+        for op in ops:
+            mask = computed
+            if op.where is not None:
+                mask = computed & ev.full(op.where).astype(bool)
+            if op.kind == "vote":
+                halted[mask] = True
+            elif op.kind == "scatter":
+                arcs, count = self._live_arcs(mask, out_degree)
+                if count == 0:
+                    continue
+                arc_eval = ev.arc_hoisted if getattr(op, "hoist", False) else ev.arc
+                raw = arc_eval(op.payload, arcs)
+                sends.append(
+                    (arcs, np.broadcast_to(np.asarray(raw, dtype=mdt), (count,)))
+                )
+            elif op.kind == "aggregate":
+                vals = ev.full(op.value)[mask]
+                if vals.size == 0:
+                    continue
+                # Left fold in row order, as a worker reduces: pairwise
+                # ``.sum()`` reassociates float adds.
+                part = (
+                    float(np.cumsum(vals)[-1])
+                    if vals.dtype.kind == "f" else int(vals.sum())
+                )
+                name = op.name or ""
+                contribs[name] = aggregators[name].reduce(contribs[name], part)
+            # the peel ops: DenseRefEngine only (shard_plan refuses peel plans)
+            elif op.kind == "prune_received":
+                got = self.pend_arc[mask[self.dst[self.pend_arc]]]
+                if got.size:
+                    rev = self._rev_arc[got]
+                    self._mutations.append((self.dst[got], rev[rev >= 0]))
+            elif op.kind == "drop_edges":
+                arcs, count = self._live_arcs(mask, out_degree)
+                if count:
+                    self._mutations.append(
+                        (self._take(self.src, arcs), self._arc_ids(arcs)))
+            else:
+                raise PlanRefusedError(f"unknown kernel op {op.kind!r}")
+        if plan.state_update is not None:
+            new = ev.full(plan.state_update).astype(self.state.dtype, copy=False)
+            self.state = np.where(computed, new, self.state)
+        return computed, sends, contribs
+
+
 #: what a checkpoint copies: a worker's ``states``/``halted``/``in_next``
 #: as arrays, the queued injections and mutations, and the views
 _CHECKPOINTED = ("state", "halted", "pend_dst", "pend_val", "pend_arc",
@@ -306,7 +518,7 @@ _CHECKPOINTED = ("state", "halted", "pend_dst", "pend_val", "pend_arc",
                  "workers")
 
 
-class DenseRefEngine(BSPEngine):
+class DenseRefEngine(_PlanKernel, BSPEngine):
     """Run a :class:`JobSpec` by interpreting the program's KernelPlan.
 
     ``plan`` defaults to lifting the job's program from source (via
@@ -337,9 +549,9 @@ class DenseRefEngine(BSPEngine):
                 )
             plan = verdict.plan
             if optimize:
-                from ..check.planopt import optimize_plan
+                from ..check.planopt import optimized
 
-                plan = optimize_plan(plan).plan
+                plan = optimized(plan)
         self.plan = plan
         refusals = dense_refused_features(program, plan, job.initial_messages)
         if refusals:
@@ -356,7 +568,7 @@ class DenseRefEngine(BSPEngine):
         worker — no per-vertex :class:`PartitionWorker` dicts."""
         job, plan, model = self.job, self.plan, self.model
         g, program = job.graph, job.program
-        self.n = n = int(g.num_vertices)
+        self.n = self.num_vertices = n = int(g.num_vertices)
         self.dst = np.asarray(g.indices, dtype=np.int64)
         self.m = int(self.dst.shape[0])
         degrees = np.diff(np.asarray(g.indptr, dtype=np.int64))
@@ -394,10 +606,7 @@ class DenseRefEngine(BSPEngine):
             self.halted[:] = True
             if active_ids.size:
                 self.halted[active_ids] = False
-        boot = _Eval(self, np.zeros(n, dtype=sdt), None,
-                     np.zeros(n, dtype=np.int64), degrees)
-        with np.errstate(all="ignore"):  # as in _compute_phase: 1/n at n == 0
-            self.state = boot.full(plan.state_init).astype(sdt).copy()
+        self.state = self._boot_state(sdt, degrees)
         # pending messages (read-only once set; they may alias graph arrays)
         self.pend_dst = self.pend_arc = np.empty(0, dtype=np.int64)
         self.pend_val = np.empty(0, dtype=mdt)
@@ -438,10 +647,6 @@ class DenseRefEngine(BSPEngine):
         """:meth:`_count_sends` of one scatter along every arc."""
         return self._count_sends([_ALL_ARCS])
 
-    def _take(self, per_arc: np.ndarray, arcs: np.ndarray) -> np.ndarray:
-        """``per_arc[arcs]``, uncopied for :data:`_ALL_ARCS`."""
-        return per_arc if arcs is _ALL_ARCS else per_arc[arcs]
-
     def _arc_ids(self, arcs: np.ndarray) -> np.ndarray:
         """``arcs`` as ids that can be stored: ``pend_arc`` of a prune plan
         and ``drop_edges`` index with them later."""
@@ -470,20 +675,6 @@ class DenseRefEngine(BSPEngine):
             self._assign[vertices], weights=weights, minlength=self.num_workers
         ).astype(np.int64).tolist()
 
-    def _live_arcs(self, mask: np.ndarray,
-                   out_degree: np.ndarray) -> tuple[np.ndarray, int]:
-        """Live out-arcs of the vertices in ``mask`` and how many they are:
-        the sum of their live degrees, which reaches m only when every arc
-        is alive and selected — :data:`_ALL_ARCS`, found in O(n).  (The mask
-        itself need not be full: PageRank skips dangling vertices.)"""
-        count = int(out_degree.sum(where=mask))
-        if count == self.m:
-            return _ALL_ARCS, count
-        arc_sel = mask[self.src]
-        if self.edge_alive is not None:
-            arc_sel &= self.edge_alive
-        return np.flatnonzero(arc_sel), count
-
     def _reverse_arcs(self) -> np.ndarray:
         """arc -> index of the reciprocal arc (dst->src), -1 when absent.
 
@@ -498,61 +689,6 @@ class DenseRefEngine(BSPEngine):
         pos_c = np.minimum(pos, self.m - 1)
         found = (pos < self.m) & (skey[pos_c] == want)
         return np.where(found, order[pos_c], -1)
-
-    # -- gathers -------------------------------------------------------
-    def _gather(self, reduce: str, pend_dst: np.ndarray,
-                pend_val: np.ndarray, msg_count: np.ndarray,
-                state: np.ndarray, default: np.ndarray | Any,
-                include_self: bool, mdt: np.dtype) -> np.ndarray:
-        n = self.n
-        if reduce == "count":
-            return msg_count
-        if reduce == "sum":
-            reduced = np.bincount(
-                pend_dst, weights=pend_val.astype(np.float64, copy=False),
-                minlength=n,
-            )
-            if mdt.kind != "f":
-                reduced = reduced.astype(mdt)
-        elif reduce in ("min", "max"):
-            reduced = np.full(n, _reduce_identity(reduce, mdt), dtype=mdt)
-            ufunc = np.minimum if reduce == "min" else np.maximum
-            ufunc.at(reduced, pend_dst, pend_val.astype(mdt, copy=False))
-        elif reduce == "mode":
-            reduced = self._gather_mode(
-                pend_dst, pend_val, msg_count, state, include_self, mdt
-            )
-        else:
-            raise PlanRefusedError(f"unknown reduce monoid {reduce!r}")
-        has = msg_count > 0
-        return np.where(has, reduced, default).astype(mdt, copy=False)
-
-    def _gather_mode(self, pend_dst, pend_val, msg_count, state,
-                     include_self, mdt) -> np.ndarray:
-        # (max multiplicity, then min label) — exactly the Counter idiom's
-        # `min(l for l, c in counts.items() if c == max(counts.values()))`.
-        n = self.n
-        if include_self:
-            recv = np.flatnonzero(msg_count > 0)
-            pend_dst = np.concatenate([pend_dst, recv])
-            pend_val = np.concatenate(
-                [pend_val, state[recv].astype(pend_val.dtype, copy=False)]
-            )
-        order = np.lexsort((pend_val, pend_dst))
-        d = pend_dst[order]
-        v = pend_val[order]
-        run_start = np.ones(d.size, dtype=bool)
-        run_start[1:] = (d[1:] != d[:-1]) | (v[1:] != v[:-1])
-        run_ids = np.cumsum(run_start) - 1
-        counts = np.bincount(run_ids)
-        run_dst = d[run_start]
-        run_val = v[run_start]
-        best = np.zeros(n, dtype=np.int64)
-        np.maximum.at(best, run_dst, counts)
-        winners = counts == best[run_dst]
-        out = np.full(n, _reduce_identity("min", mdt), dtype=mdt)
-        np.minimum.at(out, run_dst[winners], run_val[winners])
-        return out
 
     # -- the engine's surface ------------------------------------------
     def run(self) -> JobResult:
@@ -588,90 +724,27 @@ class DenseRefEngine(BSPEngine):
                 view.overlay_bytes = nbytes
         return out_degree
 
-    @np.errstate(all="ignore")
     def _compute_phase(self) -> list[dict]:
         """Interpret the plan over every computed vertex at once; returns
         the one aggregator partial, folded in vertex order like a worker's."""
-        plan, mdt = self.plan, self._mdt
         pend_dst, pend_val = self.pend_dst, self.pend_val
         if self._injected:
             dsts, payloads = zip(*self._injected)
             pend_dst = np.concatenate([pend_dst, np.asarray(dsts, np.int64)])
-            pend_val = np.concatenate([pend_val, np.asarray(payloads).astype(mdt)])
+            pend_val = np.concatenate(
+                [pend_val, np.asarray(payloads).astype(self._mdt)])
             self._injected = []
         out_degree = self._apply_mutations()
-        halted, aggregators = self.halted, self._aggregators
         if pend_dst is self.dst:  # one message along every arc, none injected
             msg_count = self._in_degree
         else:
             msg_count = np.bincount(pend_dst, minlength=self.n)
-        computed = (msg_count > 0) | (~halted)
-        halted[computed] = False
         # this superstep's sends, one entry per scatter op
-        self._sent = next_dst, next_val, next_arc = [], [], []
-        contribs = {name: agg.identity() for name, agg in aggregators.items()}
-
-        ev = _Eval(self, self.state, None, msg_count, out_degree)
-        if plan.reduce is not None:
-            default = (
-                ev.vertex(plan.gather_default)
-                if plan.gather_default is not None
-                else _reduce_identity(plan.reduce, mdt)
-            )
-            ev.msg = self._gather(
-                plan.reduce, pend_dst, pend_val, msg_count, self.state,
-                default, plan.include_self, mdt
-            )
-        ops = [  # guards read nothing an op writes
-            op for phase in plan.phases
-            if phase.guard is None or bool(ev.scalar(phase.guard))
-            for op in phase.ops
-        ]
-        for op in ops:
-            mask = computed
-            if op.where is not None:
-                mask = computed & ev.full(op.where).astype(bool)
-            if op.kind == "vote":
-                halted[mask] = True
-            elif op.kind == "scatter":
-                arcs, count = self._live_arcs(mask, out_degree)
-                if count == 0:
-                    continue
-                arc_eval = ev.arc_hoisted if getattr(op, "hoist", False) else ev.arc
-                raw = arc_eval(op.payload, arcs)
-                next_dst.append(self._take(self.dst, arcs))
-                next_val.append(np.broadcast_to(np.asarray(raw, dtype=mdt), (count,)))
-                next_arc.append(arcs)
-            elif op.kind == "aggregate":
-                vals = ev.full(op.value)[mask]
-                if vals.size == 0:
-                    continue
-                # Left fold in vertex order, as a worker reduces: pairwise
-                # ``.sum()`` reassociates float adds.
-                part = (
-                    float(np.cumsum(vals)[-1])
-                    if vals.dtype.kind == "f" else int(vals.sum())
-                )
-                name = op.name or ""
-                contribs[name] = aggregators[name].reduce(contribs[name], part)
-            elif op.kind == "prune_received":
-                got = self.pend_arc[mask[self.dst[self.pend_arc]]]
-                if got.size:
-                    rev = self._rev_arc[got]
-                    self._mutations.append((self.dst[got], rev[rev >= 0]))
-            elif op.kind == "drop_edges":
-                arcs, count = self._live_arcs(mask, out_degree)
-                if count:
-                    self._mutations.append(
-                        (self._take(self.src, arcs), self._arc_ids(arcs)))
-            else:
-                raise PlanRefusedError(f"unknown kernel op {op.kind!r}")
-        if plan.state_update is not None:
-            new = ev.full(plan.state_update).astype(self.state.dtype, copy=False)
-            self.state = np.where(computed, new, self.state)
-
+        computed, self._sent, contribs = self._step(
+            pend_dst, pend_val, msg_count, out_degree)
         for view, calls, active in zip(
-            self.workers, self._per_worker(computed), self._per_worker(~halted)
+            self.workers, self._per_worker(computed),
+            self._per_worker(~self.halted),
         ):
             view.stats = WorkerStepStats(
                 worker=view.worker_id, compute_calls=calls,
@@ -684,9 +757,9 @@ class DenseRefEngine(BSPEngine):
         """Swap the superstep's sends in as the pending arrays and count
         them per worker pair (post-combine); returns ``(recv_msgs,
         recv_bytes, peers_in)`` per worker."""
-        next_dst, next_val, next_arc = self._sent
-        self.pend_dst = _cat(next_dst, np.int64)
-        self.pend_val = _cat(next_val, self._mdt)
+        next_arc = [arcs for arcs, _ in self._sent]
+        self.pend_dst = _cat([self._take(self.dst, a) for a in next_arc], np.int64)
+        self.pend_val = _cat([vals for _, vals in self._sent], self._mdt)
         if self._rev_arc is not None:
             self.pend_arc = _cat([self._arc_ids(a) for a in next_arc], np.int64)
         if len(next_arc) == 1 and next_arc[0] is _ALL_ARCS:  # counted once

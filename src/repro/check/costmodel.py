@@ -53,6 +53,7 @@ from .rules import (
     _attr_chain,
     _collect_aliases,
     _constant_str,
+    live_verdict,
 )
 
 __all__ = [
@@ -1098,31 +1099,19 @@ def profile_paths(targets: Iterable[str]) -> list[ProgramProfile]:
     return out
 
 
+#: source path -> (source text, its profiles); see :func:`live_verdict`
+_PROFILED: dict[str, tuple[str, list[ProgramProfile]]] = {}
+
+
 def profile_of(program: Any) -> ProgramProfile | None:
-    """Profile a *live* program object (or class) from its source file.
+    """Profile a *live* program object (or class) from its source file,
+    profiled once per process while the file is unchanged.
 
     Unwraps tracing/sanitizing wrappers (anything exposing ``.inner``).
     Returns None when the source cannot be located (REPL/exec-defined
     classes) — callers treat an absent profile as "no static knowledge".
     """
-    import inspect
-
-    seen = 0
-    while hasattr(program, "inner") and seen < 8:  # unwrap program wrappers
-        program = program.inner
-        seen += 1
-    cls = program if isinstance(program, type) else type(program)
-    try:
-        path = inspect.getsourcefile(cls)
-        if path is None:
-            return None
-        source = Path(path).read_text(encoding="utf-8")
-    except (TypeError, OSError, UnicodeDecodeError):
-        return None
-    for profile in profile_source(source, filename=path):
-        if profile.program == cls.__name__:
-            return profile
-    return None
+    return live_verdict(program, profile_source, _PROFILED)
 
 
 def estimate_bytes_per_root(

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator
+from pathlib import Path
+from typing import Any, Callable, Iterator
 
 from .findings import Finding, Severity
 
-__all__ = ["Rule", "RULES", "ProgramInfo", "ModuleInfo", "rule_catalog"]
+__all__ = [
+    "Rule", "RULES", "ProgramInfo", "ModuleInfo", "live_verdict", "rule_catalog",
+]
 
 #: Program lifecycle methods that run *outside* the per-vertex compute call
 #: (worker construction, barrier, extraction) and therefore must not touch
@@ -160,6 +163,34 @@ class ProgramInfo:
             return None
         args = fn.args.args
         return args[1].arg if len(args) > 1 else None
+
+
+def live_verdict(program: Any, of_source: Callable, memo: dict) -> Any:
+    """``of_source``'s verdict for a *live* program object (or class), read
+    from the file that defines it; None when that source cannot be located
+    (REPL/exec-defined classes).  Unwraps wrappers exposing ``.inner``.
+
+    ``memo`` maps a path to ``(source text, verdicts)``: a file is analysed
+    once per process for as long as its text is unchanged.
+    """
+    import inspect
+
+    seen = 0
+    while hasattr(program, "inner") and seen < 8:  # unwrap program wrappers
+        program = program.inner
+        seen += 1
+    cls = program if isinstance(program, type) else type(program)
+    try:
+        path = inspect.getsourcefile(cls)
+        if path is None:
+            return None
+        source = Path(path).read_text(encoding="utf-8")
+    except (TypeError, OSError, UnicodeDecodeError):
+        return None
+    hit = memo.get(path)
+    if hit is None or hit[0] != source:
+        hit = memo[path] = (source, of_source(source, filename=path))
+    return next((v for v in hit[1] if v.program == cls.__name__), None)
 
 
 # ----------------------------------------------------------------------

@@ -78,7 +78,14 @@ from .costmodel import (
     profile_program,
 )
 from .findings import Severity
-from .rules import ModuleInfo, ProgramInfo, Rule, _attr_chain, _constant_str
+from .rules import (
+    ModuleInfo,
+    ProgramInfo,
+    Rule,
+    _attr_chain,
+    _constant_str,
+    live_verdict,
+)
 
 __all__ = [
     "Expr",
@@ -1736,30 +1743,18 @@ def lift_paths(targets) -> list[LiftResult]:
     return out
 
 
+#: source path -> (source text, its verdicts); see :func:`live_verdict`
+_LIFTED: dict[str, tuple[str, list[LiftResult]]] = {}
+
+
 def lift_of(program: Any) -> LiftResult | None:
-    """Verdict for a *live* program object (or class) from its source file.
+    """Verdict for a *live* program object (or class) from its source file,
+    lifted once per process while the file is unchanged.
 
     Mirrors :func:`repro.check.costmodel.profile_of`: unwraps wrappers
     exposing ``.inner``; returns None when the source cannot be located.
     """
-    import inspect
-
-    seen = 0
-    while hasattr(program, "inner") and seen < 8:
-        program = program.inner
-        seen += 1
-    cls = program if isinstance(program, type) else type(program)
-    try:
-        path = inspect.getsourcefile(cls)
-        if path is None:
-            return None
-        source = Path(path).read_text(encoding="utf-8")
-    except (TypeError, OSError, UnicodeDecodeError):
-        return None
-    for result in lift_source(source, filename=path):
-        if result.program == cls.__name__:
-            return result
-    return None
+    return live_verdict(program, lift_source, _LIFTED)
 
 
 # ----------------------------------------------------------------------

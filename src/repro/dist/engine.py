@@ -19,7 +19,10 @@ Architecture (the paper's job-manager/worker split, §III):
 * each worker owns its partition's state and serves the command loop in
   :class:`repro.net.session.WorkerSession`; messages cross the wire as
   length-prefixed pickle-5 frames (:mod:`repro.net.codec`), combiners
-  already applied sender-side.
+  already applied sender-side.  When the program lifts, every session
+  runs the plan compiled here on its own rows (a dense shard, one
+  ``(row index, value)`` array pair per frame) in place of a
+  :class:`~repro.bsp.worker.PartitionWorker`; it folds like one.
 
 Transports (:mod:`repro.net`): the default
 :class:`~repro.net.transport.PipeTransport` forks one local OS process
@@ -62,6 +65,7 @@ from typing import Any
 
 import numpy as np
 
+from ..bsp.dense_ref import shard_plan
 from ..bsp.engine import BSPEngine
 from ..bsp.job import JobResult, JobSpec
 from ..bsp.superstep import SuperstepStats
@@ -187,6 +191,9 @@ class ProcessBSPEngine(BSPEngine):
     ) -> None:
         if check_program:
             self._gate_program(job.program)
+        #: the plan every session runs as a dense shard in place of a
+        #: PartitionWorker, or None (see repro.bsp.dense_ref.shard_plan)
+        self._plan = shard_plan(job.program, job.initial_messages)
         # Created first: the base __init__ injects the job's initial
         # messages, which this engine buffers until the next boundary.
         self._inject_buffer: list = []
@@ -495,6 +502,7 @@ class ProcessBSPEngine(BSPEngine):
             active_ids=self._active_ids,
             heartbeat_interval=self._hb_interval,
             want_flight=self.telemetry.subscribed("remote_tail"),
+            plan=self._plan,
         )
 
     def _launch_worker(

@@ -56,6 +56,7 @@ def worker_main(
     active_ids,
     heartbeat_interval: float,
     want_flight: bool = False,
+    plan=None,
 ) -> None:
     """Command loop for one worker process (the child's ``main``)."""
     captured = io.StringIO()
@@ -70,7 +71,7 @@ def worker_main(
 
     session = WorkerSession(
         worker_id, graph, vertex_ids, program, model, assignment, active_ids,
-        want_flight=want_flight, drain_output=_drain_output,
+        plan=plan, want_flight=want_flight, drain_output=_drain_output,
     )
 
     stop = threading.Event()

@@ -16,9 +16,10 @@ heartbeat frames ``("hb", -1, n)`` onto the reply stream every
 ``heartbeat_interval`` seconds; the coordinator's channel routes them to
 its liveness clock instead of the reply inbox.
 
-Connection lifecycle: a dropped socket (coordinator gone) silently ends
-the session; a ``stop`` command is acknowledged with ``bye`` and ends
-the session while the daemon keeps serving.  A ``("status", 0, None)``
+Connection lifecycle: a session that fails to build is refused with its
+traceback; a dropped socket (coordinator gone) silently ends the
+session; a ``stop`` command is acknowledged with ``bye`` and ends the
+session while the daemon keeps serving.  A ``("status", 0, None)``
 probe on a fresh connection answers with daemon vitals and closes.
 
 **Security caveat** — frames are pickles: anyone who can reach the port
@@ -31,6 +32,7 @@ from __future__ import annotations
 import asyncio
 import os
 import sys
+import traceback
 from pathlib import Path
 from typing import Any
 
@@ -50,8 +52,10 @@ __all__ = ["PROTOCOL_VERSION", "WorkerDaemon", "serve"]
 #: session rather than failing mid-superstep.  v2 added clock-alignment
 #: stamps to the ready payload and heartbeat frames (dict payload); v3
 #: dropped the worker-side metrics registry (``WorkerInit.want_metrics``
-#: and the ``metrics`` field of the ``delivered`` reply).
-PROTOCOL_VERSION = 3
+#: and the ``metrics`` field of the ``delivered`` reply); v4 added
+#: ``WorkerInit.plan`` (the session hosts a dense shard, whose message
+#: frames are ``(row index, value)`` array pairs).
+PROTOCOL_VERSION = 4
 
 
 async def read_stream_frame(
@@ -229,14 +233,21 @@ class WorkerDaemon:
         loop = asyncio.get_running_loop()
         # Session construction can be heavy (graph arrives in the hello);
         # keep the loop free for other sessions' heartbeats.
-        session = await loop.run_in_executor(
-            None,
-            lambda: WorkerSession(
-                init.worker_id, init.graph, init.vertex_ids, init.program,
-                init.model, init.assignment, init.active_ids,
-                want_flight=init.want_flight,
-            ),
-        )
+        try:
+            session = await loop.run_in_executor(
+                None,
+                lambda: WorkerSession(
+                    init.worker_id, init.graph, init.vertex_ids, init.program,
+                    init.model, init.assignment, init.active_ids,
+                    plan=init.plan, want_flight=init.want_flight,
+                ),
+            )
+        except Exception:
+            # The refusal carries the traceback to the coordinator, which
+            # would otherwise see only a dropped handshake.
+            writer.write(encode_stream_frame(("error", 0, traceback.format_exc())))
+            await writer.drain()
+            return
         self.sessions_active += 1
         self.sessions_served += 1
         if self._m_sessions_active is not None:

@@ -15,7 +15,8 @@ epoch so the coordinator can discard ones that predate a recovery):
 ``inject``    queue control-plane activation messages
 ``compute``   begin the superstep, run compute(), return the
               per-destination message frames (combiners already applied
-              sender-side), step stats, and aggregator partials
+              sender-side; a shard's frame is one ``(row index, value)``
+              array pair), step stats, and aggregator partials
 ``deliver``   apply inbound frames in the order given (the coordinator
               sends them in source-worker-id order — the sequential
               engine's delivery order), return the barrier report:
@@ -37,6 +38,7 @@ import traceback
 from time import perf_counter
 from typing import Any, Callable
 
+from ..bsp.dense_shard import DenseShard
 from ..bsp.worker import PartitionWorker
 from .codec import pack_frame, unpack_frame
 from .transport import monotonic_now
@@ -60,7 +62,7 @@ def _report(worker: PartitionWorker) -> dict[str, Any]:
 
 
 class WorkerSession:
-    """One hosted PartitionWorker plus its barrier-marshalled telemetry."""
+    """One hosted worker plus its barrier-marshalled telemetry."""
 
     def __init__(
         self,
@@ -72,6 +74,7 @@ class WorkerSession:
         assignment: Any,
         active_ids: Any,
         *,
+        plan: Any = None,
         want_flight: bool = False,
         drain_output: Callable[[], str] | None = None,
     ) -> None:
@@ -89,20 +92,27 @@ class WorkerSession:
             # every host stamp live in the timebase ClockSync aligns —
             # the coordinator can then restamp merged events exactly.
             self.flight = FlightRecorder(capacity=1024, clock=monotonic_now)
-        self.worker = PartitionWorker(
-            worker_id=worker_id,
-            graph=graph,
-            vertex_ids=vertex_ids,
-            program=program,
-            model=model,
-            assignment=assignment,
-            initially_active=active_ids is None,
-        )
-        if active_ids is not None:
-            for v in active_ids:
-                v = int(v)
-                if int(assignment[v]) == worker_id:
-                    self.worker.halted[v] = False
+        self._dense = plan is not None
+        if self._dense:
+            self.worker = DenseShard(
+                worker_id, graph, vertex_ids, program, model, assignment,
+                active_ids, plan,
+            )
+        else:
+            self.worker = PartitionWorker(
+                worker_id=worker_id,
+                graph=graph,
+                vertex_ids=vertex_ids,
+                program=program,
+                model=model,
+                assignment=assignment,
+                initially_active=active_ids is None,
+            )
+            if active_ids is not None:
+                for v in active_ids:
+                    v = int(v)
+                    if int(assignment[v]) == worker_id:
+                        self.worker.halted[v] = False
         self._violations_seen = 0
 
     def handle(self, cmd: str, epoch: int, payload: Any) -> tuple:
@@ -136,10 +146,10 @@ class WorkerSession:
             worker.stats.peers_out = len(worker.out_remote)
             worker.stats.bytes_out = worker.out_remote_wire_bytes
             # One frame per destination: the whole post-combine bucket in
-            # its emission (insertion) order.
+            # its emission (insertion) order — a shard's is its array pair.
             frames = {
-                int(dw): pack_frame(list(pv.items()))
-                for dw, pv in worker.out_remote.items()
+                int(dw): pack_frame(bucket if self._dense else list(bucket.items()))
+                for dw, bucket in worker.out_remote.items()
             }
             return ("computed", epoch, {
                 "frames": frames,

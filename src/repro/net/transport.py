@@ -59,7 +59,8 @@ class TransportClosed(TransportError):
 
 @dataclass
 class WorkerInit:
-    """Everything a remote worker needs to build its PartitionWorker."""
+    """Everything a remote worker needs to build its PartitionWorker, or
+    its dense shard when ``plan`` is set."""
 
     worker_id: int
     graph: Any
@@ -70,6 +71,7 @@ class WorkerInit:
     active_ids: Any
     heartbeat_interval: float
     want_flight: bool
+    plan: Any = None
 
 
 class WorkerChannel(ABC):
@@ -251,6 +253,7 @@ class PipeTransport(Transport):
                 init.worker_id, child_conn, hb_send, init.graph,
                 init.vertex_ids, init.program, init.model, init.assignment,
                 init.active_ids, init.heartbeat_interval, init.want_flight,
+                init.plan,
             ),
             daemon=True,
         )

@@ -5,16 +5,30 @@ fleet capacity accounting, and the worker CLI.
 import json
 import socket
 
+import numpy as np
 import pytest
 
+from repro.bsp import VertexProgram
+from repro.cloud.costmodel import DEFAULT_PERF_MODEL
+from repro.graph import generators
 from repro.net.codec import StreamDecoder, encode_stream_frame
 from repro.net.daemon import PROTOCOL_VERSION
 from repro.net.tcp import (
     LocalDaemonFleet,
+    TcpTransport,
     WorkerFleet,
     probe_endpoint,
 )
-from repro.net.transport import TransportError
+from repro.net.transport import TransportError, WorkerInit
+
+
+class _BrokenInit(VertexProgram):
+    def init_state(self, vertex_id, graph):
+        raise RuntimeError("init_state exploded")
+
+    def compute(self, ctx, state, messages):
+        ctx.vote_to_halt()
+        return state
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +74,31 @@ class TestHandshakeRefusals:
         )
         assert kind == "error"
         assert "version mismatch" in msg
+
+    def test_previous_protocol_refused(self, one_daemon):
+        # v4 ships WorkerInit.plan: a v3 coordinator cannot drive a shard
+        assert PROTOCOL_VERSION == 4
+        kind, _epoch, msg = _roundtrip(one_daemon, ("hello", 0, {"version": 3}))
+        assert kind == "error"
+        assert "coordinator speaks 3, daemon speaks 4" in msg
+
+    def test_session_build_failure_carries_the_traceback(self, one_daemon):
+        # Reported as a refusal with the worker's traceback, not as a
+        # connection the daemon dropped.
+        transport = TcpTransport(endpoints=[one_daemon])
+        graph = generators.path(4)
+        init = WorkerInit(
+            worker_id=0, graph=graph, vertex_ids=np.arange(4),
+            program=_BrokenInit(), model=DEFAULT_PERF_MODEL,
+            assignment=np.zeros(4, dtype=np.int64), active_ids=None,
+            heartbeat_interval=0.1, want_flight=False,
+        )
+        with pytest.raises(TransportError) as err:
+            transport.launch(init)
+        msg = str(err.value)
+        assert "refused worker 0: Traceback" in msg
+        assert "init_state exploded" in msg and "dropped" not in msg
+        assert probe_endpoint(one_daemon)["sessions_active"] == 0
 
     def test_malformed_hello_refused(self, one_daemon):
         kind, _epoch, msg = _roundtrip(one_daemon, ("hello", 0, "garbage"))
