@@ -6,9 +6,11 @@ run, performs a ``hello`` handshake carrying the
 :class:`~repro.net.transport.WorkerInit` payload, and then drives the
 standard ``(cmd, epoch, payload)`` command protocol.  Each session runs
 a :class:`~repro.net.session.WorkerSession` — the exact command state
-machine the forked pipe backend runs — with ``compute()`` executed in a
-thread-pool executor so sessions on one daemon overlap and the event
-loop stays responsive for heartbeats.
+machine the forked pipe backend runs.  A
+:class:`~repro.bsp.worker.PartitionWorker` session's commands run in a
+thread-pool executor, so per-vertex ``compute()`` never starves the
+event loop's heartbeats.  A dense-shard session's run on the loop
+itself: each is a few array operations, shorter than the thread hop.
 
 Wire format: codec frames with an outer ``[u64 len]`` prefix
 (:func:`repro.net.codec.encode_stream_frame`).  The daemon multiplexes
@@ -285,9 +287,15 @@ class WorkerDaemon:
                     asyncio.IncompleteReadError, FrameError, ConnectionError
                 ):
                     return  # coordinator went away; drop the session
-                reply = await loop.run_in_executor(
-                    None, session.handle, cmd, epoch, payload
-                )
+                if session.hosts_shard:
+                    # A shard's command is shorter than the hop to a pool
+                    # thread and back; run on the loop, no thread contends
+                    # for the GIL and superstep latency stays steady.
+                    reply = session.handle(cmd, epoch, payload)
+                else:
+                    reply = await loop.run_in_executor(
+                        None, session.handle, cmd, epoch, payload
+                    )
                 try:
                     writer.write(encode_stream_frame(reply))
                     await writer.drain()

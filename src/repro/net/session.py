@@ -92,8 +92,9 @@ class WorkerSession:
             # every host stamp live in the timebase ClockSync aligns —
             # the coordinator can then restamp merged events exactly.
             self.flight = FlightRecorder(capacity=1024, clock=monotonic_now)
-        self._dense = plan is not None
-        if self._dense:
+        #: hosts a DenseShard: every command is a few array operations
+        self.hosts_shard = plan is not None
+        if self.hosts_shard:
             self.worker = DenseShard(
                 worker_id, graph, vertex_ids, program, model, assignment,
                 active_ids, plan,
@@ -148,7 +149,8 @@ class WorkerSession:
             # One frame per destination: the whole post-combine bucket in
             # its emission (insertion) order — a shard's is its array pair.
             frames = {
-                int(dw): pack_frame(bucket if self._dense else list(bucket.items()))
+                int(dw): pack_frame(
+                    bucket if self.hosts_shard else list(bucket.items()))
                 for dw, bucket in worker.out_remote.items()
             }
             return ("computed", epoch, {

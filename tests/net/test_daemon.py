@@ -198,6 +198,61 @@ class TestDaemonTelemetry:
         assert list(errors) == ["127.0.0.1:1"]
 
 
+class TestCommandDispatch:
+    def test_shard_commands_run_on_the_loop_thread(self, monkeypatch):
+        # A dense shard's commands never leave the event loop's thread; a
+        # PartitionWorker's go to the pool, keeping heartbeats flowing.
+        import asyncio
+        import threading
+
+        from repro.algorithms import PageRankProgram
+        from repro.bsp.dense_ref import shard_plan
+        from repro.net.daemon import WorkerDaemon
+        from repro.net.session import WorkerSession
+
+        threads: dict[int, set] = {}
+        handle = WorkerSession.handle
+
+        def spy(session, cmd, epoch, payload):
+            threads.setdefault(session.worker_id, set()).add(threading.get_ident())
+            return handle(session, cmd, epoch, payload)
+
+        monkeypatch.setattr(WorkerSession, "handle", spy)
+        loop = asyncio.new_event_loop()
+        daemon = WorkerDaemon()
+        loop.run_until_complete(daemon.start())
+        server = threading.Thread(target=loop.run_forever, daemon=True)
+        server.start()
+        channels = []
+        try:
+            transport = TcpTransport(endpoints=[("127.0.0.1", daemon.port)])
+            graph = generators.path(6)
+            program = PageRankProgram(3)
+            for w, plan in enumerate((shard_plan(program), None)):
+                channels.append(transport.launch(WorkerInit(
+                    worker_id=w, graph=graph, vertex_ids=np.arange(w, 6, 2),
+                    program=program, model=DEFAULT_PERF_MODEL,
+                    assignment=np.arange(6) % 2, active_ids=None,
+                    heartbeat_interval=0.1, want_flight=False, plan=plan,
+                )))
+            for cmd, expect in (("compute", "computed"), ("stop", "bye")):
+                for ch in channels:
+                    ch.send((cmd, 0, (0, {})))
+                    reply = None
+                    while reply is None:
+                        reply = ch.recv(1.0)
+                    assert reply[0] == expect
+        finally:
+            for ch in channels:
+                ch.close()
+            loop.call_soon_threadsafe(loop.stop)
+            server.join(timeout=5.0)
+            loop.run_until_complete(daemon.close())
+            loop.close()
+        assert threads[0] == {server.ident}
+        assert server.ident not in threads[1]
+
+
 class TestWorkerCli:
     def test_status_prints_vitals_json(self, one_daemon, capsys):
         from repro.cli import main
