@@ -25,7 +25,7 @@ from ..cloud.billing import BillingMeter
 from ..cloud.costmeter import attribute_cost
 from ..cloud.memorymodel import MemoryModel
 from ..cloud.network import NetworkModel, TrafficSummary
-from .api import MasterContext
+from .api import MasterContext, VertexProgram
 from .job import JobResult, JobSpec, RecoveryEvent
 from .superstep import JobTrace, SuperstepStats
 from .telemetry import Telemetry
@@ -99,8 +99,8 @@ class BSPEngine:
         self._checkpoint: dict | None = None
 
     def _build_workers(self) -> None:
-        """Build :attr:`workers` in the job's initial state (overridden by
-        an engine with its own state layout)."""
+        """Build :attr:`workers` in the job's initial state (overridden
+        where the workers are :class:`~repro.bsp.dense_shard.DenseShard`\\ s)."""
         job = self.job
         active_ids = job.initial_active_ids()
         assignment = self.partition.assignment
@@ -302,9 +302,7 @@ class BSPEngine:
         for w in self.workers:
             w.stats.peers_out = len(w.out_remote)
             for dst_worker, bucket in sorted(w.out_remote.items()):
-                msgs, wire = self.workers[dst_worker].deliver_bucket(
-                    bucket.items()
-                )
+                msgs, wire = self.workers[dst_worker].deliver_bucket(bucket)
                 recv_msgs[dst_worker] += msgs
                 recv_bytes[dst_worker] += wire
                 peers_in[dst_worker] += 1
@@ -428,8 +426,12 @@ class BSPEngine:
     def _extract_values(self) -> dict[int, Any]:
         """Collect the user-facing result values from every worker."""
         program = self.job.program
+        identity = type(program).extract is VertexProgram.extract
         values: dict[int, Any] = {}
         for w in self.workers:
+            if identity:
+                values.update(w.states)
+                continue
             for v, st in w.states.items():
                 values[v] = program.extract(v, st)
         return values

@@ -315,9 +315,9 @@ class PartitionWorker:
                 bucket = out[dw] = {}
             bucket[dst] = box
 
-    def deliver_bucket(self, items) -> tuple[int, float]:
-        """Accept one source worker's whole bucket: ``(dst, payloads)``
-        pairs for vertices hosted here, in the sender's emission order.
+    def deliver_bucket(self, bucket: dict) -> tuple[int, float]:
+        """Accept one source worker's whole bucket: ``dst -> payloads``
+        for vertices hosted here, in the sender's emission order.
 
         Returns ``(messages, wire bytes)`` received, for the engine's
         traffic matrix.  With a combiner, arriving payloads fold into the
@@ -332,7 +332,7 @@ class PartitionWorker:
         wire = 0.0
         buffered = 0
         last_nb = last_wire = None
-        for dst, payloads in items:
+        for dst, payloads in bucket.items():
             box = in_next.get(dst)
             if box is None:
                 box = in_next[dst] = []
@@ -355,7 +355,7 @@ class PartitionWorker:
         """Accept a batch of remote messages for local vertex ``dst``;
         returns the wire bytes received (single-box :meth:`deliver_bucket`).
         """
-        return self.deliver_bucket(((dst, payloads),))[1]
+        return self.deliver_bucket({dst: payloads})[1]
 
     def inject(self, dst: int, payload: Any) -> None:
         """Control-plane activation message (job-manager originated).

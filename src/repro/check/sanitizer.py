@@ -344,8 +344,8 @@ def certify_determinism(
 
     What the report certifies is agreement *within tolerance* between the
     1-worker sim and ``engine`` at ``num_workers``.  Bitwise equality is a
-    narrower contract (docs/runtime.md): sim ≡ threaded ≡ process ≡ tcp at
-    the same worker count and partition, and dense-ref ≡ the 1-worker sim.
+    narrower contract (docs/runtime.md): every engine ≡ the sim at the
+    same worker count and partition.
 
     ``program_factory`` must build a *fresh* program per call — programs may
     carry instance state (converged_at, caches) that must not leak between

@@ -65,7 +65,7 @@ from typing import Any
 
 import numpy as np
 
-from ..bsp.dense_ref import shard_plan
+from ..bsp.dense_ref import dense_shards, shard_plan
 from ..bsp.engine import BSPEngine
 from ..bsp.job import JobResult, JobSpec
 from ..bsp.superstep import SuperstepStats
@@ -143,8 +143,8 @@ class _WorkerView:
     )
 
     def __init__(self, worker) -> None:
-        # Seeded from the parent's never-computed PartitionWorker, which
-        # carries the correct initial counts and footprints.
+        # Seeded from the parent's never-computed worker of the sessions'
+        # kind, which carries the correct initial counts and footprints.
         self.worker_id = worker.worker_id
         self.stats = worker.stats
         self.active_count = worker.active_count
@@ -268,8 +268,17 @@ class ProcessBSPEngine(BSPEngine):
 
     # ------------------------------------------------------------------
     # Fleet state comes from the marshalled views, not the parent's
-    # (never-computed) PartitionWorkers.
+    # (never-computed) workers.
     # ------------------------------------------------------------------
+    def _build_workers(self) -> None:
+        """The views' seeds: the same shards the sessions build, or
+        :class:`~repro.bsp.worker.PartitionWorker`\\ s when the program
+        runs per vertex."""
+        if self._plan is None:
+            super()._build_workers()
+        else:
+            self.workers = dense_shards(self, self._plan)
+
     @property
     def _views(self):
         return self._mirrors

@@ -56,8 +56,10 @@ __all__ = ["PROTOCOL_VERSION", "WorkerDaemon", "serve"]
 #: dropped the worker-side metrics registry (``WorkerInit.want_metrics``
 #: and the ``metrics`` field of the ``delivered`` reply); v4 added
 #: ``WorkerInit.plan`` (the session hosts a dense shard, whose message
-#: frames are ``(row index, value)`` array pairs).
-PROTOCOL_VERSION = 4
+#: frames are ``(row index, value)`` array pairs); v5 ships a
+#: :class:`PartitionWorker`'s frame as its ``dst -> payloads`` bucket dict
+#: and a peel plan's with the source vertices as a third array.
+PROTOCOL_VERSION = 5
 
 
 async def read_stream_frame(

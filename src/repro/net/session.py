@@ -15,8 +15,9 @@ epoch so the coordinator can discard ones that predate a recovery):
 ``inject``    queue control-plane activation messages
 ``compute``   begin the superstep, run compute(), return the
               per-destination message frames (combiners already applied
-              sender-side; a shard's frame is one ``(row index, value)``
-              array pair), step stats, and aggregator partials
+              sender-side; a frame is the worker's ``out_remote`` bucket:
+              a ``dst -> payloads`` dict, or a shard's ``(row index,
+              value)`` arrays), step stats, and aggregator partials
 ``deliver``   apply inbound frames in the order given (the coordinator
               sends them in source-worker-id order — the sequential
               engine's delivery order), return the barrier report:
@@ -147,10 +148,9 @@ class WorkerSession:
             worker.stats.peers_out = len(worker.out_remote)
             worker.stats.bytes_out = worker.out_remote_wire_bytes
             # One frame per destination: the whole post-combine bucket in
-            # its emission (insertion) order — a shard's is its array pair.
+            # its emission (insertion) order, the shape deliver_bucket takes.
             frames = {
-                int(dw): pack_frame(
-                    bucket if self.hosts_shard else list(bucket.items()))
+                int(dw): pack_frame(bucket)
                 for dw, bucket in worker.out_remote.items()
             }
             return ("computed", epoch, {

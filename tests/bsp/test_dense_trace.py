@@ -1,10 +1,10 @@
-"""Contract (d) of docs/runtime.md: dense-ref == sim at the same worker
-count and partition on every trace row, the clock and the bill; values
-stay bitwise the 1-worker sim's (contract (c)).
+"""Contract (a) of docs/runtime.md for dense-ref: values, every trace
+row, the clock and the bill equal the sim's at the same worker count and
+partition, bit for bit.
 
-dense-ref runs inside ``BSPEngine._run_one_superstep`` and fills the
-per-worker step stats from array ops; this is the gate that keeps those
-array ops equal to what the partition workers count message by message.
+dense-ref runs W dense shards inside ``BSPEngine._run_one_superstep``; this
+is the gate that keeps their array ops equal to what the partition workers
+count message by message.
 """
 
 from dataclasses import asdict
@@ -65,8 +65,7 @@ def test_trace_clock_and_bill_equal_sim(program, graph, workers):
     sim = run_job(job(workers), "sim")
     dense = run_job(job(workers), "dense-ref")
     assert_same_run(sim, dense)
-    one = sim if workers == 1 else run_job(job(1), "sim")
-    assert dense.values == one.values
+    assert dense.values == sim.values
 
 
 @pytest.mark.parametrize("program", ["pagerank", "sssp", "kcore"])
@@ -82,9 +81,7 @@ def test_checkpoint_and_scheduled_failure(program):
     sim, dense = run_job(job(), "sim"), run_job(job(), "dense-ref")
     assert dense.recoveries
     assert_same_run(sim, dense)
-    assert dense.values == run_job(
-        JobSpec(PROGRAMS[program](), g, num_workers=1), "sim"
-    ).values
+    assert dense.values == sim.values
 
 
 def test_injected_messages_and_active_subset():
@@ -96,12 +93,14 @@ def test_injected_messages_and_active_subset():
         def job():
             return JobSpec(SSSPProgram(source=0), g, num_workers=3, **kwargs)
 
-        assert_same_run(run_job(job(), "sim"), run_job(job(), "dense-ref"))
+        sim, dense = run_job(job(), "sim"), run_job(job(), "dense-ref")
+        assert_same_run(sim, dense)
+        assert dense.values == sim.values
 
 
-# -- all-arcs supersteps: dense-ref keeps their in-degree and worker-pair
-# tallies; whatever breaks "one message along every arc, none injected"
-# must fall back to counting and still equal sim.
+# -- all-arcs supersteps: a shard keeps which rows they reach; whatever
+# breaks "one message along every arc, none injected" must fall back to
+# counting and still equal sim.
 def test_pagerank_with_injected_messages():
     class InjectAt(SuperstepObserver):
         """Control-plane messages landing beside an all-arcs scatter's."""
@@ -120,26 +119,27 @@ def test_pagerank_with_injected_messages():
 
         sim, dense = run_job(job(), "sim"), run_job(job(), "dense-ref")
         assert_same_run(sim, dense)
+        assert dense.values == sim.values
         assert sum(step.injected for step in dense.trace) == 12
 
 
 @pytest.mark.parametrize("program", ["pagerank", "sssp", "kcore"])
 def test_graph_without_arcs(program):
-    def job(num_workers=3):
+    def job():
         return JobSpec(
             PROGRAMS[program](), GraphBuilder(7, undirected=True).build(),
-            num_workers=num_workers,
+            num_workers=3,
         )
 
-    dense = run_job(job(), "dense-ref")
-    assert_same_run(run_job(job(), "sim"), dense)
-    assert dense.values == run_job(job(1), "sim").values
+    sim, dense = run_job(job(), "sim"), run_job(job(), "dense-ref")
+    assert_same_run(sim, dense)
+    assert dense.values == sim.values
     assert sum(step.total_messages for step in dense.trace) == 0
 
 
 def test_pagerank_restored_twice_resumes_the_kept_tallies():
-    # the superstep after each restore gathers from deep-copied pending
-    # arrays (not the graph's own), the ones after it from the graph's again
+    # the superstep after each restore gathers from deep-copied inboxes
+    # (not views of a shard's own arcs), the ones after it from views again
     g = GRAPHS["rmat"]()
 
     def job():
@@ -151,9 +151,7 @@ def test_pagerank_restored_twice_resumes_the_kept_tallies():
     sim, dense = run_job(job(), "sim"), run_job(job(), "dense-ref")
     assert len(dense.recoveries) == 2
     assert_same_run(sim, dense)
-    assert dense.values == run_job(
-        JobSpec(PROGRAMS["pagerank"](), g, num_workers=1), "sim"
-    ).values
+    assert dense.values == sim.values
 
 
 def test_master_compute_failure_writes_the_postmortem(tmp_path):

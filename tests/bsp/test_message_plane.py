@@ -266,7 +266,7 @@ class TestDeliverBucket:
 
         bulk, single, parent = receiver(), receiver(), receiver()
         for items in buckets:
-            msgs, wire = bulk.deliver_bucket(items)
+            msgs, wire = bulk.deliver_bucket(dict(items))
             single_wire = sum(single.deliver_remote(d, ps) for d, ps in items)
             parent_wire = sum(parent_deliver(parent, d, ps) for d, ps in items)
             assert msgs == sum(len(ps) for _, ps in items)

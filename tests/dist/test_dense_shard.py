@@ -5,7 +5,8 @@ the sim at the same worker count — values, every trace row, the clock,
 the bill, the cost report and the aggregates — whichever operator a
 session runs.  The shard folds like the partition worker it replaces:
 local boxes at compute time, remote boxes in source-worker order,
-injected messages after the data plane's.
+injected messages after the data plane's; a peel plan prunes the arcs a
+worker's overlay would.
 """
 
 import numpy as np
@@ -16,14 +17,12 @@ from repro.algorithms.bc import start_messages
 from repro.bsp import JobSpec, SuperstepObserver, run_job
 from repro.bsp.dense_ref import shard_plan
 from repro.bsp.dense_shard import DenseShard
+from repro.bsp.worker import PartitionWorker
 from repro.check import SanitizingProgram
 from repro.dist import ProcessBSPEngine
 from repro.net import TcpBSPEngine, WorkerSession
 from repro.net.codec import unpack_frame
 from tests.bsp.test_dense_trace import GRAPHS, PROGRAMS, assert_same_run
-
-LIFTED = [name for name in PROGRAMS if name != "kcore"]
-
 
 def _engine(kind, job):
     if kind == "tcp":
@@ -43,7 +42,7 @@ def _equal_to_sim(kind, make_job, shard=True):
 
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("graph", list(GRAPHS))
-@pytest.mark.parametrize("program", LIFTED)
+@pytest.mark.parametrize("program", list(PROGRAMS))
 def test_process_shards_equal_sim(program, graph, workers):
     g = GRAPHS[graph]()
     _equal_to_sim(
@@ -52,7 +51,7 @@ def test_process_shards_equal_sim(program, graph, workers):
 
 
 @pytest.mark.parametrize("graph", list(GRAPHS))
-@pytest.mark.parametrize("program", LIFTED)
+@pytest.mark.parametrize("program", list(PROGRAMS))
 def test_tcp_shards_equal_sim(program, graph):
     g = GRAPHS[graph]()
     _equal_to_sim("tcp", lambda: JobSpec(PROGRAMS[program](), g, num_workers=3))
@@ -61,8 +60,10 @@ def test_tcp_shards_equal_sim(program, graph):
 @pytest.mark.parametrize("kind", ["process", "tcp"])
 def test_refused_jobs_keep_the_partition_worker(kind):
     g = GRAPHS["ws"]()
-    _equal_to_sim(  # a peel plan
-        kind, lambda: JobSpec(KCoreProgram(k=6), g, num_workers=3), shard=False
+    _equal_to_sim(  # a peel plan started from injected messages
+        kind, lambda: JobSpec(KCoreProgram(k=6), g, num_workers=3,
+                              initial_messages=[(0, (0, 1))]),
+        shard=False,
     )
     _equal_to_sim(  # a wrapped program: compute() must really run
         kind, lambda: JobSpec(SanitizingProgram(PageRankProgram(4)), g,
@@ -77,7 +78,7 @@ def test_refused_jobs_keep_the_partition_worker(kind):
     )
 
 
-@pytest.mark.parametrize("program", ["pagerank", "sssp"])
+@pytest.mark.parametrize("program", ["pagerank", "sssp", "kcore"])
 def test_checkpoint_and_scheduled_failure(program):
     g = GRAPHS["ws"]()
     res = _equal_to_sim("process", lambda: JobSpec(
@@ -87,7 +88,7 @@ def test_checkpoint_and_scheduled_failure(program):
     assert res.recoveries
 
 
-@pytest.mark.parametrize("program", ["pagerank", "sssp"])
+@pytest.mark.parametrize("program", ["pagerank", "sssp", "kcore"])
 def test_tcp_daemon_kill_recovers_bit_identical(program):
     g = GRAPHS["ws"]()
 
@@ -127,6 +128,24 @@ def test_injected_messages_follow_the_data_plane(kind):
             observers=[InjectAt()],
         ))
         assert sum(step.injected for step in res.trace) == 12
+
+
+def test_coordinator_seeds_are_the_sessions_kind():
+    # the coordinator's never-computed workers only seed its views: shards
+    # when the sessions host shards, per-vertex workers otherwise
+    g = GRAPHS["ws"]()
+    for make_job, kind in (
+        (lambda: JobSpec(PageRankProgram(4), g, num_workers=3), DenseShard),
+        (lambda: JobSpec(BCProgram(), g, num_workers=3, initially_active=False,
+                         initial_messages=start_messages([0, 5])),
+         PartitionWorker),
+    ):
+        sim = run_job(make_job(), "sim")
+        engine = ProcessBSPEngine(make_job())
+        assert all(type(w) is kind for w in engine.workers)
+        res = engine.run()
+        assert_same_run(sim, res)
+        assert res.values == sim.values
 
 
 def _sessions(program, graph, workers=2):
@@ -176,3 +195,15 @@ def test_session_frames_are_array_pairs_and_snapshots_round_trip(use_combiner):
     assert [s.worker.states for s in sessions] == before
     superstep(1)  # the replay from the restored inboxes is exact
     assert [s.worker.states for s in sessions] == after
+
+
+def test_peel_frames_carry_the_source_vertices():
+    g = GRAPHS["ws"]()
+    (a, b) = _sessions(KCoreProgram(k=6), g)
+    computed = a.handle("compute", 0, (0, {}))[2]
+    (frame,) = computed["frames"].values()
+    rows, vals, sources = unpack_frame(frame)
+    assert rows.shape == vals.shape == sources.shape and rows.size
+    # every source is a vertex of the sending worker, in its emit order
+    assert set(sources.tolist()) <= set(a.worker.vertex_ids.tolist())
+    assert (np.diff(sources) >= 0).all()

@@ -56,12 +56,13 @@ class TestRoundTrip:
         assert unpack_frame(pack_frame(())) == ()
 
     def test_message_bucket_keeps_int_keys_and_list_boxes(self):
-        # deliver_bucket consumes an unpacked frame as is: no re-int(), no
-        # copy of the boxes.
+        # A frame is the worker's out_remote bucket itself, and
+        # deliver_bucket consumes the unpacked dict as is: no re-int(), no
+        # copy of the boxes, the sender's emission order kept.
         bucket = {7: [0.25], 3: [(0, 1, 2), (1, 4)], 11: [1.0, 2.0]}
-        back = unpack_frame(pack_frame(list(bucket.items())))
-        assert back == list(bucket.items())
-        for dst, box in back:
+        back = unpack_frame(pack_frame(bucket))
+        assert back == bucket and list(back) == [7, 3, 11]
+        for dst, box in back.items():
             assert type(dst) is int and type(box) is list
 
 

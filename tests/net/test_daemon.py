@@ -76,11 +76,12 @@ class TestHandshakeRefusals:
         assert "version mismatch" in msg
 
     def test_previous_protocol_refused(self, one_daemon):
-        # v4 ships WorkerInit.plan: a v3 coordinator cannot drive a shard
-        assert PROTOCOL_VERSION == 4
-        kind, _epoch, msg = _roundtrip(one_daemon, ("hello", 0, {"version": 3}))
+        # v5 frames a PartitionWorker's bucket as a dict: a v4 coordinator
+        # would hand deliver_bucket a list of pairs
+        assert PROTOCOL_VERSION == 5
+        kind, _epoch, msg = _roundtrip(one_daemon, ("hello", 0, {"version": 4}))
         assert kind == "error"
-        assert "coordinator speaks 3, daemon speaks 4" in msg
+        assert "coordinator speaks 4, daemon speaks 5" in msg
 
     def test_session_build_failure_carries_the_traceback(self, one_daemon):
         # Reported as a refusal with the worker's traceback, not as a
