@@ -1,19 +1,15 @@
-"""Extension bench — host wall-clock of the three execution backends.
+"""Extension bench — host wall-clock of the sim and process backends.
 
 The simulated-cloud clock is identical across backends by construction
 (bit-equal results, same accounting); what differs is *host* wall-clock:
 
 * **sequential** (``BSPEngine``) — the baseline interpreter loop;
-* **threaded** (``ThreadedBSPEngine``) — pooled compute phase, bounded by
-  the GIL for pure-Python ``compute()``;
 * **process** (``repro.dist.ProcessBSPEngine``) — real worker processes,
-  paying serialization per superstep to escape the GIL, the Pregel.NET
-  worker-per-VM shape (§III).
+  paying serialization per superstep, the Pregel.NET worker-per-VM shape
+  (§III).
 
-On a single-core runner expect sequential ≤ threaded ≤ process (the
-overheads, not the speedups); on a many-core host with a compute-heavy
-program the ordering inverts.  The measured times land in
-``BENCH_engines.json`` so runs on different hosts can be compared.
+The measured times land in ``BENCH_engines.json`` so runs on different
+hosts can be compared.
 """
 
 import json
@@ -29,7 +25,7 @@ ITERATIONS = 20
 NUM_WORKERS = 4
 
 #: report label -> run_job engine name
-RUNNERS = {"sequential": "sim", "threaded": "threaded", "process": "process"}
+RUNNERS = {"sequential": "sim", "process": "process"}
 
 
 def make_job(graph):

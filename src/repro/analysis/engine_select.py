@@ -5,8 +5,8 @@ the execution strategy *before* the job runs.  This module is that
 choice as a pure function: given the static analyses the runner already
 computes — the vectorize verdict (can the program execute densely?), the
 costmodel :class:`~repro.check.costmodel.ProgramProfile` (fan-out class,
-pickle safety), and the host/worker topology — rank the five backends
-{dense-ref, tcp, process, threaded, sim} and return the winner together
+pickle safety), and the host/worker topology — rank the four backends
+{dense-ref, tcp, process, sim} and return the winner together
 with every reason: why it won, why each excluded engine was excluded,
 and any hazards in the outcome (the RPC022 condition).
 
@@ -27,17 +27,13 @@ from ..check.costmodel import FanoutClass
 
 __all__ = ["EngineDecision", "select_engine", "dense_refused_features"]
 
-#: Ranking scores per (engine, multi-worker?).  dense-ref dominates when
-#: eligible — it replaces the per-vertex Python loop with NumPy kernels.
-#: With real parallelism available (num_workers > 1) the distributed
-#: engines beat the GIL-bound ones; single-worker, their setup cost is
-#: pure overhead and the sequential simulator wins the fallback.
-_SCORES_MULTI = {
-    "dense-ref": 100, "tcp": 70, "process": 60, "threaded": 40, "sim": 30,
-}
-_SCORES_SINGLE = {
-    "dense-ref": 100, "sim": 30, "threaded": 20, "process": 15, "tcp": 10,
-}
+#: Ranking scores per (engine, multi-worker?): a fixed preference order,
+#: not a measurement.  dense-ref first whenever it is eligible.  With
+#: num_workers > 1, tcp, then process, then the sim, so that each worker
+#: runs in its own process as in Pregel.NET; with one worker, the sim
+#: before process and tcp, whose worker setup buys nothing.
+_SCORES_MULTI = {"dense-ref": 100, "tcp": 70, "process": 60, "sim": 30}
+_SCORES_SINGLE = {"dense-ref": 100, "sim": 30, "process": 15, "tcp": 10}
 assert set(_SCORES_MULTI) == set(_SCORES_SINGLE) == set(ENGINES)
 
 
@@ -127,7 +123,7 @@ def select_engine(
         tcp_ok = False
         excluded.append(("tcp", "no worker endpoints configured (--hosts)"))
 
-    eligible = {"sim", "threaded"}
+    eligible = {"sim"}
     if dense_ok:
         eligible.add("dense-ref")
     if fork_ok:
@@ -155,29 +151,29 @@ def select_engine(
         )
     elif winner == "process":
         reasons.append(
-            f"picklable program + {num_workers} workers: process "
-            "parallelism beats the GIL-bound engines"
+            f"picklable program + {num_workers} workers: one local "
+            "process per worker"
         )
-    elif winner == "threaded":
+    elif num_workers > 1:
         reasons.append(
-            f"{num_workers} workers but the program cannot fork; "
-            "threads at least overlap engine bookkeeping"
+            f"{num_workers} workers but the program cannot fork: "
+            "the sequential simulator runs it"
         )
     else:
         reasons.append(
-            "sequential simulator: no eligible engine beats it for "
+            "sequential simulator: ranked first for "
             f"num_workers={num_workers}"
         )
 
     hazards: list[str] = []
     if (
-        winner in ("sim", "threaded")
+        winner == "sim"
         and profile is not None
         and getattr(profile, "fanout", None) is FanoutClass.BROADCAST
     ):
         hazards.append(
-            "broadcast fan-out routed to a single-process engine "
-            f"({winner}): message volume will not parallelize (RPC022)"
+            "broadcast fan-out routed to the single-process sim: "
+            "message volume will not parallelize (RPC022)"
         )
 
     return EngineDecision(

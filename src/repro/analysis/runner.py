@@ -41,7 +41,7 @@ class RunConfig:
     vm_spec: VMSpec = LARGE_VM
     perf_model: PerfModel = DEFAULT_PERF_MODEL
     max_supersteps: int = 100_000
-    #: execution backend: "sim" (sequential), "threaded", "process"
+    #: execution backend: "sim" (sequential), "process"
     #: (real worker processes, repro.dist), "tcp" (worker sessions on
     #: ``repro worker`` daemons, repro.net), "dense-ref" (NumPy
     #: interpreter over the program's static KernelPlan — refuses

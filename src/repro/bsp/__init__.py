@@ -13,7 +13,6 @@ from .aggregators import (
 from .combiners import Combiner, MaxCombiner, MinCombiner, SumCombiner
 from .dense_ref import DenseRefEngine, PlanRefusedError
 from .engine import BSPEngine, SuperstepObserver, run_job
-from .parallel import ThreadedBSPEngine
 from .debug import InvariantChecker, MessageRecord, TracingProgram
 from .job import JobResult, JobSpec, RecoveryEvent
 from .superstep import JobTrace, SuperstepStats, WorkerStepStats
@@ -39,7 +38,6 @@ __all__ = [
     "PlanRefusedError",
     "SuperstepObserver",
     "run_job",
-    "ThreadedBSPEngine",
     "InvariantChecker",
     "MessageRecord",
     "TracingProgram",

@@ -181,11 +181,11 @@ class VertexProgram(ABC):
     Subclasses implement :meth:`compute` and optionally :meth:`init_state`,
     a :attr:`combiner`, and :meth:`aggregators`.
 
-    **The vertex-program contract.**  One program instance is shared by
-    every partition worker, and ``ThreadedBSPEngine`` runs workers
-    concurrently, so ``compute()`` must behave as a pure function of
-    ``(ctx, state, messages)`` plus read-only configuration set before the
-    run:
+    **The vertex-program contract.**  The order of ``compute()`` calls
+    changes with the worker count and the partition, and process/tcp
+    workers each hold their own copy of the program, so ``compute()``
+    must behave as a pure function of ``(ctx, state, messages)`` plus
+    read-only configuration set before the run:
 
     * Treat ``messages`` and their payloads as read-only — a combiner or
       another receiver may alias them (``repro check`` RPC001).

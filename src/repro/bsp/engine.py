@@ -280,18 +280,9 @@ class BSPEngine:
         partials in worker-id order."""
         for w in self.workers:
             w.begin_superstep(self.superstep, self._agg_values)
-        self._run_compute()
-        return [w._agg_partials for w in self.workers]
-
-    def _run_compute(self) -> None:
-        """Run every worker's compute loop (sequential by default).
-
-        :class:`~repro.bsp.parallel.ThreadedBSPEngine` overrides this with a
-        thread pool — safe because workers only touch their own buffers
-        during compute.
-        """
         for w in self.workers:
             w.run_compute()
+        return [w._agg_partials for w in self.workers]
 
     def _flush_phase(self):
         """Move bulk remote buffers between workers, in source-worker-id
@@ -540,7 +531,6 @@ class BSPEngine:
 #: auto-selector's score tables — reads this table.
 ENGINES = {
     "sim": "repro.bsp.engine:BSPEngine",
-    "threaded": "repro.bsp.parallel:ThreadedBSPEngine",
     "process": "repro.dist.engine:ProcessBSPEngine",
     "tcp": "repro.net.engine:TcpBSPEngine",
     "dense-ref": "repro.bsp.dense_ref:DenseRefEngine",

@@ -33,7 +33,7 @@ __all__ = ["EVENTS", "Telemetry"]
 #: boundary charges, then the fleet events only the dist engine emits.
 EVENTS = (
     "job_start", "job_end", "abort", "phase_begin", "phase_end",
-    "accounted", "closed", "stall", "rollback", "annotate", "pool",
+    "accounted", "closed", "stall", "rollback", "annotate",
     "worker_up", "clock", "heartbeats", "worker_lost", "heartbeat_miss",
     "respawn", "worker_compute", "frame", "remote_tail",
 )
@@ -423,11 +423,6 @@ class _Metrics:
                 "elastic_overhead_sim_seconds_total",
                 help="Simulated seconds the job stalled for scaling",
             ).inc(seconds)
-
-    def pool(self, threads: int) -> None:
-        self.registry.gauge(
-            "bsp_compute_pool_threads", help="Compute thread-pool size"
-        ).set(threads)
 
     @cached_property
     def task_host(self):  # only the engines with real worker tasks have it

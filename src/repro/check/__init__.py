@@ -40,7 +40,7 @@ those contracts before and during a run:
 * **Dynamic sanitizer** — :class:`SanitizingProgram` +
   :class:`SanitizerObserver` fingerprint delivered payloads against
   in-place mutation, :func:`certify_determinism` diffs 1-vs-N-worker
-  (threaded) outputs, and :func:`check_aggregator_laws` probes declared
+  outputs, and :func:`check_aggregator_laws` probes declared
   aggregators for the barrier-merge algebra.  ``repro run --sanitize``
   and ``repro check --sanitize`` wire them into real runs; violations
   surface through :mod:`repro.obs` metrics.

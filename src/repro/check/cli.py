@@ -81,7 +81,7 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sanitize", action="store_true",
         help="also run the dynamic sanitizer smoke "
-             "(PageRank + BC at 1 vs N threaded workers)",
+             "(PageRank + BC at 1 vs N workers)",
     )
     parser.add_argument(
         "--sanitize-workers", type=int, default=4,

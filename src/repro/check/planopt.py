@@ -1062,7 +1062,7 @@ class EngineSelectionHazardRule(Rule):
     summary = "engine selection hazard: broadcast fan-out pinned single-process"
     hint = (
         "remove the pickle-unsafe state (RPC011) or restructure compute() "
-        "so it lifts to a KernelPlan; until then only sim/threaded can "
+        "so it lifts to a KernelPlan; until then only the sim can "
         "run it and broadcast traffic will not parallelize"
     )
 
@@ -1080,7 +1080,7 @@ class EngineSelectionHazardRule(Rule):
                 "broadcast fan-out with pickle-unsafe state "
                 f"(line {risk.line}: {risk.detail}) pins the program to "
                 "single-process engines; `--engine auto` can only route "
-                "its message volume to sim/threaded",
+                "its message volume to the sim",
             )
 
 

@@ -451,10 +451,10 @@ class NondeterminismRule(Rule):
 
 
 class SharedStateWriteRule(Rule):
-    """RPC003: one program instance is shared by every partition worker, so
-    writes to ``self``/class/module state from compute() are a cross-worker
-    race under ThreadedBSPEngine (and silently order-dependent even
-    sequentially)."""
+    """RPC003: writes to ``self``/class/module state from compute() make
+    the result depend on the compute order, which changes with the worker
+    count and partition; process/tcp workers each hold their own program
+    copy, so the writes are not even shared."""
 
     id = "RPC003"
     severity = Severity.ERROR

@@ -8,11 +8,11 @@ Three cooperating probes, all opt-in (``--sanitize`` or direct API use):
   catching in-place mutation of the engine's message buffers (RPC001's
   runtime twin — it also catches mutation through helper calls the static
   pass can't follow).
-* :func:`certify_determinism` — runs the same job at 1 worker (sequential
-  engine) and N workers (:class:`~repro.bsp.parallel.ThreadedBSPEngine`)
-  and diffs the ``extract()`` outputs, certifying worker-count
-  determinism: the property iPregel-style surveys report silently broken
-  by message-order dependence, unseeded randomness, and shared state.
+* :func:`certify_determinism` — runs the same job at 1 worker and at N
+  workers (sequential engine by default) and diffs the ``extract()``
+  outputs, certifying worker-count determinism: the property
+  iPregel-style surveys report silently broken by message-order
+  dependence, unseeded randomness, and shared state.
 * :func:`check_aggregator_laws` — probes each declared aggregator for
   commutativity, merge-associativity, and identity on sampled values;
   barrier merges fold worker partials in arbitrary groupings, so a law
@@ -37,7 +37,6 @@ import numpy as np
 from ..bsp.api import VertexProgram
 from ..bsp.engine import BSPEngine, SuperstepObserver, make_engine
 from ..bsp.job import JobSpec
-from ..bsp.parallel import ThreadedBSPEngine
 
 __all__ = [
     "SanitizerViolation",
@@ -119,8 +118,7 @@ class SanitizingProgram(VertexProgram):
     """Transparent wrapper detecting in-place mutation of delivered payloads.
 
     The wrapped program's behavior is unchanged; violations accumulate in
-    :attr:`violations` (appends are atomic under the GIL, so the wrapper is
-    safe under :class:`~repro.bsp.parallel.ThreadedBSPEngine`).
+    :attr:`violations`.
     """
 
     def __init__(self, inner: VertexProgram) -> None:
@@ -296,9 +294,9 @@ class DeterminismReport:
     mismatches: list[tuple[int, Any, Any]] = field(default_factory=list)
     total_mismatches: int = 0
     supersteps: tuple[int, int] = (0, 0)
-    #: backend the N-worker run used: "sim", "threaded", "process",
+    #: backend the N-worker run used: "sim", "process", "tcp",
     #: or "dense-ref"
-    engine: str = "threaded"
+    engine: str = "sim"
 
     def summary(self) -> str:
         if self.ok:
@@ -320,7 +318,7 @@ def certify_determinism(
     graph,
     num_workers: int = 4,
     *,
-    engine: str = "threaded",
+    engine: str = "sim",
     initially_active: Any = True,
     initial_messages: Sequence[tuple[int, Any]] = (),
     max_supersteps: int = 10_000,
@@ -331,11 +329,11 @@ def certify_determinism(
 ) -> DeterminismReport:
     """Run at 1 worker and at ``num_workers`` on ``engine``, diff outputs.
 
-    ``engine`` picks the N-worker backend: ``"sim"`` (sequential engine,
-    pure partitioning effects), ``"threaded"``
-    (:class:`~repro.bsp.parallel.ThreadedBSPEngine`, adds real
-    concurrency), ``"process"`` (:class:`~repro.dist.ProcessBSPEngine`,
-    adds serialization and real process boundaries), ``"tcp"``
+    ``engine`` picks the N-worker backend: ``"sim"`` (sequential engine;
+    the compute order changes with the worker count and partition, which
+    is what exposes order-dependent and shared-state programs),
+    ``"process"`` (:class:`~repro.dist.ProcessBSPEngine`, adds
+    serialization and real process boundaries), ``"tcp"``
     (:class:`~repro.net.TcpBSPEngine`, adds sockets to auto-spawned
     localhost worker daemons), or ``"dense-ref"``
     (:class:`~repro.bsp.dense_ref.DenseRefEngine`, interprets the
@@ -567,7 +565,7 @@ def _smoke_case(
 ) -> SmokeCase:
     program = SanitizingProgram(program_factory())
     observer = SanitizerObserver(program, metrics=metrics)
-    ThreadedBSPEngine(
+    BSPEngine(
         JobSpec(
             program=program, graph=graph, num_workers=num_workers,
             observers=[observer], **job_kwargs,

@@ -48,7 +48,7 @@ any violation.
 
 ``run --timeline-out`` records the per-(superstep, worker)
 :class:`~repro.obs.RunTimeline` (rows are byte-identical across
-``--engine sim|threaded|process`` on the same seed) and rides a
+``--engine sim|process|tcp|dense-ref`` on the same seed) and rides a
 :class:`~repro.obs.DiagnosticMonitor` along for online straggler flags;
 ``perf report`` renders a saved timeline's critical-path and straggler
 attribution tables, and ``perf diff`` compares two timelines and exits 1

@@ -4,8 +4,9 @@ Deterministic models for everything the paper's evaluation depends on:
 VM flavors and pricing (:mod:`specs`), the time/memory coefficient set
 (:mod:`costmodel`), data-plane transfer timing (:mod:`network`), physical
 memory + virtual-memory spill (:mod:`memorymodel`), pro-rata billing
-(:mod:`billing`), elastic provisioning (:mod:`provisioner`), and the blob /
-queue platform services Pregel.NET's control plane uses (:mod:`services`).
+(:mod:`billing`) and elastic provisioning (:mod:`provisioner`).  The
+queue-based barrier of Pregel.NET's control plane is priced in
+:mod:`costmodel`.
 """
 
 from .specs import GB, LARGE_VM, MBPS, SMALL_VM, VMSpec, scaled_large
@@ -21,7 +22,6 @@ from .costmeter import (
     attribute_cost,
 )
 from .provisioner import ElasticProvisioner, ScaleEvent
-from .services import BlobStore, CloudQueue, QueueService
 from .spot import expected_evictions, spot_failure_schedule, spot_price
 
 __all__ = [
@@ -46,9 +46,6 @@ __all__ = [
     "attribute_cost",
     "ElasticProvisioner",
     "ScaleEvent",
-    "BlobStore",
-    "CloudQueue",
-    "QueueService",
     "expected_evictions",
     "spot_failure_schedule",
     "spot_price",

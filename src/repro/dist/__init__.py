@@ -1,9 +1,7 @@
 """repro.dist: distributed BSP runtime (real worker processes).
 
-The third execution backend next to the sequential
-:class:`~repro.bsp.engine.BSPEngine` and the thread-pool
-:class:`~repro.bsp.parallel.ThreadedBSPEngine`:
-:class:`ProcessBSPEngine` runs each partition worker behind a pluggable
+The execution backend next to the sequential
+:class:`~repro.bsp.engine.BSPEngine`: :class:`ProcessBSPEngine` runs each partition worker behind a pluggable
 transport (:mod:`repro.net`) — forked local processes with pipe frames
 by default, ``repro worker`` TCP daemons via
 :class:`repro.net.TcpBSPEngine` — with bulk frame transport

@@ -6,8 +6,8 @@ accounting, trace format, and checkpoint/rollback semantics as the
 sequential :class:`~repro.bsp.engine.BSPEngine`, but with every
 :class:`~repro.bsp.worker.PartitionWorker` hosted behind a pluggable
 :class:`~repro.net.transport.Transport`, the way Pregel.NET runs workers
-as real processes on Azure VMs (§III).  Pure-Python ``compute()`` escapes
-the GIL ceiling that caps :class:`~repro.bsp.parallel.ThreadedBSPEngine`.
+as real processes on Azure VMs (§III).  Pure-Python ``compute()`` runs
+in parallel across processes, outside one interpreter's GIL.
 
 Architecture (the paper's job-manager/worker split, §III):
 

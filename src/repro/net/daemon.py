@@ -35,6 +35,10 @@ import asyncio
 import os
 import sys
 import traceback
+# The pool behind run_in_executor(None, ...), loaded with this module so a
+# daemon forked by LocalDaemonFleet inherits it instead of importing it
+# on its first session.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
 from typing import Any
 

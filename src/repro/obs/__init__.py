@@ -32,8 +32,8 @@ engine stack reports into:
   ``/metrics`` + ``/healthz`` + ``/events`` HTTP endpoint for in-flight
   runs (backs ``repro run --live-port``);
 * :mod:`repro.obs.cluster` — cluster telemetry plane: NTP-style
-  :class:`ClockSync` remote-clock alignment, the JSON wire encoding of
-  registry snapshots, and :class:`ClusterScraper` federation over every
+  :class:`ClockSync` remote-clock alignment, registry snapshots and
+  their JSON wire encoding, and :class:`ClusterScraper` federation over every
   fleet daemon's telemetry server (backs ``/cluster`` and
   ``repro cluster status``).
 
@@ -56,7 +56,9 @@ from .cluster import (
     ClockSync,
     ClusterMember,
     ClusterScraper,
+    apply_snapshot,
     discover_members,
+    snapshot_registry,
     snapshot_to_wire,
     wire_to_snapshot,
 )
@@ -95,7 +97,6 @@ from .postmortem import (
 from .progress import RunReporter
 from .spans import Span, SpanTracer
 from .summary import summarize_events, summarize_spans, summarize_trace
-from .sync import apply_snapshot, snapshot_registry
 from .timeline import (
     RunTimeline,
     StepMeta,

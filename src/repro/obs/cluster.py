@@ -7,9 +7,13 @@ Three concerns live here, all coordinator-side:
   stamps piggybacked on heartbeat frames.  Remote flight events and
   worker-compute spans are restamped into the coordinator's timebase so
   a merged trace is monotonic in a single clock.
-* registry *wire encoding* — JSON-safe snapshot transport used by the
-  ``/sync`` route so daemons can ship their metric registries losslessly
-  (Prometheus text is lossy to merge; snapshots are not).
+* registry *snapshots* — :func:`snapshot_registry` freezes a registry
+  into picklable tuples, :func:`apply_snapshot` replays one into another
+  registry, and a JSON-safe wire encoding carries them on the ``/sync``
+  route so daemons can ship their metric registries losslessly
+  (Prometheus text is lossy to merge; snapshots are not).  Job metrics
+  never take this road: the engines derive per-worker series
+  coordinator-side from the marshalled step stats.
 * :class:`ClusterScraper` — fan-out scrape of every fleet daemon's
   telemetry server, merging the snapshots into one registry with a
   ``host`` label per member.  Backs the coordinator's ``/cluster`` route
@@ -24,11 +28,13 @@ from __future__ import annotations
 
 import json
 import urllib.request
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .metrics import MetricsRegistry
-from .sync import SnapKey, apply_snapshot, snapshot_registry
+from .metrics import Histogram, MetricsRegistry
 
+#: key = (name, kind, labels, help, buckets-or-None)
+SnapKey = Tuple[str, str, tuple, str, Optional[tuple]]
+#: key -> counter/gauge value, or ``(bucket_counts, sum, count)``
 Snapshot = Dict[SnapKey, Any]
 
 __all__ = [
@@ -36,6 +42,8 @@ __all__ = [
     "ClusterScraper",
     "ClusterMember",
     "discover_members",
+    "snapshot_registry",
+    "apply_snapshot",
     "snapshot_to_wire",
     "wire_to_snapshot",
     "scrape_url",
@@ -165,14 +173,49 @@ class ClockSync:
 
 
 # ---------------------------------------------------------------------------
-# Registry wire encoding (/sync payloads)
+# Registry snapshots and their wire encoding (/sync payloads)
 # ---------------------------------------------------------------------------
+
+
+def snapshot_registry(reg: MetricsRegistry) -> Snapshot:
+    """Freeze a registry's current state into a picklable dict."""
+    snap: Snapshot = {}
+    for name, kind, help, insts in reg.collect():
+        for inst in insts:
+            if isinstance(inst, Histogram):
+                key = (name, kind, inst.labels, help, inst.buckets)
+                snap[key] = (tuple(inst.counts), inst.sum, inst.count)
+            else:
+                key = (name, kind, inst.labels, help, None)
+                snap[key] = inst.value
+    return snap
+
+
+def apply_snapshot(reg: MetricsRegistry, snap: Mapping[SnapKey, Any]) -> None:
+    """Fold a snapshot into ``reg``, creating instruments lazily.
+
+    Counters add, gauges are set and histograms add their raw buckets, so
+    apply each snapshot exactly once.
+    """
+    for (name, kind, labels, help, buckets), state in snap.items():
+        label_kwargs = dict(labels)
+        if kind == "counter":
+            reg.counter(name, help=help, **label_kwargs).inc(state)
+        elif kind == "gauge":
+            reg.gauge(name, help=help, **label_kwargs).set(state)
+        elif kind == "histogram":
+            counts, total, count = state
+            reg.histogram(
+                name, help=help, buckets=buckets, **label_kwargs
+            ).add_raw(counts, total, count)
+        else:  # pragma: no cover - future instrument kinds
+            raise ValueError(f"cannot marshal instrument kind {kind!r}")
 
 
 def snapshot_to_wire(snap: Snapshot) -> List[List[Any]]:
     """Encode a registry snapshot as JSON-safe nested lists.
 
-    A :data:`~repro.obs.sync.SnapKey` is a tuple-of-tuples; JSON turns
+    A :data:`SnapKey` is a tuple-of-tuples; JSON turns
     tuples into lists and dict keys must be strings, so the wire format
     is an explicit ``[key_parts, value]`` list per instrument.
     """

@@ -18,7 +18,7 @@ Design:
   stays monotonic across wraps — events lost to eviction are simply
   absent from the reply, never re-ordered.
 * **Thread-safe.**  One lock guards the ring: the engine records from the
-  superstep loop (and the threaded engine's pool), the live HTTP server
+  superstep loop, the live HTTP server
   reads from its own thread, and the process engine's heartbeat threads
   record child-side.
 * **Cross-process.**  Each worker process keeps a private recorder;

@@ -52,9 +52,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlparse
 
-from .cluster import snapshot_to_wire
+from .cluster import snapshot_registry, snapshot_to_wire
 from .export import to_prometheus_text
-from .sync import snapshot_registry
 
 __all__ = ["EngineHealth", "LiveTelemetryServer"]
 

@@ -18,10 +18,10 @@ Design points, mirrored from the Prometheus client-library data model:
 * histograms use *fixed* bucket boundaries chosen at creation, recorded
   cumulatively at export time (Prometheus ``le`` semantics);
 * every mutation (``inc``/``set``/``observe``) takes the instrument's own
-  lock, so engines that update instruments from worker threads
-  (:class:`~repro.bsp.parallel.ThreadedBSPEngine`'s pooled compute tasks)
-  need no serialize-after-join workaround — matching the Prometheus client
-  libraries, which are thread-safe by contract.
+  lock, and the registry locks its lazy creation, because the live
+  server's HTTP thread (:mod:`repro.obs.live`) reads and snapshots the
+  registry while the engine thread updates it — matching the Prometheus
+  client libraries, which are thread-safe by contract.
 
 Everything is plain Python with no engine imports, so the registry can be
 used standalone (tests do) and the engine only ever talks to it through
@@ -158,7 +158,7 @@ class Histogram(_Instrument):
     def add_raw(self, counts: Iterable[int], sum: float, count: int) -> None:
         """Merge another histogram's raw tallies (same bucket layout).
 
-        Backs cross-process marshalling (:mod:`repro.obs.sync`): a fleet
+        Backs cross-process marshalling (:func:`repro.obs.cluster.apply_snapshot`): a fleet
         daemon observes locally and ``/cluster`` folds its snapshot in here.
         """
         counts = list(counts)

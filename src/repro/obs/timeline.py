@@ -9,9 +9,9 @@ them to offline trace reconstruction.
 
 One :class:`TimelineRow` per superstep x worker, carrying only
 *deterministic simulated* quantities (no host clocks), so the recorded
-timeline is **byte-identical across execution backends** — sequential,
-threaded, and multiprocess runs of the same job on the same seed serialize
-to the same JSON (tests assert it).  Alongside the rows:
+timeline is **byte-identical across execution backends** — sim, process,
+tcp and dense-ref runs of the same job on the same seed serialize to the
+same JSON (tests assert it).  Alongside the rows:
 
 * one :class:`StepMeta` per superstep — cluster-level quantities (barrier
   time, restart/checkpoint/recovery overhead, active counts);

@@ -178,7 +178,7 @@ def test_pickle_risks_exclude_process_and_tcp():
         verdict=None, profile=FakeProfile(), num_workers=4,
         tcp_hosts=[("h", 1)],
     )
-    assert decision.engine == "threaded"
+    assert decision.engine == "sim"
     excluded = dict(decision.excluded)
     assert "RPC011" in excluded["process"]
     assert "RPC011" in excluded["tcp"]
@@ -214,7 +214,7 @@ def test_broadcast_to_single_process_engine_is_a_hazard():
     decision = select_engine(
         verdict=None, profile=FakeProfile(), num_workers=4
     )
-    assert decision.engine == "threaded"
+    assert decision.engine == "sim"
     assert decision.hazards and "RPC022" in decision.hazards[0]
 
 

@@ -1,7 +1,7 @@
 """The telemetry seam: engines emit events, only the spine calls a sink.
 
 Source-level guard (same idea as the wall-clock guard in
-``tests/net/test_transport.py``): the five engine files hold no call on a
+``tests/net/test_transport.py``): the four engine files hold no call on a
 sink and read the job's sink slots only to build the ``Telemetry``; the
 adapters implement nothing outside the closed event vocabulary.
 """
@@ -11,12 +11,11 @@ import re
 
 import repro.bsp.dense_ref as bsp_dense
 import repro.bsp.engine as bsp_engine
-import repro.bsp.parallel as bsp_parallel
 import repro.bsp.telemetry as telemetry
 import repro.dist.engine as dist_engine
 import repro.elastic.live as elastic_live
 
-ENGINE_FILES = (bsp_engine, bsp_parallel, bsp_dense, dist_engine, elastic_live)
+ENGINE_FILES = (bsp_engine, bsp_dense, dist_engine, elastic_live)
 SINKS = r"(?:tracer|metrics|timeline|flight)"
 
 #: a method of a sink called on something named like one

@@ -91,7 +91,7 @@ class Fusy(VertexProgram):
 """
 
 # Broadcast fan-out (data-dependent send targets -> RPC016 refusal) plus
-# an unpicklable lambda attribute (RPC011) -> only sim/threaded remain.
+# an unpicklable lambda attribute (RPC011) -> only the sim remains.
 HAZARD = """\
 from repro.bsp.api import VertexProgram
 

@@ -173,8 +173,25 @@ class DeliveryOrderLeak(VertexProgram):
         return state
 
 
-def test_determinism_diff_catches_order_dependent_program():
-    report = certify_determinism(DeliveryOrderLeak, gen.ring(16), num_workers=4)
+class SharedCounter(VertexProgram):
+    """Racy: counts compute() calls on the program instance, so a vertex's
+    result is its position in the compute order, which changes with the
+    worker count and partition."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def compute(self, ctx, state, messages):
+        self.calls += 1  # repro: noqa[RPC003] — deliberate violation
+        ctx.vote_to_halt()
+        return self.calls
+
+
+@pytest.mark.parametrize(
+    "program", [DeliveryOrderLeak, SharedCounter], ids=lambda p: p.__name__
+)
+def test_determinism_diff_catches_order_dependent_program(program):
+    report = certify_determinism(program, gen.ring(16), num_workers=4)
     assert not report.ok
     assert report.total_mismatches >= 1
     assert any(v == 0 for v, _, _ in report.mismatches)

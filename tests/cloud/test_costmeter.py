@@ -188,7 +188,7 @@ class TestCostMeter:
 
 
 class TestJobResultCost:
-    @pytest.mark.parametrize("engine", ["sim", "threaded", "process"])
+    @pytest.mark.parametrize("engine", ["sim", "process"])
     def test_every_engine_attaches_cost(self, small_world, engine):
         res = run_pagerank(
             small_world, RunConfig(num_workers=2, engine=engine),

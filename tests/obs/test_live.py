@@ -206,7 +206,7 @@ class MidRunScraper:
         return False
 
 
-@pytest.mark.parametrize("engine", ["sim", "threaded", "process"])
+@pytest.mark.parametrize("engine", ["sim", "process"])
 class TestMidRunScrape:
     def test_all_engines_serve_live_values(self, small_world, engine):
         metrics = MetricsRegistry()

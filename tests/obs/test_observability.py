@@ -13,7 +13,7 @@ import pytest
 
 from repro.algorithms import PageRankProgram
 from repro.analysis import RunConfig, run_pagerank, run_traversal
-from repro.bsp import JobSpec, ThreadedBSPEngine, run_job
+from repro.bsp import JobSpec, run_job
 from repro.cli import main as cli_main
 from repro.elastic.live import LiveElasticEngine, LivePolicy
 from repro.graph import io as graph_io
@@ -111,14 +111,13 @@ class TestEngineMetrics:
         assert per_worker == total_calls
         assert metrics.get("bsp_compute_calls_total").value == total_calls
 
-    def test_threaded_engine_observes_host_durations(self, small_world):
+    def test_process_engine_observes_host_durations(self, small_world):
         metrics = MetricsRegistry()
         job = JobSpec(
             program=PageRankProgram(6), graph=small_world, num_workers=3,
             metrics=metrics,
         )
-        res = ThreadedBSPEngine(job, max_threads=2).run()
-        assert metrics.get("bsp_compute_pool_threads").value == 2
+        res = run_job(job, engine="process")
         hist = metrics.get("bsp_worker_compute_host_seconds")
         assert hist.count == res.supersteps * 3
         plain = run_job(

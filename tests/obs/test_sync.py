@@ -1,4 +1,4 @@
-"""Cross-process metric marshalling and instrument thread-safety."""
+"""Registry snapshots (``/sync``) and instrument thread-safety."""
 
 import threading
 
@@ -41,8 +41,9 @@ class TestSnapshotRoundtrip:
 
 
 class TestThreadSafety:
-    """The ThreadedBSPEngine contract: instrument mutation (and lazy
-    creation through the registry) is safe from pooled worker threads."""
+    """The live server's contract: instrument mutation (and lazy creation
+    through the registry) is safe while its HTTP thread reads the
+    registry."""
 
     THREADS = 8
     ITERS = 2000

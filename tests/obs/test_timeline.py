@@ -2,7 +2,7 @@
 
 The tentpole contracts: one row per committed (superstep, worker) carrying
 only deterministic simulated quantities; byte-identical JSON across the
-sim/threaded/process backends on the same seed; and rollback that makes a
+sim and process backends on the same seed; and rollback that makes a
 failed-and-recovered run's timeline equal an undisturbed run's — including
 on the process engine's real kill/respawn path.
 """
@@ -179,11 +179,11 @@ class TestEngineEquivalence:
             DEFAULT_PERF_MODEL, jitter=0.3, jitter_seed=7
         )
         dumps = {}
-        for name in ("sim", "threaded", "process"):
+        for name in ("sim", "process"):
             tl = RunTimeline()
             run_job(make_job(small_world, tl, perf_model=model), engine=name)
             dumps[name] = json.dumps(timeline_to_dict(tl), sort_keys=True)
-        assert dumps["sim"] == dumps["threaded"] == dumps["process"]
+        assert dumps["sim"] == dumps["process"]
 
 
 class TestStepMetaOverhead:
