@@ -4,9 +4,10 @@ The ``/cluster`` route scrapes every fleet daemon's ``/sync`` snapshot
 and merges the registries on each request, so its latency bounds how
 hard an operator (or a dashboard refresh loop) can hammer the
 coordinator.  The second number is the cost of the cluster-era
-always-on observers — the live ``CostMeter`` and ``EngineHealth`` — which
-ride every instrumented run and must stay within the same wall-clock
-bound the flight recorder honors (``bench_flight.py``).
+always-on observer — the live ``EngineHealth`` — which rides every
+instrumented run and must stay within the same wall-clock bound the
+flight recorder honors (``bench_flight.py``).  The ``repro_cost_*``
+gauges are part of the metrics sink both arms carry.
 
 Numbers land in ``BENCH_cluster.json`` for cross-revision comparison.
 """
@@ -16,7 +17,6 @@ import time
 import urllib.request
 
 from repro.analysis import RunConfig, run_pagerank
-from repro.cloud import CostMeter
 from repro.graph import generators as gen
 from repro.obs import (
     ClusterScraper,
@@ -104,10 +104,11 @@ def measure_scrapes():
 
 
 def measure_observer_overhead(graph):
-    """Metrics-only run vs CostMeter + EngineHealth riding along.
+    """Metrics-only run vs EngineHealth riding along.
 
-    Both arms carry a metrics registry (its cost is bench_perf.py's
-    problem); the delta isolates the cluster-era live observers.
+    Both arms carry a metrics registry (its cost, the cost gauges
+    included, is bench_perf.py's problem); the delta isolates the
+    cluster-era live observer.
     """
     # one untimed warm-up so first-call import/allocation costs land in
     # neither arm
@@ -129,7 +130,7 @@ def measure_observer_overhead(graph):
         run_pagerank(
             graph, RunConfig(num_workers=4, metrics=reg),
             iterations=ITERATIONS,
-            observers=[CostMeter(reg), EngineHealth(metrics=reg)],
+            observers=[EngineHealth(metrics=reg)],
         )
         on.append(time.perf_counter() - t0)
     return min(off), min(on)
@@ -150,11 +151,11 @@ def test_cluster_scrape_latency_and_observer_overhead(benchmark):
     print(f"{'observers off':<22} {off_s * 1e3:>10.1f} ms")
     print(f"{'observers on':<22} {on_s * 1e3:>10.1f} ms  ({overhead:+.1%})")
 
-    # Both observers do O(workers) arithmetic per superstep on numbers
+    # The observer does O(workers) arithmetic per superstep on numbers
     # the engine already computed; blowing the bound means a hot path
     # started paying for telemetry.
     assert overhead < MAX_OVERHEAD, (
-        f"live observers cost {overhead:.1%} (bound {MAX_OVERHEAD:.0%})"
+        f"live observer costs {overhead:.1%} (bound {MAX_OVERHEAD:.0%})"
     )
 
     payload = {

@@ -9,9 +9,12 @@ including disk-buffered and jittered runs).
 Format history: version 2 added ``disk_time`` and ``jitter_factor`` to
 worker rows and ``injected`` to step rows; version 3 added ``queue_depth``
 (messages buffered for the next superstep, measured at the barrier) to
-worker rows.  :func:`trace_from_dict` still reads version-1 and -2 files;
-the missing fields take their dataclass defaults (no disk I/O, no jitter,
-no injections, empty queues).
+worker rows; version 4 added ``extra_vm_seconds`` (worker VM-seconds a
+step bills beyond ``num_workers x elapsed``: a scale-out's booting VMs)
+to step rows.  :func:`trace_from_dict` still reads version-1 to -3
+files; the missing fields take their dataclass defaults (no disk I/O, no
+jitter, no injections, empty queues, no extra VM-seconds), so an old
+trace prices as it did.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ __all__ = [
     "to_csv_text",
 ]
 
-TRACE_FORMAT_VERSION = 3
+TRACE_FORMAT_VERSION = 4
 
 _WORKER_FIELDS = [
     "worker",
@@ -65,6 +68,7 @@ _STEP_FIELDS = [
     "barrier_time",
     "restart_time",
     "elapsed",
+    "extra_vm_seconds",
     "sim_time_end",
 ]
 
@@ -86,9 +90,9 @@ def trace_to_dict(trace: JobTrace) -> dict:
 
 
 def trace_from_dict(data: dict) -> JobTrace:
-    """Inverse of :func:`trace_to_dict`; reads format versions 1, 2 and 3."""
+    """Inverse of :func:`trace_to_dict`; reads format versions 1 to 4."""
     version = data.get("version")
-    if version not in (1, 2, TRACE_FORMAT_VERSION):
+    if version not in (1, 2, 3, TRACE_FORMAT_VERSION):
         raise ValueError(f"unsupported trace version {version!r}")
     if "steps" not in data:
         raise ValueError("not a trace dump: no 'steps' key (is this a spans file?)")

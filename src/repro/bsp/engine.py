@@ -4,8 +4,9 @@ Plays Pregel.NET's job-manager role (§III): it builds the worker fleet from
 the job's partition, drives supersteps, moves bulk message buffers between
 workers at superstep boundaries, merges aggregators at the barrier, detects
 the halting condition (all vertices voted to halt and no messages in
-flight), and accounts simulated time and cost for every superstep via the
-cloud models.
+flight), and accounts simulated time for every superstep via the cloud
+models.  The trace of those steps is the run's only ledger: the result's
+cost is priced from it.
 
 Observers (e.g. the swath controller, elastic policies' probes) are invoked
 at every superstep boundary with the fresh :class:`SuperstepStats`; they may
@@ -21,7 +22,6 @@ from typing import Any
 
 import numpy as np
 
-from ..cloud.billing import BillingMeter
 from ..cloud.costmeter import attribute_cost
 from ..cloud.memorymodel import MemoryModel
 from ..cloud.network import NetworkModel, TrafficSummary
@@ -64,7 +64,6 @@ class BSPEngine:
         self.num_workers = job.num_workers
         self.network = NetworkModel(self.vm_spec, self.model)
         self.memory = MemoryModel(self.vm_spec, self.model)
-        self.meter = BillingMeter()
         self.trace = JobTrace()
         self.superstep = 0
         self.sim_time = 0.0
@@ -231,7 +230,6 @@ class BSPEngine:
         result = JobResult(
             values=values,
             trace=self.trace,
-            meter=self.meter,
             supersteps=len(self.trace),
             halted=halted,
             aggregates=dict(self._agg_values),
@@ -325,7 +323,7 @@ class BSPEngine:
     def _account_superstep(
         self, stats: SuperstepStats, recv_msgs, recv_bytes, peers_in, host_t0: float
     ) -> None:
-        """Convert true counts into simulated seconds, then bill and record.
+        """Convert true counts into simulated seconds, then record.
 
         :attr:`_views` are per-worker resource views in worker-id order: the
         live :class:`~repro.bsp.worker.PartitionWorker` objects for the
@@ -395,17 +393,6 @@ class BSPEngine:
         self.sim_time += stats.elapsed
         stats.sim_time_end = self.sim_time
         self.trace.append(stats)
-        self._bill(stats.elapsed, f"superstep-{stats.index}")
-
-    def _bill(self, seconds: float, label: str, fleet_billed: bool = False) -> None:
-        """Pay-as-you-go: every allocated VM — the manager included — bills
-        for ``seconds``, busy or waiting, which is also what
-        :func:`attribute_cost` charges from ``stats.elapsed``.
-        ``fleet_billed`` says the caller already charged the worker VMs
-        (the elastic provisioner bills a fleet that is changing size)."""
-        if not fleet_billed:
-            self.meter.charge(self.vm_spec, self.num_workers, seconds, label=label)
-        self.meter.charge(self.job.manager_vm, 1, seconds, label=f"manager-{label}")
 
     def _post_superstep(self, stats: SuperstepStats) -> None:
         """Hook for subclasses, called after observers at each boundary.
@@ -446,7 +433,7 @@ class BSPEngine:
 
     def _restore_checkpoint(self) -> None:
         """Reload every worker from :attr:`_checkpoint` (the mechanics only;
-        timing/metering live in :meth:`_recover`)."""
+        the timing lives in :meth:`_recover`)."""
         for w, snap in zip(self.workers, self._checkpoint["workers"]):
             w.restore(snap)
 
@@ -455,17 +442,13 @@ class BSPEngine:
         the failure implicitly (rollback is the only observable effect);
         the process engine overrides this to actually kill the worker."""
 
-    def _stall(
-        self, stats: SuperstepStats, seconds: float, label: str,
-        fleet_billed: bool = False,
-    ) -> None:
+    def _stall(self, stats: SuperstepStats, seconds: float) -> None:
         """Stall the whole job for ``seconds`` at this boundary (checkpoint
-        write, recovery, repartition, resize): the clock, the step's
-        elapsed time and the bill move together."""
+        write, recovery, repartition, resize): the clock and the step's
+        elapsed time, which every allocated VM bills, move together."""
         self.sim_time += seconds
         stats.elapsed += seconds
         stats.sim_time_end = self.sim_time
-        self._bill(seconds, label, fleet_billed)
 
     def _maybe_checkpoint(self, stats: SuperstepStats) -> None:
         interval = self.job.checkpoint_interval
@@ -477,7 +460,7 @@ class BSPEngine:
             write_time = (
                 self._state_bytes_total() / self.model.checkpoint_bandwidth
             )
-            self._stall(stats, write_time, "checkpoint")
+            self._stall(stats, write_time)
         self.telemetry.stall(
             "checkpoint", write_time, resume_point=self.superstep + 1
         )
@@ -506,7 +489,7 @@ class BSPEngine:
                 self.model.restart_time
                 + self._state_bytes_total() / self.model.checkpoint_bandwidth
             )
-            self._stall(stats, restore_time, "recovery")
+            self._stall(stats, restore_time)
             closing["resumed_from"] = resume_from
         self.recoveries.append(
             RecoveryEvent(

@@ -7,7 +7,6 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ..cloud.billing import BillingMeter
 from ..cloud.costmodel import DEFAULT_PERF_MODEL, PerfModel
 from ..cloud.specs import LARGE_VM, SMALL_VM, VMSpec
 from ..graph.csr import CSRGraph
@@ -113,7 +112,6 @@ class JobResult:
 
     values: dict[int, Any]
     trace: JobTrace
-    meter: BillingMeter
     supersteps: int
     halted: bool
     aggregates: dict[str, Any] = field(default_factory=dict)
@@ -138,8 +136,9 @@ class JobResult:
 
     @property
     def total_cost(self) -> float:
-        """Simulated dollars (workers + manager, pro-rata)."""
-        return self.meter.total_cost
+        """Simulated instance dollars (workers + manager, pro-rata; no
+        egress), the instance part of :attr:`cost`."""
+        return self.cost.compute + self.cost.manager
 
     def values_array(self, dtype=float) -> np.ndarray:
         """Dense result vector indexed by vertex id (for numeric programs)."""

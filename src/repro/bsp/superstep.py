@@ -73,6 +73,9 @@ class SuperstepStats:
     barrier_time: float = 0.0
     restart_time: float = 0.0
     elapsed: float = 0.0
+    #: worker VM-seconds billed beyond ``num_workers x elapsed`` (the VMs a
+    #: scale-out at this boundary holds while they boot)
+    extra_vm_seconds: float = 0.0
     sim_time_end: float = 0.0
 
     # ---- aggregates over workers --------------------------------------

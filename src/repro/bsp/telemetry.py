@@ -27,6 +27,8 @@ from contextlib import contextmanager
 from functools import cached_property
 from typing import Any
 
+from ..cloud.costmeter import step_cost
+
 __all__ = ["EVENTS", "Telemetry"]
 
 #: The closed vocabulary.  Job and superstep lifecycle first, then the
@@ -327,6 +329,21 @@ _ENGINE_SERIES = (
      "Simulated seconds spent restoring checkpoints"),
 )
 
+#: Dollar series, priced per closed step exactly as ``attribute_cost``
+#: prices the trace, so at job end they equal ``JobResult.cost``.
+_COST_SERIES = (
+    ("cost_total", "gauge", "repro_cost_total_dollars",
+     "Attributed run cost so far (instance time + egress)"),
+    ("cost_compute", "gauge", "repro_cost_compute_dollars",
+     "Worker instance-time dollars so far"),
+    ("cost_manager", "gauge", "repro_cost_manager_dollars",
+     "Manager instance-time dollars so far"),
+    ("cost_egress", "gauge", "repro_cost_egress_dollars",
+     "Network egress dollars so far"),
+    ("cost_step", "gauge", "repro_cost_superstep_dollars",
+     "Dollar cost attributed to the latest superstep"),
+)
+
 #: Fleet series of the dist engine; every one carries a ``transport`` label
 #: (``pipe``, ``tcp``, …) so mixed-backend dashboards can tell the planes
 #: apart, which is why they wait for the first ``worker_up``.
@@ -351,6 +368,8 @@ class _Metrics:
         self.engine = engine
         self.registry = registry
         self._declare(_ENGINE_SERIES)
+        self._declare(_COST_SERIES)
+        self._spent = [0.0, 0.0, 0.0]  # compute, manager, egress dollars
         self.msgs_local = registry.counter(
             "bsp_messages_total",
             help="Messages emitted, post-combine, by delivery plane",
@@ -399,7 +418,24 @@ class _Metrics:
         return pair
 
     def closed(self, stats, committed: bool) -> None:
-        self.sim_time.set(self.engine.sim_time)
+        e = self.engine
+        self.sim_time.set(e.sim_time)
+        # Every trace row is billed, rolled back or not, once all its
+        # stalls have landed; summed the way the report sums, so the two
+        # agree to the last bit.
+        step = step_cost(
+            e.vm_spec, e.job.manager_vm, stats.num_workers,
+            float(stats.elapsed), sum(float(w.bytes_out) for w in stats.workers),
+            float(stats.extra_vm_seconds),
+        )
+        spent = self._spent
+        for i, dollars in enumerate(step):
+            spent[i] += dollars
+        self.cost_compute.set(spent[0])
+        self.cost_manager.set(spent[1])
+        self.cost_egress.set(spent[2])
+        self.cost_total.set(spent[0] + spent[1] + spent[2])
+        self.cost_step.set(step[0] + step[1] + step[2])
 
     def stall(self, kind: str, seconds: float, **attrs: Any) -> None:
         if kind == "checkpoint":

@@ -67,9 +67,9 @@ text), ``/healthz`` (liveness/progress JSON) and ``/events?since=``
 ``/cluster``: a fan-out scrape of every daemon's own telemetry server
 (``worker serve --telemetry-port``) merged into one host-labelled
 registry; ``repro cluster status`` prints the same merged view from
-the shell.  Metrics-attached runs ride a live
-:class:`~repro.cloud.CostMeter` along, so ``/metrics`` carries running
-``repro_cost_*`` dollar gauges while the job is in flight.
+the shell.  A metrics-attached run prices every superstep as it closes,
+so ``/metrics`` carries running ``repro_cost_*`` dollar gauges while the
+job is in flight, ending equal to the run's cost attribution.
 
 ``run`` auto-profiles the program (disable with ``--no-profile``): the
 profile is printed with the summary, recorded on the result/metrics, and
@@ -88,7 +88,6 @@ from .analysis import RunConfig, run_pagerank, run_traversal
 from .analysis.traces import read_json, write_json
 from .bsp.debug import InvariantChecker
 from .bsp.engine import ENGINES
-from .cloud import CostMeter
 from .cloud.costmodel import SCALED_PERF_MODEL
 from .obs import (
     ClusterScraper,
@@ -548,10 +547,6 @@ def _cmd_run(args) -> int:
         sanitizer = SanitizerObserver(metrics=metrics)
         wrap_program = SanitizingProgram
         extra_observers.append(sanitizer)
-    if metrics is not None:
-        # Live dollar attribution: running repro_cost_* gauges on
-        # /metrics, finalized (billing-grain surcharge) at job end.
-        extra_observers.append(CostMeter(metrics))
     tcp_hosts = None
     if getattr(args, "hosts", None):
         from .net import parse_endpoint

@@ -1,8 +1,8 @@
 """Elastic VM provisioning with scaling overheads.
 
 §VIII's elasticity analysis assumes worker counts can change at superstep
-boundaries.  The provisioner tracks the fleet, charges the billing meter for
-every allocated VM-second, and charges *time* for scale events:
+boundaries.  The provisioner tracks the fleet and charges *time* for scale
+events:
 
 * scale-out pays :attr:`~repro.cloud.costmodel.PerfModel.provision_delay`
   (VM boot + role warmup) once per scaling step (boots overlap);
@@ -10,18 +10,19 @@ every allocated VM-second, and charges *time* for scale events:
 * both pay migration time proportional to the vertices whose partition
   moved (``migrate_per_vertex``).
 
-The paper's own projections "do not yet consider the overheads of scaling";
-setting the three coefficients to zero reproduces that idealized analysis,
-and the elastic benches report both variants.
+The job stalls for the overhead, so the engine bills it on the step's
+trace row like any other second; :attr:`ScaleEvent.extra_vm_seconds` adds
+what the old fleet does not cover.  The paper's own projections "do not
+yet consider the overheads of scaling"; setting the three coefficients to
+zero reproduces that idealized analysis, and the elastic benches report
+both variants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .billing import BillingMeter
 from .costmodel import PerfModel
-from .specs import VMSpec
 
 __all__ = ["ElasticProvisioner", "ScaleEvent"]
 
@@ -35,33 +36,34 @@ class ScaleEvent:
     new_workers: int
     overhead_seconds: float
 
+    @property
+    def extra_vm_seconds(self) -> float:
+        """Worker VM-seconds billed during the stall beyond the old fleet.
+
+        New VMs bill from acquisition, so a scale-out holds the new fleet
+        through its overhead; leaving VMs bill until drained, which the
+        old fleet already covers.
+        """
+        grown = max(0, self.new_workers - self.old_workers)
+        return grown * self.overhead_seconds
+
 
 @dataclass
 class ElasticProvisioner:
-    """Tracks fleet size, billing and scaling overheads across a run."""
+    """Tracks fleet size and scaling overheads across a run."""
 
-    spec: VMSpec
     model: PerfModel
     workers: int
-    meter: BillingMeter = field(default_factory=BillingMeter)
     events: list[ScaleEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
             raise ValueError("initial worker count must be positive")
 
-    def advance(self, seconds: float, label: str = "") -> None:
-        """Bill the current fleet for ``seconds`` of wall time."""
-        self.meter.charge(self.spec, self.workers, seconds, label=label)
-
     def scale_to(
         self, new_workers: int, superstep: int, vertices_moved: int = 0
     ) -> float:
-        """Change the fleet size; returns the overhead seconds incurred.
-
-        The overhead is also billed (the fleet is allocated while waiting on
-        boots/drains — you pay for idle VMs during scaling, as on Azure).
-        """
+        """Change the fleet size; returns the overhead seconds incurred."""
         if new_workers <= 0:
             raise ValueError("new_workers must be positive")
         if new_workers == self.workers:
@@ -70,17 +72,10 @@ class ElasticProvisioner:
         overhead = m.migrate_per_vertex * max(0, vertices_moved)
         if new_workers > self.workers:
             overhead += m.provision_delay
-            billed = new_workers  # new VMs are billed from acquisition
         else:
             overhead += m.release_delay
-            billed = self.workers  # old VMs bill until drained
-        self.meter.charge(self.spec, billed, overhead, label=f"scale@{superstep}")
         self.events.append(
             ScaleEvent(superstep, self.workers, new_workers, overhead)
         )
         self.workers = new_workers
         return overhead
-
-    @property
-    def total_cost(self) -> float:
-        return self.meter.total_cost

@@ -28,7 +28,7 @@ class VMSpec:
 
     ``network_bytes_per_s`` is per-VM full-duplex NIC capacity;
     ``price_per_hour`` is billed pro-rata per VM-second by
-    :class:`~repro.cloud.billing.BillingMeter`.
+    :func:`~repro.cloud.costmeter.step_cost`.
     """
 
     name: str

@@ -293,9 +293,10 @@ class ProcessBSPEngine(BSPEngine):
     # back, and retries from the restored superstep.
     # ------------------------------------------------------------------
     def _run_one_superstep(self) -> SuperstepStats:
+        restored = 0.0
         while True:
             try:
-                return super()._run_one_superstep()
+                stats = super()._run_one_superstep()
             except WorkerFailure as failure:
                 if self.job.checkpoint_interval <= 0:
                     raise RuntimeError(
@@ -304,15 +305,19 @@ class ProcessBSPEngine(BSPEngine):
                         "recovery"
                     ) from failure
                 # The aborted attempt produced no accounted stats; charge
-                # the rollback on a scratch object (sim clock, meter, and
-                # the recovery log still record it) and retry from the
-                # restored superstep.
+                # the rollback on a scratch object (the sim clock and the
+                # recovery log record it) and retry from the restored
+                # superstep.
                 scratch = SuperstepStats(
-                    index=self.superstep,
-                    num_workers=self.num_workers,
-                    active_begin=0,
+                    index=self.superstep, num_workers=self.num_workers
                 )
                 self._recover(failure.worker_id, scratch)
+                restored += scratch.elapsed
+                continue
+            # The retried attempt's row carries the restore stalls, as a
+            # scheduled failure's row does, so the trace bills them.
+            stats.elapsed += restored
+            return stats
 
     def _compute_phase(self) -> list[dict]:
         """Every worker drains its input buffer concurrently."""

@@ -6,7 +6,7 @@ This module *implements* the mechanism: a :class:`LiveElasticEngine` that,
 at each superstep boundary, consults a :class:`LivePolicy` and actually
 resizes the worker fleet — repartitioning the graph, migrating vertex
 state and buffered messages, and charging provisioning/drain/migration
-time through the elastic provisioner.
+time from the elastic provisioner to the step's trace row.
 
 Correctness is unaffected by construction (tests assert bit-equal results
 with and without scaling): vertex state and undelivered messages move
@@ -230,8 +230,7 @@ class LiveElasticEngine(BSPEngine):
             lambda k: HashPartitioner().partition(job.graph, k)
         )
         self.provisioner = ElasticProvisioner(
-            spec=job.vm_spec, model=job.perf_model, workers=job.num_workers,
-            meter=self.meter,
+            model=job.perf_model, workers=job.num_workers
         )
         self.scale_overhead_total = 0.0
 
@@ -248,13 +247,12 @@ class LiveElasticEngine(BSPEngine):
         with tel.phase("elastic-resize", **resize) as closing:
             moved = closing["vertices_moved"] = self._resize_fleet(want)
             # Scaling stalls the job: everyone waits for boots, drains and
-            # migration; the provisioner bills the resizing fleet itself.
+            # migration, and the row bills the VMs booting beyond its fleet.
             overhead = self.provisioner.scale_to(
                 want, superstep=self.superstep, vertices_moved=moved
             )
-            self._stall(
-                stats, overhead, f"scale@{self.superstep}", fleet_billed=True
-            )
+            self._stall(stats, overhead)
+            stats.extra_vm_seconds += self.scale_events[-1].extra_vm_seconds
         self.scale_overhead_total += overhead
         # The resize happens between supersteps; its overhead lands in the
         # *current* step's row (recorded right after this hook).

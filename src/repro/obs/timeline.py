@@ -111,6 +111,9 @@ class StepMeta:
     #: this superstep beyond the slowest worker + barrier + restarts
     overhead_time: float = 0.0
     elapsed: float = 0.0
+    #: worker VM-seconds billed beyond ``num_workers x elapsed`` (a
+    #: scale-out's booting VMs); 0.0 in dumps that predate the field
+    extra_vm_seconds: float = 0.0
     sim_time_end: float = 0.0
 
 
@@ -155,6 +158,7 @@ class RunTimeline:
                 restart_time=stats.restart_time,
                 overhead_time=max(0.0, overhead),
                 elapsed=stats.elapsed,
+                extra_vm_seconds=stats.extra_vm_seconds,
                 sim_time_end=stats.sim_time_end,
             )
         )

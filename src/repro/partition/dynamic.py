@@ -157,7 +157,7 @@ class DynamicRepartitioningEngine(BSPEngine):
         self._apply_moves(moves)
         after = self._remote_fraction(self.partition.assignment)
         overhead = self.model.migrate_per_vertex * len(moves)
-        self._stall(stats, overhead, f"repartition@{self.superstep}")
+        self._stall(stats, overhead)
         self.migrations.append(
             MigrationEvent(
                 superstep=self.superstep,

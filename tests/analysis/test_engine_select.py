@@ -125,23 +125,21 @@ def test_flight_recorder_is_not_a_dense_blocker():
 
 
 def test_observers_and_sinks_do_not_change_the_selected_engine():
-    from repro.cloud.costmeter import CostMeter
-    from repro.obs import MetricsRegistry, RunTimeline, SpanTracer
+    from repro.obs import EngineHealth, MetricsRegistry, RunTimeline, SpanTracer
 
     metrics = MetricsRegistry()
-    meter = CostMeter(metrics)
     res = run_pagerank(
         gen.barabasi_albert(40, 2, seed=3),
         RunConfig(
             num_workers=4, engine="auto", metrics=metrics,
             tracer=SpanTracer(), timeline=RunTimeline(),
         ),
-        iterations=5, observers=[meter],
+        iterations=5, observers=[EngineHealth(metrics=metrics)],
     )
     assert res.engine_decision.engine == "dense-ref"
     assert len(res.trace) == 5 + 1
     assert res.total_time > 0
-    assert meter.total == res.cost.total
+    assert metrics.get("repro_cost_total_dollars").value == res.cost.total
 
 
 def test_auto_with_sanitizer_excludes_dense_ref():

@@ -13,6 +13,7 @@ from repro.analysis.traces import (
     write_json,
 )
 from repro.bsp import JobSpec, run_job
+from repro.cloud import attribute_cost
 from repro.graph import generators as gen
 
 
@@ -106,8 +107,22 @@ class TestCLI:
             main(["generate", "--graph", "x", "--out", str(tmp_path / "o")])
 
 
+def assert_same_fields(back, orig):
+    from repro.analysis.traces import _STEP_FIELDS, _WORKER_FIELDS
+
+    assert len(back) == len(orig)
+    for o, copy in zip(orig, back):
+        for f in _STEP_FIELDS:
+            assert getattr(copy, f) == getattr(o, f), f
+        assert len(copy.workers) == len(o.workers)
+        for ow, cw in zip(o.workers, copy.workers):
+            for f in _WORKER_FIELDS:
+                assert getattr(cw, f) == getattr(ow, f), f
+
+
 class TestFullFieldFidelity:
-    """Version-2 format: disk/jitter/injection fields survive the trip."""
+    """Every field survives the trip: disk/jitter/injection (v2), queue
+    depth (v3), a scale-out's extra VM-seconds (v4)."""
 
     @pytest.fixture(scope="class")
     def rich_trace(self):
@@ -123,6 +138,18 @@ class TestFullFieldFidelity:
         run = run_traversal(g, cfg, roots=range(6), kind="bc")
         return run.result.trace
 
+    @pytest.fixture(scope="class")
+    def elastic_trace(self):
+        from repro.elastic.live import LiveElasticEngine, LivePolicy
+
+        class Toggle(LivePolicy):
+            def decide(self, engine, stats):
+                return 6 if engine.num_workers == 3 else 3
+
+        g = gen.watts_strogatz(48, 4, 0.2, seed=7)
+        job = JobSpec(program=PageRankProgram(6), graph=g, num_workers=3)
+        return LiveElasticEngine(job, Toggle()).run().trace
+
     def test_fields_are_exercised(self, rich_trace):
         workers = [w for s in rich_trace for w in s.workers]
         assert any(w.disk_time > 0 for w in workers)
@@ -130,25 +157,33 @@ class TestFullFieldFidelity:
         assert any(s.injected > 0 for s in rich_trace)
 
     def test_round_trip_full_field_equality(self, rich_trace):
-        from repro.analysis.traces import _STEP_FIELDS, _WORKER_FIELDS
+        assert_same_fields(trace_from_dict(trace_to_dict(rich_trace)), rich_trace)
 
-        back = trace_from_dict(trace_to_dict(rich_trace))
-        assert len(back) == len(rich_trace)
-        for orig, copy in zip(rich_trace, back):
-            for f in _STEP_FIELDS:
-                assert getattr(copy, f) == getattr(orig, f), f
-            assert len(copy.workers) == len(orig.workers)
-            for ow, cw in zip(orig.workers, copy.workers):
-                for f in _WORKER_FIELDS:
-                    assert getattr(cw, f) == getattr(ow, f), f
+    def test_elastic_round_trip_full_field_equality(self, elastic_trace):
+        assert any(s.extra_vm_seconds > 0 for s in elastic_trace)
+        back = trace_from_dict(trace_to_dict(elastic_trace))
+        assert_same_fields(back, elastic_trace)
+        assert attribute_cost(back).total == attribute_cost(elastic_trace).total
 
-    def test_version_3_is_declared(self, rich_trace):
+    def test_version_4_is_declared(self, rich_trace):
         data = trace_to_dict(rich_trace)
-        assert data["version"] == 3
+        assert data["version"] == 4
         assert "disk_time" in data["steps"][0]["workers"][0]
         assert "jitter_factor" in data["steps"][0]["workers"][0]
         assert "queue_depth" in data["steps"][0]["workers"][0]
         assert "injected" in data["steps"][0]
+        assert "extra_vm_seconds" in data["steps"][0]
+
+    def test_version_3_files_still_read(self, elastic_trace):
+        data = trace_to_dict(elastic_trace)
+        data["version"] = 3
+        for sd in data["steps"]:
+            sd.pop("extra_vm_seconds")
+        back = trace_from_dict(data)
+        assert all(s.extra_vm_seconds == 0.0 for s in back)
+        assert back.total_time == elastic_trace.total_time
+        # Without the field, a scale-out bills only the old fleet.
+        assert attribute_cost(back).total < attribute_cost(elastic_trace).total
 
     def test_version_2_files_still_read(self, rich_trace):
         data = trace_to_dict(rich_trace)

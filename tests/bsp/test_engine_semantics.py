@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bsp import BSPEngine, JobSpec, SumCombiner, VertexProgram, run_job
+from repro.cloud import SMALL_VM
 from repro.graph import generators as gen
 from repro.graph.builder import from_edges
 
@@ -263,5 +264,8 @@ class TestAccountingBasics:
 
     def test_manager_vm_billed(self, ring10):
         res = run_job(JobSpec(program=EchoOnce(), graph=ring10, num_workers=2))
-        merged = res.meter.merged()
-        assert any("small" in name for name in merged)
+        assert "small" in res.cost.manager_spec
+        assert res.cost.manager == pytest.approx(
+            res.total_time * SMALL_VM.price_per_second, rel=1e-12
+        )
+        assert res.cost.manager > 0

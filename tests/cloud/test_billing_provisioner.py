@@ -1,70 +1,25 @@
-"""Billing meter and elastic provisioner accounting."""
+"""Elastic provisioner accounting, and the trace rows that bill it."""
 
 import pytest
 
-from repro.cloud import (
-    BillingMeter,
-    ElasticProvisioner,
-    LARGE_VM,
-    PerfModel,
-    SMALL_VM,
-)
+from repro.algorithms import PageRankProgram
+from repro.bsp import JobSpec
+from repro.cloud import ElasticProvisioner, PerfModel
+from repro.elastic import LiveActiveFraction, LiveElasticEngine
+from repro.graph import generators as gen
 
 
-class TestBillingMeter:
-    def test_single_charge(self):
-        m = BillingMeter()
-        line = m.charge(LARGE_VM, 8, 3600.0)
-        assert line.vm_seconds == 8 * 3600
-        assert m.total_cost == pytest.approx(8 * 0.48)
+class _Toggle(LiveActiveFraction):
+    """Alternate the fleet between ``low`` and ``high`` every superstep."""
 
-    def test_accumulates(self):
-        m = BillingMeter()
-        m.charge(LARGE_VM, 4, 1800.0)
-        m.charge(LARGE_VM, 8, 1800.0)
-        assert m.total_vm_seconds == 4 * 1800 + 8 * 1800
-
-    def test_mixed_specs_merged(self):
-        m = BillingMeter()
-        m.charge(LARGE_VM, 1, 3600.0)
-        m.charge(SMALL_VM, 1, 3600.0)
-        merged = m.merged()
-        assert merged[LARGE_VM.name] == pytest.approx(0.48)
-        assert merged[SMALL_VM.name] == pytest.approx(0.12)
-
-    def test_normalization(self):
-        a, b = BillingMeter(), BillingMeter()
-        a.charge(LARGE_VM, 8, 100.0)
-        b.charge(LARGE_VM, 4, 100.0)
-        assert a.cost_normalized_to(b) == pytest.approx(2.0)
-
-    def test_normalize_to_zero_baseline_raises(self):
-        a, b = BillingMeter(), BillingMeter()
-        a.charge(LARGE_VM, 1, 1.0)
-        with pytest.raises(ValueError):
-            a.cost_normalized_to(b)
-
-    def test_negative_inputs_rejected(self):
-        m = BillingMeter()
-        with pytest.raises(ValueError):
-            m.charge(LARGE_VM, -1, 10.0)
-        with pytest.raises(ValueError):
-            m.charge(LARGE_VM, 1, -10.0)
-
-    def test_zero_duration_free(self):
-        m = BillingMeter()
-        m.charge(LARGE_VM, 100, 0.0)
-        assert m.total_cost == 0.0
+    def decide(self, engine, stats):
+        return self.high if engine.num_workers == self.low else self.low
 
 
 class TestElasticProvisioner:
     @pytest.fixture
     def prov(self):
-        return ElasticProvisioner(spec=LARGE_VM, model=PerfModel(), workers=4)
-
-    def test_advance_bills_current_fleet(self, prov):
-        prov.advance(100.0)
-        assert prov.meter.total_vm_seconds == 400.0
+        return ElasticProvisioner(model=PerfModel(), workers=4)
 
     def test_scale_out_charges_provision_delay(self, prov):
         overhead = prov.scale_to(8, superstep=3)
@@ -90,11 +45,34 @@ class TestElasticProvisioner:
         with pytest.raises(ValueError):
             prov.scale_to(0, superstep=0)
         with pytest.raises(ValueError):
-            ElasticProvisioner(spec=LARGE_VM, model=PerfModel(), workers=0)
+            ElasticProvisioner(model=PerfModel(), workers=0)
 
-    def test_scaling_overhead_is_billed(self, prov):
+    def test_only_scale_out_holds_extra_vms(self, prov):
         prov.scale_to(8, superstep=0)
-        # 8 VMs billed during the provisioning delay.
-        assert prov.meter.total_vm_seconds == pytest.approx(
-            8 * PerfModel().provision_delay
+        prov.scale_to(4, superstep=1)
+        grow, shrink = prov.events
+        # 4 new VMs billed during the provisioning delay; a drain is
+        # covered by the old fleet the step already bills.
+        assert grow.extra_vm_seconds == 4 * grow.overhead_seconds
+        assert shrink.extra_vm_seconds == 0.0
+
+    def test_scaling_overhead_is_billed(self):
+        job = JobSpec(
+            program=PageRankProgram(6),
+            graph=gen.watts_strogatz(60, 4, 0.3, seed=7), num_workers=4,
         )
+        engine = LiveElasticEngine(job, _Toggle(low=4, high=8))
+        res = engine.run()
+        # Each resize stalls the step it follows; that row bills the
+        # overhead on its old fleet plus the VMs a scale-out boots.
+        rows = {s.index: s for s in res.trace}
+        assert len(engine.scale_events) >= 4
+        for event in engine.scale_events:
+            row = rows[event.superstep]
+            assert row.num_workers == event.old_workers
+            assert row.extra_vm_seconds == event.extra_vm_seconds
+            proper = row.slowest_busy + row.barrier_time + row.restart_time
+            assert row.elapsed == pytest.approx(
+                proper + event.overhead_seconds, rel=1e-12
+            )
+        assert any(row.extra_vm_seconds > 0 for row in res.trace)

@@ -1,18 +1,14 @@
-"""Dollar attribution: PriceBook arithmetic, attribute_cost invariants
-(per-step sums == total, exactly, grain included), the live CostMeter
-gauges, and the JobResult.cost surfacing across engines."""
+"""Dollar attribution: step_cost arithmetic, attribute_cost invariants
+(per-step sums == total), the live repro_cost_* gauges of the telemetry
+spine, and the JobResult.cost surfacing across engines."""
 
 from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis import RunConfig, run_pagerank
-from repro.cloud import (
-    DEFAULT_PRICES,
-    CostMeter,
-    PriceBook,
-    attribute_cost,
-)
+from repro.bsp.engine import SuperstepObserver
+from repro.cloud import attribute_cost, step_cost
 from repro.cloud.specs import GB, LARGE_VM, SMALL_VM, VMSpec
 from repro.obs import MetricsRegistry
 
@@ -25,6 +21,7 @@ def fake_trace(steps):
             index=i,
             num_workers=n,
             elapsed=elapsed,
+            extra_vm_seconds=0.0,
             workers=[
                 SimpleNamespace(worker=w, elapsed=elapsed, bytes_out=b)
                 for w, b in enumerate(outs)
@@ -33,25 +30,18 @@ def fake_trace(steps):
     return SimpleNamespace(steps=out)
 
 
-class TestPriceBook:
-    def test_rate_prefers_override_then_spec(self):
-        book = PriceBook(instance_rates={"azure-large": 7.2})
-        assert book.rate_per_second(LARGE_VM) == pytest.approx(7.2 / 3600)
-        assert book.rate_per_second(SMALL_VM) == pytest.approx(
-            SMALL_VM.price_per_hour / 3600
-        )
-
+class TestStepCost:
     def test_egress_dollars_per_gb(self):
-        assert PriceBook(egress_per_gb=0.12).egress_cost(2 * GB) == (
-            pytest.approx(0.24)
-        )
+        _, _, egress = step_cost(LARGE_VM, SMALL_VM, 1, 0.0, 2 * GB)
+        assert egress == pytest.approx(0.24)
 
-    def test_billing_grain_rounds_up(self):
-        book = PriceBook(billing_grain_seconds=3600.0)
-        assert book.billed_duration(1.0) == 3600.0
-        assert book.billed_duration(3600.0) == 3600.0
-        assert book.billed_duration(3600.1) == 7200.0
-        assert PriceBook().billed_duration(17.3) == 17.3
+    def test_extra_vm_seconds_bill_at_the_worker_rate(self):
+        plain, _, _ = step_cost(LARGE_VM, SMALL_VM, 4, 10.0, 0)
+        grown, manager, _ = step_cost(LARGE_VM, SMALL_VM, 4, 10.0, 0, 25.0)
+        assert grown == pytest.approx(plain + 25.0 * LARGE_VM.price_per_second)
+        # A zero extra leaves the bill bit-identical.
+        assert step_cost(LARGE_VM, SMALL_VM, 4, 10.0, 0, 0.0)[0] == plain
+        assert manager == 10.0 * SMALL_VM.price_per_second
 
 
 class TestAttributeCost:
@@ -65,7 +55,6 @@ class TestAttributeCost:
         assert rep.compute == pytest.approx(2 * 40.0 * w)
         assert rep.manager == pytest.approx(40.0 * m)
         assert rep.egress == pytest.approx(3 * 0.12)
-        assert rep.rounding == 0.0
         assert rep.total == pytest.approx(
             rep.compute + rep.manager + rep.egress
         )
@@ -78,20 +67,6 @@ class TestAttributeCost:
             (2, 11.1, [5_000_000, 0]),
         ])
         rep = attribute_cost(trace)
-        assert sum(s["total"] for s in rep.per_step) == pytest.approx(
-            rep.total, rel=1e-12
-        )
-
-    def test_grain_surcharge_distributed_pro_rata(self):
-        trace = fake_trace([(2, 100.0, [0, 0]), (2, 300.0, [0, 0])])
-        book = PriceBook(billing_grain_seconds=3600.0)
-        rep = attribute_cost(trace, prices=book)
-        # 400s of run billed as 3600s for 1 manager + 2 workers
-        w, m = LARGE_VM.price_per_hour / 3600, SMALL_VM.price_per_hour / 3600
-        assert rep.rounding == pytest.approx(3200.0 * (m + 2 * w))
-        shares = [s["rounding"] for s in rep.per_step]
-        assert shares[1] == pytest.approx(3 * shares[0])
-        # the invariant the module promises: exact, grain included
         assert sum(s["total"] for s in rep.per_step) == pytest.approx(
             rep.total, rel=1e-12
         )
@@ -120,66 +95,41 @@ class TestAttributeCost:
         assert len(d["per_step"]) == 1
 
 
-class TestCostMeter:
-    def _engine(self, workers=2):
-        return SimpleNamespace(
-            vm_spec=LARGE_VM,
-            job=SimpleNamespace(manager_vm=SMALL_VM),
-            num_workers=workers,
-        )
+class TestCostGauges:
+    """The spine's metrics adapter prices each closed step into gauges."""
 
-    def _stats(self, n, elapsed, outs, index=0):
-        return SimpleNamespace(
-            index=index,
-            num_workers=n,
-            elapsed=elapsed,
-            workers=[
-                SimpleNamespace(worker=w, elapsed=elapsed, bytes_out=b)
-                for w, b in enumerate(outs)
-            ],
-        )
-
-    def test_gauges_track_attribution(self):
+    def test_gauges_track_attribution(self, small_world):
         reg = MetricsRegistry()
-        meter = CostMeter(reg)
-        engine = self._engine()
-        meter.on_job_start(engine)
-        meter.on_superstep_end(engine, self._stats(2, 10.0, [GB, 0]))
-        meter.on_superstep_end(engine, self._stats(2, 30.0, [0, 2 * GB]))
-        meter.on_job_end(engine, None)
-        rep = attribute_cost(fake_trace([
-            (2, 10.0, [GB, 0]), (2, 30.0, [0, 2 * GB]),
-        ]))
-        assert meter.total == pytest.approx(rep.total)
-        g = reg.gauge("repro_cost_total_dollars")
-        assert g.value == pytest.approx(rep.total)
-        assert reg.gauge("repro_cost_egress_dollars").value == (
-            pytest.approx(rep.egress)
-        )
-
-    def test_finalize_adds_grain_surcharge_once(self):
-        reg = MetricsRegistry()
-        book = PriceBook(billing_grain_seconds=60.0)
-        meter = CostMeter(reg, prices=book)
-        engine = self._engine()
-        meter.on_superstep_end(engine, self._stats(2, 10.0, [0, 0]))
-        before = meter.total
-        meter.on_job_end(engine, None)
-        rep = attribute_cost(fake_trace([(2, 10.0, [0, 0])]), prices=book)
-        assert meter.total > before
-        assert meter.total == pytest.approx(rep.total)
-
-    def test_meter_matches_job_result_cost_live(self, small_world):
-        # Ride the meter along a real run; its live total must agree
-        # with the post-hoc attribution the engine puts on the result.
-        reg = MetricsRegistry()
-        meter = CostMeter(reg)
         res = run_pagerank(
-            small_world, RunConfig(num_workers=3), iterations=5,
-            observers=[meter],
+            small_world, RunConfig(num_workers=3, metrics=reg), iterations=5
+        )
+        rep = res.cost
+        assert reg.gauge("repro_cost_total_dollars").value == rep.total
+        for part in ("compute", "manager", "egress"):
+            assert reg.gauge(f"repro_cost_{part}_dollars").value == (
+                getattr(rep, part)
+            )
+        assert reg.gauge("repro_cost_superstep_dollars").value == (
+            rep.per_step[-1]["total"]
+        )
+
+    def test_gauges_match_job_result_cost_live(self, small_world):
+        # Scrape mid-run: the gauge climbs step by step and ends on the
+        # post-hoc attribution the engine puts on the result.
+        reg = MetricsRegistry()
+        seen = []
+
+        class Scrape(SuperstepObserver):
+            def on_superstep_end(self, engine, stats):
+                seen.append(reg.gauge("repro_cost_total_dollars").value)
+
+        res = run_pagerank(
+            small_world, RunConfig(num_workers=3, metrics=reg), iterations=5,
+            observers=[Scrape()],
         )
         assert res.cost is not None
-        assert meter.total == pytest.approx(res.cost.total, rel=1e-9)
+        assert seen == sorted(seen) and seen[-1] < res.cost.total
+        assert reg.gauge("repro_cost_total_dollars").value == res.cost.total
         # acceptance bound: per-step attribution sums to within 1% of
         # the whole-run cost from the same pricing table (here: exact)
         assert sum(s["total"] for s in res.cost.per_step) == pytest.approx(

@@ -1,25 +1,25 @@
 """The views of one run reconcile (ROADMAP item 3, "Consistency").
 
-Spans, metrics, timeline, flight ring and the two cost computations are all
-fed from the same events of :mod:`repro.bsp.telemetry`; for one job with
-checkpoints and a scheduled failure they must tell the same story, on the
-sequential engine and over real processes.
-
-One gap is left open on purpose: an *unplanned* worker death (no
-``failure_schedule`` entry) charges its recovery on a scratch
-``SuperstepStats`` that never joins the trace, so ``trace.total_time``
-omits it while ``engine.sim_time`` and the billing meter include it.  A
-scheduled failure, as here, lands on the failed step's own stats.
+Spans, metrics, timeline, flight ring and the bill are all fed from the
+same events of :mod:`repro.bsp.telemetry`; for one job they must tell the
+same story.  The job takes checkpoints and loses a worker, on the
+sequential engine, over real processes and on dense shards; over real
+processes a second job's worker also dies unscheduled (``os._exit``).
+Two engines that stall a step for their own reasons join them: a live
+elastic fleet toggling 4 <-> 8 workers and dynamic repartitioning.
 """
 
+import os
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from repro.algorithms import PageRankProgram
 from repro.bsp import JobSpec
 from repro.bsp.engine import make_engine
-from repro.cloud.costmeter import CostMeter
+from repro.cloud import LARGE_VM, SMALL_VM
+from repro.elastic import LiveActiveFraction, LiveElasticEngine
 from repro.graph import generators
 from repro.obs import (
     FlightRecorder,
@@ -29,26 +29,83 @@ from repro.obs import (
     StepMeta,
     TimelineRow,
 )
+from repro.partition.dynamic import DynamicRepartitioningEngine
 
 WORKERS = 3
+#: the phases every superstep opens
+STEP_PHASES = ("compute", "flush", "aggregate-merge", "master-compute")
 
 
-@pytest.fixture(scope="module", params=["sim", "process", "dense-ref"])
-def run(request):
-    """One run per engine, all four sinks plus the live cost meter."""
+class Toggle(LiveActiveFraction):
+    """Alternate the fleet between ``low`` and ``high`` every superstep."""
+
+    def decide(self, engine, stats):
+        return self.high if engine.num_workers == self.low else self.low
+
+
+class DieOnce(PageRankProgram):
+    """PageRank whose worker holding vertex 0 exits mid-compute, once."""
+
+    def __init__(self, iterations, flag):
+        super().__init__(iterations)
+        self.flag = flag
+
+    def compute(self, ctx, state, messages):
+        if (
+            ctx.superstep == 6 and ctx.vertex_id == 0
+            and not os.path.exists(self.flag)
+        ):
+            Path(self.flag).write_text("x")  # the respawned worker survives
+            os._exit(1)
+        return super().compute(ctx, state, messages)
+
+
+#: case -> (stall phases the run must open, whether a worker is lost)
+CASES = {
+    "sim": (("checkpoint", "recovery"), True),
+    "process": (("checkpoint", "recovery"), True),
+    "dense-ref": (("checkpoint", "recovery"), True),
+    "unplanned-death": (("checkpoint", "recovery"), True),
+    "live-elastic": (("checkpoint", "elastic-resize"), False),
+    "repartition": (("checkpoint",), False),
+}
+
+
+@pytest.fixture(scope="module", params=list(CASES))
+def run(request, tmp_path_factory):
+    """One run per case, all four sinks attached."""
+    case = request.param
     graph = generators.watts_strogatz(60, 4, 0.3, seed=7)
     tracer, metrics = SpanTracer(), MetricsRegistry()
     timeline, flight = RunTimeline(), FlightRecorder(capacity=1 << 16)
-    meter = CostMeter(metrics)
+    program, workers, failures = PageRankProgram(9), WORKERS, {6: 1}
+    if case == "unplanned-death":
+        flag = tmp_path_factory.mktemp("unplanned") / "died-once"
+        program, failures = DieOnce(9, str(flag)), {}
+    elif case in ("live-elastic", "repartition"):
+        failures = {}  # both engines refuse failure injection
+        workers = 4 if case == "live-elastic" else WORKERS
     job = JobSpec(
-        program=PageRankProgram(9), graph=graph, num_workers=WORKERS,
-        checkpoint_interval=5, failure_schedule={6: 1}, observers=[meter],
+        program=program, graph=graph, num_workers=workers,
+        checkpoint_interval=5, failure_schedule=failures,
         tracer=tracer, metrics=metrics, timeline=timeline, flight=flight,
     )
-    engine = make_engine(request.param, job)
+    if case == "live-elastic":
+        engine = LiveElasticEngine(job, Toggle(low=4, high=8))
+    elif case == "repartition":
+        engine = DynamicRepartitioningEngine(job, interval=2)
+    else:
+        engine = make_engine(
+            "process" if case == "unplanned-death" else case, job
+        )
     result = engine.run()
-    assert result.recoveries, "the scheduled failure must have fired"
-    return engine, result, tracer, metrics, timeline, flight, meter
+    stalls, lost = CASES[case]
+    assert bool(result.recoveries) == lost
+    if case == "live-elastic":
+        assert len(engine.scale_events) >= 4
+    if case == "repartition":
+        assert engine.migrations, "the repartitioner must have moved vertices"
+    return engine, result, tracer, metrics, timeline, flight, stalls
 
 
 def value(metrics, name, **labels):
@@ -56,7 +113,7 @@ def value(metrics, name, **labels):
 
 
 def test_one_simulated_clock(run):
-    engine, result, tracer, metrics, *_ = run
+    engine, result, tracer, metrics, *_, stalls = run
     [job] = tracer.named("job")
     clock = engine.sim_time
     assert job.sim_duration == clock
@@ -64,15 +121,20 @@ def test_one_simulated_clock(run):
     assert value(metrics, "bsp_sim_time_seconds") == clock
     assert result.trace.total_time == pytest.approx(clock, rel=1e-12)
     # The step histogram observes the step proper; the stalls are counters.
+    # Repartitioning stalls have no series: its engine records them.
+    counted = [
+        value(metrics, "bsp_checkpoint_sim_seconds_total"),
+        value(metrics, "bsp_recovery_sim_seconds_total"),
+    ]
+    if "elastic-resize" in stalls:
+        counted.append(value(metrics, "elastic_overhead_sim_seconds_total"))
+    counted += [m.overhead_seconds for m in getattr(engine, "migrations", ())]
     assert (
-        metrics.get("bsp_superstep_sim_seconds").sum
-        + value(metrics, "bsp_checkpoint_sim_seconds_total")
-        + value(metrics, "bsp_recovery_sim_seconds_total")
+        metrics.get("bsp_superstep_sim_seconds").sum + sum(counted)
     ) == pytest.approx(clock, rel=1e-12)
     # Every phase hangs off its superstep.
     steps = {s.index for s in tracer.named("superstep")}
-    names = ("compute", "flush", "aggregate-merge", "master-compute",
-             "checkpoint", "recovery")
+    names = STEP_PHASES + stalls
     phases = [s for s in tracer.spans if s.name in names]
     assert {s.name for s in phases} == set(names)
     assert all(s.parent in steps for s in phases)
@@ -95,7 +157,7 @@ def test_message_and_step_counts_agree(run):
     assert value(metrics, "bsp_compute_calls_total") == sum(
         s.compute_calls for s in trace
     )
-    for w in range(WORKERS):
+    for w in {ws.worker for s in trace for ws in s.workers}:
         mine = [ws for s in trace for ws in s.workers if ws.worker == w]
         assert value(
             metrics, "bsp_worker_compute_calls_total", worker=str(w)
@@ -110,7 +172,8 @@ def test_timeline_is_the_committed_trace(run):
     # A replayed superstep supersedes the lost one: the last trace entry of
     # each index is the committed one.
     committed = list({s.index: s for s in result.trace}.values())
-    assert len(committed) < len(result.trace)  # something was rolled back
+    # Something was rolled back exactly when a worker was lost.
+    assert (len(committed) < len(result.trace)) == bool(result.recoveries)
     assert [m.superstep for m in timeline.steps] == [s.index for s in committed]
     shared = [f.name for f in fields(StepMeta)
               if f.name not in ("superstep", "overhead_time")]
@@ -130,15 +193,22 @@ def test_timeline_is_the_committed_trace(run):
 
 
 def test_one_bill(run):
-    _, result, _, metrics, _, _, meter = run
+    engine, result, _, metrics, *_ = run
     cost = result.cost
-    assert meter.total == cost.total
+    # The live gauges price each closed step the way the report prices the
+    # trace, every stall included.
     assert value(metrics, "repro_cost_total_dollars") == cost.total
     assert sum(step["total"] for step in cost.per_step) == pytest.approx(
         cost.total, rel=1e-12
     )
-    # The billing meter charges the same VM-seconds the report attributes:
-    # checkpoint writes and recovery bill the manager like any other second.
-    assert result.total_cost == pytest.approx(
-        cost.compute + cost.manager, rel=1e-12
+    # Every simulated second is billed: the manager for the whole clock,
+    # the workers for every row's fleet plus the VMs a scale-out boots.
+    assert cost.manager == pytest.approx(
+        engine.sim_time * SMALL_VM.price_per_second, rel=1e-12
+    )
+    vm_seconds = sum(
+        s.num_workers * s.elapsed + s.extra_vm_seconds for s in result.trace
+    )
+    assert cost.compute == pytest.approx(
+        vm_seconds * LARGE_VM.price_per_second, rel=1e-12
     )

@@ -105,11 +105,11 @@ def fake_stats(index, elapsed_by_worker, barrier=0.5):
         "S",
         [
             "index", "num_workers", "active_begin", "active_end", "injected",
-            "barrier_time", "restart_time", "elapsed", "sim_time_end",
-            "workers",
+            "barrier_time", "restart_time", "elapsed", "extra_vm_seconds",
+            "sim_time_end", "workers",
         ],
     )(
-        index, len(workers), 1, 1, 0, barrier, 0.0, slowest + barrier,
+        index, len(workers), 1, 1, 0, barrier, 0.0, slowest + barrier, 0.0,
         (index + 1) * (slowest + barrier), workers,
     )
 
