@@ -44,6 +44,11 @@ class WorkerStepStats:
         return self.msgs_out_local + self.msgs_out_remote
 
     @property
+    def comm_time(self) -> float:
+        """Data-plane time: serialization + network + disk buffering."""
+        return self.serialize_time + self.network_time + self.disk_time
+
+    @property
     def busy_time(self) -> float:
         """Compute + I/O time (the paper's 'Compute+I/O' component)."""
         return (
@@ -100,6 +105,16 @@ class SuperstepStats:
         return max((w.elapsed for w in self.workers), default=0.0)
 
     @property
+    def overhead_time(self) -> float:
+        """Time charged beyond slowest worker + barrier + restarts:
+        checkpoint writes, recovery restores, elastic stalls."""
+        return max(
+            0.0,
+            self.elapsed - self.slowest_busy - self.barrier_time
+            - self.restart_time,
+        )
+
+    @property
     def compute_calls(self) -> int:
         return sum(w.compute_calls for w in self.workers)
 
@@ -148,6 +163,11 @@ class JobTrace:
         return max((s.peak_memory for s in self.steps), default=0.0)
 
     @property
+    def num_workers(self) -> int:
+        """Widest fleet seen (elastic runs vary per step)."""
+        return max((s.num_workers for s in self.steps), default=0)
+
+    @property
     def total_barrier_time(self) -> float:
         return sum(s.barrier_time for s in self.steps)
 
@@ -162,20 +182,22 @@ class JobTrace:
         """Total messages emitted per superstep (Figs. 3, 7)."""
         return np.array([s.total_messages for s in self.steps], dtype=np.int64)
 
-    def series_messages_per_worker(self) -> np.ndarray:
-        """(supersteps x workers) emitted-message matrix (Figs. 10-14).
+    def matrix(self, name: str) -> np.ndarray:
+        """(supersteps x workers) matrix of one worker-row field or
+        property, e.g. ``matrix("msgs_out")`` (Figs. 10-14).
 
         Rows are zero-padded on the right when worker counts differ across
         supersteps (elastic runs).
         """
-        if not self.steps:
-            return np.zeros((0, 0), dtype=np.int64)
-        width = max(s.num_workers for s in self.steps)
-        out = np.zeros((len(self.steps), width), dtype=np.int64)
+        out = np.zeros((len(self.steps), self.num_workers))
         for i, s in enumerate(self.steps):
-            per = s.messages_per_worker
-            out[i, : len(per)] = per
+            for w in s.workers:
+                out[i, w.worker] = getattr(w, name)
         return out
+
+    def per_worker_total(self, name: str) -> np.ndarray:
+        """Sum of one worker-row field or property per worker id."""
+        return self.matrix(name).sum(axis=0)
 
     def series_peak_memory(self) -> np.ndarray:
         """Max per-worker memory per superstep (Fig. 5)."""

@@ -530,7 +530,7 @@ class _Metrics:
 
 
 class _Timeline:
-    """:class:`repro.obs.RunTimeline`: one row per committed step x worker."""
+    """:class:`repro.obs.RunTimeline`: the committed ``SuperstepStats``."""
 
     def __init__(self, engine, timeline) -> None:
         self.timeline = timeline
@@ -540,7 +540,7 @@ class _Timeline:
     def closed(self, stats, committed: bool) -> None:
         # Committed steps only, after every cost charged to the step
         # (checkpoint, recovery, elastic resize) has landed in
-        # stats.elapsed; a lost epoch's rows vanish with ``rollback`` and
+        # stats.elapsed; a lost epoch's steps vanish with ``rollback`` and
         # the replayed supersteps re-record here.
         if committed:
             self.timeline.record_superstep(stats)

@@ -492,7 +492,8 @@ def _write_obs_artifacts(args, metrics, tracer, timeline, monitor) -> None:
         n_flags = len(monitor.flags) if monitor is not None else 0
         print(
             f"timeline written to {args.timeline_out} "
-            f"({len(timeline.rows)} rows, {n_flags} straggler flags)"
+            f"({sum(len(s.workers) for s in timeline)} rows, "
+            f"{n_flags} straggler flags)"
         )
     if metrics is not None and args.metrics_out:
         if args.metrics_out.endswith(".json"):

@@ -7,11 +7,12 @@ instance time and network egress.  Every view of a run's cost folds the
 same per-step records through it:
 
 * :func:`attribute_cost` folds a finished run into a :class:`CostReport`
-  (per superstep, per worker).  It accepts a
-  :class:`~repro.obs.timeline.RunTimeline` or a raw
-  :class:`~repro.bsp.superstep.JobTrace` (duck-typed), so the engine
-  attaches one to every :class:`~repro.bsp.job.JobResult`, and
-  ``JobResult.total_cost`` is its instance part;
+  (per superstep, per worker).  It reads the steps of a
+  :class:`~repro.bsp.superstep.JobTrace` (duck-typed): the engine prices
+  the whole trace into every :class:`~repro.bsp.job.JobResult`
+  (``JobResult.total_cost`` is its instance part), and ``repro perf``
+  prices a :class:`~repro.obs.timeline.RunTimeline`, which is the
+  ``JobTrace`` of the committed steps only;
 * with a metrics registry attached, the telemetry spine prices each step
   as it closes into the ``repro_cost_*`` gauges, so the dollar burn is
   visible on ``/metrics`` mid-run and ends equal to the report's total.
@@ -92,44 +93,6 @@ class CostReport:
         )
 
 
-def _steps_and_rows(source: Any) -> list[tuple[int, int, float, float, list]]:
-    """Normalize a RunTimeline or JobTrace into attribution inputs.
-
-    Returns ``[(superstep, num_workers, elapsed, extra_vm_seconds, rows)]``
-    where each row is ``(worker, bytes_out)``.  Duck-typed on the two
-    shapes: a timeline has ``steps`` of ``StepMeta`` + flat ``rows``; a
-    job trace has ``steps`` of ``SuperstepStats`` with nested ``workers``.
-    """
-    steps = getattr(source, "steps", None)
-    if steps is None:
-        raise TypeError(
-            f"cannot attribute cost over {type(source).__name__}: "
-            "expected a RunTimeline or JobTrace"
-        )
-    if hasattr(source, "rows"):  # RunTimeline
-        by_step: dict[int, list] = {}
-        for row in source.rows:
-            by_step.setdefault(int(row.superstep), []).append(
-                (int(row.worker), float(row.bytes_out))
-            )
-        return [
-            (
-                int(meta.superstep), int(meta.num_workers),
-                float(meta.elapsed), float(meta.extra_vm_seconds),
-                by_step.get(int(meta.superstep), []),
-            )
-            for meta in steps
-        ]
-    return [  # JobTrace
-        (
-            int(stats.index), int(stats.num_workers), float(stats.elapsed),
-            float(stats.extra_vm_seconds),
-            [(int(w.worker), float(w.bytes_out)) for w in stats.workers],
-        )
-        for stats in steps
-    ]
-
-
 def attribute_cost(
     source: Any, worker_vm: VMSpec = LARGE_VM, manager_vm: VMSpec = SMALL_VM,
 ) -> CostReport:
@@ -140,18 +103,26 @@ def attribute_cost(
     the steps it ran in; a scale-out's boot-time VM-seconds appear only
     in the per-step column.
     """
+    steps = getattr(source, "steps", None)
+    if steps is None:
+        raise TypeError(
+            f"cannot attribute cost over {type(source).__name__}: "
+            "expected a JobTrace"
+        )
     w_rate = worker_vm.price_per_second
     per_step: list[dict] = []
     worker_seconds: dict[int, float] = {}
     worker_egress: dict[int, float] = {}
     total_compute = total_manager = total_egress = 0.0
-    for index, num_workers, elapsed, extra, rows in _steps_and_rows(source):
+    for stats in steps:
+        elapsed, num_workers = float(stats.elapsed), int(stats.num_workers)
         compute, manager, egress = step_cost(
             worker_vm, manager_vm, num_workers, elapsed,
-            sum(b for _, b in rows), extra,
+            sum(float(w.bytes_out) for w in stats.workers),
+            float(stats.extra_vm_seconds),
         )
         per_step.append({
-            "superstep": index,
+            "superstep": int(stats.index),
             "elapsed": elapsed,
             "workers": num_workers,
             "compute": compute,
@@ -162,12 +133,14 @@ def attribute_cost(
         total_compute += compute
         total_manager += manager
         total_egress += egress
-        for worker, w_bytes in rows:
+        for w in stats.workers:
             # Billed for the barrier-synchronized step, not own busy time.
-            worker_seconds[worker] = (
-                worker_seconds.get(worker, 0.0) + elapsed
+            worker_seconds[w.worker] = (
+                worker_seconds.get(w.worker, 0.0) + elapsed
             )
-            worker_egress[worker] = worker_egress.get(worker, 0.0) + w_bytes
+            worker_egress[w.worker] = (
+                worker_egress.get(w.worker, 0.0) + float(w.bytes_out)
+            )
 
     per_worker = []
     for worker, seconds in sorted(worker_seconds.items()):

@@ -17,9 +17,9 @@ engine stack reports into:
   emitting throttled live progress lines to stderr;
 * :mod:`repro.obs.summary` — utilization/breakdown tables from saved
   traces (backs ``repro trace summarize``);
-* :mod:`repro.obs.timeline` — :class:`RunTimeline`, the structured
-  per-(superstep, worker) attribution record, byte-identical across
-  execution backends and rolled back with failure recovery;
+* :mod:`repro.obs.timeline` — :class:`RunTimeline`, the ``JobTrace`` of
+  the run's committed supersteps plus its annotations, byte-identical
+  across execution backends and rolled back with failure recovery;
 * :mod:`repro.obs.diagnose` — straggler/skew detection with cause
   attribution (:class:`DiagnosticMonitor`) and critical-path breakdown;
 * :mod:`repro.obs.perf` — timeline report/diff rendering (backs
@@ -97,14 +97,7 @@ from .postmortem import (
 from .progress import RunReporter
 from .spans import Span, SpanTracer
 from .summary import summarize_events, summarize_spans, summarize_trace
-from .timeline import (
-    RunTimeline,
-    StepMeta,
-    TimelineRow,
-    read_timeline,
-    timeline_from_dict,
-    timeline_to_dict,
-)
+from .timeline import RunTimeline, read_timeline, timeline_from_dict
 
 __all__ = [
     "Counter",
@@ -126,10 +119,7 @@ __all__ = [
     "snapshot_registry",
     "apply_snapshot",
     "RunTimeline",
-    "TimelineRow",
-    "StepMeta",
     "read_timeline",
-    "timeline_to_dict",
     "timeline_from_dict",
     "DiagnosticMonitor",
     "StragglerFlag",

@@ -34,9 +34,11 @@ def _cost_report(timeline):
     """Price a timeline with the default book (paper's VM flavors).
 
     Timeline dumps carry no VM information, so reports price them with
-    the paper's standard fleet (large workers, small manager) — the
-    same table the engines bill with by default, which keeps the perf
-    dollars comparable with ``JobResult.cost``.
+    the paper's standard fleet (large workers, small manager), the
+    engines' default.  A timeline holds committed steps only: when a
+    recovery rolled steps back this leaves out the lost epoch and its
+    restore stall, so the perf dollars are then below ``JobResult.cost``,
+    which prices every row of the trace.
     """
     from ..cloud.costmeter import attribute_cost
 

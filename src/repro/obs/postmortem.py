@@ -41,7 +41,7 @@ from ..analysis.tables import table
 from .diagnose import attribute_run, critical_path, dominant_cause
 from .export import to_json_dict
 from .flight import FlightEvent
-from .timeline import timeline_from_dict, timeline_to_dict
+from .timeline import timeline_from_dict
 
 __all__ = [
     "POSTMORTEM_FORMAT_VERSION",
@@ -169,7 +169,7 @@ def build_bundle(engine: Any, error: BaseException) -> dict:
     section(
         "timeline",
         lambda: (
-            timeline_to_dict(engine.timeline)
+            engine.timeline.to_dict()
             if engine.timeline is not None
             else None
         ),

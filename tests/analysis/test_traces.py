@@ -30,7 +30,7 @@ class TestJsonRoundTrip:
         assert back.total_time == pytest.approx(trace.total_time)
         assert np.array_equal(back.series_messages(), trace.series_messages())
         assert np.array_equal(
-            back.series_messages_per_worker(), trace.series_messages_per_worker()
+            back.matrix("msgs_out"), trace.matrix("msgs_out")
         )
         assert back.utilization() == pytest.approx(trace.utilization())
 

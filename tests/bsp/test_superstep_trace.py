@@ -69,7 +69,7 @@ class TestJobTrace:
         assert trace.series_messages().tolist() == [10, 60, 2]
 
     def test_series_per_worker_matrix(self, trace):
-        m = trace.series_messages_per_worker()
+        m = trace.matrix("msgs_out")
         assert m.shape == (3, 2)
         assert m[1].tolist() == [50, 10]
 
@@ -77,7 +77,7 @@ class TestJobTrace:
         t = JobTrace()
         t.append(make_step(0, [5, 5, 5, 5]))
         t.append(make_step(1, [9, 9]))
-        m = t.series_messages_per_worker()
+        m = t.matrix("msgs_out")
         assert m.shape == (2, 4)
         assert m[1].tolist() == [9, 9, 0, 0]
 
@@ -90,7 +90,7 @@ class TestJobTrace:
         t = JobTrace()
         assert t.total_time == 0.0
         assert t.peak_memory == 0.0
-        assert t.series_messages_per_worker().shape == (0, 0)
+        assert t.matrix("msgs_out").shape == (0, 0)
         assert t.utilization() == 0.0
 
 

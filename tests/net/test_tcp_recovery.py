@@ -102,7 +102,6 @@ class TestTimelineRollback:
         assert tl_pipe.rolled_back_rows > 0
         assert tl_tcp.rolled_back_rows == tl_pipe.rolled_back_rows
         assert tl_tcp.steps == tl_pipe.steps
-        assert tl_tcp.rows == tl_pipe.rows
         assert tl_tcp.events == tl_pipe.events
 
 

@@ -55,7 +55,7 @@ class TestCrashFlush:
         assert json.loads(m.read_text())
         assert json.loads(s.read_text())
         timeline = json.loads(t.read_text())
-        assert timeline["rows"], "partial timeline must be preserved"
+        assert timeline["steps"], "partial timeline must be preserved"
         events = [
             json.loads(ln) for ln in e.read_text().splitlines() if ln
         ]

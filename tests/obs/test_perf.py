@@ -66,15 +66,12 @@ class TestReport:
 def slow_compute_copy(tl, factor=2.0):
     """A doctored timeline whose every row computes ``factor`` x slower."""
     doctored = timeline_from_dict(copy.deepcopy(tl.to_dict()))
-    for r in doctored.rows:
-        r.compute_time *= factor
     sim = 0.0
     for s in doctored.steps:
-        slowest = max(
-            (r.elapsed for r in doctored.rows_of_step(s.superstep)),
-            default=0.0,
-        )
-        s.elapsed = slowest + s.barrier_time + s.restart_time + s.overhead_time
+        overhead = s.overhead_time
+        for w in s.workers:
+            w.compute_time *= factor
+        s.elapsed = s.slowest_busy + s.barrier_time + s.restart_time + overhead
         sim += s.elapsed
         s.sim_time_end = sim
     return doctored
@@ -131,11 +128,11 @@ class TestCLI:
         ) == 0
         assert "clean" in capsys.readouterr().out
 
-        from repro.obs import read_timeline, timeline_to_dict
+        from repro.obs import read_timeline
 
         slow = slow_compute_copy(read_timeline(timeline_file))
         slow_path = tmp_path / "slow.json"
-        slow_path.write_text(json.dumps(timeline_to_dict(slow)))
+        slow.write_json(slow_path)
         assert cli_main(
             ["perf", "diff", str(timeline_file), str(slow_path)]
         ) == 1
@@ -145,4 +142,4 @@ class TestCLI:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"version": 1, "spans": []}))
         assert cli_main(["perf", "report", str(bad)]) == 2
-        assert "trace or spans" in capsys.readouterr().err
+        assert "spans file" in capsys.readouterr().err

@@ -10,7 +10,6 @@ elastic fleet toggling 4 <-> 8 workers and dynamic repartitioning.
 """
 
 import os
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,8 @@ import pytest
 from repro.algorithms import PageRankProgram
 from repro.bsp import JobSpec
 from repro.bsp.engine import make_engine
-from repro.cloud import LARGE_VM, SMALL_VM
+from repro.bsp.superstep import JobTrace
+from repro.cloud import LARGE_VM, SMALL_VM, attribute_cost
 from repro.elastic import LiveActiveFraction, LiveElasticEngine
 from repro.graph import generators
 from repro.obs import (
@@ -26,8 +26,6 @@ from repro.obs import (
     MetricsRegistry,
     RunTimeline,
     SpanTracer,
-    StepMeta,
-    TimelineRow,
 )
 from repro.partition.dynamic import DynamicRepartitioningEngine
 
@@ -174,22 +172,22 @@ def test_timeline_is_the_committed_trace(run):
     committed = list({s.index: s for s in result.trace}.values())
     # Something was rolled back exactly when a worker was lost.
     assert (len(committed) < len(result.trace)) == bool(result.recoveries)
-    assert [m.superstep for m in timeline.steps] == [s.index for s in committed]
-    shared = [f.name for f in fields(StepMeta)
-              if f.name not in ("superstep", "overhead_time")]
-    for meta, stats in zip(timeline.steps, committed):
-        assert [getattr(meta, n) for n in shared] == [
-            getattr(stats, n) for n in shared
-        ]
-    per_worker = [f.name for f in fields(TimelineRow) if f.name != "superstep"]
-    expected = [
-        [stats.index] + [getattr(ws, n) for n in per_worker]
-        for stats in committed for ws in stats.workers
-    ]
-    assert [
-        [row.superstep] + [getattr(row, n) for n in per_worker]
-        for row in timeline.rows
-    ] == expected
+    # The timeline holds the trace's own step objects, not copies.
+    assert len(timeline.steps) == len(committed)
+    assert all(t is s for t, s in zip(timeline.steps, committed))
+
+
+def test_timeline_prices_the_committed_steps(run):
+    _, result, _, _, timeline, *_ = run
+    committed = JobTrace(list({s.index: s for s in result.trace}.values()))
+    # `repro perf` prices a timeline with the default book, which is the
+    # one these runs bill with.
+    assert attribute_cost(timeline) == attribute_cost(committed)
+    if len(committed) < len(result.trace):
+        # The lost epoch and its restore stall are in the bill only.
+        assert attribute_cost(timeline).total < result.cost.total
+    else:
+        assert attribute_cost(timeline) == result.cost
 
 
 def test_one_bill(run):
