@@ -13,7 +13,7 @@ from repro.algorithms import bc as bc_mod
 from repro.bsp import JobSpec, run_job
 from repro.cloud.costmodel import SCALED_PERF_MODEL
 from repro.partition import MultilevelPartitioner
-from repro.partition.dynamic import DynamicRepartitioningEngine
+from repro.partition.dynamic import DynamicRepartitioner
 from repro.scheduling import StaticSizer, SwathController
 
 from helpers import banner, fmt_seconds, run_once
@@ -49,17 +49,19 @@ def run_comparison():
                 MultilevelPartitioner(seed=1, imbalance=1.15, refine_passes=12),
             )
         )
-        engine = DynamicRepartitioningEngine(make_job(g, roots), interval=3)
-        dynamic = engine.run()
+        policy = DynamicRepartitioner(interval=3)
+        job = make_job(g, roots)
+        job.observers = [*job.observers, policy]
+        dynamic = run_job(job)
         out[ds] = {
             "hash": static_hash.total_time,
             "metis": metis.total_time,
             "dynamic": dynamic.total_time,
-            "moved": engine.total_moved,
-            "remote_start": engine.migrations[0].remote_fraction_before
-            if engine.migrations else 1.0,
-            "remote_end": engine.migrations[-1].remote_fraction_after
-            if engine.migrations else 1.0,
+            "moved": policy.total_moved,
+            "remote_start": policy.migrations[0].remote_fraction_before
+            if policy.migrations else 1.0,
+            "remote_end": policy.migrations[-1].remote_fraction_after
+            if policy.migrations else 1.0,
         }
     return out
 

@@ -2,7 +2,7 @@
 
 §VIII only extrapolates elastic scaling from static 4- and 8-worker runs
 and "does not yet consider the overheads of scaling".  Our
-:class:`~repro.elastic.live.LiveElasticEngine` executes the mechanism for
+:class:`~repro.elastic.live.ElasticResizer` executes the mechanism for
 real: repartition at the boundary, migrate vertex state and buffered
 messages, charge provisioning/drain/migration time.  This bench runs BC on
 WG three ways — static 4, static 8, live dynamic — and compares the live
@@ -15,7 +15,7 @@ from repro.algorithms import BCProgram
 from repro.algorithms import bc as bc_mod
 from repro.bsp import JobSpec, run_job
 from repro.analysis import run_traversal, tables
-from repro.elastic import LiveActiveFraction, LiveElasticEngine
+from repro.elastic import ElasticResizer, LiveActiveFraction
 from repro.scheduling import SequentialInitiation, StaticSizer, SwathController
 
 from helpers import banner, fmt_seconds, run_once
@@ -45,12 +45,12 @@ def run_live_comparison(sc):
     for w in (4, 8):
         res = run_job(make_job(sc, w, pm))
         out[f"static-{w}"] = (res, None)
-    engine = LiveElasticEngine(
-        make_job(sc, 4, pm),
-        LiveActiveFraction(low=4, high=8, threshold=0.5, cooldown=2),
+    resizer = ElasticResizer(
+        LiveActiveFraction(low=4, high=8, threshold=0.5, cooldown=2)
     )
-    res = engine.run()
-    out["live-dynamic"] = (res, engine)
+    job = make_job(sc, 4, pm)
+    job.observers = [*job.observers, resizer]
+    out["live-dynamic"] = (run_job(job), resizer)
     return out
 
 
@@ -62,14 +62,14 @@ def test_live_elastic_execution(benchmark, wg_scenario):
     base_time = runs["static-4"][0].total_time
     base_cost = runs["static-4"][0].total_cost
     rows = []
-    for name, (res, engine) in runs.items():
+    for name, (res, resizer) in runs.items():
         rows.append([
             name,
             fmt_seconds(res.total_time),
             f"{res.total_time / base_time:.3f}x",
             f"{res.total_cost / base_cost:.3f}x",
-            len(engine.scale_events) if engine else 0,
-            fmt_seconds(engine.scale_overhead_total) if engine else "-",
+            len(resizer.scale_events) if resizer else 0,
+            fmt_seconds(resizer.scale_overhead_total) if resizer else "-",
         ])
     print(tables.table(
         ["config", "sim. time", "norm. time", "norm. cost",

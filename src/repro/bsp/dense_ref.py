@@ -114,6 +114,8 @@ class DenseRefEngine(BSPEngine):
     ``plan`` is always executed exactly as given.
     """
 
+    migrates = False  # shards hold rows in arrays, not per-vertex dicts
+
     def __init__(self, job: JobSpec, plan: "KernelPlan | None" = None,
                  optimize: bool = True):
         program = job.program

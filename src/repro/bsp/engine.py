@@ -12,6 +12,8 @@ Observers (e.g. the swath controller, elastic policies' probes) are invoked
 at every superstep boundary with the fresh :class:`SuperstepStats`; they may
 inject control-plane activation messages and keep the job alive via
 ``has_pending_work()`` even when all vertices are momentarily halted.
+A :class:`MigrationPolicy` (elastic resize, dynamic repartitioning) then
+moves vertices between workers through :meth:`BSPEngine.migrate`.
 """
 
 from __future__ import annotations
@@ -25,13 +27,15 @@ import numpy as np
 from ..cloud.costmeter import attribute_cost
 from ..cloud.memorymodel import MemoryModel
 from ..cloud.network import NetworkModel, TrafficSummary
+from ..partition.base import Partition
 from .api import MasterContext, VertexProgram
 from .job import JobResult, JobSpec, RecoveryEvent
 from .superstep import JobTrace, SuperstepStats
 from .telemetry import Telemetry
 from .worker import PartitionWorker
 
-__all__ = ["BSPEngine", "ENGINES", "SuperstepObserver", "make_engine", "run_job"]
+__all__ = ["BSPEngine", "ENGINES", "MigrationPolicy", "SuperstepObserver",
+           "make_engine", "run_job"]
 
 
 class SuperstepObserver:
@@ -52,8 +56,22 @@ class SuperstepObserver:
         """Called once after the halting condition, with the final result."""
 
 
+class MigrationPolicy(SuperstepObserver):
+    """An observer that steers the fleet: the engine calls
+    :meth:`at_boundary` after every ``on_superstep_end`` of a boundary that
+    commits and does not halt, where it may :meth:`BSPEngine.migrate`.
+    Refused with failure injection and on engines that cannot migrate."""
+
+    def at_boundary(self, engine: "BSPEngine", stats: SuperstepStats) -> None:
+        """Steer the fleet before the next superstep."""
+
+
 class BSPEngine:
     """Executes one :class:`~repro.bsp.job.JobSpec` to completion."""
+
+    #: whether :meth:`migrate` can move this engine's vertices (it moves
+    #: in-process :class:`PartitionWorker` state only)
+    migrates = True
 
     def __init__(self, job: JobSpec) -> None:
         self.job = job
@@ -81,6 +99,16 @@ class BSPEngine:
             else None
         )
         self._observers: list[SuperstepObserver] = list(job.observers)
+        self._policies = [
+            o for o in self._observers if isinstance(o, MigrationPolicy)
+        ]
+        if self._policies and not self.migrates:
+            raise ValueError(
+                f"{type(self).__name__} cannot migrate vertices between "
+                "workers; run a migration policy on the sim engine"
+            )
+        if self._policies and job.failure_schedule:
+            raise ValueError("migration cannot be combined with failure injection")
         # Observability: the engine emits events on the spine, which alone
         # calls the attached sinks; they stay readable here for the
         # postmortem writer and the diagnostic monitor.
@@ -140,8 +168,8 @@ class BSPEngine:
     def _views(self):
         """Per-worker views in worker-id order (see :meth:`_account_superstep`).
 
-        Read through ``self.workers`` every time: the elastic and
-        re-partitioning engines replace that list between supersteps.
+        Read through ``self.workers`` every time: :meth:`migrate` grows and
+        shrinks that list between supersteps.
         """
         return self.workers
 
@@ -213,7 +241,8 @@ class BSPEngine:
                 for obs in self._observers:
                     obs.on_superstep_end(self, stats)
                 if not (failed or self._master_halt):
-                    self._post_superstep(stats)
+                    for policy in self._policies:
+                        policy.at_boundary(self, stats)
                 # A failed step rolls back instead of committing — unless
                 # the failure struck after this boundary's checkpoint
                 # already captured it: recovery then resumes *past* the
@@ -394,12 +423,38 @@ class BSPEngine:
         stats.sim_time_end = self.sim_time
         self.trace.append(stats)
 
-    def _post_superstep(self, stats: SuperstepStats) -> None:
-        """Hook for subclasses, called after observers at each boundary.
-
-        :class:`~repro.elastic.live.LiveElasticEngine` overrides this to
-        resize the worker fleet between supersteps.
+    def migrate(self, partition: Partition) -> int:
+        """Re-home every vertex whose owner ``partition`` changes — its
+        state, halt flag, buffered messages and mutation overlay — and grow
+        or shrink :attr:`workers` to ``partition.num_parts`` (new workers
+        start empty; dropped ones lose every vertex).  Called between
+        supersteps; returns vertices moved.
         """
+        if partition.num_vertices != self.graph.num_vertices:
+            raise ValueError("partition does not cover the graph")
+        workers = self.workers
+        for w in workers:  # queued edge mutations land in the overlay, which moves
+            w._apply_mutations()
+        old, new = self.partition.assignment, partition.assignment
+        for w in range(len(workers), partition.num_parts):
+            workers.append(PartitionWorker(
+                worker_id=w, graph=self.graph,
+                vertex_ids=np.empty(0, dtype=np.int64),
+                program=self.job.program, model=self.model,
+                assignment=new, initially_active=False,
+            ))
+        moving = np.flatnonzero(old != new).tolist()
+        for v in moving:
+            exported = workers[old[v]].export_vertex(v)
+            workers[new[v]].import_vertex(v, *exported)
+        del workers[partition.num_parts:]
+        for w in workers:
+            w.assignment = new
+            w.vertex_ids = partition.vertices_of(w.worker_id)
+            w.refresh_partition_footprint()
+        self.partition = partition
+        self.num_workers = partition.num_parts
+        return len(moving)
 
     def _extract_values(self) -> dict[int, Any]:
         """Collect the user-facing result values from every worker."""
@@ -442,7 +497,7 @@ class BSPEngine:
         the failure implicitly (rollback is the only observable effect);
         the process engine overrides this to actually kill the worker."""
 
-    def _stall(self, stats: SuperstepStats, seconds: float) -> None:
+    def stall(self, stats: SuperstepStats, seconds: float) -> None:
         """Stall the whole job for ``seconds`` at this boundary (checkpoint
         write, recovery, repartition, resize): the clock and the step's
         elapsed time, which every allocated VM bills, move together."""
@@ -460,7 +515,7 @@ class BSPEngine:
             write_time = (
                 self._state_bytes_total() / self.model.checkpoint_bandwidth
             )
-            self._stall(stats, write_time)
+            self.stall(stats, write_time)
         self.telemetry.stall(
             "checkpoint", write_time, resume_point=self.superstep + 1
         )
@@ -489,7 +544,7 @@ class BSPEngine:
                 self.model.restart_time
                 + self._state_bytes_total() / self.model.checkpoint_bandwidth
             )
-            self._stall(stats, restore_time)
+            self.stall(stats, restore_time)
             closing["resumed_from"] = resume_from
         self.recoveries.append(
             RecoveryEvent(

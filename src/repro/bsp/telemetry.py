@@ -444,7 +444,7 @@ class _Metrics:
         elif kind == "recovery":
             self.recoveries.inc()
             self.recovery_sim.inc(seconds)
-        else:  # elastic-resize
+        elif kind == "elastic-resize":
             counter = self.registry.counter
             counter(
                 "elastic_scale_events_total",
@@ -458,6 +458,16 @@ class _Metrics:
             counter(
                 "elastic_overhead_sim_seconds_total",
                 help="Simulated seconds the job stalled for scaling",
+            ).inc(seconds)
+        elif kind == "repartition":
+            counter = self.registry.counter
+            counter(
+                "repartition_vertices_moved_total",
+                help="Vertices migrated by dynamic repartitioning",
+            ).inc(attrs["vertices_moved"])
+            counter(
+                "repartition_overhead_sim_seconds_total",
+                help="Simulated seconds the job stalled for repartitioning",
             ).inc(seconds)
 
     @cached_property

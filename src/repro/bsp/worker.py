@@ -74,13 +74,7 @@ class PartitionWorker:
         self.out_remote: dict[int, dict[int, list]] = {}
         self.out_remote_wire_bytes = 0.0
 
-        # Fixed footprint of the hosted partition: CSR share + bookkeeping.
-        arcs_hosted = int(np.diff(graph.indptr)[self.vertex_ids].sum()) if len(
-            self.vertex_ids
-        ) else 0
-        self.graph_bytes = (
-            arcs_hosted * 6 + len(self.vertex_ids) * model.vertex_overhead_bytes
-        )
+        self.refresh_partition_footprint()
 
         # Aggregator plumbing (wired by the engine each superstep).
         self._agg_partials: dict[str, Any] = {}
@@ -425,7 +419,7 @@ class PartitionWorker:
         )
 
     # ------------------------------------------------------------------
-    # Vertex migration (live elastic scaling support)
+    # Vertex migration (BSPEngine.migrate)
     # ------------------------------------------------------------------
     def export_vertex(self, v: int) -> tuple:
         """Detach a vertex's live data for migration to another worker."""
@@ -444,8 +438,9 @@ class PartitionWorker:
         return state, halted, pending, overlay
 
     def refresh_partition_footprint(self) -> None:
-        """Recompute the hosted-partition memory share after migrations."""
-        hosted = np.array(sorted(self.states.keys()), dtype=np.int64)
+        """Fixed footprint of :attr:`vertex_ids`: CSR share + bookkeeping
+        (recomputed by :meth:`~repro.bsp.engine.BSPEngine.migrate`)."""
+        hosted = self.vertex_ids
         arcs_hosted = (
             int(np.diff(self.graph.indptr)[hosted].sum()) if len(hosted) else 0
         )
@@ -456,9 +451,7 @@ class PartitionWorker:
     def import_vertex(
         self, v: int, state, halted: bool, pending: list, overlay=None
     ) -> None:
-        """Adopt a migrated vertex (replacing any freshly-initialized state)."""
-        if v in self.states:
-            self.total_state_bytes -= self._state_bytes[v]
+        """Adopt a vertex migrated from another worker."""
         self.states[v] = state
         nb = int(self.program.state_nbytes(state))
         self._state_bytes[v] = nb

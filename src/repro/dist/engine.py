@@ -179,6 +179,8 @@ class _WorkerView:
 class ProcessBSPEngine(BSPEngine):
     """BSPEngine whose workers live behind a Transport (see module docs)."""
 
+    migrates = False  # the sessions, not the coordinator, hold the vertices
+
     def __init__(
         self,
         job: JobSpec,

@@ -10,14 +10,13 @@ from .policies import (
 from .model import AlignedTraces, ElasticityModel, ElasticOutcome
 from .report import NormalizedRow, normalize_outcomes, render_fig16
 from .live import (
+    ElasticResizer,
     LiveActiveFraction,
-    LiveElasticEngine,
     LiveFixed,
     LiveFleetGuard,
     LiveHealthGuard,
     LivePolicy,
     LiveSkewGuard,
-    run_live,
 )
 
 __all__ = [
@@ -32,12 +31,11 @@ __all__ = [
     "NormalizedRow",
     "normalize_outcomes",
     "render_fig16",
+    "ElasticResizer",
     "LiveActiveFraction",
-    "LiveElasticEngine",
     "LiveFixed",
     "LiveFleetGuard",
     "LiveHealthGuard",
     "LivePolicy",
     "LiveSkewGuard",
-    "run_live",
 ]

@@ -2,11 +2,13 @@
 
 The paper projects elastic-scaling benefits from statically-provisioned
 runs ("these projections do not yet consider the overheads of scaling").
-This module *implements* the mechanism: a :class:`LiveElasticEngine` that,
-at each superstep boundary, consults a :class:`LivePolicy` and actually
-resizes the worker fleet — repartitioning the graph, migrating vertex
-state and buffered messages, and charging provisioning/drain/migration
-time from the elastic provisioner to the step's trace row.
+This module *implements* the mechanism: an :class:`ElasticResizer`
+observer that, at each superstep boundary, consults a :class:`LivePolicy`
+and actually resizes the worker fleet — repartitioning the graph, moving
+vertex state and buffered messages with
+:meth:`~repro.bsp.engine.BSPEngine.migrate`, and charging
+provisioning/drain/migration time from the elastic provisioner to the
+step's trace row.
 
 Correctness is unaffected by construction (tests assert bit-equal results
 with and without scaling): vertex state and undelivered messages move
@@ -21,12 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
-from ..bsp.engine import BSPEngine
-from ..bsp.job import JobResult, JobSpec
+from ..bsp.engine import BSPEngine, MigrationPolicy
 from ..bsp.superstep import SuperstepStats
-from ..bsp.worker import PartitionWorker
 from ..cloud.provisioner import ElasticProvisioner
 from ..partition.base import Partition
 from ..partition.hashing import HashPartitioner
@@ -38,14 +36,14 @@ __all__ = [
     "LiveSkewGuard",
     "LiveHealthGuard",
     "LiveFleetGuard",
-    "LiveElasticEngine",
+    "ElasticResizer",
 ]
 
 
 class LivePolicy:
     """Decides the fleet size for the *next* superstep from live stats."""
 
-    def decide(self, engine: "LiveElasticEngine", stats: SuperstepStats) -> int:
+    def decide(self, engine: BSPEngine, stats: SuperstepStats) -> int:
         raise NotImplementedError
 
     @property
@@ -199,14 +197,14 @@ class LiveFleetGuard(LivePolicy):
         return f"FleetGuard({self.inner.label})"
 
 
-class LiveElasticEngine(BSPEngine):
-    """A BSP engine whose fleet resizes at superstep boundaries.
+class ElasticResizer(MigrationPolicy):
+    """Resizes the worker fleet at superstep boundaries.
+
+    Attach it to ``job.observers``; ``job.num_workers`` is the initial
+    fleet.  Failure injection cannot be combined with live scaling.
 
     Parameters
     ----------
-    job:
-        Standard job spec; ``job.num_workers`` is the initial fleet.
-        Failure injection cannot be combined with live scaling.
     policy:
         The :class:`LivePolicy` consulted after every superstep.
     partition_for:
@@ -216,42 +214,41 @@ class LiveElasticEngine(BSPEngine):
 
     def __init__(
         self,
-        job: JobSpec,
         policy: LivePolicy,
         partition_for: Callable[[int], Partition] | None = None,
     ) -> None:
-        if job.failure_schedule:
-            raise ValueError(
-                "live elastic scaling cannot be combined with failure injection"
-            )
-        super().__init__(job)
         self.policy = policy
-        self._partition_for = partition_for or (
-            lambda k: HashPartitioner().partition(job.graph, k)
-        )
-        self.provisioner = ElasticProvisioner(
-            model=job.perf_model, workers=job.num_workers
-        )
+        self.partition_for = partition_for
         self.scale_overhead_total = 0.0
 
-    # ------------------------------------------------------------------
-    def _post_superstep(self, stats: SuperstepStats) -> None:
-        want = int(self.policy.decide(self, stats))
+    def on_job_start(self, engine: BSPEngine) -> None:
+        self.provisioner = ElasticProvisioner(
+            model=engine.model, workers=engine.num_workers
+        )
+
+    def at_boundary(self, engine: BSPEngine, stats: SuperstepStats) -> None:
+        want = int(self.policy.decide(engine, stats))
         if want <= 0:
             raise ValueError(f"policy requested invalid fleet size {want}")
-        if want == self.num_workers:
+        if want == engine.num_workers:
             return
-        tel = self.telemetry
-        direction = "up" if want > self.num_workers else "down"
-        resize = {"from_workers": self.num_workers, "to_workers": want}
+        tel = engine.telemetry
+        direction = "up" if want > engine.num_workers else "down"
+        resize = {"from_workers": engine.num_workers, "to_workers": want}
         with tel.phase("elastic-resize", **resize) as closing:
-            moved = closing["vertices_moved"] = self._resize_fleet(want)
+            partition = (
+                self.partition_for(want) if self.partition_for
+                else HashPartitioner().partition(engine.graph, want)
+            )
+            if partition.num_parts != want:
+                raise ValueError("partition_for returned wrong part count")
+            moved = closing["vertices_moved"] = engine.migrate(partition)
             # Scaling stalls the job: everyone waits for boots, drains and
             # migration, and the row bills the VMs booting beyond its fleet.
             overhead = self.provisioner.scale_to(
-                want, superstep=self.superstep, vertices_moved=moved
+                want, superstep=engine.superstep, vertices_moved=moved
             )
-            self._stall(stats, overhead)
+            engine.stall(stats, overhead)
             stats.extra_vm_seconds += self.scale_events[-1].extra_vm_seconds
         self.scale_overhead_total += overhead
         # The resize happens between supersteps; its overhead lands in the
@@ -261,52 +258,6 @@ class LiveElasticEngine(BSPEngine):
             "elastic-resize", overhead, vertices_moved=moved, direction=direction
         )
 
-    def _resize_fleet(self, new_count: int) -> int:
-        """Repartition and migrate vertex data; returns vertices moved."""
-        old_partition = self.partition
-        old_workers = self.workers
-        new_partition = self._partition_for(new_count)
-        if new_partition.num_parts != new_count:
-            raise ValueError("partition_for returned wrong part count")
-        if new_partition.num_vertices != self.graph.num_vertices:
-            raise ValueError("partition_for does not cover the graph")
-
-        new_workers = [
-            PartitionWorker(
-                worker_id=w,
-                graph=self.graph,
-                vertex_ids=new_partition.vertices_of(w),
-                program=self.job.program,
-                model=self.model,
-                assignment=new_partition.assignment,
-                initially_active=False,
-            )
-            for w in range(new_count)
-        ]
-        moved = int(
-            np.count_nonzero(old_partition.assignment != new_partition.assignment)
-        )
-        for ow in old_workers:
-            # Flush queued edge mutations into the overlay before export so
-            # they migrate (they'd otherwise apply at the next superstep,
-            # which happens on the new worker).
-            ow._apply_mutations()
-            for v in list(ow.states.keys()):
-                state, halted, pending, overlay = ow.export_vertex(v)
-                nw = new_workers[int(new_partition.assignment[v])]
-                nw.import_vertex(v, state, halted, pending, overlay)
-
-        self.partition = new_partition
-        self.workers = new_workers
-        self.num_workers = new_count
-        return moved
-
-    # ------------------------------------------------------------------
     @property
     def scale_events(self):
         return self.provisioner.events
-
-
-def run_live(job: JobSpec, policy: LivePolicy, **kwargs) -> JobResult:
-    """Convenience wrapper mirroring :func:`repro.bsp.engine.run_job`."""
-    return LiveElasticEngine(job, policy, **kwargs).run()

@@ -1,8 +1,9 @@
 """Phase-span tracer: nested engine phases on two clocks at once.
 
 Every engine phase — superstep, compute, flush, aggregate-merge,
-master-compute, barrier, checkpoint, recovery, elastic-resize — is recorded
-as a :class:`Span` carrying *both* timelines the reproduction cares about:
+master-compute, barrier, checkpoint, recovery, elastic-resize, repartition
+— is recorded as a :class:`Span` carrying *both* timelines the reproduction
+cares about:
 
 * **host time** (``time.perf_counter``): where real CPU time goes in this
   Python process, the prerequisite for optimizing the engine itself;

@@ -9,7 +9,7 @@ from .fennel import FennelPartitioner
 from .spectral import SpectralPartitioner
 
 # NOTE: repro.partition.dynamic (the GPS-style runtime re-partitioning
-# engine) is intentionally NOT re-exported here: it builds on the BSP
+# policy) is intentionally NOT re-exported here: it builds on the BSP
 # engine, and importing it at package level would cycle bsp -> job ->
 # partition -> bsp.  Use `from repro.partition.dynamic import ...`.
 from .metrics import (

@@ -8,27 +8,27 @@ on another worker) toward their neighborhoods, under a balance guard — an
 online, incremental version of min-cut refinement that needs no offline
 partitioning pass.
 
-The mechanics reuse the live-elastic migration path (export/import of
-state, pending messages and mutation overlays), so correctness is
-preserved by construction; the engine charges migration time per vertex
-moved.  Tests assert results are bit-equal to static runs and that the
+A :class:`DynamicRepartitioner` observer plans the moves and hands the new
+partition to :meth:`~repro.bsp.engine.BSPEngine.migrate`, the path live
+elastic scaling uses too (export/import of state, pending messages and
+mutation overlays), so correctness is preserved by construction; each
+round is a ``repartition`` phase charging migration time per vertex moved.
+Tests assert results are bit-equal to static runs and that the
 remote-message fraction falls over time; the bench compares it against
 static hash and offline METIS on the paper's graphs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..bsp.engine import BSPEngine
-from ..bsp.job import JobSpec
+from ..bsp.engine import BSPEngine, MigrationPolicy
 from ..bsp.superstep import SuperstepStats
-from ..bsp.worker import PartitionWorker
 from .base import Partition
 
-__all__ = ["MigrationEvent", "DynamicRepartitioningEngine", "run_repartitioned"]
+__all__ = ["MigrationEvent", "DynamicRepartitioner"]
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,11 @@ class MigrationEvent:
     overhead_seconds: float
 
 
-class DynamicRepartitioningEngine(BSPEngine):
-    """BSP engine that migrates misplaced vertices every ``interval`` steps.
+class DynamicRepartitioner(MigrationPolicy):
+    """Migrates misplaced vertices every ``interval`` supersteps.
+
+    Attach it to ``job.observers``.  Failure injection cannot be combined
+    with it.
 
     Parameters
     ----------
@@ -61,17 +64,11 @@ class DynamicRepartitioningEngine(BSPEngine):
 
     def __init__(
         self,
-        job: JobSpec,
         interval: int = 4,
         batch_fraction: float = 0.05,
         min_gain: int = 1,
         slack: float = 1.15,
     ) -> None:
-        if job.failure_schedule:
-            raise ValueError(
-                "dynamic re-partitioning cannot be combined with failure "
-                "injection"
-            )
         if interval < 1:
             raise ValueError("interval must be >= 1")
         if not 0 < batch_fraction <= 1:
@@ -80,7 +77,6 @@ class DynamicRepartitioningEngine(BSPEngine):
             raise ValueError("min_gain must be >= 1")
         if slack < 1.0:
             raise ValueError("slack must be >= 1.0")
-        super().__init__(job)
         self.interval = interval
         self.batch_fraction = batch_fraction
         self.min_gain = min_gain
@@ -88,20 +84,21 @@ class DynamicRepartitioningEngine(BSPEngine):
         self.migrations: list[MigrationEvent] = []
 
     # ------------------------------------------------------------------
-    def _remote_fraction(self, assignment: np.ndarray) -> float:
-        g = self.graph
+    @staticmethod
+    def _remote_fraction(engine: BSPEngine) -> float:
+        g, assignment = engine.graph, engine.partition.assignment
         if g.num_arcs == 0:
             return 0.0
         src_parts = np.repeat(assignment, np.diff(g.indptr))
         dst_parts = assignment[g.indices]
         return float(np.count_nonzero(src_parts != dst_parts) / g.num_arcs)
 
-    def _plan_moves(self) -> list[tuple[int, int]]:
+    def _plan_moves(self, engine: BSPEngine) -> list[tuple[int, int]]:
         """Pick (vertex, destination) moves: largest neighbor-majority gain
         first, respecting the balance guard."""
-        g = self.graph
-        assignment = self.partition.assignment
-        k = self.num_workers
+        g = engine.graph
+        assignment = engine.partition.assignment
+        k = engine.num_workers
         sizes = np.bincount(assignment, minlength=k).astype(np.int64)
         capacity = self.slack * g.num_vertices / k
         budget = max(1, int(self.batch_fraction * g.num_vertices))
@@ -131,48 +128,36 @@ class DynamicRepartitioningEngine(BSPEngine):
             sizes[dest] += 1
         return moves
 
-    def _apply_moves(self, moves: list[tuple[int, int]]) -> None:
-        assignment = self.partition.assignment.copy()
-        for v, dest in moves:
-            src_worker = self.workers[int(assignment[v])]
-            src_worker._apply_mutations()
-            state, halted, pending, overlay = src_worker.export_vertex(v)
-            self.workers[dest].import_vertex(v, state, halted, pending, overlay)
-            assignment[v] = dest
-        new_partition = Partition(self.num_workers, assignment)
-        self.partition = new_partition
-        for w in self.workers:
-            w.assignment = new_partition.assignment
-            w.vertex_ids = np.array(sorted(w.states.keys()), dtype=np.int64)
-            w.refresh_partition_footprint()
-
     # ------------------------------------------------------------------
-    def _post_superstep(self, stats: SuperstepStats) -> None:
-        if (self.superstep + 1) % self.interval != 0:
+    def at_boundary(self, engine: BSPEngine, stats: SuperstepStats) -> None:
+        if (engine.superstep + 1) % self.interval != 0:
             return
-        before = self._remote_fraction(self.partition.assignment)
-        moves = self._plan_moves()
+        before = self._remote_fraction(engine)
+        moves = self._plan_moves(engine)
         if not moves:
             return
-        self._apply_moves(moves)
-        after = self._remote_fraction(self.partition.assignment)
-        overhead = self.model.migrate_per_vertex * len(moves)
-        self._stall(stats, overhead)
+        assignment = engine.partition.assignment.copy()
+        for v, dest in moves:
+            assignment[v] = dest
+        tel = engine.telemetry
+        with tel.phase("repartition") as closing:
+            moved = closing["vertices_moved"] = engine.migrate(
+                Partition(engine.num_workers, assignment)
+            )
+            overhead = engine.model.migrate_per_vertex * moved
+            engine.stall(stats, overhead)
         self.migrations.append(
             MigrationEvent(
-                superstep=self.superstep,
-                vertices_moved=len(moves),
+                superstep=engine.superstep,
+                vertices_moved=moved,
                 remote_fraction_before=before,
-                remote_fraction_after=after,
+                remote_fraction_after=self._remote_fraction(engine),
                 overhead_seconds=overhead,
             )
         )
+        tel.annotate(stats.index, "repartition", vertices_moved=moved)
+        tel.stall("repartition", overhead, vertices_moved=moved)
 
     @property
     def total_moved(self) -> int:
         return sum(m.vertices_moved for m in self.migrations)
-
-
-def run_repartitioned(job: JobSpec, **kwargs):
-    """Convenience wrapper mirroring :func:`repro.bsp.engine.run_job`."""
-    return DynamicRepartitioningEngine(job, **kwargs).run()

@@ -140,15 +140,18 @@ class TestFullFieldFidelity:
 
     @pytest.fixture(scope="class")
     def elastic_trace(self):
-        from repro.elastic.live import LiveElasticEngine, LivePolicy
+        from repro.elastic.live import ElasticResizer, LivePolicy
 
         class Toggle(LivePolicy):
             def decide(self, engine, stats):
                 return 6 if engine.num_workers == 3 else 3
 
         g = gen.watts_strogatz(48, 4, 0.2, seed=7)
-        job = JobSpec(program=PageRankProgram(6), graph=g, num_workers=3)
-        return LiveElasticEngine(job, Toggle()).run().trace
+        job = JobSpec(
+            program=PageRankProgram(6), graph=g, num_workers=3,
+            observers=[ElasticResizer(Toggle())],
+        )
+        return run_job(job).trace
 
     def test_fields_are_exercised(self, rich_trace):
         workers = [w for s in rich_trace for w in s.workers]
@@ -226,15 +229,18 @@ class TestFullFieldFidelity:
 
 class TestElasticCsv:
     def test_csv_on_elastic_trace_with_varying_workers(self):
-        from repro.elastic.live import LiveElasticEngine, LivePolicy
+        from repro.elastic.live import ElasticResizer, LivePolicy
 
         class Alternate(LivePolicy):
             def decide(self, engine, stats):
                 return 2 if stats.index % 2 else 4
 
         g = gen.watts_strogatz(40, 4, 0.2, seed=4)
-        job = JobSpec(program=PageRankProgram(6), graph=g, num_workers=4)
-        trace = LiveElasticEngine(job, Alternate()).run().trace
+        job = JobSpec(
+            program=PageRankProgram(6), graph=g, num_workers=4,
+            observers=[ElasticResizer(Alternate())],
+        )
+        trace = run_job(job).trace
 
         text = to_csv_text(trace)
         lines = text.strip().splitlines()

@@ -235,15 +235,17 @@ class TestKCore:
 
     def test_kcore_under_live_scaling(self, small_world):
         """Mutations must migrate correctly when the fleet resizes."""
-        from repro.elastic import LiveActiveFraction, run_live
+        from repro.elastic import ElasticResizer, LiveActiveFraction
 
         class Toggle(LiveActiveFraction):
             def decide(self, engine, stats):
                 return 6 if engine.num_workers == 3 else 3
 
-        res = run_live(
-            JobSpec(program=KCoreProgram(2), graph=small_world, num_workers=3),
-            Toggle(low=3, high=6),
+        res = run_job(
+            JobSpec(
+                program=KCoreProgram(2), graph=small_world, num_workers=3,
+                observers=[ElasticResizer(Toggle(low=3, high=6))],
+            )
         )
         ours = {v for v, alive in res.values.items() if alive}
         theirs = set(nx.k_core(to_networkx(small_world), 2).nodes())

@@ -21,7 +21,7 @@ from repro.bsp.worker import PartitionWorker
 from repro.cloud.costmodel import PerfModel
 from repro.graph import generators as gen
 from repro.graph.builder import from_edges
-from repro.partition.dynamic import DynamicRepartitioningEngine
+from repro.partition.dynamic import DynamicRepartitioner
 from repro.scheduling import SequentialInitiation, StaticSizer, SwathController
 
 
@@ -339,18 +339,16 @@ class TestJobLevel:
 
     def test_routing_follows_migration(self, small_world):
         roots = range(8)
-        checker = InvariantChecker()
-        engine = DynamicRepartitioningEngine(
+        checker, policy = InvariantChecker(), DynamicRepartitioner(interval=3)
+        res = run_job(
             JobSpec(
                 program=BCProgram(), graph=small_world, num_workers=4,
-                initially_active=False, observers=[checker],
+                initially_active=False, observers=[checker, policy],
                 initial_messages=bc_mod.start_messages(roots),
-            ),
-            interval=3,
+            )
         )
-        res = engine.run()
-        assert engine.total_moved >= 1
-        assert engine.migrations[0].superstep < res.supersteps - 1  # mid-job
+        assert policy.total_moved >= 1
+        assert policy.migrations[0].superstep < res.supersteps - 1  # mid-job
         assert np.allclose(
             res.values_array(), betweenness_reference(small_world, roots=roots),
             atol=1e-9,

@@ -1,8 +1,8 @@
 """The telemetry seam: engines emit events, only the spine calls a sink.
 
 Source-level guard (same idea as the wall-clock guard in
-``tests/net/test_transport.py``): the four engine files hold no call on a
-sink and read the job's sink slots only to build the ``Telemetry``; the
+``tests/net/test_transport.py``): the engine files and the two migration
+policies hold no call on a sink and read the job's sink slots only to build the ``Telemetry``; the
 adapters implement nothing outside the closed event vocabulary.
 """
 
@@ -14,8 +14,11 @@ import repro.bsp.engine as bsp_engine
 import repro.bsp.telemetry as telemetry
 import repro.dist.engine as dist_engine
 import repro.elastic.live as elastic_live
+import repro.partition.dynamic as partition_dynamic
 
-ENGINE_FILES = (bsp_engine, bsp_dense, dist_engine, elastic_live)
+ENGINE_FILES = (
+    bsp_engine, bsp_dense, dist_engine, elastic_live, partition_dynamic,
+)
 SINKS = r"(?:tracer|metrics|timeline|flight)"
 
 #: a method of a sink called on something named like one

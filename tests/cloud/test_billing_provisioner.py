@@ -3,9 +3,9 @@
 import pytest
 
 from repro.algorithms import PageRankProgram
-from repro.bsp import JobSpec
+from repro.bsp import JobSpec, run_job
 from repro.cloud import ElasticProvisioner, PerfModel
-from repro.elastic import LiveActiveFraction, LiveElasticEngine
+from repro.elastic import ElasticResizer, LiveActiveFraction
 from repro.graph import generators as gen
 
 
@@ -57,17 +57,18 @@ class TestElasticProvisioner:
         assert shrink.extra_vm_seconds == 0.0
 
     def test_scaling_overhead_is_billed(self):
+        resizer = ElasticResizer(_Toggle(low=4, high=8))
         job = JobSpec(
             program=PageRankProgram(6),
             graph=gen.watts_strogatz(60, 4, 0.3, seed=7), num_workers=4,
+            observers=[resizer],
         )
-        engine = LiveElasticEngine(job, _Toggle(low=4, high=8))
-        res = engine.run()
+        res = run_job(job)
         # Each resize stalls the step it follows; that row bills the
         # overhead on its old fleet plus the VMs a scale-out boots.
         rows = {s.index: s for s in res.trace}
-        assert len(engine.scale_events) >= 4
-        for event in engine.scale_events:
+        assert len(resizer.scale_events) >= 4
+        for event in resizer.scale_events:
             row = rows[event.superstep]
             assert row.num_workers == event.old_workers
             assert row.extra_vm_seconds == event.extra_vm_seconds

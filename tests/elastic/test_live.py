@@ -9,16 +9,14 @@ from repro.algorithms import (
     betweenness_reference,
     pagerank_reference,
 )
+from repro.algorithms.pagerank_convergent import ConvergentPageRankProgram
 from repro.algorithms import bc as bc_mod
 from repro.bsp import JobSpec, run_job
 from repro.cloud.costmodel import SCALED_PERF_MODEL
-from repro.elastic import (
-    LiveActiveFraction,
-    LiveElasticEngine,
-    LiveFixed,
-    run_live,
-)
+from repro.elastic import ElasticResizer, LiveActiveFraction, LiveFixed
 from repro.graph import generators as gen
+from repro.partition import HashPartitioner
+from repro.partition.dynamic import DynamicRepartitioner
 from repro.scheduling import StaticSizer, SwathController
 
 
@@ -27,6 +25,13 @@ class _EveryStepToggle(LiveActiveFraction):
 
     def decide(self, engine, stats):
         return self.high if engine.num_workers == self.low else self.low
+
+
+def resized(job, policy, **kw):
+    """Run ``job`` under an :class:`ElasticResizer`; returns it and the result."""
+    resizer = ElasticResizer(policy, **kw)
+    job.observers = [*job.observers, resizer]
+    return resizer, run_job(job)
 
 
 @pytest.fixture
@@ -46,13 +51,13 @@ def bc_job(graph, roots, **kw):
 class TestCorrectnessInvariance:
     def test_pagerank_identical_under_scaling(self, graph):
         job = JobSpec(program=PageRankProgram(12), graph=graph, num_workers=4)
-        res = run_live(job, _EveryStepToggle(low=4, high=8))
+        _, res = resized(job, _EveryStepToggle(low=4, high=8))
         ref = pagerank_reference(graph, iterations=12)
         assert np.allclose(res.values_array(), ref, atol=1e-10)
 
     def test_bc_identical_under_scaling(self, graph):
         roots = range(8)
-        res = run_live(bc_job(graph, roots), _EveryStepToggle(low=2, high=6))
+        _, res = resized(bc_job(graph, roots), _EveryStepToggle(low=2, high=6))
         ref = betweenness_reference(graph, roots=roots)
         assert np.allclose(res.values_array(), ref, atol=1e-9)
 
@@ -66,7 +71,7 @@ class TestCorrectnessInvariance:
             program=BCProgram(), graph=graph, num_workers=4,
             initially_active=False, observers=[ctrl],
         )
-        res = run_live(job, _EveryStepToggle(low=3, high=5))
+        _, res = resized(job, _EveryStepToggle(low=3, high=5))
         ref = betweenness_reference(graph, roots=roots)
         assert np.allclose(res.values_array(), ref, atol=1e-9)
         assert ctrl.completed_all
@@ -74,14 +79,14 @@ class TestCorrectnessInvariance:
     def test_fixed_policy_equals_plain_engine(self, graph):
         job1 = JobSpec(program=PageRankProgram(8), graph=graph, num_workers=4)
         job2 = JobSpec(program=PageRankProgram(8), graph=graph, num_workers=4)
-        live = run_live(job1, LiveFixed(4))
+        _, live = resized(job1, LiveFixed(4))
         plain = run_job(job2)
         assert live.values == plain.values
         assert live.total_time == pytest.approx(plain.total_time)
 
     def test_message_totals_preserved_across_scaling(self, graph):
         roots = range(6)
-        live = run_live(bc_job(graph, roots), _EveryStepToggle(low=2, high=7))
+        _, live = resized(bc_job(graph, roots), _EveryStepToggle(low=2, high=7))
         plain = run_job(bc_job(graph, roots))
         # Local/remote split changes with the fleet; totals must not.
         assert live.trace.total_messages == plain.trace.total_messages
@@ -90,36 +95,32 @@ class TestCorrectnessInvariance:
 class TestMechanics:
     def test_fleet_actually_changes(self, graph):
         job = JobSpec(program=PageRankProgram(10), graph=graph, num_workers=4)
-        engine = LiveElasticEngine(job, _EveryStepToggle(low=4, high=8))
-        res = engine.run()
+        resizer, res = resized(job, _EveryStepToggle(low=4, high=8))
         widths = {s.num_workers for s in res.trace}
         assert widths == {4, 8}
-        assert len(engine.scale_events) >= 5
+        assert len(resizer.scale_events) >= 5
 
     def test_scaling_charges_time_and_money(self, graph):
         job1 = JobSpec(program=PageRankProgram(10), graph=graph, num_workers=4)
         job2 = JobSpec(program=PageRankProgram(10), graph=graph, num_workers=4)
-        engine = LiveElasticEngine(job1, _EveryStepToggle(low=4, high=8))
-        live = engine.run()
+        resizer, live = resized(job1, _EveryStepToggle(low=4, high=8))
         plain = run_job(job2)
-        assert engine.scale_overhead_total > 0
+        assert resizer.scale_overhead_total > 0
         assert live.total_time > plain.total_time  # paid for the thrashing
 
     def test_migration_counts_recorded(self, graph):
         job = JobSpec(program=PageRankProgram(6), graph=graph, num_workers=4)
-        engine = LiveElasticEngine(job, _EveryStepToggle(low=4, high=8))
-        engine.run()
+        resizer, _ = resized(job, _EveryStepToggle(low=4, high=8))
         # Hash partitions for 4 vs 8 differ for most vertices.
-        ev = engine.scale_events[0]
+        ev = resizer.scale_events[0]
         assert ev.old_workers == 4 and ev.new_workers == 8
         assert ev.overhead_seconds > 0
 
     def test_cooldown_suppresses_thrash(self, graph):
         job = JobSpec(program=PageRankProgram(12), graph=graph, num_workers=4)
         policy = LiveActiveFraction(low=4, high=8, threshold=0.5, cooldown=100)
-        engine = LiveElasticEngine(job, policy)
-        engine.run()
-        assert len(engine.scale_events) <= 1
+        resizer, _ = resized(job, policy)
+        assert len(resizer.scale_events) <= 1
 
     def test_invalid_policy_size_rejected(self, graph):
         class Bad(LiveFixed):
@@ -128,7 +129,7 @@ class TestMechanics:
 
         job = JobSpec(program=PageRankProgram(4), graph=graph, num_workers=2)
         with pytest.raises(ValueError, match="invalid fleet size"):
-            run_live(job, Bad(2))
+            resized(job, Bad(2))
 
     def test_failure_injection_incompatible(self, graph):
         job = JobSpec(
@@ -136,17 +137,59 @@ class TestMechanics:
             checkpoint_interval=2, failure_schedule={1: 0},
         )
         with pytest.raises(ValueError, match="failure injection"):
-            LiveElasticEngine(job, LiveFixed(2))
+            resized(job, LiveFixed(2))
+
+    def test_partition_for_wrong_part_count_rejected(self, graph):
+        job = JobSpec(program=PageRankProgram(4), graph=graph, num_workers=4)
+        with pytest.raises(ValueError, match="wrong part count"):
+            resized(
+                job, _EveryStepToggle(low=4, high=8),
+                partition_for=lambda k: HashPartitioner().partition(graph, k + 1),
+            )
+
+    def test_partition_for_must_cover_the_graph(self, graph):
+        other = gen.watts_strogatz(30, 4, 0.3, seed=7)
+        job = JobSpec(program=PageRankProgram(4), graph=graph, num_workers=4)
+        with pytest.raises(ValueError, match="does not cover the graph"):
+            resized(
+                job, _EveryStepToggle(low=4, high=8),
+                partition_for=lambda k: HashPartitioner().partition(other, k),
+            )
+
+    @pytest.mark.parametrize("engine", ["dense-ref", "process"])
+    @pytest.mark.parametrize("policy", ["resize", "repartition"])
+    def test_refused_where_workers_cannot_migrate(self, graph, engine, policy):
+        observer = (
+            ElasticResizer(_EveryStepToggle(low=2, high=4))
+            if policy == "resize" else DynamicRepartitioner(interval=1)
+        )
+        job = JobSpec(
+            program=PageRankProgram(4), graph=graph, num_workers=2,
+            observers=[observer],
+        )
+        # Refused before superstep 0: no shard or session ever starts.
+        with pytest.raises(ValueError, match="cannot migrate vertices"):
+            run_job(job, engine=engine)
+
+    def test_no_resize_on_the_halting_boundary(self):
+        # The master halts at superstep 48; a resize there would be billed
+        # to a job that is already over.
+        g = gen.watts_strogatz(200, 6, 0.2, seed=3)
+        job = JobSpec(program=ConvergentPageRankProgram(), graph=g, num_workers=3)
+        resizer, res = resized(job, _EveryStepToggle(low=3, high=5))
+        assert res.supersteps == 49
+        assert len(resizer.scale_events) == 48
+        assert resizer.scale_events[-1].superstep == 47
+        assert res.total_time == 2404.8428857999984
 
     def test_custom_partition_factory(self, graph):
         from repro.partition import ModuloPartitioner
 
         job = JobSpec(program=PageRankProgram(6), graph=graph, num_workers=4)
-        engine = LiveElasticEngine(
+        _, res = resized(
             job, _EveryStepToggle(low=4, high=8),
             partition_for=lambda k: ModuloPartitioner().partition(graph, k),
         )
-        res = engine.run()
         ref = pagerank_reference(graph, iterations=6)
         assert np.allclose(res.values_array(), ref, atol=1e-10)
 
@@ -156,9 +199,8 @@ class TestLivePolicyBehaviour:
         roots = range(12)
         job = bc_job(graph, roots, perf_model=SCALED_PERF_MODEL)
         policy = LiveActiveFraction(low=4, high=8, threshold=0.5, cooldown=1)
-        engine = LiveElasticEngine(job, policy)
-        res = engine.run()
-        assert engine.scale_events  # it did react
+        resizer, res = resized(job, policy)
+        assert resizer.scale_events  # it did react
         # High-fleet supersteps are the high-activity ones on average.
         active = res.trace.series_active_vertices().astype(float)
         widths = np.array([s.num_workers for s in res.trace], dtype=float)
@@ -212,7 +254,7 @@ class TestLiveSkewGuard:
             program=PageRankProgram(10), graph=graph, num_workers=4,
             observers=[monitor],
         )
-        res = run_live(
+        _, res = resized(
             job, LiveSkewGuard(_EveryStepToggle(low=3, high=5), monitor)
         )
         ref = pagerank_reference(graph, iterations=10)

@@ -15,7 +15,7 @@ from repro.algorithms import PageRankProgram
 from repro.analysis import RunConfig, run_pagerank, run_traversal
 from repro.bsp import JobSpec, run_job
 from repro.cli import main as cli_main
-from repro.elastic.live import LiveElasticEngine, LivePolicy
+from repro.elastic.live import ElasticResizer, LivePolicy
 from repro.graph import io as graph_io
 from repro.obs import MetricsRegistry, RunReporter, SpanTracer, summarize_spans
 from repro.scheduling import StaticSizer
@@ -147,8 +147,9 @@ class TestEngineMetrics:
         job = JobSpec(
             program=PageRankProgram(8), graph=small_world, num_workers=4,
             tracer=tracer, metrics=metrics,
+            observers=[ElasticResizer(Alternate())],
         )
-        res = LiveElasticEngine(job, Alternate()).run()
+        res = run_job(job)
         resizes = tracer.named("elastic-resize")
         assert len(resizes) >= 2
         assert all(s.sim_duration > 0 for s in resizes)

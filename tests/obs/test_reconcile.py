@@ -5,8 +5,8 @@ same events of :mod:`repro.bsp.telemetry`; for one job they must tell the
 same story.  The job takes checkpoints and loses a worker, on the
 sequential engine, over real processes and on dense shards; over real
 processes a second job's worker also dies unscheduled (``os._exit``).
-Two engines that stall a step for their own reasons join them: a live
-elastic fleet toggling 4 <-> 8 workers and dynamic repartitioning.
+Two migration policies that stall a step for their own reasons join them:
+a live elastic fleet toggling 4 <-> 8 workers and dynamic repartitioning.
 """
 
 import os
@@ -19,7 +19,7 @@ from repro.bsp import JobSpec
 from repro.bsp.engine import make_engine
 from repro.bsp.superstep import JobTrace
 from repro.cloud import LARGE_VM, SMALL_VM, attribute_cost
-from repro.elastic import LiveActiveFraction, LiveElasticEngine
+from repro.elastic import ElasticResizer, LiveActiveFraction
 from repro.graph import generators
 from repro.obs import (
     FlightRecorder,
@@ -27,7 +27,7 @@ from repro.obs import (
     RunTimeline,
     SpanTracer,
 )
-from repro.partition.dynamic import DynamicRepartitioningEngine
+from repro.partition.dynamic import DynamicRepartitioner
 
 WORKERS = 3
 #: the phases every superstep opens
@@ -65,7 +65,7 @@ CASES = {
     "dense-ref": (("checkpoint", "recovery"), True),
     "unplanned-death": (("checkpoint", "recovery"), True),
     "live-elastic": (("checkpoint", "elastic-resize"), False),
-    "repartition": (("checkpoint",), False),
+    "repartition": (("checkpoint", "repartition"), False),
 }
 
 
@@ -77,32 +77,30 @@ def run(request, tmp_path_factory):
     tracer, metrics = SpanTracer(), MetricsRegistry()
     timeline, flight = RunTimeline(), FlightRecorder(capacity=1 << 16)
     program, workers, failures = PageRankProgram(9), WORKERS, {6: 1}
+    policies, name = [], case
     if case == "unplanned-death":
         flag = tmp_path_factory.mktemp("unplanned") / "died-once"
-        program, failures = DieOnce(9, str(flag)), {}
-    elif case in ("live-elastic", "repartition"):
-        failures = {}  # both engines refuse failure injection
-        workers = 4 if case == "live-elastic" else WORKERS
+        program, failures, name = DieOnce(9, str(flag)), {}, "process"
+    elif case == "live-elastic":
+        # both policies refuse failure injection
+        failures, workers, name = {}, 4, "sim"
+        policies = [ElasticResizer(Toggle(low=4, high=8))]
+    elif case == "repartition":
+        failures, name = {}, "sim"
+        policies = [DynamicRepartitioner(interval=2)]
     job = JobSpec(
         program=program, graph=graph, num_workers=workers,
-        checkpoint_interval=5, failure_schedule=failures,
+        checkpoint_interval=5, failure_schedule=failures, observers=policies,
         tracer=tracer, metrics=metrics, timeline=timeline, flight=flight,
     )
-    if case == "live-elastic":
-        engine = LiveElasticEngine(job, Toggle(low=4, high=8))
-    elif case == "repartition":
-        engine = DynamicRepartitioningEngine(job, interval=2)
-    else:
-        engine = make_engine(
-            "process" if case == "unplanned-death" else case, job
-        )
+    engine = make_engine(name, job)
     result = engine.run()
     stalls, lost = CASES[case]
     assert bool(result.recoveries) == lost
     if case == "live-elastic":
-        assert len(engine.scale_events) >= 4
+        assert len(policies[0].scale_events) >= 4
     if case == "repartition":
-        assert engine.migrations, "the repartitioner must have moved vertices"
+        assert policies[0].migrations, "the repartitioner must have moved vertices"
     return engine, result, tracer, metrics, timeline, flight, stalls
 
 
@@ -119,14 +117,14 @@ def test_one_simulated_clock(run):
     assert value(metrics, "bsp_sim_time_seconds") == clock
     assert result.trace.total_time == pytest.approx(clock, rel=1e-12)
     # The step histogram observes the step proper; the stalls are counters.
-    # Repartitioning stalls have no series: its engine records them.
     counted = [
         value(metrics, "bsp_checkpoint_sim_seconds_total"),
         value(metrics, "bsp_recovery_sim_seconds_total"),
     ]
     if "elastic-resize" in stalls:
         counted.append(value(metrics, "elastic_overhead_sim_seconds_total"))
-    counted += [m.overhead_seconds for m in getattr(engine, "migrations", ())]
+    if "repartition" in stalls:
+        counted.append(value(metrics, "repartition_overhead_sim_seconds_total"))
     assert (
         metrics.get("bsp_superstep_sim_seconds").sum + sum(counted)
     ) == pytest.approx(clock, rel=1e-12)
@@ -210,3 +208,16 @@ def test_one_bill(run):
     assert cost.compute == pytest.approx(
         vm_seconds * LARGE_VM.price_per_second, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("run", ["live-elastic", "repartition"], indirect=True)
+def test_migrations_reach_every_view(run):
+    _, _, tracer, metrics, timeline, _, stalls = run
+    [kind] = [k for k in stalls if k != "checkpoint"]
+    prefix = "elastic" if kind == "elastic-resize" else "repartition"
+    spans = tracer.named(kind)
+    annotations = [e for e in timeline.events if e["kind"] == kind]
+    assert len(spans) == len(annotations) > 0
+    moved = sum(s.attrs["vertices_moved"] for s in spans)
+    assert sum(e["vertices_moved"] for e in annotations) == moved
+    assert value(metrics, f"{prefix}_vertices_moved_total") == moved

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms import PageRankProgram, pagerank_reference
 from repro.analysis.traces import trace_from_dict, trace_to_dict
 from repro.bsp import JobSpec, run_job
-from repro.elastic import LiveActiveFraction, run_live
+from repro.elastic import ElasticResizer, LiveActiveFraction
 from repro.graph.builder import from_edges
-from repro.partition.dynamic import run_repartitioned
+from repro.partition.dynamic import DynamicRepartitioner
 
 
 @st.composite
@@ -40,16 +40,22 @@ class TestMigrationProperties:
     @settings(max_examples=25, deadline=None)
     def test_live_scaling_preserves_pagerank(self, g, low, extra):
         high = low + extra
-        job = JobSpec(program=PageRankProgram(6), graph=g, num_workers=low)
-        res = run_live(job, _Toggle(low, high, period=2))
+        job = JobSpec(
+            program=PageRankProgram(6), graph=g, num_workers=low,
+            observers=[ElasticResizer(_Toggle(low, high, period=2))],
+        )
+        res = run_job(job)
         ref = pagerank_reference(g, iterations=6)
         assert np.allclose(res.values_array(), ref, atol=1e-10)
 
     @given(connected_graphs(), st.integers(1, 4), st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
     def test_dynamic_repartitioning_preserves_pagerank(self, g, workers, interval):
-        job = JobSpec(program=PageRankProgram(6), graph=g, num_workers=workers)
-        res = run_repartitioned(job, interval=interval)
+        job = JobSpec(
+            program=PageRankProgram(6), graph=g, num_workers=workers,
+            observers=[DynamicRepartitioner(interval=interval)],
+        )
+        res = run_job(job)
         ref = pagerank_reference(g, iterations=6)
         assert np.allclose(res.values_array(), ref, atol=1e-10)
 
