@@ -1,9 +1,13 @@
 """Edge-list accumulation into :class:`~repro.graph.csr.CSRGraph`.
 
 The builder accepts edges in any order (singly for undirected graphs — the
-reverse arc is added automatically), then materializes CSR arrays with a
-single vectorized counting-sort pass.  This is the only place adjacency is
-constructed, so dedupe / self-loop policy lives here.
+reverse arc is added automatically), then materializes CSR arrays by sorting
+one int64 key ``src * n + dst`` per arc.  For an unweighted graph the sorted
+keys already are the CSR: ``divmod(key, n)`` gives each arc's row and column,
+and dedupe is an adjacent-duplicate scan.  A weighted graph sorts a stable
+permutation of the keys instead, because its weights must travel with their
+arcs and the first weight added for a parallel arc wins.  This is the only
+place adjacency is constructed, so dedupe / self-loop policy lives here.
 """
 
 from __future__ import annotations
@@ -118,29 +122,39 @@ class GraphBuilder:
             if w is not None:
                 w = w[keep]
 
-        if len(src):
-            # Sort by (src, dst) so CSR rows come out ordered and dedupe is a
-            # simple adjacent-duplicate scan (first weight wins).
+        if w is None:
+            # The sorted (src, dst) keys are the CSR: no permutation needed.
+            key = src.astype(np.int64)
+            key *= n
+            key += dst
+            key.sort()
+            if dedupe and len(key):
+                key = key[_first_of_runs(key)]
+            src, dst = np.divmod(key, n)
+            dst = dst.astype(np.int32)
+        elif len(src):
+            # "First weight wins" needs a stable permutation to carry the
+            # weights along with their arcs.
             key = src.astype(np.int64) * n + dst.astype(np.int64)
             order = np.argsort(key, kind="stable")
-            src, dst, key = src[order], dst[order], key[order]
-            if w is not None:
-                w = w[order]
+            src, dst, key, w = src[order], dst[order], key[order], w[order]
             if dedupe:
-                keep = np.empty(len(key), dtype=bool)
-                keep[0] = True
-                np.not_equal(key[1:], key[:-1], out=keep[1:])
-                src, dst = src[keep], dst[keep]
-                if w is not None:
-                    w = w[keep]
+                keep = _first_of_runs(key)
+                src, dst, w = src[keep], dst[keep], w[keep]
 
-        counts = np.bincount(src, minlength=n) if len(src) else np.zeros(n, dtype=np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return CSRGraph(
-            n, indptr, dst.copy(), undirected=self.undirected, name=name,
-            weights=w.copy() if w is not None else None,
+            n, indptr, dst, undirected=self.undirected, name=name, weights=w,
         )
+
+
+def _first_of_runs(key: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal adjacent ``key``s."""
+    keep = np.empty(len(key), dtype=bool)
+    keep[0] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    return keep
 
 
 def from_edges(

@@ -199,18 +199,33 @@ def clustering_coefficient(
 
 
 def connected_components(graph: CSRGraph) -> np.ndarray:
-    """Component label per vertex (weakly connected for directed graphs)."""
-    g = graph if graph.undirected else graph.as_undirected()
-    n = g.num_vertices
-    labels = np.full(n, -1, dtype=np.int64)
-    cur = 0
-    for seed_v in range(n):
-        if labels[seed_v] >= 0:
-            continue
-        dist = bfs_levels(g, seed_v)
-        labels[dist >= 0] = cur
-        cur += 1
-    return labels
+    """Component label per vertex (weakly connected for directed graphs).
+
+    Components are numbered in order of their smallest vertex id.  Min-hooking
+    with pointer jumping over the arc arrays: each round hooks every root onto
+    the smallest root it shares an arc with, then jumps pointers until every
+    vertex points at its root.  A parent is never larger than its vertex, so a
+    component's root is its smallest vertex.
+    """
+    n = graph.num_vertices
+    parent = np.arange(n, dtype=np.int64)
+    src = np.repeat(np.arange(n), np.diff(graph.indptr))
+    dst = graph.indices
+    while True:
+        ps, pd = parent[src], parent[dst]
+        # An arc inside one tree stays inside it: drop it for good.
+        live = ps != pd
+        if not live.any():
+            break
+        src, dst, ps, pd = src[live], dst[live], ps[live], pd[live]
+        np.minimum.at(parent, np.maximum(ps, pd), np.minimum(ps, pd))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    roots = parent == np.arange(n)
+    return (np.cumsum(roots) - 1)[parent]
 
 
 def largest_component(graph: CSRGraph) -> np.ndarray:

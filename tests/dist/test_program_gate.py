@@ -89,7 +89,7 @@ class TestGateAllows:
         assert res.supersteps >= 1
 
 
-def test_cli_surfaces_gate_error(monkeypatch, capsys):
+def test_cli_surfaces_gate_error(monkeypatch, capsys, tmp_path):
     """`repro run --engine process` prints the gate error and exits 1."""
     from repro import cli as cli_mod
     from repro.check.costmodel import PickleRisk
@@ -101,10 +101,12 @@ def test_cli_surfaces_gate_error(monkeypatch, capsys):
         )
 
     monkeypatch.setattr(cli_mod, "run_pagerank", boom)
+    bundle = tmp_path / "gate.postmortem"
     rc = cli_mod.main(
         ["run", "--dataset", "WG", "--scale", "0.01", "--app", "pagerank",
-         "--engine", "process"]
+         "--engine", "process", "--postmortem-out", str(bundle)]
     )
     assert rc == 1
     err = capsys.readouterr().err
     assert "unpicklable" in err and "check_program=False" in err
+    assert bundle.is_file()

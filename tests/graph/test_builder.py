@@ -103,3 +103,67 @@ class TestBatching:
         g1, g2 = b.build(), b.build()
         assert np.array_equal(g1.indptr, g2.indptr)
         assert np.array_equal(g1.indices, g2.indices)
+
+
+def reference_csr(n, batches, undirected, dedupe, drop_self_loops):
+    """Pure-Python CSR: arcs in the builder's input order, stably sorted by
+    ``(src, dst)``, so the first weight added for an arc wins."""
+    arcs = [
+        (int(s), int(d), None if w is None else float(w[i]))
+        for s_arr, d_arr, w in batches
+        for i, (s, d) in enumerate(zip(s_arr, d_arr))
+    ]
+    if undirected:
+        arcs += [(d, s, w) for s, d, w in arcs]
+    if drop_self_loops:
+        arcs = [a for a in arcs if a[0] != a[1]]
+    arcs.sort(key=lambda a: (a[0], a[1]))
+    if dedupe:
+        arcs = [a for i, a in enumerate(arcs) if i == 0 or a[:2] != arcs[i - 1][:2]]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for s, _, _ in arcs:
+        indptr[s + 1] += 1
+    indptr = np.cumsum(indptr)
+    indices = np.array([d for _, d, _ in arcs], dtype=np.int32)
+    weighted = batches[0][2] is not None
+    weights = np.array([w for *_, w in arcs], dtype=np.float64) if weighted else None
+    return indptr, indices, weights
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("num_batches", [1, 3])
+@pytest.mark.parametrize("drop_self_loops", [True, False])
+@pytest.mark.parametrize("dedupe", [True, False])
+@pytest.mark.parametrize("undirected", [False, True])
+def test_build_matches_reference(
+    undirected, dedupe, drop_self_loops, num_batches, weighted, seed
+):
+    """Differential: CSR arrays and dtypes equal the pure-Python reference on
+    random batches dense enough to carry duplicates and self-loops."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    b = GraphBuilder(n, undirected=undirected)
+    batches = []
+    for _ in range(num_batches):
+        m = int(rng.integers(1, 300))
+        src = rng.integers(0, n, m)
+        dst = rng.integers(0, n, m)
+        # Guarantee a self-loop and an exact duplicate arc in every batch.
+        dst[0] = src[0]
+        src[-1], dst[-1] = src[m // 2], dst[m // 2]
+        w = rng.permutation(m).astype(np.float64) if weighted else None
+        b.add_edges(src, dst, w)
+        batches.append((src, dst, w))
+    g = b.build(dedupe=dedupe, drop_self_loops=drop_self_loops)
+    indptr, indices, weights = reference_csr(
+        n, batches, undirected, dedupe, drop_self_loops
+    )
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+    if weighted:
+        assert g.weights.dtype == np.float64
+        assert np.array_equal(g.weights, weights)
+    else:
+        assert g.weights is None

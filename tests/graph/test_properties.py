@@ -146,6 +146,66 @@ class TestComponents:
         assert len(set(connected_components(g))) == 1
 
 
+def bfs_components(graph):
+    """Reference labelling: one BFS per component, seeded in vertex order."""
+    g = graph if graph.undirected else graph.as_undirected()
+    labels = np.full(g.num_vertices, -1, dtype=np.int64)
+    cur = 0
+    for seed_v in range(g.num_vertices):
+        if labels[seed_v] >= 0:
+            continue
+        labels[bfs_levels(g, seed_v) >= 0] = cur
+        cur += 1
+    return labels
+
+
+class TestComponentsDifferential:
+    """Min-hooking labels are bitwise the BFS reference's."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda s: gen.rmat(10, 1, seed=s),
+            lambda s: gen.rmat(11, 4, seed=s),
+            lambda s: gen.rmat(10, 2, seed=s, undirected=False),
+            lambda s: gen.watts_strogatz(300, 4, 0.2, seed=s),
+            lambda s: gen.erdos_renyi(400, 0.003, seed=s),
+            lambda s: gen.erdos_renyi(300, 0.004, seed=s, directed=True),
+        ],
+        ids=["rmat-sparse", "rmat", "rmat-directed", "ws", "er", "er-directed"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_labels_equal_reference(self, make, seed):
+        g = make(seed)
+        labels = connected_components(g)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, bfs_components(g))
+
+    def test_empty_and_isolated(self):
+        from repro.graph.builder import from_edges
+        assert connected_components(from_edges(0, [])).tolist() == []
+        g = from_edges(5, [(4, 2)])
+        assert connected_components(g).tolist() == [0, 1, 2, 3, 2]
+
+    @pytest.mark.parametrize("scale", [0.05, 0.5, 2, 8])
+    def test_livejournal_analogue_labels(self, scale, monkeypatch):
+        """LJ wires its stragglers by component label: checking the labels
+        it asks for keeps the generated graph bit-identical."""
+        from repro.graph import datasets, properties
+
+        checked = []
+
+        def both(g):
+            labels = connected_components(g)
+            assert np.array_equal(labels, bfs_components(g))
+            checked.append(len(np.unique(labels)))
+            return labels
+
+        monkeypatch.setattr(properties, "connected_components", both)
+        datasets.livejournal_analogue(scale)
+        assert len(checked) == 1 and checked[0] > 1
+
+
 class TestDegreeStatsAndSummary:
     def test_degree_stats_fields(self, star8):
         s = degree_stats(star8)
