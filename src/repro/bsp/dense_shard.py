@@ -1,16 +1,29 @@
-"""The dense plane: a lifted KernelPlan interpreted over one worker's rows.
+"""The dense plane: a lifted KernelPlan lowered over one worker's rows.
 
 A :class:`DenseShard` is what a worker runs for a program that lifts
 (:func:`~repro.bsp.dense_ref.shard_plan` accepts the job): ``--engine
 dense-ref`` builds one per worker in process, and a process/tcp worker
 session hosts one in place of a :class:`~repro.bsp.worker.PartitionWorker`.
-It interprets the declarative :class:`~repro.check.vectorize.KernelPlan` IR
-over its rows' CSR arrays — one gather (bincount / ufunc.at / segmented
-mode) per superstep, masked map expressions for the state update, scatter
-along live arcs for sends, boolean halt masks in place of per-vertex vote
-calls — so no per-vertex Python runs inside a superstep.  It exposes the
-surface :class:`~repro.bsp.engine.BSPEngine` and
+It runs the declarative :class:`~repro.check.vectorize.KernelPlan` IR over
+its rows' CSR arrays — one gather (bincount / ufunc.at / segmented mode)
+per superstep, masked map expressions for the state update, scatter along
+live arcs for sends, boolean halt masks in place of per-vertex vote calls —
+so no per-vertex Python runs inside a superstep.  It exposes the surface
+:class:`~repro.bsp.engine.BSPEngine` and
 :class:`~repro.net.session.WorkerSession` drive on a partition worker.
+
+The plan is lowered once, when the shard is built, into a node table: a
+slot per distinct expression node (by identity, as planopt's ``cse``
+shares them), each with its resolved ufunc and operand slots.  A root — the
+state init and update, the gather default, a phase guard, an op mask, an
+aggregate value — is its slot and its subtree's nodes in topological
+order.  Subtrees of only ``const``/``param``/``nv`` leaves are folded into
+the slot template under the compute errstate.  A scatter payload has
+arc-space nodes of its own, chosen by each node's "reads ``edge_weight``"
+flag: with the optimizer's ``hoist`` mark an edge-weight-free subtree is
+its vertex-space node indexed per arc, else what varies by row is indexed
+first.  A superstep copies the template, sets its leaves and runs the roots
+its guards and masks reach, each node at most once.
 
 It folds like one — local boxes at compute time in emit (CSR) order,
 remote boxes in source-worker order, injected messages last, aggregator
@@ -29,6 +42,7 @@ so its receiver can find the reciprocal arc to prune among its own.
 
 from __future__ import annotations
 
+import operator
 from copy import deepcopy
 from functools import cached_property
 from typing import Any
@@ -50,8 +64,7 @@ _PEEL_INJECTED = "peel plans cannot start from injected messages"
 
 #: the arc set "every arc", recognised by identity: :meth:`DenseShard._take`
 #: is the identity for it, so a superstep that sends along every arc builds
-#: nothing arc-sized to say so.  Not ``None``: :class:`_Eval` keys vertex
-#: space on that.
+#: nothing arc-sized to say so.
 _ALL_ARCS = np.empty(0, dtype=np.int64)
 _ALL_ARCS.flags.writeable = False
 
@@ -85,13 +98,6 @@ def _fold(reduce: str, n: int, dst: np.ndarray, val: np.ndarray,
     return out
 
 
-def _touches_weight(expr) -> bool:
-    """Does ``expr`` read the ``edge_weight`` leaf?"""
-    return expr[0] == "edge_weight" or any(
-        _touches_weight(c) for c in expr[1:] if isinstance(c, tuple)
-    )
-
-
 def _cat(parts: list, dtype: Any) -> np.ndarray:
     """``parts`` as one array; a lone part is returned as is, uncopied."""
     if len(parts) == 1:
@@ -99,158 +105,57 @@ def _cat(parts: list, dtype: Any) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
-class _Eval:
-    """One superstep's expression evaluator with per-expression memoizing.
-
-    Vertex space evaluates over one entry per row of the shard (the ``nv``
-    leaf is the graph's vertex count); arc space indexes the row leaves
-    through the arc's source row and adds the ``edge_weight`` leaf.  The
-    lifter shares tuple identity between the state update, scatter
-    payloads, and masks, so the memo doubles as a common-subexpression
-    cache.
-    """
-
-    def __init__(self, shard: "DenseShard", state: np.ndarray,
-                 msg: np.ndarray | None, msg_count: np.ndarray,
-                 out_degree: np.ndarray):
-        self.e = shard
-        self.state = state
-        self.msg = msg
-        self.msg_count = msg_count
-        self.out_degree = out_degree
-        self._memo: dict[tuple[int, int], Any] = {}
-
-    def vertex(self, expr) -> Any:
-        return self._eval(expr, None, None)
-
-    scalar = vertex  # phase guards evaluate in vertex space too
-
-    def full(self, expr) -> np.ndarray:
-        """:meth:`vertex`, broadcast to one entry per row."""
-        return np.broadcast_to(np.asarray(self.vertex(expr)), (self.e.n,))
-
-    def arc(self, expr, arcs: np.ndarray) -> Any:
-        return self._eval(expr, arcs, self.e._take(self.e.src, arcs))
-
-    def arc_hoisted(self, expr, arcs: np.ndarray) -> Any:
-        """Arc-space evaluation that computes edge-weight-free subtrees in
-        vertex space — where the memo already shares them with the state
-        update and masks — and indexes the result per-arc.
-
-        Elementwise ufuncs commute with indexing (``f(x)[rows] ==
-        f(x[rows])`` bitwise), so this is exactly :meth:`arc` with the
-        evaluation order rearranged to reuse vertex-space work; the
-        optimizer (repro.check.planopt) only marks ``hoist`` on payloads
-        where that sharing exists.
-        """
-        key = (id(expr), id(arcs))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval_hoist(expr, arcs, self.e._take(self.e.src, arcs))
-        self._memo[key] = out
-        return out
-
-    def _eval_hoist(self, expr, arcs, rows) -> Any:
-        if not _touches_weight(expr):
-            v = self._eval(expr, None, None)
-            if isinstance(v, np.ndarray) and v.ndim == 1 \
-                    and v.shape[0] == self.e.n:
-                return v[rows]
-            return v
-        if expr[0] == "edge_weight":
-            return self.e._take(self.e.weights, arcs)
-        return self._apply(expr, arcs, rows, self._eval_hoist)
-
-    def _eval(self, expr, arcs, rows) -> Any:
-        key = (id(expr), -1 if arcs is None else id(arcs))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval_inner(expr, arcs, rows)
-        self._memo[key] = out
-        return out
-
-    def _vec(self, base, rows):
-        return base if rows is None else base[rows]
-
-    def _eval_inner(self, expr, arcs, rows) -> Any:
-        head = expr[0]
-        if head == "const":
-            return expr[1]
-        if head == "param":
-            return self.e.params[expr[1]]
-        if head == "superstep":
-            return self.e.superstep
-        if head == "nv":
-            return self.e.num_vertices
-        if head == "agg":
-            return self.e.aggregated(expr[1])
-        if head == "state":
-            return self._vec(self.state, rows)
-        if head == "vertex":
-            return self._vec(self.e.vertex_ids, rows)
-        if head == "out_degree":
-            return self._vec(self.out_degree, rows)
-        if head == "msg":
-            if self.msg is None:
-                raise PlanRefusedError("plan reads messages it never gathers")
-            return self._vec(self.msg, rows)
-        if head == "msg_count":
-            return self._vec(self.msg_count, rows)
-        if head == "edge_weight":
-            if arcs is None:
-                raise PlanRefusedError("edge_weight outside a scatter payload")
-            return self.e._take(self.e.weights, arcs)
-        return self._apply(expr, arcs, rows, self._eval)
-
-    @staticmethod
-    def _apply(expr, arcs, rows, recur) -> Any:
-        """The operator dispatch (unary, casts, ``where``, :data:`_BINARY`)
-        shared by both evaluation orders; ``recur`` evaluates an operand."""
-        head = expr[0]
-        a = recur(expr[1], arcs, rows)
-        if head == "not":
-            return np.logical_not(a)
-        if head == "neg":
-            return np.negative(a)
-        if head == "abs":
-            return np.abs(a)
-        if head == "cast_int":
-            return np.asarray(a).astype(np.int64) if isinstance(
-                a, np.ndarray) else int(a)
-        if head == "cast_float":
-            return np.asarray(a).astype(np.float64) if isinstance(
-                a, np.ndarray) else float(a)
-        if head == "cast_bool":
-            return np.asarray(a).astype(bool) if isinstance(
-                a, np.ndarray) else bool(a)
-        b = recur(expr[2], arcs, rows)
-        if head == "where":
-            c = recur(expr[3], arcs, rows)
-            return np.where(a, b, c)
-        return _BINARY[head](a, b)
+def _caster(dtype: Any, scalar: type):
+    return lambda a: a.astype(dtype) if isinstance(a, np.ndarray) else scalar(a)
 
 
-_BINARY = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.true_divide,
-    "floordiv": np.floor_divide,
-    "mod": np.mod,
-    "pow": np.power,
-    "min2": np.minimum,
-    "max2": np.maximum,
-    "lt": np.less,
-    "le": np.less_equal,
-    "gt": np.greater,
-    "ge": np.greater_equal,
-    "eq": np.equal,
-    "ne": np.not_equal,
-    "and": np.logical_and,
-    "or": np.logical_or,
+#: each operator head as the function its node applies to its operands
+_OPS = {
+    "not": np.logical_not, "neg": np.negative, "abs": np.abs,
+    "cast_int": _caster(np.int64, int),
+    "cast_float": _caster(np.float64, float),
+    "cast_bool": _caster(bool, bool),
+    "where": np.where,
+    "add": np.add, "sub": np.subtract, "mul": np.multiply,
+    "div": np.true_divide, "floordiv": np.floor_divide, "mod": np.mod,
+    "pow": np.power, "min2": np.minimum, "max2": np.maximum,
+    "lt": np.less, "le": np.less_equal, "gt": np.greater,
+    "ge": np.greater_equal, "eq": np.equal, "ne": np.not_equal,
+    "and": np.logical_and, "or": np.logical_or,
 }
+
+#: the leaves' slots: a superstep sets the first four, then ``msg`` after
+#: the gather; ``vertex`` is fixed with the rows.  All but ``superstep``
+#: hold one value per row.
+_LEAF_SLOTS = {"state": 0, "out_degree": 1, "msg_count": 2, "superstep": 3,
+               "msg": 4, "vertex": 5}
+_MSG = _LEAF_SLOTS["msg"]
+#: the leaves fixed when the shard is built: subtrees of only these fold
+_FIXED = ("const", "param", "nv")
+
+
+def _refuse(reason: str):
+    """A node that raises when a superstep reads it."""
+    def leaf(_):
+        raise PlanRefusedError(reason)
+    return leaf
+
+
+def _run(slots: list, root: tuple) -> Any:
+    """Evaluate one root of the node table: its subtree's nodes in
+    topological order, each computed once per superstep (a node shared
+    with an earlier root already holds its value)."""
+    at, order = root
+    for i, fn, a, b, c in order:
+        if slots[i] is None:
+            if b < 0:
+                slots[i] = fn(slots[a])
+            elif c < 0:
+                slots[i] = fn(slots[a], slots[b])
+            else:
+                slots[i] = fn(slots[a], slots[b], slots[c])
+    return slots[at]
+
 
 #: what a snapshot copies: the rows' columns, the next superstep's inbox
 #: and, for a peel plan, the live arcs and the queued removals
@@ -309,6 +214,7 @@ class DenseShard:
         # owner's first arc although the low halves are not sorted
         self._bounds = np.searchsorted(
             code, np.arange(len(owned) + 1, dtype=np.int64) << 32)
+        self._starts = self._bounds.tolist()
         self.src = np.repeat(np.arange(n), deg)[group]
         code &= 0xFFFFFFFF
         self.dst = code
@@ -320,6 +226,7 @@ class DenseShard:
         self.superstep = 0
         sdt = np.dtype(plan.state_dtype)
         self._mdt = mdt = np.dtype(plan.message_dtype)
+        self._lower()
         self.state = self._boot_state(sdt, deg)
         self.halted = np.zeros(n, dtype=bool)
         if active_ids is not None:
@@ -356,6 +263,10 @@ class DenseShard:
         #: with a combiner, boxes fold by the plan's own monoid
         self._combine = plan.reduce if program.combiner is not None else None
         self._injected: list[tuple[int, Any]] = []  # (row, payload)
+        self._has = self._box = None
+        if self._combine is not None:
+            self._has = np.empty(n, dtype=bool)
+            self._box = np.empty(n, dtype=mdt)
         self._empty_inbox()
         self.stats = WorkerStepStats(worker=worker_id)
         self.out_remote: dict[int, tuple] = {}
@@ -385,12 +296,149 @@ class DenseShard:
         """``per_arc[arcs]``, uncopied for :data:`_ALL_ARCS`."""
         return per_arc if arcs is _ALL_ARCS else per_arc[arcs]
 
+    @np.errstate(all="ignore")  # as in _step: a fold may divide by nv == 0
+    def _lower(self) -> None:
+        """Lower the plan into its node table (see the module docstring):
+        a root is its slot and the rows ``(slot, fn, a, b, c)`` of its
+        subtree in topological order, an unused operand slot -1."""
+        plan, n = self.plan, self.n
+        template: list = [None] * len(_LEAF_SLOTS)
+        template[_LEAF_SLOTS["vertex"]] = self.vertex_ids
+        code = {_MSG: (_MSG, _refuse("plan reads messages it never gathers"), 0)}
+        fixed: set[int] = set()  # folded: a const/param/nv subtree
+        weighty: set[int] = set()  # reads edge_weight: never hoisted
+        rowy = set(_LEAF_SLOTS.values()) - {_LEAF_SLOTS["superstep"]}
+        memo: dict[int, int] = {}
+
+        def node(fn: Any = None, *args: int, value: Any = None) -> int:
+            i = len(template)
+            template.append(value)
+            if fn is not None:
+                code[i] = (i, fn, *args)
+            return i
+
+        def vertex(e) -> int:
+            if id(e) in memo:
+                return memo[id(e)]
+            head = e[0]
+            if head in _LEAF_SLOTS:
+                i = _LEAF_SLOTS[head]
+            elif head in _FIXED:
+                i = node(value=e[1] if head == "const" else self.num_vertices
+                         if head == "nv" else self.params[e[1]])
+                fixed.add(i)
+            elif head == "agg":
+                i = node(self.aggregated, node(value=e[1]))
+            elif head == "edge_weight":
+                i = node(_refuse("edge_weight outside a scatter payload"), 0)
+                weighty.add(i)
+            elif head in _OPS:
+                args = [vertex(c) for c in e[1:]]
+                i = node()
+                if weighty.intersection(args):
+                    weighty.add(i)
+                if rowy.intersection(args):
+                    rowy.add(i)
+                if fixed.issuperset(args):
+                    try:
+                        template[i] = _OPS[head](*(template[a] for a in args))
+                        fixed.add(i)
+                    except (ArithmeticError, ValueError, TypeError):
+                        pass  # left to raise if a superstep reads it
+                if i not in fixed:
+                    code[i] = (i, _OPS[head], *args)
+            else:
+                raise PlanRefusedError(f"unknown expression {head!r}")
+            memo[id(e)] = i
+            return i
+
+        def is_rows(v: Any) -> bool:
+            return isinstance(v, np.ndarray) and v.ndim == 1 and v.shape[0] == n
+
+        def per_arc(v: Any, rows: np.ndarray) -> Any:
+            return v[rows] if is_rows(v) else v
+
+        def scatter(payload, hoist: bool) -> tuple:
+            """The payload's arc-space nodes over this op's ``rows`` and
+            ``weights`` slots.  Hoisted, an edge_weight-free subtree is its
+            vertex-space node indexed per arc (elementwise ufuncs commute
+            with indexing); otherwise only what varies by arc moves."""
+            rows, weights = node(), node()
+            arc_memo: dict[int, int] = {}
+
+            def arc(e) -> int:
+                s = vertex(e)
+                if s in arc_memo:
+                    return arc_memo[s]
+                if s not in weighty and (hoist or s not in rowy):
+                    if not hoist or (s in fixed and not is_rows(template[s])):
+                        return s
+                    i = node(per_arc, s, rows)
+                elif e[0] == "edge_weight":
+                    i = weights
+                elif e[0] in _LEAF_SLOTS:
+                    i = node(operator.getitem, s, rows)
+                else:
+                    i = node(_OPS[e[0]], *(arc(c) for c in e[1:]))
+                arc_memo[s] = i
+                return i
+
+            at, order = root(arc(payload))
+            reads = {at}.union(*(row[2:] for row in order))
+            return ((at, order), rows if rows in reads else -1,
+                    weights if weights in reads else -1)
+
+        def root(at: int) -> tuple:
+            order: list[tuple] = []
+            seen: set[int] = set()
+
+            def visit(i: int) -> None:
+                if i in code and i not in seen:
+                    seen.add(i)
+                    for a in code[i][2:]:
+                        visit(a)
+                    order.append(code[i])
+            visit(at)
+            return at, tuple((*row, -1, -1, -1)[:5] for row in order)
+
+        def vroot(e) -> tuple | None:
+            return None if e is None else root(vertex(e))
+
+        def lower_op(op) -> tuple:
+            arg = None
+            if op.kind == "scatter":
+                arg = scatter(op.payload, op.hoist)
+            elif op.kind == "aggregate":
+                arg = vroot(op.value), op.name or ""
+            return op.kind, vroot(op.where), arg
+
+        self._init = vroot(plan.state_init)
+        self._default = vroot(plan.gather_default)
+        self._phases = tuple(
+            (vroot(phase.guard), tuple(lower_op(op) for op in phase.ops))
+            for phase in plan.phases)
+        self._update = vroot(plan.state_update)
+        self._template = template
+
+    def _slots(self, state: np.ndarray, msg_count: np.ndarray,
+               out_degree: np.ndarray) -> list:
+        """A superstep's slot list: the folds, and its leaves but ``msg``."""
+        slots = self._template.copy()
+        slots[0:4] = state, out_degree, msg_count, self.superstep
+        return slots
+
+    def _rows(self, value: Any) -> np.ndarray:
+        """``value`` as one entry per row; an array that is one as is."""
+        if isinstance(value, np.ndarray) and value.shape == (self.n,):
+            return value
+        return np.broadcast_to(np.asarray(value), (self.n,))
+
+    @np.errstate(all="ignore")  # as in _step: 1/n at n == 0
     def _boot_state(self, sdt: np.dtype, out_degree: np.ndarray) -> np.ndarray:
         """The rows' state column before superstep 0 (``plan.state_init``)."""
-        boot = _Eval(self, np.zeros(self.n, dtype=sdt), None,
-                     np.zeros(self.n, dtype=np.int64), out_degree)
-        with np.errstate(all="ignore"):  # as in _step: 1/n at n == 0
-            return boot.full(self.plan.state_init).astype(sdt).copy()
+        slots = self._slots(np.zeros(self.n, dtype=sdt),
+                            np.zeros(self.n, dtype=np.int64), out_degree)
+        return self._rows(_run(slots, self._init)).astype(sdt)
 
     def _empty_inbox(self) -> None:
         """No message for the next superstep: with a combiner one (flag,
@@ -398,11 +446,9 @@ class DenseShard:
         buckets as they arrive (local first, then per source worker)."""
         self.in_next_payload_bytes = 0.0
         self._segs: list[tuple] = []
-        self._has = self._box = None
-        if self._combine is not None:
-            self._has = np.zeros(self.n, dtype=bool)
-            self._box = np.full(
-                self.n, _reduce_identity(self._combine, self._mdt), self._mdt)
+        if self._has is not None:  # refilled in place: _queued copied them
+            self._has.fill(False)
+            self._box.fill(_reduce_identity(self._combine, self._mdt))
 
     def _queued(self) -> tuple[tuple, np.ndarray]:
         """The next superstep's messages as one bucket, each row's in
@@ -421,8 +467,8 @@ class DenseShard:
             parts = [*parts, (at, np.asarray(payloads).astype(self._mdt))]
             if count is not None:
                 np.add.at(count, at, 1)
-        bucket = tuple(_cat([p[i] for p in parts], dt)
-                       for i, dt in enumerate(self._columns))
+        bucket = parts[0] if len(parts) == 1 else tuple(
+            _cat([p[i] for p in parts], dt) for i, dt in enumerate(self._columns))
         if count is None:
             count = np.bincount(bucket[0], minlength=self.n)
         return bucket, count
@@ -512,68 +558,68 @@ class DenseShard:
         computed mask, the sends as ``(arcs, payload per arc)`` per scatter
         in op order, and the aggregator partials, folded in row order like
         a worker's."""
-        plan, mdt, halted = self.plan, self._mdt, self.halted
+        mdt, halted, out_degree = self._mdt, self.halted, self._out_degree
         aggregators = self._aggregators
-        out_degree = self._out_degree
         computed = (msg_count > 0) | (~halted)
         halted[computed] = False
         sends: list[tuple[np.ndarray, np.ndarray]] = []
         contribs = {name: agg.identity() for name, agg in aggregators.items()}
 
-        ev = _Eval(self, self.state, None, msg_count, out_degree)
-        if plan.reduce is not None:
-            default = (
-                ev.vertex(plan.gather_default)
-                if plan.gather_default is not None
-                else _reduce_identity(plan.reduce, mdt)
-            )
-            ev.msg = self._gather(
-                plan.reduce, pending[0], pending[1], msg_count, default)
-        ops = [  # guards read nothing an op writes
-            op for phase in plan.phases
-            if phase.guard is None or bool(ev.scalar(phase.guard))
-            for op in phase.ops
-        ]
-        for op in ops:
-            mask = computed
-            if op.where is not None:
-                mask = computed & ev.full(op.where).astype(bool)
-            if op.kind == "vote":
-                halted[mask] = True
-            elif op.kind == "scatter":
-                arcs, count = self._live_arcs(mask, out_degree)
-                if count == 0:
-                    continue
-                arc_eval = ev.arc_hoisted if getattr(op, "hoist", False) else ev.arc
-                raw = arc_eval(op.payload, arcs)
-                sends.append(
-                    (arcs, np.broadcast_to(np.asarray(raw, dtype=mdt), (count,)))
-                )
-            elif op.kind == "aggregate":
-                vals = ev.full(op.value)[mask]
-                if vals.size == 0:
-                    continue
-                # Left fold in row order, as a worker reduces: pairwise
-                # ``.sum()`` reassociates float adds.
-                part = (
-                    float(np.cumsum(vals)[-1])
-                    if vals.dtype.kind == "f" else int(vals.sum())
-                )
-                name = op.name or ""
-                contribs[name] = aggregators[name].reduce(contribs[name], part)
-            elif op.kind == "prune_received":
-                got = mask[pending[0]]
-                if got.any():
-                    self._prune(pending[0][got], pending[2][got])
-            elif op.kind == "drop_edges":
-                arcs, count = self._live_arcs(mask, out_degree)
-                if count:
-                    ids = np.arange(self.m) if arcs is _ALL_ARCS else arcs
-                    self._mutations.append((self._take(self.src, arcs), ids))
-            else:
-                raise PlanRefusedError(f"unknown kernel op {op.kind!r}")
-        if plan.state_update is not None:
-            new = ev.full(plan.state_update).astype(self.state.dtype, copy=False)
+        slots = self._slots(self.state, msg_count, out_degree)
+        reduce = self.plan.reduce
+        if reduce is not None:
+            default = (_reduce_identity(reduce, mdt) if self._default is None
+                       else _run(slots, self._default))
+            slots[_MSG] = self._gather(
+                reduce, pending[0], pending[1], msg_count, default)
+        for guard, ops in self._phases:  # guards read nothing an op writes
+            if guard is not None and not _run(slots, guard):
+                continue
+            for kind, where, arg in ops:
+                mask = computed
+                if where is not None:
+                    mask = computed & np.asarray(_run(slots, where)).astype(
+                        bool, copy=False)
+                if kind == "vote":
+                    halted[mask] = True
+                elif kind == "scatter":
+                    arcs, count = self._live_arcs(mask, out_degree)
+                    if count == 0:
+                        continue
+                    payload, rows, weights = arg
+                    if rows >= 0:
+                        slots[rows] = self._take(self.src, arcs)
+                    if weights >= 0:
+                        slots[weights] = self._take(self.weights, arcs)
+                    raw = np.asarray(_run(slots, payload), dtype=mdt)
+                    sends.append((arcs, raw if raw.shape == (count,)
+                                  else np.broadcast_to(raw, (count,))))
+                elif kind == "aggregate":
+                    value, name = arg
+                    vals = self._rows(_run(slots, value))[mask]
+                    if vals.size == 0:
+                        continue
+                    # Left fold in row order, as a worker reduces: pairwise
+                    # ``.sum()`` reassociates float adds.
+                    part = (
+                        float(np.cumsum(vals)[-1])
+                        if vals.dtype.kind == "f" else int(vals.sum())
+                    )
+                    contribs[name] = aggregators[name].reduce(contribs[name], part)
+                elif kind == "prune_received":
+                    got = mask[pending[0]]
+                    if got.any():
+                        self._prune(pending[0][got], pending[2][got])
+                elif kind == "drop_edges":
+                    arcs, count = self._live_arcs(mask, out_degree)
+                    if count:
+                        ids = np.arange(self.m) if arcs is _ALL_ARCS else arcs
+                        self._mutations.append((self._take(self.src, arcs), ids))
+                else:
+                    raise PlanRefusedError(f"unknown kernel op {kind!r}")
+        if self._update is not None:
+            new = np.asarray(_run(slots, self._update)).astype(
+                self.state.dtype, copy=False)
             self.state = np.where(computed, new, self.state)
         return computed, sends, contribs
 
@@ -604,12 +650,13 @@ class DenseShard:
             cols = [self._take(self.dst, arcs), vals]
             if len(self._columns) == 3:
                 cols.append(self.vertex_ids[self._take(self.src, arcs)])
-            parts.append((self._bounds if arcs is _ALL_ARCS
-                          else np.searchsorted(arcs, self._bounds), cols))
+            parts.append((self._starts if arcs is _ALL_ARCS
+                          else np.searchsorted(arcs, self._bounds).tolist(), cols))
         local = remote = 0
-        for u, rows_u in enumerate(self._rows_of):
-            bucket = [_cat([cols[i][c[u]:c[u + 1]] for c, cols in parts], dt)
-                      for i, dt in enumerate(self._columns)]
+        for u, rows_u in enumerate(self._rows_of if parts else ()):
+            groups = [[col[c[u]:c[u + 1]] for col in cols] for c, cols in parts]
+            bucket = groups[0] if len(groups) == 1 else [
+                _cat(list(g), dt) for g, dt in zip(zip(*groups), self._columns)]
             rows = bucket[0]
             if not rows.size:
                 continue

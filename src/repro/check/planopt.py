@@ -22,11 +22,13 @@ This module rewrites plans into a cheaper, equivalent form:
   float-significant accumulation: message delivery under ``reduce="sum"``
   or same-name aggregator contributions.
 * **hoist-scatter** — marks scatter payloads whose vertex-space subtrees
-  are shared with the state update or an op mask; the dense executor then
-  evaluates them once over vertices and indexes per-arc (elementwise ufuncs
-  commute with indexing, so this is bit-identical).
-* **cse** — hash-conses structurally identical subtrees so the executor's
-  ``id()``-keyed memo sees the sharing the digest already implies.
+  are shared with the state update or an op mask; a dense shard then
+  lowers each edge-weight-free subtree of the payload to its vertex-space
+  node indexed per arc (elementwise ufuncs commute with indexing, so this
+  is bit-identical).
+* **cse** — hash-conses structurally identical subtrees, so a dense
+  shard's node table, which keys nodes by identity, computes the sharing
+  the digest already implies once.
 
 Honesty contract (same as RPC015): every rewrite must leave the plan
 **bit-identical** under :class:`~repro.bsp.dense_ref.DenseRefEngine` —
@@ -623,8 +625,8 @@ def _compound_subtrees(e: Expr | None, out: set) -> None:
 def _hoist_pass(plan: KernelPlan) -> tuple[KernelPlan, int]:
     """Mark scatter payloads whose vertex-space subtrees are shared with
     vertex-evaluated expressions (state update, masks, aggregate values,
-    other payloads).  The executor then evaluates those subtrees once in
-    vertex space — where the shared memo already holds them — and indexes
+    other payloads).  A dense shard then computes those subtrees once in
+    vertex space — the node the other roots already share — and indexes
     per-arc, instead of re-evaluating over (usually larger) arc rows."""
     scatters = [
         op for phase in plan.phases for op in phase.ops
@@ -671,9 +673,9 @@ def _hoist_pass(plan: KernelPlan) -> tuple[KernelPlan, int]:
 def _cse_pass(plan: KernelPlan) -> tuple[KernelPlan, int]:
     """Hash-cons structurally equal subtrees into shared tuples.
 
-    Digest-invariant (structure is unchanged); it exists purely so the
-    dense executor's ``(id(expr), id(arcs))`` memo turns structural
-    sharing into evaluation sharing."""
+    Digest-invariant (structure is unchanged); it exists purely so a
+    dense shard's node table, keyed by identity, turns structural sharing
+    into evaluation sharing."""
     interner: dict = {}
     shared = 0
 

@@ -654,9 +654,14 @@ def _cmd_run(args) -> int:
             return 1
         except ProgramSafetyError as exc:
             # RPC011 gate: refused before forking any worker process (no
-            # engine exists yet; the bundle carries the reason alone).
+            # engine exists yet; the bundle carries the reason and the job).
             print(f"repro run: {exc}", file=sys.stderr)
-            postmortem.dump(None, exc)
+            postmortem.dump(None, exc, job={
+                "engine": args.engine, "program": exc.program_name,
+                "graph": {"vertices": int(g.num_vertices),
+                          "edges": int(g.num_edges)},
+                "num_workers": args.workers,
+            })
             print(
                 f"postmortem bundle written to {postmortem.written}",
                 file=sys.stderr,

@@ -274,8 +274,13 @@ class FlightRecorder:
         unchanged when nothing is new.
         """
         cursor = int(cursor)
-        with self._lock:
-            fresh = [e for e in self._ring if e.seq > cursor]
+        fresh = []
+        with self._lock:  # seqs rise along the ring: read back to the cursor
+            for e in reversed(self._ring):
+                if e.seq <= cursor:
+                    break
+                fresh.append(e)
+        fresh.reverse()
         if (
             mark_gaps
             and fresh

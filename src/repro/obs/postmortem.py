@@ -76,13 +76,19 @@ def _plain(obj: Any) -> Any:
     return repr(obj)
 
 
-def _manifest(engine: Any) -> dict:
-    job = engine.job
-    graph = engine.graph
+def _host() -> dict:
     return {
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "argv": list(sys.argv),
+    }
+
+
+def _manifest(engine: Any) -> dict:
+    job = engine.job
+    graph = engine.graph
+    return {
+        **_host(),
         "engine": type(engine).__name__,
         "program": type(job.program).__name__,
         "graph": {
@@ -115,12 +121,16 @@ def _observer_flags(engine: Any) -> list[dict]:
     return []
 
 
-def build_bundle(engine: Any, error: BaseException) -> dict:
+def build_bundle(engine: Any, error: BaseException,
+                 job: Mapping[str, Any] | None = None) -> dict:
     """Assemble the bundle dict from a (possibly broken) engine.
 
     Every section is collected defensively: a failure mid-superstep can
     leave sinks half-written, and a postmortem that crashes while being
-    captured would mask the original error.
+    captured would mask the original error.  With no engine (a gate
+    refused the job before one was built) the bundle is the ``reason`` and
+    a manifest of ``job``, the summary the caller has: program, graph
+    size, workers, requested engine.
     """
     bundle: dict[str, Any] = {
         "version": POSTMORTEM_FORMAT_VERSION,
@@ -133,6 +143,10 @@ def build_bundle(engine: Any, error: BaseException) -> dict:
             ),
         },
     }
+
+    if engine is None:
+        bundle["manifest"] = {**_host(), **_plain(dict(job or {}))}
+        return bundle
 
     def section(name: str, build) -> None:
         try:
@@ -208,13 +222,14 @@ def build_bundle(engine: Any, error: BaseException) -> dict:
 
 
 def write_postmortem(
-    path: str | Path, engine: Any, error: BaseException
+    path: str | Path, engine: Any, error: BaseException,
+    job: Mapping[str, Any] | None = None,
 ) -> Path:
     """Build and write a bundle; returns the path written."""
     path = Path(path)
     if path.suffix != BUNDLE_SUFFIX:
         path = path.with_suffix(path.suffix + BUNDLE_SUFFIX)
-    bundle = build_bundle(engine, error)
+    bundle = build_bundle(engine, error, job)
     path.write_text(json.dumps(bundle, indent=1, default=repr))
     return path
 
@@ -232,10 +247,11 @@ class PostmortemWriter:
         self.path = Path(path)
         self.written: Path | None = None
 
-    def dump(self, engine: Any, error: BaseException) -> Path | None:
+    def dump(self, engine: Any, error: BaseException,
+             job: Mapping[str, Any] | None = None) -> Path | None:
         if self.written is not None:
             return self.written
-        self.written = write_postmortem(self.path, engine, error)
+        self.written = write_postmortem(self.path, engine, error, job)
         return self.written
 
 
@@ -329,15 +345,18 @@ def render_incident_report(bundle: dict, last_events: int = 8) -> str:
     ]
     sections.append(table(["field", "value"], head, title="incident"))
 
-    prog_rows = [
-        ["last committed superstep", progress.get("last_committed_superstep")],
-        ["supersteps committed", progress.get("supersteps_committed")],
-        ["failing superstep", progress.get("current_superstep")],
-        ["resume checkpoint", progress.get("checkpoint_superstep")],
-        ["simulated time (s)", progress.get("sim_time")],
-        ["recoveries before failure", len(progress.get("recoveries", []))],
-    ]
-    sections.append(table(["marker", "value"], prog_rows, title="progress"))
+    if progress:  # none when a gate refused the job before it ran
+        prog_rows = [
+            ["last committed superstep",
+             progress.get("last_committed_superstep")],
+            ["supersteps committed", progress.get("supersteps_committed")],
+            ["failing superstep", progress.get("current_superstep")],
+            ["resume checkpoint", progress.get("checkpoint_superstep")],
+            ["simulated time (s)", progress.get("sim_time")],
+            ["recoveries before failure",
+             len(progress.get("recoveries", []))],
+        ]
+        sections.append(table(["marker", "value"], prog_rows, title="progress"))
 
     sections.append(
         "suspects\n" + "\n".join(f"  - {s}" for s in _suspects(bundle))

@@ -4,8 +4,6 @@ the engine-selection wiring (sanitizer, runner, run_job).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -26,25 +24,22 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.csr import CSRGraph
 
 
-def _equivalent(ref, dense, rel_tol=1e-9, abs_tol=1e-12):
+def _bits(value) -> tuple:
+    """A value as its type and repr: exact, ``-0.0`` and ``nan`` included."""
+    return type(value), repr(value)
+
+
+def _equivalent(ref, dense):
+    """Contract (a) of docs/runtime.md: bitwise at the same worker count
+    and partition, values and aggregates alike."""
     assert ref.supersteps == dense.supersteps
     assert ref.halted == dense.halted
     assert set(ref.values) == set(dense.values)
     for v in ref.values:
-        a, b = ref.values[v], dense.values[v]
-        if isinstance(a, float):
-            assert math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol), (
-                v, a, b,
-            )
-        else:
-            assert a == b, (v, a, b)
+        assert _bits(ref.values[v]) == _bits(dense.values[v]), v
     assert set(ref.aggregates) == set(dense.aggregates)
     for k in ref.aggregates:
-        a, b = ref.aggregates[k], dense.aggregates[k]
-        if isinstance(a, float):
-            assert math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol), k
-        else:
-            assert a == b, k
+        assert _bits(ref.aggregates[k]) == _bits(dense.aggregates[k]), k
 
 
 def _run_both(program_factory, graph, **kwargs):

@@ -110,3 +110,18 @@ def test_cli_surfaces_gate_error(monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err
     assert "unpicklable" in err and "check_program=False" in err
     assert bundle.is_file()
+    # no engine was built: the bundle is the reason and the job summary,
+    # with no section a stub of the AttributeError reading one would raise
+    from repro.obs import load_postmortem
+
+    data = load_postmortem(bundle)
+    stubs = [k for k, v in data.items() if isinstance(v, dict) and "error" in v]
+    assert stubs == []
+    assert data["reason"]["type"] == "ProgramSafetyError"
+    manifest = data["manifest"]
+    assert manifest["program"] == "LambdaStateProgram"
+    assert manifest["engine"] == "process"
+    assert manifest["graph"]["vertices"] > 0 and manifest["num_workers"] >= 1
+    assert cli_mod.main(["postmortem", str(bundle)]) == 0
+    report = capsys.readouterr().out
+    assert "ProgramSafetyError" in report and "LambdaStateProgram" in report

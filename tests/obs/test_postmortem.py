@@ -114,7 +114,9 @@ class TestBundleCapture:
         )
         bundle = load_postmortem(path)
         assert bundle["reason"]["message"] == "unpicklable"
-        assert "error" in bundle["manifest"]  # defensively degraded
+        # no engine, no engine sections: the manifest is the host alone
+        assert set(bundle) == {"version", "created_unix", "reason", "manifest"}
+        assert set(bundle["manifest"]) == {"python", "platform", "argv"}
 
     def test_successful_run_writes_nothing(self, small_world, tmp_path):
         pm = PostmortemWriter(tmp_path / "fine")
