@@ -3,11 +3,15 @@
 The builder accepts edges in any order (singly for undirected graphs — the
 reverse arc is added automatically), then materializes CSR arrays by sorting
 one int64 key ``src * n + dst`` per arc.  For an unweighted graph the sorted
-keys already are the CSR: ``divmod(key, n)`` gives each arc's row and column,
-and dedupe is an adjacent-duplicate scan.  A weighted graph sorts a stable
-permutation of the keys instead, because its weights must travel with their
-arcs and the first weight added for a parallel arc wins.  This is the only
-place adjacency is constructed, so dedupe / self-loop policy lives here.
+keys already are the CSR: ``key % n`` is each arc's column, a binary search
+for ``v * n`` is row ``v``'s offset, and dedupe is an adjacent-duplicate
+scan.  A weighted graph sorts a stable permutation of the keys instead,
+because its weights must travel with their arcs and the first weight added
+for a parallel arc wins.  This is the only place adjacency is constructed,
+so dedupe / self-loop policy lives here.
+
+Ids are stored as ``int32`` (the CSR's index type), so ``num_vertices`` is
+capped at ``2**31 - 1``; ``int32`` id columns are taken without widening.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from .csr import CSRGraph
 
 __all__ = ["GraphBuilder", "from_edges"]
 
+#: the most vertices an ``int32``-indexed CSR can name
+MAX_VERTICES = 2**31 - 1
+
 
 class GraphBuilder:
     """Accumulate edges, then :meth:`build` a CSR graph.
@@ -25,8 +32,9 @@ class GraphBuilder:
     Parameters
     ----------
     num_vertices:
-        Fixed vertex-id domain ``0..num_vertices-1``.  Ids outside the domain
-        raise at :meth:`add_edges` time.
+        Fixed vertex-id domain ``0..num_vertices-1``, at most
+        :data:`MAX_VERTICES`.  Ids outside the domain raise at
+        :meth:`add_edges` time.
     undirected:
         When True each added edge also stores the reverse arc and the built
         graph is flagged undirected.
@@ -35,6 +43,11 @@ class GraphBuilder:
     def __init__(self, num_vertices: int, undirected: bool = False) -> None:
         if num_vertices < 0:
             raise ValueError("num_vertices must be non-negative")
+        if num_vertices > MAX_VERTICES:
+            raise ValueError(
+                f"num_vertices {num_vertices} exceeds the int32 CSR limit "
+                f"{MAX_VERTICES}"
+            )
         self.num_vertices = int(num_vertices)
         self.undirected = bool(undirected)
         self._src_chunks: list[np.ndarray] = []
@@ -53,8 +66,7 @@ class GraphBuilder:
 
         Weighted and unweighted batches must not be mixed in one builder.
         """
-        src = np.asarray(src, dtype=np.int64).ravel()
-        dst = np.asarray(dst, dtype=np.int64).ravel()
+        src, dst = _ids(src), _ids(dst)
         if len(src) != len(dst):
             raise ValueError("src and dst must have equal length")
         if weights is not None:
@@ -102,51 +114,78 @@ class GraphBuilder:
         """
         n = self.num_vertices
         weighted = bool(self._w_chunks) and self._w_chunks[-1] is not None
-        if self._src_chunks:
-            src = np.concatenate(self._src_chunks)
-            dst = np.concatenate(self._dst_chunks)
-            w = np.concatenate(self._w_chunks) if weighted else None
-        else:
-            src = np.empty(0, dtype=np.int32)
-            dst = np.empty(0, dtype=np.int32)
-            w = None
+        src, dst = _joined(self._src_chunks), _joined(self._dst_chunks)
+        w = _joined(self._w_chunks) if weighted else None
 
-        if self.undirected and len(src):
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-            if w is not None:
-                w = np.concatenate([w, w])
-
-        if drop_self_loops and len(src):
+        if drop_self_loops:
+            # before the reverse arcs: a self-loop's reverse is one too, and
+            # the kept arcs stay in the order the weighted path relies on
             keep = src != dst
-            src, dst = src[keep], dst[keep]
-            if w is not None:
-                w = w[keep]
+            if not keep.all():
+                src, dst = src[keep], dst[keep]
+                if w is not None:
+                    w = w[keep]
+            del keep
 
         if w is None:
             # The sorted (src, dst) keys are the CSR: no permutation needed.
-            key = src.astype(np.int64)
-            key *= n
-            key += dst
+            key = _keys(src, dst, n, self.undirected)
+            del src, dst
             key.sort()
             if dedupe and len(key):
-                key = key[_first_of_runs(key)]
-            src, dst = np.divmod(key, n)
-            dst = dst.astype(np.int32)
-        elif len(src):
-            # "First weight wins" needs a stable permutation to carry the
-            # weights along with their arcs.
-            key = src.astype(np.int64) * n + dst.astype(np.int64)
-            order = np.argsort(key, kind="stable")
-            src, dst, key, w = src[order], dst[order], key[order], w[order]
-            if dedupe:
                 keep = _first_of_runs(key)
-                src, dst, w = src[keep], dst[keep], w[keep]
-
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+                if not keep.all():
+                    key = key[keep]
+                del keep
+            indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+            np.remainder(key, n, out=key)
+            dst = key.astype(np.int32)
+            del key
+        else:
+            if self.undirected:
+                src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+                w = np.concatenate([w, w])
+            if len(src):
+                # "First weight wins" needs a stable permutation to carry
+                # the weights along with their arcs.
+                key = src.astype(np.int64) * n + dst.astype(np.int64)
+                order = np.argsort(key, kind="stable")
+                src, dst, key, w = src[order], dst[order], key[order], w[order]
+                if dedupe:
+                    keep = _first_of_runs(key)
+                    src, dst, w = src[keep], dst[keep], w[keep]
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return CSRGraph(
             n, indptr, dst, undirected=self.undirected, name=name, weights=w,
         )
+
+
+def _ids(ids) -> np.ndarray:
+    """A 1-D id column: ``int32`` arrays as they are, anything else int64."""
+    if not (isinstance(ids, np.ndarray) and ids.dtype == np.int32):
+        ids = np.asarray(ids, dtype=np.int64)
+    return ids.reshape(-1)  # a view for any 1-D array, strided or not
+
+
+def _joined(chunks: list) -> np.ndarray:
+    """The batches end to end; a lone batch is used as it is, not copied."""
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int32)
+
+
+def _keys(src: np.ndarray, dst: np.ndarray, n: int, undirected: bool) -> np.ndarray:
+    """One int64 ``src * n + dst`` per arc, the reverse arcs after the
+    forward ones when ``undirected``; written in place, no widened copies."""
+    m = len(src)
+    key = np.empty(2 * m if undirected else m, dtype=np.int64)
+    np.multiply(src, n, out=key[:m], dtype=np.int64)
+    key[:m] += dst
+    if undirected:
+        np.multiply(dst, n, out=key[m:], dtype=np.int64)
+        key[m:] += src
+    return key
 
 
 def _first_of_runs(key: np.ndarray) -> np.ndarray:

@@ -35,6 +35,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             GraphBuilder(-1)
 
+    def test_more_vertices_than_int32_ids_rejected(self):
+        # CSR indices are int32: an id past 2**31 - 1 would wrap silently
+        with pytest.raises(ValueError, match="int32 CSR limit"):
+            GraphBuilder(2**31)
+        assert GraphBuilder(2**31 - 1).num_vertices == 2**31 - 1  # no arrays yet
+
     def test_name_is_attached(self):
         g = from_edges(2, [(0, 1)], name="toy")
         assert g.name == "toy"

@@ -113,12 +113,17 @@ def line_loop_reference(data: bytes):
     return b.build(name=name)
 
 
-def random_edge_list(rng) -> bytes:
-    """A seeded edge list in every layout a SNAP file or our writer uses."""
+def random_edge_list(rng, canonical: bool = False) -> bytes:
+    """A seeded edge list in every layout a SNAP file or our writer uses.
+
+    ``canonical``: the layout ``write_edge_list`` emits (``#`` lines, then
+    ``u SEP v\\n`` rows with one tab or one space), which the loader parses
+    without ``np.loadtxt``.
+    """
     n = int(rng.integers(1, 40))
-    count = int(rng.integers(0, 120))
-    weighted = bool(rng.integers(2))
-    eol = "\r\n" if rng.integers(2) else "\n"
+    count = int(rng.integers(1 if canonical else 0, 120))
+    weighted = not canonical and bool(rng.integers(2))
+    eol = "\r\n" if not canonical and rng.integers(2) else "\n"
     lines = []
     if rng.integers(2):
         lines.append(f"# repro graph: {rng.choice(['unnamed', 'g-1', 'a: b'])}")
@@ -130,6 +135,9 @@ def random_edge_list(rng) -> bytes:
         lines.append("#  weighted: true")
     for _ in range(count):
         u, v = (int(x) for x in rng.integers(0, n, 2))
+        if canonical:
+            lines.append(str(rng.choice(["\t", " "])).join([str(u), str(v)]))
+            continue
         sep = str(rng.choice(["\t", " ", "  ", " \t"]))
         pad = str(rng.choice(["", " ", "\t"]))
         fields = [str(u), str(v)]
@@ -140,27 +148,51 @@ def random_edge_list(rng) -> bytes:
         if rng.random() < 0.15:
             lines.append(str(rng.choice(["", "   ", "# SNAP comment", "  # x: y"])))
     text = eol.join(lines)
-    if lines and rng.integers(2):
+    if lines and (canonical or rng.integers(2)):
         text += eol
     return text.encode()
+
+
+def assert_identical(got, want, data=b""):
+    assert (got.num_vertices, got.undirected, got.name) == (
+        want.num_vertices, want.undirected, want.name), data
+    assert np.array_equal(got.indptr, want.indptr), data
+    assert np.array_equal(got.indices, want.indices), data
+    assert got.weighted == want.weighted, data
+    if want.weighted:
+        assert np.array_equal(got.weights, want.weights), data
+
+
+def refuse_loadtxt(monkeypatch):
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("a canonical edge list reached np.loadtxt")
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
 
 
 class TestAgainstLineLoop:
     def test_random_edge_lists_parse_to_equal_graphs(self):
         rng = np.random.default_rng(31)
-        weighted_seen = 0
+        weighted_seen = canonical_seen = 0
         for _ in range(300):
-            data = random_edge_list(rng)
+            canonical = rng.random() < 0.4
+            data = random_edge_list(rng, canonical)
             want, got = line_loop_reference(data), io.from_edge_list_bytes(data)
-            assert (got.num_vertices, got.undirected, got.name) == (
-                want.num_vertices, want.undirected, want.name), data
-            assert np.array_equal(got.indptr, want.indptr), data
-            assert np.array_equal(got.indices, want.indices), data
-            assert got.weighted == want.weighted, data
-            if want.weighted:
-                assert np.array_equal(got.weights, want.weights), data
-                weighted_seen += 1
+            assert_identical(got, want, data)
+            weighted_seen += want.weighted
+            canonical_seen += canonical
         assert weighted_seen > 50
+        assert canonical_seen >= 100
+
+    def test_canonical_edge_lists_never_reach_loadtxt(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(32)
+        cases = [random_edge_list(rng, canonical=True) for _ in range(100)]
+        wants = [line_loop_reference(data) for data in cases]
+        refuse_loadtxt(monkeypatch)
+        path = tmp_path / "g.txt"
+        for data, want in zip(cases, wants):
+            assert_identical(io.from_edge_list_bytes(data), want, data)
+            path.write_bytes(data)
+            assert_identical(io.read_edge_list(path), want, data)
 
     @pytest.mark.parametrize("data", [
         b"0\n",
@@ -206,6 +238,157 @@ class TestAgainstLineLoop:
     def test_comments_only(self):
         g = io.from_edge_list_bytes(b"# kind: undirected\n# nodes: 3 arcs: 0\n\n")
         assert (g.num_vertices, g.num_arcs, g.undirected) == (3, 0, True)
+
+
+# Inputs at the edges of the canonical path.  Each must give the graph
+# line_loop_reference gives, or the ValueError the np.loadtxt path (the
+# parser before the canonical path existed, kept verbatim) raises.
+EDGE_CASES = [
+    # ids of 9, 10, 18, 19 and 20 digits (int32 parse, int64 parse, and
+    # np.loadtxt past 18), leading zeros included
+    b"000000001\t000000004\n",
+    b"# nodes: 5\n0\t999999999\n",
+    b"0000000001\t2\n",
+    b"# nodes: 5\n0\t1000000000\n",
+    b"000000000000000003\t1\n",
+    b"# nodes: 5\n0\t999999999999999999\n",
+    b"0000000000000000003\t1\n",
+    b"# nodes: 5\n0\t1000000000000000000\n",
+    b"# nodes: 5\n0\t9999999999999999999\n",  # past int64: np.loadtxt refuses
+    b"00000000000000000003\t1\n",
+    b"# nodes: 5\n0\t99999999999999999999\n",
+    # the int32 limit and one past it
+    b"# nodes: 5\n2147483647\t0\n",
+    b"# nodes: 5\n2147483648\t0\n",
+    b"# nodes: 5\n3000000000 1\n",
+    # tab and space mixed across lines
+    b"0\t1\n1 2\n2\t0\n",
+    # separators and newlines alternate, but a token is empty
+    b"0\t\n\t1\n",
+    b"\t1\n",
+    b"0\n1\n",  # a newline where the separator goes
+    # not canonical: CRLF, a blank line, a # line after the first edge,
+    # no final newline, an empty body after the header, weights missing
+    b"0\t1\r\n1\t2\r\n",
+    b"0\t1\n\n1\t2\n",
+    b"0\t1\n# c\n1\t2\n",
+    b"0\t1\n1\t2",
+    b"# kind: undirected\n# nodes: 3 arcs: 0\n",
+    b"# weighted: true\n0\t1\n",
+    b"# nodes: many\n0\t1\n",
+]
+
+
+class TestCanonicalPath:
+    @pytest.mark.parametrize("data", EDGE_CASES)
+    def test_edge_cases_match_the_reference_or_the_old_error(self, data, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        try:
+            want = line_loop_reference(data)
+        except (ValueError, OverflowError):
+            with pytest.raises(ValueError) as old:
+                io._parse_loadtxt(data)
+            for parse, source in ((io.from_edge_list_bytes, data),
+                                  (io.read_edge_list, path)):
+                with pytest.raises(ValueError) as got:
+                    parse(source)
+                assert str(got.value) == str(old.value)
+        else:
+            assert_identical(io.from_edge_list_bytes(data), want, data)
+            assert_identical(io.read_edge_list(path), want, data)
+
+    @pytest.mark.parametrize("data, saw", [
+        (b"# nodes: 5\n0\t999999999\n", "[0, 999999999]"),
+        (b"# nodes: 5\n2147483647\t0\n", "[0, 2147483647]"),
+        (b"# nodes: 5\n2147483648\t0\n", "[0, 2147483648]"),
+        # np.fromstring(b"3000000000 1", dtype=np.int32, sep=" ") wraps
+        (b"# nodes: 5\n3000000000 1\n", "[1, 3000000000]"),
+        (b"# nodes: 5\n0\t999999999999999999\n", "[0, 999999999999999999]"),
+    ])
+    def test_large_ids_are_parsed_without_wrapping(self, data, saw, monkeypatch):
+        refuse_loadtxt(monkeypatch)
+        with pytest.raises(ValueError) as got:
+            io.from_edge_list_bytes(data)
+        assert str(got.value) == f"edge endpoint out of range [0, 5): saw {saw}"
+
+    @pytest.mark.parametrize("big", [b"2147483647", b"2147483648", b"3000000000"])
+    def test_ids_past_the_int32_csr_are_refused(self, big):
+        # without a nodes line the vertex count is max id + 1 > 2**31 - 1
+        for parse in (line_loop_reference, io.from_edge_list_bytes):
+            with pytest.raises(ValueError, match="int32 CSR limit"):
+                parse(b"0\t" + big + b"\n")
+
+    def test_canonical_inputs_skip_loadtxt_at_both_widths(self, monkeypatch):
+        refuse_loadtxt(monkeypatch)
+        g = io.from_edge_list_bytes(b"# kind: undirected\n0\t1\n1 000000000000000002\n")
+        assert sorted(g.iter_edges()) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+
+    def test_load_peak_is_under_thirty_bytes_per_arc(self, tmp_path):
+        # the body text, the parsed ids and the builder's int64 keys, plus
+        # the shape check's fixed ~1 MB chunk; np.loadtxt peaked at 51 B
+        import tracemalloc
+
+        g = gen.rmat(15, 8, seed=3)
+        path = tmp_path / "g.txt"
+        io.write_edge_list(g, path)
+        tracemalloc.start()
+        try:
+            back = io.read_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_identical(back, g)
+        assert peak <= 30 * g.num_arcs, peak / g.num_arcs
+
+
+def row_loop_writer(graph) -> bytes:
+    """``to_edge_list_bytes`` before it joined rows: one f-string per row.
+    Kept as the reference for byte equality."""
+    import io as stdio
+
+    buf = stdio.StringIO()
+    kind = "undirected" if graph.undirected else "directed"
+    buf.write(f"# repro graph: {graph.name or 'unnamed'}\n")
+    buf.write(f"# kind: {kind}\n")
+    buf.write(f"# nodes: {graph.num_vertices} arcs: {graph.num_arcs}\n")
+    if graph.weighted:
+        buf.write("# weighted: true\n")
+        for v in range(graph.num_vertices):
+            nbrs = graph.neighbors(v)
+            ws = graph.neighbor_weights(v)
+            for u, w in zip(nbrs, ws):
+                if not graph.undirected or v < int(u):
+                    buf.write(f"{v}\t{int(u)}\t{float(w)!r}\n")
+        return buf.getvalue().encode()
+    edges = graph.edge_array()
+    if graph.undirected:
+        edges = edges[edges[:, 0] < edges[:, 1]]
+    for u, v in edges:
+        buf.write(f"{u}\t{v}\n")
+    return buf.getvalue().encode()
+
+
+class TestWriter:
+    @pytest.mark.parametrize("rows_per_join", [7, 1 << 18])
+    def test_bytes_equal_the_row_loop(self, rows_per_join, monkeypatch, tmp_path):
+        from repro.graph.builder import from_edges
+
+        monkeypatch.setattr(io, "_WRITE_ROWS", rows_per_join)
+        weighted = from_edges(4, [(0, 1), (1, 2), (3, 0)], weights=[0.5, 2.0, 1e-3])
+        graphs = (
+            gen.rmat(9, 8, seed=1),
+            gen.erdos_renyi(40, 0.1, seed=2, directed=True),
+            from_edges(10, [(0, 1)], undirected=True),
+            GraphBuilder(0).build(),
+            GraphBuilder(3).build(name="empty"),
+            weighted,
+        )
+        for g in graphs:
+            want = row_loop_writer(g)
+            assert io.to_edge_list_bytes(g) == want
+            io.write_edge_list(g, tmp_path / "g.txt")
+            assert (tmp_path / "g.txt").read_bytes() == want
 
 
 class TestNpz:
