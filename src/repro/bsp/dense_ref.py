@@ -7,8 +7,9 @@ no per-vertex Python executes inside a superstep — that is the entire
 point.  The superstep body, the flush of bulk buckets between workers,
 the halting test, aggregator merge, ``master_compute``, clock, bill,
 checkpoints, observers, telemetry and extract are :class:`BSPEngine`'s,
-unchanged.  The process and tcp engines build the same shards
-(:func:`dense_shards`) when every session hosts one.
+unchanged.  Each shard is built from its slice of the job's arc layout
+(:class:`~repro.bsp.dense_shard.DenseLayout`), computed once; the process
+and tcp engines ship each session its slice when every session hosts one.
 
 Role in the honesty contract of ``repro check --kernel-plan``: every plan
 the static lifter emits is certified against :class:`BSPEngine` by
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from .dense_shard import _FOLD, _PEEL_INJECTED, DenseShard, PlanRefusedError
+from .dense_shard import _FOLD, _PEEL_INJECTED, DenseLayout, DenseShard
+from .dense_shard import PlanRefusedError
 from .engine import BSPEngine
 from .job import JobResult, JobSpec
 
@@ -34,7 +36,7 @@ if TYPE_CHECKING:  # import cycle: repro.check imports repro.bsp
 
 __all__ = [
     "DenseRefEngine", "PlanRefusedError", "dense_refused_features",
-    "dense_shards", "shard_plan",
+    "shard_plan",
 ]
 
 
@@ -73,33 +75,32 @@ def dense_refused_features(program: Any, plan: "KernelPlan | None",
     return out
 
 
+def _lifted(program: Any, optimize: bool = True) -> "KernelPlan":
+    """The program's lifted plan, optimised unless ``optimize`` is False;
+    a refusal raises :class:`PlanRefusedError` naming the blocking rule."""
+    from ..check.planopt import optimized  # lazy: avoids cycle
+    from ..check.vectorize import lift_of
+
+    verdict = lift_of(program)
+    if verdict is None:
+        raise PlanRefusedError(f"cannot locate source for {type(program).__name__}; "
+                               "no kernel plan to execute")
+    if verdict.plan is None:
+        raise PlanRefusedError(f"{verdict.rule_id} at {verdict.file}:"
+                               f"{verdict.refusal_line}: {verdict.reason}")
+    return optimized(verdict.plan) if optimize else verdict.plan
+
+
 def shard_plan(program: Any, initial_messages: Any = ()) -> "KernelPlan | None":
     """The optimised plan every worker runs as a :class:`DenseShard`, or
     None when :func:`dense_refused_features` refuses the job (or the
     program does not lift): the workers are then
     :class:`~repro.bsp.worker.PartitionWorker`\\ s."""
-    from ..check.planopt import optimized  # lazy: avoids cycle
-    from ..check.vectorize import lift_of
-
-    verdict = lift_of(program)
-    if verdict is None or verdict.plan is None:
+    try:
+        plan = _lifted(program)
+    except PlanRefusedError:
         return None
-    plan = optimized(verdict.plan)
-    if dense_refused_features(program, plan, initial_messages):
-        return None
-    return plan
-
-
-def dense_shards(engine: BSPEngine, plan: "KernelPlan") -> list[DenseShard]:
-    """The job's initial state as one never-computed :class:`DenseShard`
-    per worker of ``engine``'s partition."""
-    job, part = engine.job, engine.partition
-    active_ids = job.initial_active_ids()
-    return [
-        DenseShard(w, engine.graph, part.vertices_of(w), job.program,
-                   engine.model, part.assignment, active_ids, plan)
-        for w in range(engine.num_workers)
-    ]
+    return None if dense_refused_features(program, plan, initial_messages) else plan
 
 
 class DenseRefEngine(BSPEngine):
@@ -120,24 +121,7 @@ class DenseRefEngine(BSPEngine):
                  optimize: bool = True):
         program = job.program
         if plan is None:
-            from ..check.vectorize import lift_of  # lazy: avoids cycle
-
-            verdict = lift_of(program)
-            if verdict is None:
-                raise PlanRefusedError(
-                    f"cannot locate source for {type(program).__name__}; "
-                    "no kernel plan to execute"
-                )
-            if verdict.plan is None:
-                raise PlanRefusedError(
-                    f"{verdict.rule_id} at {verdict.file}:"
-                    f"{verdict.refusal_line}: {verdict.reason}"
-                )
-            plan = verdict.plan
-            if optimize:
-                from ..check.planopt import optimized
-
-                plan = optimized(plan)
+            plan = _lifted(program, optimize)
         refusals = dense_refused_features(program, plan, job.initial_messages)
         if refusals:
             raise PlanRefusedError(refusals[0])
@@ -145,7 +129,11 @@ class DenseRefEngine(BSPEngine):
         super().__init__(job)
 
     def _build_workers(self) -> None:
-        self.workers = dense_shards(self, self.plan)
+        job, w = self.job, self.num_workers
+        layout = DenseLayout(self.graph, self.partition.assignment, w,
+                             self.plan, job.initial_active_ids())
+        self.workers = [DenseShard(layout.slice(i), job.program, self.model,
+                                   self.plan) for i in range(w)]
 
     def run(self) -> JobResult:
         result = super().run()

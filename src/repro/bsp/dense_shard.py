@@ -38,12 +38,23 @@ the program's hooks, read once on a scalar of the dtype.  Edge removals
 (the k-core peel idiom) requested at *s* apply at the start of *s+1*; a
 peel plan's bucket carries each message's source vertex as a third array,
 so its receiver can find the reciprocal arc to prune among its own.
+
+The arc layout is computed once per job (:class:`DenseLayout`): every
+vertex coded as (owner, row), each worker's out-arcs grouped by
+destination worker, CSR order inside a group.  A shard is built from its
+:class:`ShardSlice` alone — the slice is all a shard session's
+``WorkerInit`` carries, never the graph or the assignment.  Per arc it
+holds ``dst`` only; the source side is runs, a (row, length) pair per
+source row and destination group, so an all-arcs scatter's payload is
+each run's row value repeated along it: the values, in the order, a
+per-arc source gather gives.  Plans that select arcs by row, or peel
+them, read the per-arc ``src`` built from the runs on first use.
 """
 
 from __future__ import annotations
 
-import operator
 from copy import deepcopy
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
@@ -52,7 +63,7 @@ import numpy as np
 from .superstep import WorkerStepStats
 from .worker import PartitionWorker
 
-__all__ = ["DenseShard", "PlanRefusedError"]
+__all__ = ["DenseLayout", "DenseShard", "PlanRefusedError", "ShardSlice"]
 
 
 class PlanRefusedError(RuntimeError):
@@ -164,133 +175,228 @@ _CHECKPOINTED = ("state", "halted", "_has", "_box", "_segs", "_injected",
                  "overlay_bytes", "_mutations")
 
 
-class DenseShard:
-    """One worker's share of a lifted plan (see the module docstring).
+def _reads_edge_weight(plan: Any) -> bool:
+    """Does a scatter payload, where alone a plan may, read edge weights?"""
+    def reads(e: Any) -> bool:
+        return isinstance(e, tuple) and (e[0] == "edge_weight" or any(map(reads, e)))
+    return any(reads(op.payload) for phase in plan.phases for op in phase.ops)
 
-    Its ``m`` arcs are its rows' out-arcs grouped by destination worker,
-    CSR order inside a group: ``src`` (source row), ``dst`` (destination
-    row in its owner's space), ``weights`` and ``edge_alive`` (None unless
-    a peel plan removes arcs).
-    """
+
+@dataclass
+class ShardSlice:
+    """One worker's share of the job's arc layout (:class:`DenseLayout`),
+    all a :class:`DenseShard` is built from: its rows' out-arcs grouped by
+    destination worker, CSR order inside a group."""
+
+    worker_id: int
+    num_vertices: int
+    rows_of: list[int]  # rows per worker: the row spaces ``dst`` indexes
+    rows: np.ndarray  # this worker's vertex ids, ascending
+    dst: np.ndarray  # per arc, the destination's row in its owner's list
+    bounds: list[int]  # where each destination worker's arcs start, and m
+    run_rows: np.ndarray  # per run of arcs from one row into one group,
+    run_lens: np.ndarray  # the row and the run's length (int32 both)
+    halted: np.ndarray | None = None  # rows asleep at superstep 0; None: none
+    weights: np.ndarray | None = None  # per arc, if the plan reads weights
+    nbr: np.ndarray | None = None  # per arc, its destination's id (peel plans)
+
+
+class DenseLayout:
+    """The dense plane's arc layout, computed once per job: each vertex
+    coded as (owner, row in the owner's sorted vertex list), which
+    :meth:`slice` reads for any worker's arcs.  ``plan`` decides what a
+    slice carries beyond its arcs, ``active_ids`` (None: all) its rows
+    awake at superstep 0."""
+
+    def __init__(self, graph: Any, assignment: Any, num_parts: int,
+                 plan: Any, active_ids: Any = None) -> None:
+        self.graph, self.active_ids = graph, active_ids
+        self.num_vertices = nv = int(graph.num_vertices)
+        assign = np.asarray(assignment)
+        owned = np.bincount(assign, minlength=num_parts)
+        self.rows_of = owned.tolist()
+        # narrow worker ids: NumPy radix-sorts keys of 16 bits or fewer
+        self._owner = assign.astype(np.min_scalar_type(num_parts))
+        self._order = np.argsort(self._owner, kind="stable")
+        self._first = np.concatenate(([0], np.cumsum(owned))).tolist()
+        # every vertex as its owner (high half) and its row in the owner's
+        # sorted vertex list (low half): one lookup per arc for both
+        self._code = code = np.empty(nv, dtype=np.int64)
+        code[self._order] = np.arange(nv) - np.repeat(self._first[:-1], owned)
+        code |= assign.astype(np.int64) << 32
+        self._weights = graph.weights is not None and _reads_edge_weight(plan)
+        self._peel = plan.needs_prune
+
+    def rows(self, w: int) -> np.ndarray:
+        """Worker ``w``'s vertex ids, ascending."""
+        return self._order[self._first[w]:self._first[w + 1]].astype(np.int64)
+
+    def halted(self, w: int) -> np.ndarray | None:
+        """Worker ``w``'s rows asleep at superstep 0 (None: none is)."""
+        if self.active_ids is None:
+            return None
+        return ~np.isin(self.rows(w), np.asarray(self.active_ids, dtype=np.int64))
+
+    def arcs_of(self) -> list[int]:
+        """Out-arcs per worker."""
+        deg = np.diff(self.graph.indptr)
+        return np.bincount(self._owner, deg, len(self.rows_of)).astype(int).tolist()
+
+    def slice(self, w: int) -> ShardSlice:
+        """Worker ``w``'s rows and out-arcs, the source side as runs."""
+        g, rows = self.graph, self.rows(w)
+        first = g.indptr[rows]
+        deg = g.indptr[rows + 1] - first
+        m = int(deg.sum())
+        # this worker's arcs in CSR order, as positions in graph.indices
+        pos = np.repeat(first - (np.cumsum(deg) - deg), deg)
+        pos += np.arange(m)
+        head = np.asarray(g.indices)[pos].astype(np.intp)  # gathers by it
+        group = np.argsort(self._owner[head], kind="stable")
+        weights = (np.asarray(g.weights)[pos[group]].astype(np.float64, copy=False)
+                   if self._weights else None)
+        del pos  # the arc-sized temporaries go before the next ones
+        head = head[group]
+        code = self._code[head]
+        # grouped by owner, so bisecting on the high half finds each
+        # owner's first arc although the low halves are not sorted
+        bounds = np.searchsorted(
+            code, np.arange(len(self.rows_of) + 1, dtype=np.int64) << 32)
+        code &= 0xFFFFFFFF
+        # a run starts where the source row changes or a group does
+        src = np.repeat(np.arange(len(rows), dtype=np.int32), deg)[group]
+        cut = np.ones(m, dtype=bool)
+        np.not_equal(src[1:], src[:-1], out=cut[1:])
+        cut[bounds[1:-1][bounds[1:-1] < m]] = True
+        starts = np.flatnonzero(cut)
+        return ShardSlice(
+            w, self.num_vertices, self.rows_of, rows, code, bounds.tolist(),
+            src[starts], np.diff(starts, append=m).astype(np.int32),
+            self.halted(w), weights, head if self._peel else None)
+
+
+class DenseShard:
+    """One worker's share of a lifted plan, built from its
+    :class:`ShardSlice` (see the module docstring): ``dst``, ``weights``
+    and ``edge_alive`` (None unless a peel plan removes arcs) per arc,
+    the source rows as runs."""
 
     aggregated = PartitionWorker.aggregated
     buffered_message_bytes = PartitionWorker.buffered_message_bytes
     memory_footprint = PartitionWorker.memory_footprint
 
-    def __init__(self, worker_id: int, graph: Any, vertex_ids: Any,
-                 program: Any, model: Any, assignment: Any, active_ids: Any,
+    def __init__(self, part: ShardSlice, program: Any, model: Any,
                  plan: Any) -> None:
-        self.worker_id, self.program, self.model = worker_id, program, model
-        self.plan = plan
-        assign = np.asarray(assignment)
-        self.num_vertices = nv = int(graph.num_vertices)
-        owned = np.bincount(assign, minlength=1)  # vertices per worker
-        self._rows_of = owned.tolist()
-        # narrow worker ids: NumPy radix-sorts keys of 16 bits or fewer
-        narrow = np.min_scalar_type(len(owned))
-        rows = self.vertex_ids = np.sort(np.asarray(vertex_ids, dtype=np.int64))
-        self.n = n = len(rows)
-        indptr = np.asarray(graph.indptr, dtype=np.int64)
-        deg = self.static_degree = indptr[rows + 1] - indptr[rows]
-        self.m = m = int(deg.sum())
-        # this worker's arcs in CSR order, as positions in graph.indices
-        pos = np.repeat(indptr[rows] - (np.cumsum(deg) - deg), deg)
-        pos += np.arange(m)
-        dst = np.asarray(graph.indices)[pos]
-        # every vertex as its owner (high half) and its row in the owner's
-        # sorted vertex list (low half): one lookup per arc for both
-        code = np.empty(nv, dtype=np.int64)
-        code[np.argsort(assign.astype(narrow), kind="stable")] = (
-            np.arange(nv) - np.repeat(np.cumsum(owned) - owned, owned))
-        code += assign.astype(np.int64) << 32
-        code = code[dst]
-        group = np.argsort((code >> 32).astype(narrow), kind="stable")
-        if graph.weights is not None:
-            self.weights = np.asarray(graph.weights)[pos[group]].astype(
-                np.float64, copy=False)
-        del pos  # the arc-sized temporaries go before the next ones
-        code = code[group]
-        # grouped by owner, so bisecting on the high half finds each
-        # owner's first arc although the low halves are not sorted
-        self._bounds = np.searchsorted(
-            code, np.arange(len(owned) + 1, dtype=np.int64) << 32)
-        self._starts = self._bounds.tolist()
-        self.src = np.repeat(np.arange(n), deg)[group]
-        code &= 0xFFFFFFFF
-        self.dst = code
+        n = len(part.rows)
+        self._account(part.worker_id, n, len(part.dst), part.halted, program,
+                      model, plan)
+        self.num_vertices = nv = part.num_vertices
+        self._rows_of, self._starts = part.rows_of, part.bounds
+        self.vertex_ids, self.dst = part.rows, part.dst
+        # rows widened once, as a superstep gathers by them
+        self._run_rows, self._run_lens = part.run_rows.astype(np.intp), part.run_lens
+        self.static_degree = np.bincount(
+            self._run_rows, self._run_lens, minlength=n).astype(np.int64)
+        if part.weights is not None:
+            self.weights = part.weights
 
         self.params = {name: getattr(program, name) for name in plan.params}
         self._aggregators = program.aggregators()
         self._agg_previous: dict[str, Any] = {}
         self._agg_partials = {k: a.identity() for k, a in self._aggregators.items()}
         self.superstep = 0
-        sdt = np.dtype(plan.state_dtype)
-        self._mdt = mdt = np.dtype(plan.message_dtype)
         self._lower()
-        self.state = self._boot_state(sdt, deg)
-        self.halted = np.zeros(n, dtype=bool)
-        if active_ids is not None:
-            awake = np.zeros(nv, dtype=bool)
-            if len(active_ids):
-                awake[np.asarray(active_ids, dtype=np.int64)] = True
-            self.halted = ~awake[rows]
+        self.state = self._boot_state(np.dtype(plan.state_dtype),
+                                      self.static_degree)
 
         # the peel plans' live arcs; a row that ever requested a removal
         # holds an explicit neighbour list, as a worker's overlay
         self.edge_alive = self.overlaid = None
-        self.overlay_bytes = 0
         self._mutations: list[tuple[np.ndarray, np.ndarray]] = []
         if plan.uses_mutation:
-            self.edge_alive = np.ones(m, dtype=bool)
+            self.edge_alive = np.ones(self.m, dtype=bool)
             self.overlaid = np.zeros(n, dtype=bool)
         #: a bucket's arrays: destination row, value and, for a peel
         #: plan, the source vertex
-        self._columns = (np.int64, mdt)
+        self._columns = (np.int64, self._mdt)
         if plan.needs_prune:
             self._columns += (np.int64,)
             # (row, neighbour) of every arc, sorted stably so a lookup finds
             # the first of a multi-edge — a worker's ``list.remove`` — and
             # capped by a key no lookup reaches
-            key = self.src * nv + dst[group]
+            key = self.src * nv + part.nbr
             self._arc_order = np.argsort(key, kind="stable")
             self._arc_keys = np.append(key[self._arc_order], _INT_MAX)
+        if self._combine is not None:
+            self._has = np.empty(n, dtype=bool)
+            self._box = np.empty(n, dtype=self._mdt)
+        self._empty_inbox()
 
-        # the worker's byte formulas, on the plan dtype's sizes
+    def _account(self, worker_id: int, n: int, m: int, halted: Any,
+                 program: Any, model: Any, plan: Any) -> None:
+        """What the shard's counts alone fix: the worker's byte formulas
+        on the plan dtype's sizes, the rows asleep, nothing buffered."""
+        self.worker_id, self.program, self.model = worker_id, program, model
+        self.plan, self.n, self.m = plan, n, m
+        self.halted = np.zeros(n, dtype=bool) if halted is None else halted
+        self._mdt = mdt = np.dtype(plan.message_dtype)
+        sdt = np.dtype(plan.state_dtype)
         self._payload_nb = int(program.payload_nbytes(mdt.type(0).item()))
         self._wire = model.message_wire_bytes(self._payload_nb)
         self.graph_bytes = m * 6 + n * model.vertex_overhead_bytes
         self.total_state_bytes = n * int(program.state_nbytes(sdt.type(0).item()))
         #: with a combiner, boxes fold by the plan's own monoid
         self._combine = plan.reduce if program.combiner is not None else None
+        self.overlay_bytes = 0
         self._injected: list[tuple[int, Any]] = []  # (row, payload)
         self._has = self._box = None
-        if self._combine is not None:
-            self._has = np.empty(n, dtype=bool)
-            self._box = np.empty(n, dtype=mdt)
         self._empty_inbox()
         self.stats = WorkerStepStats(worker=worker_id)
         self.out_remote: dict[int, tuple] = {}
         self.out_remote_wire_bytes = 0.0
 
+    @classmethod
+    def seed(cls, worker_id: int, rows: int, arcs: int, halted: Any,
+             program: Any, model: Any, plan: Any) -> "DenseShard":
+        """A never-computed shard known by its counts alone: what a
+        coordinator seeds its view of a remote shard from (the same byte
+        formulas, the rows asleep), holding none of the shard's arrays."""
+        shard = cls.__new__(cls)
+        shard._account(worker_id, rows, arcs, halted, program, model, plan)
+        return shard
+
     # -- array helpers -------------------------------------------------
-    # Beyond ``src``/``dst`` an arc-sized array is built when a plan reads
-    # it; what is fixed with the graph and the partition is computed once.
+    # Beyond ``dst`` an arc-sized array is built when a plan reads it; what
+    # is fixed with the graph and the partition is computed once.
     @cached_property
     def weights(self) -> np.ndarray:
         """Unit arc weights of an unweighted graph, built on first read."""
         return np.ones(self.m, dtype=np.float64)
 
     @cached_property
+    def src(self) -> np.ndarray:
+        """Each arc's source row, built on first read from the runs: by
+        plans that select arcs by row or peel them."""
+        return np.repeat(self._run_rows, self._run_lens)
+
+    def _per_arc(self, arcs: np.ndarray):
+        """The function taking a row column to its value on each of
+        ``arcs``: for every arc, each run's value repeated along it."""
+        if arcs is _ALL_ARCS:
+            rows, lens = self._run_rows, self._run_lens
+            return lambda v: np.repeat(v[rows], lens)
+        rows = self.src[arcs]
+        return lambda v: v[rows]
+
+    @cached_property
     def _reached(self) -> list[np.ndarray]:
         """Per destination worker, the rows one message along every arc
-        reaches (read-only): a combining all-arcs scatter's boxes."""
-        reached = []
-        for u, rows_u in enumerate(self._rows_of):
-            lo, hi = self._bounds[u], self._bounds[u + 1]
-            rows = np.flatnonzero(np.bincount(self.dst[lo:hi], minlength=rows_u))
-            rows.flags.writeable = False
-            reached.append(rows)
-        return reached
+        reaches: a combining all-arcs scatter's boxes (kept narrow, widened
+        where a superstep reads them)."""
+        starts = self._starts
+        return [np.flatnonzero(np.bincount(self.dst[starts[u]:starts[u + 1]],
+                                           minlength=rows_u)).astype(np.int32)
+                for u, rows_u in enumerate(self._rows_of)]
 
     def _take(self, per_arc: np.ndarray, arcs: np.ndarray) -> np.ndarray:
         """``per_arc[arcs]``, uncopied for :data:`_ALL_ARCS`."""
@@ -355,14 +461,15 @@ class DenseShard:
         def is_rows(v: Any) -> bool:
             return isinstance(v, np.ndarray) and v.ndim == 1 and v.shape[0] == n
 
-        def per_arc(v: Any, rows: np.ndarray) -> Any:
-            return v[rows] if is_rows(v) else v
+        def per_arc(v: Any, rows: Any) -> Any:
+            return rows(v) if is_rows(v) else v
 
         def scatter(payload, hoist: bool) -> tuple:
-            """The payload's arc-space nodes over this op's ``rows`` and
-            ``weights`` slots.  Hoisted, an edge_weight-free subtree is its
-            vertex-space node indexed per arc (elementwise ufuncs commute
-            with indexing); otherwise only what varies by arc moves."""
+            """The payload's arc-space nodes over this op's ``rows`` (its
+            :meth:`_per_arc`) and ``weights`` slots.  Hoisted, an
+            edge_weight-free subtree is its vertex-space node indexed per
+            arc (elementwise ufuncs commute with indexing); otherwise only
+            what varies by arc moves."""
             rows, weights = node(), node()
             arc_memo: dict[int, int] = {}
 
@@ -377,7 +484,7 @@ class DenseShard:
                 elif e[0] == "edge_weight":
                     i = weights
                 elif e[0] in _LEAF_SLOTS:
-                    i = node(operator.getitem, s, rows)
+                    i = node(per_arc, s, rows)
                 else:
                     i = node(_OPS[e[0]], *(arc(c) for c in e[1:]))
                 arc_memo[s] = i
@@ -494,7 +601,7 @@ class DenseShard:
         the sum of their live degrees, which reaches m only when every arc
         is alive and selected — :data:`_ALL_ARCS`, found in O(n).  (The mask
         itself need not be full: PageRank skips dangling vertices.)"""
-        count = int(out_degree.sum(where=mask))
+        count = int(np.dot(out_degree, mask))
         if count == self.m:
             return _ALL_ARCS, count
         arc_sel = mask[self.src]
@@ -588,7 +695,7 @@ class DenseShard:
                         continue
                     payload, rows, weights = arg
                     if rows >= 0:
-                        slots[rows] = self._take(self.src, arcs)
+                        slots[rows] = self._per_arc(arcs)
                     if weights >= 0:
                         slots[weights] = self._take(self.weights, arcs)
                     raw = np.asarray(_run(slots, payload), dtype=mdt)
@@ -651,7 +758,7 @@ class DenseShard:
             if len(self._columns) == 3:
                 cols.append(self.vertex_ids[self._take(self.src, arcs)])
             parts.append((self._starts if arcs is _ALL_ARCS
-                          else np.searchsorted(arcs, self._bounds).tolist(), cols))
+                          else np.searchsorted(arcs, self._starts).tolist(), cols))
         local = remote = 0
         for u, rows_u in enumerate(self._rows_of if parts else ()):
             groups = [[col[c[u]:c[u + 1]] for col in cols] for c, cols in parts]
@@ -662,7 +769,7 @@ class DenseShard:
                 continue
             if self._combine is not None:  # one box per destination row
                 box = _fold(self._combine, rows_u, rows, bucket[1], self._mdt)
-                rows = (self._reached[u] if every else
+                rows = (self._reached[u].astype(np.intp) if every else
                         np.flatnonzero(np.bincount(rows, minlength=rows_u)))
                 bucket = [rows, box[rows]]
             if u == self.worker_id:

@@ -22,7 +22,9 @@ Architecture (the paper's job-manager/worker split, §III):
   already applied sender-side.  When the program lifts, every session
   runs the plan compiled here on its own rows (a dense shard, one
   ``(row index, value)`` array pair per frame) in place of a
-  :class:`~repro.bsp.worker.PartitionWorker`; it folds like one.
+  :class:`~repro.bsp.worker.PartitionWorker`; it folds like one.  Such a
+  session receives only its slice of the job's arc layout, and the
+  coordinator keeps only each shard's counts.
 
 Transports (:mod:`repro.net`): the default
 :class:`~repro.net.transport.PipeTransport` forks one local OS process
@@ -65,10 +67,12 @@ from typing import Any
 
 import numpy as np
 
-from ..bsp.dense_ref import dense_shards, shard_plan
+from ..bsp.dense_ref import shard_plan
+from ..bsp.dense_shard import DenseLayout, DenseShard
 from ..bsp.engine import BSPEngine
 from ..bsp.job import JobResult, JobSpec
 from ..bsp.superstep import SuperstepStats
+from ..net.session import worker_report
 from ..net.transport import (
     PipeTransport,
     Transport,
@@ -144,17 +148,10 @@ class _WorkerView:
 
     def __init__(self, worker) -> None:
         # Seeded from the parent's never-computed worker of the sessions'
-        # kind, which carries the correct initial counts and footprints.
-        self.worker_id = worker.worker_id
-        self.stats = worker.stats
-        self.active_count = worker.active_count
-        self.has_buffered_messages = worker.has_buffered_messages
-        self.graph_bytes = worker.graph_bytes
-        self.total_state_bytes = worker.total_state_bytes
-        self.in_next_payload_bytes = worker.in_next_payload_bytes
-        self._buffered_bytes = worker.buffered_message_bytes()
-        self._queue_depth = worker.buffered_message_count()
-        self._memory = worker.memory_footprint()
+        # kind, which carries the correct initial counts and footprints,
+        # through the report a session sends.
+        self.worker_id, self.stats = worker.worker_id, worker.stats
+        self.apply_report(worker_report(worker))
 
     def apply_report(self, report: dict) -> None:
         self.active_count = int(report["active"])
@@ -196,6 +193,8 @@ class ProcessBSPEngine(BSPEngine):
         #: the plan every session runs as a dense shard in place of a
         #: PartitionWorker, or None (see repro.bsp.dense_ref.shard_plan)
         self._plan = shard_plan(job.program, job.initial_messages)
+        #: the sessions' arc layout, held only while they launch
+        self._layout: DenseLayout | None = None
         # Created first: the base __init__ injects the job's initial
         # messages, which this engine buffers until the next boundary.
         self._inject_buffer: list = []
@@ -228,6 +227,8 @@ class ProcessBSPEngine(BSPEngine):
         except Exception:
             self.shutdown()
             raise
+        finally:
+            self._layout = None
 
     @staticmethod
     def _gate_program(program: Any) -> None:
@@ -273,13 +274,25 @@ class ProcessBSPEngine(BSPEngine):
     # (never-computed) workers.
     # ------------------------------------------------------------------
     def _build_workers(self) -> None:
-        """The views' seeds: the same shards the sessions build, or
-        :class:`~repro.bsp.worker.PartitionWorker`\\ s when the program
-        runs per vertex."""
+        """The views' seeds: shards known by their counts when the sessions
+        host shards, or :class:`~repro.bsp.worker.PartitionWorker`\\ s when
+        the program runs per vertex."""
         if self._plan is None:
             super()._build_workers()
-        else:
-            self.workers = dense_shards(self, self._plan)
+            return
+        job = self.job
+        layout = self._layout = self._dense_layout()
+        self.workers = [
+            DenseShard.seed(w, rows, arcs, layout.halted(w), job.program,
+                            self.model, self._plan)
+            for w, (rows, arcs) in enumerate(zip(layout.rows_of,
+                                                 layout.arcs_of()))
+        ]
+
+    def _dense_layout(self) -> DenseLayout:
+        return DenseLayout(self.graph, self.partition.assignment,
+                           self.num_workers, self._plan,
+                           self.job.initial_active_ids())
 
     @property
     def _views(self):
@@ -508,18 +521,22 @@ class ProcessBSPEngine(BSPEngine):
     # the Transport/WorkerChannel interface (repro.net.transport).
     # ------------------------------------------------------------------
     def _worker_init(self, worker_id: int) -> WorkerInit:
-        return WorkerInit(
+        init = WorkerInit(
             worker_id=worker_id,
-            graph=self.graph,
-            vertex_ids=self.partition.vertices_of(worker_id),
             program=self.job.program,
             model=self.model,
-            assignment=self.partition.assignment,
-            active_ids=self._active_ids,
             heartbeat_interval=self._hb_interval,
             want_flight=self.telemetry.subscribed("remote_tail"),
             plan=self._plan,
         )
+        if self._plan is not None:  # a respawn slices a fresh layout
+            init.shard = (self._layout or self._dense_layout()).slice(worker_id)
+        else:
+            init.graph = self.graph
+            init.vertex_ids = self.partition.vertices_of(worker_id)
+            init.assignment = self.partition.assignment
+            init.active_ids = self._active_ids
+        return init
 
     def _launch_worker(
         self, worker_id: int, respawn: bool = False

@@ -44,20 +44,7 @@ def _heartbeat_loop(
             flight.record("heartbeat-send", beats=beats)
 
 
-def worker_main(
-    worker_id: int,
-    conn,
-    hb_conn,
-    graph,
-    vertex_ids,
-    program,
-    model,
-    assignment,
-    active_ids,
-    heartbeat_interval: float,
-    want_flight: bool = False,
-    plan=None,
-) -> None:
+def worker_main(init, conn, hb_conn) -> None:
     """Command loop for one worker process (the child's ``main``)."""
     captured = io.StringIO()
     sys.stdout = sys.stderr = captured
@@ -69,15 +56,12 @@ def worker_main(
             captured.truncate()
         return text
 
-    session = WorkerSession(
-        worker_id, graph, vertex_ids, program, model, assignment, active_ids,
-        plan=plan, want_flight=want_flight, drain_output=_drain_output,
-    )
+    session = WorkerSession.from_init(init, drain_output=_drain_output)
 
     stop = threading.Event()
     threading.Thread(
         target=_heartbeat_loop,
-        args=(hb_conn, heartbeat_interval, stop, session.flight),
+        args=(hb_conn, init.heartbeat_interval, stop, session.flight),
         daemon=True,
     ).start()
 

@@ -62,8 +62,12 @@ __all__ = ["PROTOCOL_VERSION", "WorkerDaemon", "serve"]
 #: ``WorkerInit.plan`` (the session hosts a dense shard, whose message
 #: frames are ``(row index, value)`` array pairs); v5 ships a
 #: :class:`PartitionWorker`'s frame as its ``dst -> payloads`` bucket dict
-#: and a peel plan's with the source vertices as a third array.
-PROTOCOL_VERSION = 5
+#: and a peel plan's with the source vertices as a third array; v6 ships a
+#: shard session its slice of the arc layout (``WorkerInit.shard``: rows,
+#: grouped ``dst``, source runs, rows per worker, and weights or a peel
+#: plan's neighbour ids when the plan reads them) in place of the whole
+#: graph and assignment.
+PROTOCOL_VERSION = 6
 
 
 async def read_stream_frame(
@@ -239,16 +243,11 @@ class WorkerDaemon:
 
         init = hello["init"]
         loop = asyncio.get_running_loop()
-        # Session construction can be heavy (graph arrives in the hello);
-        # keep the loop free for other sessions' heartbeats.
+        # Session construction can be heavy (a graph or a slice arrives in
+        # the hello); keep the loop free for other sessions' heartbeats.
         try:
             session = await loop.run_in_executor(
-                None,
-                lambda: WorkerSession(
-                    init.worker_id, init.graph, init.vertex_ids, init.program,
-                    init.model, init.assignment, init.active_ids,
-                    plan=init.plan, want_flight=init.want_flight,
-                ),
+                None, WorkerSession.from_init, init
             )
         except Exception:
             # The refusal carries the traceback to the coordinator, which

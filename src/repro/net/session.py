@@ -1,7 +1,9 @@
 """The worker-side command state machine, shared by every transport.
 
 :class:`WorkerSession` owns one
-:class:`~repro.bsp.worker.PartitionWorker` plus its private telemetry
+:class:`~repro.bsp.worker.PartitionWorker`, or a
+:class:`~repro.bsp.dense_shard.DenseShard` built from its slice of the
+job's arc layout, plus its private telemetry
 (flight-recorder ring, sanitizer-violation cursor) and
 turns each coordinator command frame into a reply frame.  The forked
 child (:mod:`repro.dist.worker_proc`) and the TCP daemon
@@ -39,15 +41,17 @@ import traceback
 from time import perf_counter
 from typing import Any, Callable
 
-from ..bsp.dense_shard import DenseShard
+import numpy as np
+
+from ..bsp.dense_shard import DenseLayout, DenseShard
 from ..bsp.worker import PartitionWorker
 from .codec import pack_frame, unpack_frame
 from .transport import monotonic_now
 
-__all__ = ["WorkerSession"]
+__all__ = ["WorkerSession", "worker_report"]
 
 
-def _report(worker: PartitionWorker) -> dict[str, Any]:
+def worker_report(worker: PartitionWorker) -> dict[str, Any]:
     """Resource numbers the coordinator mirrors into its per-worker view
     (the duck-typed surface ``BSPEngine._account_superstep`` reads)."""
     return {
@@ -76,6 +80,7 @@ class WorkerSession:
         active_ids: Any,
         *,
         plan: Any = None,
+        shard: Any = None,
         want_flight: bool = False,
         drain_output: Callable[[], str] | None = None,
     ) -> None:
@@ -96,10 +101,11 @@ class WorkerSession:
         #: hosts a DenseShard: every command is a few array operations
         self.hosts_shard = plan is not None
         if self.hosts_shard:
-            self.worker = DenseShard(
-                worker_id, graph, vertex_ids, program, model, assignment,
-                active_ids, plan,
-            )
+            if shard is None:  # given the whole graph: slice it here
+                parts = int(np.max(assignment, initial=worker_id)) + 1
+                shard = DenseLayout(graph, assignment, parts, plan,
+                                    active_ids).slice(worker_id)
+            self.worker = DenseShard(shard, program, model, plan)
         else:
             self.worker = PartitionWorker(
                 worker_id=worker_id,
@@ -117,6 +123,17 @@ class WorkerSession:
                         self.worker.halted[v] = False
         self._violations_seen = 0
 
+    @classmethod
+    def from_init(cls, init: Any, drain_output: Callable[[], str] | None = None
+                  ) -> "WorkerSession":
+        """The session a :class:`~repro.net.transport.WorkerInit` describes."""
+        return cls(
+            init.worker_id, init.graph, init.vertex_ids, init.program,
+            init.model, init.assignment, init.active_ids, plan=init.plan,
+            shard=init.shard, want_flight=init.want_flight,
+            drain_output=drain_output,
+        )
+
     def handle(self, cmd: str, epoch: int, payload: Any) -> tuple:
         """One command frame in, one reply frame out (never raises)."""
         if cmd == "stop":
@@ -131,7 +148,7 @@ class WorkerSession:
         if cmd == "inject":
             for dst, p in payload:
                 worker.inject(int(dst), p)
-            return ("ok", epoch, _report(worker))
+            return ("ok", epoch, worker_report(worker))
         if cmd == "compute":
             superstep, agg_values = payload
             t0 = perf_counter()
@@ -189,7 +206,7 @@ class WorkerSession:
             return ("delivered", epoch, {
                 "recv_msgs": recv_msgs,
                 "recv_bytes": recv_bytes,
-                "report": _report(worker),
+                "report": worker_report(worker),
                 "violations": fresh,
                 "flight": flight_events,
                 # Liveness-clock reading of this recorder's epoch lets
@@ -207,7 +224,7 @@ class WorkerSession:
             return ("snapshotted", epoch, worker.snapshot())
         if cmd == "restore":
             worker.restore(payload)
-            return ("restored", epoch, _report(worker))
+            return ("restored", epoch, worker_report(worker))
         if cmd == "extract":
             prog = worker.program
             return ("extracted", epoch, {

@@ -59,19 +59,23 @@ class TransportClosed(TransportError):
 
 @dataclass
 class WorkerInit:
-    """Everything a remote worker needs to build its PartitionWorker, or
-    its dense shard when ``plan`` is set."""
+    """Everything a remote worker needs to build its worker.  With ``plan``
+    set it hosts a dense shard built from ``shard``, its
+    :class:`~repro.bsp.dense_shard.ShardSlice`: the coordinator then sends
+    no graph and no assignment.  Otherwise it builds a PartitionWorker
+    over ``vertex_ids`` of the whole ``graph``."""
 
     worker_id: int
-    graph: Any
-    vertex_ids: Any
     program: Any
     model: Any
-    assignment: Any
-    active_ids: Any
     heartbeat_interval: float
     want_flight: bool
     plan: Any = None
+    shard: Any = None
+    graph: Any = None
+    vertex_ids: Any = None
+    assignment: Any = None
+    active_ids: Any = None
 
 
 class WorkerChannel(ABC):
@@ -249,12 +253,7 @@ class PipeTransport(Transport):
         proc = self._mp.Process(
             target=worker_main,
             name=f"bsp-worker-{init.worker_id}",
-            args=(
-                init.worker_id, child_conn, hb_send, init.graph,
-                init.vertex_ids, init.program, init.model, init.assignment,
-                init.active_ids, init.heartbeat_interval, init.want_flight,
-                init.plan,
-            ),
+            args=(init, child_conn, hb_send),
             daemon=True,
         )
         proc.start()

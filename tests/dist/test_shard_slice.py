@@ -1,0 +1,106 @@
+"""A shard session is sent its slice of the arc layout, and only that.
+
+When the program lifts, a process or tcp session's ``WorkerInit`` carries
+its :class:`~repro.bsp.dense_shard.ShardSlice` — rows, grouped ``dst``,
+source runs, rows per worker — and no ``CSRGraph`` and no assignment; the
+coordinator seeds its views from each shard's counts and keeps no arcs.
+"""
+
+from __future__ import annotations
+
+import gc
+import io
+import pickle
+import tracemalloc
+
+import numpy as np
+
+from repro.algorithms import PageRankProgram
+from repro.bsp import JobSpec, run_job
+from repro.bsp.dense_shard import DenseShard, ShardSlice
+from repro.dist import ProcessBSPEngine
+from repro.graph import CSRGraph
+from repro.graph import generators as gen
+from repro.partition import HashPartitioner
+
+WORKERS = 4
+
+
+def _job(scale: int = 12):
+    g = gen.rmat(scale, 8, seed=3)
+    return JobSpec(PageRankProgram(8), g, num_workers=WORKERS,
+                   partition=HashPartitioner().partition(g, WORKERS))
+
+
+def _built(job) -> tuple[ProcessBSPEngine, int]:
+    """An engine for ``job`` and the bytes its construction left allocated
+    in this process (the coordinator)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine = ProcessBSPEngine(job)
+        gc.collect()
+        return engine, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+class _Recorder(pickle.Pickler):
+    """Notes the type of every object it pickles and the bytes of every
+    array among them."""
+
+    def __init__(self, file):
+        super().__init__(file, protocol=5)
+        self.types: set[type] = set()
+        self.array_bytes = 0
+
+    def persistent_id(self, obj):
+        self.types.add(type(obj))
+        if isinstance(obj, np.ndarray):
+            self.array_bytes += obj.nbytes
+        return None
+
+
+def test_shard_init_carries_its_slice_and_no_graph():
+    job = _job()
+    engine = ProcessBSPEngine(job)
+    try:
+        assert engine._plan is not None
+        for w in range(WORKERS):
+            init = engine._worker_init(w)
+            assert init.graph is None and init.assignment is None
+            assert init.vertex_ids is None and init.active_ids is None
+            part = init.shard
+            assert isinstance(part, ShardSlice) and part.worker_id == w
+            rec = _Recorder(io.BytesIO())
+            rec.dump(init)
+            assert CSRGraph not in rec.types
+            m, n = len(part.dst), len(part.rows)
+            assert rec.array_bytes <= 1.2 * (8 * m + 16 * n), (
+                rec.array_bytes, m, n)
+    finally:
+        engine.shutdown()
+
+
+def test_coordinator_keeps_counts_not_arcs():
+    # The engine's fixed cost (telemetry, channels, process handles: ~27 kB)
+    # alone is over a tenth of this graph's 246 kB, so the bound is on
+    # what construction keeps beyond a 16-vertex job's.
+    ProcessBSPEngine(_job(4)).shutdown()  # imports and memoised lifts
+    engine, fixed = _built(_job(4))
+    engine.shutdown()
+    job = _job()
+    engine, growth = _built(job)
+    try:
+        assert engine._layout is None
+        for shard in engine.workers:
+            assert type(shard) is DenseShard
+            assert not hasattr(shard, "dst") and not hasattr(shard, "state")
+        g = job.graph
+        graph_bytes = g.indptr.nbytes + g.indices.nbytes
+        assert growth - fixed < 0.1 * graph_bytes, (growth, fixed, graph_bytes)
+        res = engine.run()
+    finally:
+        engine.shutdown()
+    assert res.values == run_job(_job(), "sim").values

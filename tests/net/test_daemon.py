@@ -76,12 +76,12 @@ class TestHandshakeRefusals:
         assert "version mismatch" in msg
 
     def test_previous_protocol_refused(self, one_daemon):
-        # v5 frames a PartitionWorker's bucket as a dict: a v4 coordinator
-        # would hand deliver_bucket a list of pairs
-        assert PROTOCOL_VERSION == 5
-        kind, _epoch, msg = _roundtrip(one_daemon, ("hello", 0, {"version": 4}))
+        # v6 hands a shard session only its slice of the arc layout: a v5
+        # coordinator would send the whole graph and no slice
+        assert PROTOCOL_VERSION == 6
+        kind, _epoch, msg = _roundtrip(one_daemon, ("hello", 0, {"version": 5}))
         assert kind == "error"
-        assert "coordinator speaks 4, daemon speaks 5" in msg
+        assert "coordinator speaks 5, daemon speaks 6" in msg
 
     def test_session_build_failure_carries_the_traceback(self, one_daemon):
         # Reported as a refusal with the worker's traceback, not as a
