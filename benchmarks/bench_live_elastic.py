@@ -38,8 +38,9 @@ def make_job(sc, workers, perf_model):
 
 
 def run_live_comparison(sc):
-    # Quick scale events relative to the scaled-seconds regime (the sweep in
-    # bench_fig16 showed the win survives sub-2s overheads).
+    # Quick scale events relative to the scaled-seconds regime (Fig. 16's
+    # overhead sweep, repro.analysis.paper.fig16: the runtime win survives
+    # sub-2s overheads).
     pm = replace(sc.config().perf_model, provision_delay=0.5, release_delay=0.1)
     out = {}
     for w in (4, 8):

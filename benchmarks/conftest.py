@@ -1,10 +1,11 @@
 """Shared benchmark fixtures.
 
-Every bench regenerates one table or figure of the paper at
-``BENCH_SCALE`` (see ``repro.analysis.scenarios``), prints a
-paper-vs-measured comparison, and times the underlying experiment run via
-pytest-benchmark (single round — the experiments are deterministic
-simulations, so repetition only measures interpreter noise).
+Each bench runs one extension, ablation or performance experiment and
+prints its table; the paper's own tables and figures are functions of
+``repro.analysis.paper``, run by ``python -m repro report``.  Simulation
+benches time their experiment via pytest-benchmark (single round — the
+experiments are deterministic, so repetition only measures interpreter
+noise).
 """
 
 from __future__ import annotations

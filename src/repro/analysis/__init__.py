@@ -21,7 +21,6 @@ from .scenarios import (
 from .extrapolate import Extrapolation, extrapolate_runtime
 from . import tables, traces
 from .sweeps import SweepRecord, SweepResult, sweep
-from .report import ReportConfig, generate_report
 
 __all__ = [
     "RunConfig",
@@ -45,6 +44,4 @@ __all__ = [
     "SweepRecord",
     "SweepResult",
     "sweep",
-    "ReportConfig",
-    "generate_report",
 ]

@@ -25,6 +25,7 @@ location, application, worker count, partitioning scheme) as a CLI::
     python -m repro worker serve --port 9001 --telemetry-port 0 \\
         --telemetry-port-file telemetry.port
     python -m repro cluster status localhost:9001 localhost:9002
+    python -m repro report
 
 ``run`` prints the simulated runtime/cost summary and optionally dumps the
 per-superstep trace (JSON) for plotting.  The observability flags attach
@@ -348,12 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "report", help="regenerate the headline experiments as markdown"
+        "report",
+        help="rerun every paper table and figure (repro.analysis.paper); "
+             "rewrite the generated blocks of EXPERIMENTS.md and the golden "
+             "file; exit 1 if a check failed or a number moved",
     )
-    p.add_argument("--out", required=True, help="output markdown path")
-    p.add_argument("--scale", type=float, default=0.2)
-    p.add_argument("--workers", type=int, default=8)
-    p.add_argument("--roots", type=int, default=20)
+    p.add_argument("--experiments", default="EXPERIMENTS.md",
+                   help="markdown file whose generated blocks are rewritten")
+    p.add_argument("--golden", default="tests/paper/golden.json",
+                   help="golden file compared against, then rewritten")
 
     p = sub.add_parser(
         "worker",
@@ -803,14 +807,15 @@ def _cmd_perf(args) -> int:
 def _cmd_report(args) -> int:
     from pathlib import Path
 
-    from .analysis.report import ReportConfig, generate_report
+    from .analysis import paper
 
-    text = generate_report(
-        ReportConfig(scale=args.scale, workers=args.workers, roots=args.roots)
-    )
-    Path(args.out).write_text(text)
-    print(f"wrote reproduction report to {args.out} ({len(text)} chars)")
-    return 0
+    problems = paper.report(Path(args.experiments), Path(args.golden))
+    print(f"wrote {args.experiments} and {args.golden}")
+    for line in problems[:10]:
+        print(f"repro report: {line}", file=sys.stderr)
+    if len(problems) > 10:
+        print(f"repro report: ... and {len(problems) - 10} more", file=sys.stderr)
+    return 1 if problems else 0
 
 
 def _cmd_worker(args) -> int:

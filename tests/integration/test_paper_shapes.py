@@ -1,36 +1,14 @@
-"""End-to-end integration: the paper's qualitative results at test scale.
+"""The paper's qualitative results at test scale.
 
-These run the same experiment pipelines as the benchmarks but at reduced
-scale, asserting the *shape* of each headline claim.  The full-scale
-versions (with paper-vs-measured tables) live in benchmarks/.
+Runs the figure functions of ``repro.analysis.paper`` on scenarios at
+scale 0.2 (``python -m repro report`` runs them at ``BENCH_SCALE``) and
+asserts the *shape* of each headline claim on the rows they return.
 """
 
-import numpy as np
 import pytest
 
-from repro.analysis import (
-    RunConfig,
-    bc_scenario,
-    paper_partitioners,
-    run_pagerank,
-    run_traversal,
-)
-from repro.cloud.costmodel import SCALED_PERF_MODEL
-from repro.elastic import (
-    ActiveFractionPolicy,
-    AlignedTraces,
-    ElasticityModel,
-    FixedWorkers,
-    OraclePolicy,
-)
-from repro.scheduling import (
-    AdaptiveSizer,
-    DynamicPeakDetect,
-    SamplingSizer,
-    SequentialInitiation,
-    StaticEveryN,
-    StaticSizer,
-)
+from repro.analysis import bc_scenario, paper
+from repro.graph import datasets
 
 SCALE = 0.2  # smaller than bench scale; still shows every effect
 
@@ -40,24 +18,29 @@ def wg():
     return bc_scenario("WG", scale=SCALE)
 
 
+@pytest.fixture(scope="module")
+def both(wg):
+    return {"WG": wg, "CP": bc_scenario("CP", scale=SCALE)}
+
+
+@pytest.fixture(scope="module")
+def sizing(wg):
+    return paper.sizing_runs(wg)
+
+
+@pytest.fixture(scope="module")
+def parts(both):
+    return {ds: paper.partition_runs(sc) for ds, sc in both.items()}
+
+
 class TestFig2ComplexityGap:
     def test_bc_and_apsp_dwarf_pagerank(self, wg):
         """BC/APSP extrapolated totals are orders of magnitude above PR."""
-        from repro.analysis import extrapolate_runtime
-
-        cfg = wg.unconstrained_config()
-        n = wg.graph.num_vertices
-        pr = run_pagerank(wg.graph, cfg, iterations=30).total_time
-        roots = range(10)
-        bc = extrapolate_runtime(
-            run_traversal(wg.graph, cfg, roots, kind="bc").total_time, 10, n
-        ).projected_seconds
-        apsp = extrapolate_runtime(
-            run_traversal(wg.graph, cfg, roots, kind="apsp").total_time, 10, n
-        ).projected_seconds
+        rows = paper.fig02({"WG": wg}, datasets.load("LJ", scale=SCALE)).rows
+        pr, bc, apsp = (rows[f"WG {a}"]["time_s"] for a in ("PageRank", "BC", "APSP"))
         # The paper's 4-orders-of-magnitude gap scales with |V| (the
         # extrapolation factor); at this 350-vertex test scale the expected
-        # gap is ~1.5 orders.  The bench at full scale reports the ratio.
+        # gap is ~1.5 orders.
         assert bc > 20 * pr
         assert apsp > 8 * pr
         assert bc > apsp  # BC's backward phase makes it the most expensive
@@ -65,148 +48,87 @@ class TestFig2ComplexityGap:
 
 class TestFig3MessageProfiles:
     def test_pagerank_flat_bc_triangular(self, wg):
-        cfg = wg.unconstrained_config()
-        pr = run_pagerank(wg.graph, cfg, iterations=20)
-        pr_msgs = pr.trace.series_messages()[1:-1]
+        rows = paper.fig03(wg).rows
+        pr_msgs = rows["PageRank"]["msgs"][1:-1]
         assert pr_msgs.std() / pr_msgs.mean() < 0.01
 
-        bc = run_traversal(wg.graph, cfg, range(7), kind="bc")
-        msgs = bc.result.trace.series_messages()
+        msgs = rows["BC"]["msgs"]
         peak = msgs.argmax()
         assert 0 < peak < len(msgs) - 1
         assert msgs.max() > 5 * max(msgs[0], msgs[-1], 1)
 
 
 class TestFig4SwathSizeSpeedup:
-    def test_heuristics_beat_baseline(self, wg):
-        cfg = wg.config()
-        roots = wg.roots[: wg.base_swath]
-        base = run_traversal(
-            wg.graph, cfg, roots, kind="bc", sizer=StaticSizer(wg.base_swath)
-        )
-        assert base.result.trace.peak_memory > wg.capacity_bytes  # spills
-        for sizer in (SamplingSizer(wg.target_bytes), AdaptiveSizer(wg.target_bytes)):
-            run = run_traversal(wg.graph, cfg, roots, kind="bc", sizer=sizer)
-            speedup = base.total_time / run.total_time
-            assert speedup > 1.5, f"{sizer.label}: only {speedup:.2f}x"
-            assert run.result.trace.peak_memory <= wg.capacity_bytes * 1.05
+    def test_heuristics_beat_baseline(self, wg, sizing):
+        rows = paper.fig04({"WG": wg}, {"WG": sizing}).rows
+        assert rows["WG baseline"]["peak_bytes"] > wg.capacity_bytes  # spills
+        for name in ("sampling-8w", "adaptive-8w"):
+            speedup = rows[f"WG {name}"]["speedup"]
+            assert speedup > 1.5, f"{name}: only {speedup:.2f}x"
+            assert rows[f"WG {name}"]["peak_bytes"] <= wg.capacity_bytes * 1.05
 
-    def test_adaptive_on_4_workers_beats_baseline_on_8(self, wg):
+    def test_adaptive_on_4_workers_beats_baseline_on_8(self, wg, sizing):
         """§VI-B: 4 workers + adaptive ≈ two-thirds the 8-worker baseline."""
-        roots = wg.roots[: wg.base_swath]
-        base8 = run_traversal(
-            wg.graph, wg.config(8), roots, kind="bc",
-            sizer=StaticSizer(wg.base_swath),
-        )
-        adapt4 = run_traversal(
-            wg.graph, wg.config(4), roots, kind="bc",
-            sizer=AdaptiveSizer(wg.target_bytes),
-        )
-        assert adapt4.total_time < base8.total_time
+        rows = paper.fig04({"WG": wg}, {"WG": sizing}).rows
+        assert rows["WG adaptive-4w"]["time_s"] < rows["WG baseline"]["time_s"]
 
 
 class TestFig5MemoryTrace:
-    def test_baseline_spills_heuristic_hugs_target(self, wg):
-        cfg = wg.config()
-        roots = wg.roots[: wg.base_swath]
-        base = run_traversal(
-            wg.graph, cfg, roots, kind="bc", sizer=StaticSizer(wg.base_swath)
-        )
-        adapt = run_traversal(
-            wg.graph, cfg, roots, kind="bc", sizer=AdaptiveSizer(wg.target_bytes)
-        )
-        assert base.result.trace.peak_memory > wg.capacity_bytes
-        peak = adapt.result.trace.peak_memory
+    def test_baseline_spills_heuristic_hugs_target(self, wg, sizing):
+        rows = paper.fig05(wg, sizing).rows
+        assert rows["baseline"]["peak_mem"].max() > wg.capacity_bytes
+        peak = rows["adaptive-8w"]["peak_mem"].max()
         assert 0.3 * wg.target_bytes < peak <= 1.1 * wg.target_bytes
 
 
 class TestFig6InitiationSpeedup:
     def test_overlap_beats_sequential(self, wg):
-        cfg = wg.config()
-        roots = wg.roots[: wg.base_swath]
-        size = max(2, wg.base_swath // 4)
-        seq = run_traversal(
-            wg.graph, cfg, roots, kind="bc",
-            sizer=StaticSizer(size), initiation=SequentialInitiation(),
-        )
-        for policy in (StaticEveryN(4), DynamicPeakDetect()):
-            run = run_traversal(
-                wg.graph, cfg, roots, kind="bc",
-                sizer=StaticSizer(size), initiation=policy,
-            )
-            assert run.total_time < seq.total_time
-            assert run.result.supersteps < seq.result.supersteps
+        rows = paper.fig06({"WG": wg}, {"WG": paper.initiation_runs(wg)}).rows
+        seq = rows["WG Sequential"]
+        for name in ("Static-4", "Dynamic"):
+            assert rows[f"WG {name}"]["time_s"] < seq["time_s"]
+            assert rows[f"WG {name}"]["supersteps"] < seq["supersteps"]
 
 
 class TestFig8Partitioning:
-    def test_metis_wins_on_wg_not_on_cp(self):
-        results = {}
-        for ds in ("WG", "CP"):
-            sc = bc_scenario(ds, scale=SCALE)
-            for name, part in paper_partitioners().items():
-                cfg = RunConfig(
-                    num_workers=8, partitioner=part, perf_model=SCALED_PERF_MODEL
-                ).with_memory(1 << 62)
-                run = run_traversal(
-                    sc.graph, cfg, range(20), kind="bc", sizer=StaticSizer(10)
-                )
-                results[(ds, name)] = run.total_time
-        wg_gain = results[("WG", "METIS")] / results[("WG", "Hash")]
-        cp_gain = results[("CP", "METIS")] / results[("CP", "Hash")]
+    def test_metis_wins_on_wg_not_on_cp(self, both, parts):
+        rows = paper.fig08(both, parts).rows
+        wg_gain = rows["WG METIS"]["BC_s"] / rows["WG Hash"]["BC_s"]
+        cp_gain = rows["CP METIS"]["BC_s"] / rows["CP Hash"]["BC_s"]
         assert wg_gain < 0.85  # clear win on WG
         assert cp_gain > wg_gain + 0.1  # benefit collapses on CP
 
-    def test_hash_highest_utilization(self):
-        sc = bc_scenario("WG", scale=SCALE)
-        utils = {}
-        for name, part in paper_partitioners().items():
-            cfg = RunConfig(
-                num_workers=8, partitioner=part, perf_model=SCALED_PERF_MODEL
-            ).with_memory(1 << 62)
-            run = run_traversal(
-                sc.graph, cfg, range(20), kind="bc", sizer=StaticSizer(10)
-            )
-            utils[name] = run.result.trace.utilization()
-        assert utils["Hash"] > utils["METIS"]  # Figs. 9/12's pattern
+    def test_hash_highest_utilization(self, parts):
+        rows = paper.fig09_12(parts).rows
+        # Figs. 9/12's pattern
+        assert rows["WG Hash"]["utilization"] > rows["WG METIS"]["utilization"]
 
 
 class TestFig15And16Elastic:
     @pytest.fixture(scope="class")
-    def model(self):
-        sc = bc_scenario("WG", scale=SCALE)
-        runs = {}
+    def traces(self, wg):
         # Half the baseline swath spills at 4 workers but fits at 8 at this
-        # test scale (the bench uses the scenario's calibrated ELASTIC_SWATH).
-        swath = sc.base_swath // 2
-        for w in (4, 8):
-            runs[w] = run_traversal(
-                sc.graph, sc.config(num_workers=w), sc.roots[: sc.base_swath],
-                kind="bc", sizer=StaticSizer(swath),
-                initiation=SequentialInitiation(),
-            )
-        tr = AlignedTraces.from_traces(
-            runs[4].result.trace, runs[8].result.trace, 4, 8,
-            sc.graph.num_vertices,
-        )
-        return ElasticityModel(tr)
+        # test scale (the report uses the scenario's calibrated ELASTIC_SWATH).
+        return {"WG": paper.elastic_traces(wg, wg.base_swath // 2)}
 
-    def test_superlinear_spikes_at_peaks(self, model):
-        sp = model.speedup_series()
-        active = model.active_series()
+    def test_superlinear_spikes_at_peaks(self, traces):
+        row = paper.fig15(traces).rows["WG"]
+        sp, active = row["speedup"], row["active"]
         assert sp.max() > 2.0
         # The superlinear step coincides with high activity.
         assert active[int(sp.argmax())] > 0.5 * active.max()
 
-    def test_subunit_speedup_in_troughs(self, model):
-        assert model.speedup_series().min() < 1.0
+    def test_subunit_speedup_in_troughs(self, traces):
+        assert paper.fig15(traces).rows["WG"]["speedup"].min() < 1.0
 
-    def test_dynamic_approaches_fixed8_time_at_lower_cost(self, model):
-        f8 = model.evaluate(FixedWorkers(8))
-        dyn = model.evaluate(ActiveFractionPolicy(0.5))
-        assert dyn.total_time <= 1.1 * f8.total_time
-        assert dyn.cost < f8.cost
+    def test_dynamic_approaches_fixed8_time_at_lower_cost(self, traces):
+        rows = paper.fig16(traces).rows
+        f8, dyn = rows["WG Fixed-8"], rows[f"WG {paper.DYNAMIC}"]
+        assert dyn["time_s"] <= 1.1 * f8["time_s"]
+        assert dyn["cost_usd"] < f8["cost_usd"]
 
-    def test_oracle_is_lower_bound(self, model):
-        oracle = model.evaluate(OraclePolicy()).total_time
-        for p in (FixedWorkers(4), FixedWorkers(8), ActiveFractionPolicy(0.5)):
-            assert oracle <= model.evaluate(p).total_time + 1e-12
+    def test_oracle_is_lower_bound(self, traces):
+        rows = paper.fig16(traces).rows
+        oracle = rows["WG Oracle"]["time_s"]
+        for policy in ("Fixed-4", "Fixed-8", paper.DYNAMIC):
+            assert oracle <= rows[f"WG {policy}"]["time_s"] + 1e-12
