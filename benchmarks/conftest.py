@@ -1,25 +1,10 @@
-"""Shared benchmark fixtures.
+"""Host-time benchmarks.
 
-Each bench runs one extension, ablation or performance experiment and
-prints its table; the paper's own tables and figures are functions of
-``repro.analysis.paper``, run by ``python -m repro report``.  Simulation
-benches time their experiment via pytest-benchmark (single round — the
-experiments are deterministic, so repetition only measures interpreter
-noise).
+Each bench times one layer of the system on this host (the analyzer, the
+cluster runtime, the flight recorder, the network, the engines) and prints
+its table.  The paper's tables and figures, its cost-model ablations and
+every extension record are functions of ``repro.analysis.paper``
+(``paper.ablation_costmodel``, ``paper.live_elastic``, ...), run by
+``python -m repro report``.  Benches run a single round
+(``helpers.run_once``): repeated rounds would multiply wall time.
 """
-
-from __future__ import annotations
-
-import pytest
-
-from repro.analysis import bc_scenario
-
-
-@pytest.fixture(scope="session")
-def wg_scenario():
-    return bc_scenario("WG")
-
-
-@pytest.fixture(scope="session")
-def cp_scenario():
-    return bc_scenario("CP")

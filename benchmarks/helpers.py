@@ -1,4 +1,4 @@
-"""Shared helpers for the benchmark harness (see conftest.py for fixtures)."""
+"""Shared helpers for the host-time benches."""
 
 from __future__ import annotations
 
@@ -18,11 +18,3 @@ def banner(title: str) -> None:
     print(title)
     print("=" * 72)
 
-
-def fmt_seconds(s: float) -> str:
-    """Human-scale rendering of simulated seconds."""
-    if s >= 3600:
-        return f"{s / 3600:.1f} h"
-    if s >= 60:
-        return f"{s / 60:.1f} min"
-    return f"{s:.1f} s"

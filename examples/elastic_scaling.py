@@ -32,7 +32,7 @@ def main() -> None:
         runs[workers] = run_traversal(
             sc.graph, sc.config(num_workers=workers),
             sc.roots[: sc.base_swath], kind="bc",
-            sizer=StaticSizer(sc.base_swath // 2),
+            sizer=StaticSizer(sc.elastic_swath),
             initiation=SequentialInitiation(),
         )
         print(f"measured {workers}-worker run: "

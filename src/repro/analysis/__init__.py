@@ -20,7 +20,6 @@ from .scenarios import (
 )
 from .extrapolate import Extrapolation, extrapolate_runtime
 from . import tables, traces
-from .sweeps import SweepRecord, SweepResult, sweep
 
 __all__ = [
     "RunConfig",
@@ -41,7 +40,4 @@ __all__ = [
     "extrapolate_runtime",
     "tables",
     "traces",
-    "SweepRecord",
-    "SweepResult",
-    "sweep",
 ]

@@ -60,9 +60,10 @@ def paper_partitioners(seed: int = 1) -> dict[str, Partitioner]:
 PAPER_BASE_SWATH = {"WG": 40, "CP": 25}
 #: §VII: root-subset sizes used for the partitioning experiments.
 PAPER_ROOTS = {"WG": 75, "CP": 50}
-#: §VIII: fixed swath sizes for the elastic-scaling runs, chosen so peak
-#: supersteps spill at 4 workers but fit at 8 — the memory-relief mechanism
-#: behind the paper's superlinear per-superstep speedups (Fig. 15).
+#: §VIII: fixed swath sizes for the elastic-scaling runs at BENCH_SCALE,
+#: chosen so peak supersteps spill at 4 workers but fit at 8 — the
+#: memory-relief mechanism behind the paper's superlinear per-superstep
+#: speedups (Fig. 15).
 ELASTIC_SWATH = {"WG": 17, "CP": 10}
 
 #: Baseline-overflow factor used for memory calibration (see module doc).
@@ -87,6 +88,7 @@ class TraversalScenario:
     target_bytes: int
     num_workers: int
     kind: str
+    scale: float
 
     def config(self, num_workers: int | None = None) -> RunConfig:
         cfg = RunConfig(
@@ -105,8 +107,12 @@ class TraversalScenario:
 
     @property
     def elastic_swath(self) -> int:
-        """Fixed swath size for §VIII runs (see :data:`ELASTIC_SWATH`)."""
-        return ELASTIC_SWATH.get(self.dataset, max(2, int(0.42 * self.base_swath)))
+        """Fixed swath size for §VIII runs: :data:`ELASTIC_SWATH` at
+        ``BENCH_SCALE``, where it was chosen; half the baseline swath at
+        any other scale or dataset."""
+        if self.scale == BENCH_SCALE and self.dataset in ELASTIC_SWATH:
+            return ELASTIC_SWATH[self.dataset]
+        return self.base_swath // 2
 
 
 @lru_cache(maxsize=None)
@@ -145,4 +151,5 @@ def bc_scenario(
         target_bytes=int(capacity * TARGET_FRACTION),
         num_workers=num_workers,
         kind=kind,
+        scale=scale,
     )

@@ -13,8 +13,8 @@ BSP cheap enough to exploit it?  This module models a spot market:
 
 :func:`spot_failure_schedule` converts a reference trace + eviction rate
 into the engine's ``failure_schedule``; :func:`spot_price` builds the
-discounted VM flavor.  The bench sweeps eviction rates to find where spot
-stops being worth it.
+discounted VM flavor.  ``repro.analysis.paper.spot_market`` sweeps
+eviction rates to find where spot stops being worth it.
 """
 
 from __future__ import annotations

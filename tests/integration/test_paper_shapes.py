@@ -36,7 +36,8 @@ def parts(both):
 class TestFig2ComplexityGap:
     def test_bc_and_apsp_dwarf_pagerank(self, wg):
         """BC/APSP extrapolated totals are orders of magnitude above PR."""
-        rows = paper.fig02({"WG": wg}, datasets.load("LJ", scale=SCALE)).rows
+        lj = paper.pagerank_run(datasets.load("LJ", scale=SCALE))
+        rows = paper.fig02({"WG": wg}, lj).rows
         pr, bc, apsp = (rows[f"WG {a}"]["time_s"] for a in ("PageRank", "BC", "APSP"))
         # The paper's 4-orders-of-magnitude gap scales with |V| (the
         # extrapolation factor); at this 350-vertex test scale the expected
@@ -107,9 +108,7 @@ class TestFig8Partitioning:
 class TestFig15And16Elastic:
     @pytest.fixture(scope="class")
     def traces(self, wg):
-        # Half the baseline swath spills at 4 workers but fits at 8 at this
-        # test scale (the report uses the scenario's calibrated ELASTIC_SWATH).
-        return {"WG": paper.elastic_traces(wg, wg.base_swath // 2)}
+        return {"WG": paper.elastic_traces(wg, paper.elastic_runs(wg))}
 
     def test_superlinear_spikes_at_peaks(self, traces):
         row = paper.fig15(traces).rows["WG"]

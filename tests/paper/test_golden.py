@@ -3,14 +3,16 @@
 ``python -m repro report`` writes the golden file from every figure at
 ``BENCH_SCALE``; a change that moves a paper number must regenerate it
 (and EXPERIMENTS.md) and say why.  Table 1 and Fig. 3 are recomputed
-here: Fig. 3's rows are integer message counts.
+here: Fig. 3's rows are integer message counts.  So are the two records
+that migrate vertices mid-run, live elastic resizing and dynamic
+re-partitioning, with their checks.
 """
 
 import json
 import math
 from pathlib import Path
 
-from repro.analysis import bc_scenario, paper
+from repro.analysis import bc_scenario, paper, paper_partitioners
 from repro.graph import datasets
 
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
@@ -22,6 +24,25 @@ def test_table1_and_fig3_equal_the_golden_file():
         paper.fig03(bc_scenario("WG")),
     ])
     assert paper.compare({key: GOLDEN[key] for key in fresh}, fresh) == []
+
+
+def test_migration_records_equal_the_golden_file_and_pass_their_checks():
+    scs = {ds: bc_scenario(ds) for ds in ("WG", "CP")}
+    parts = {
+        ds: {
+            name: {"BC": paper.partition_run(sc, paper_partitioners()[name], "BC")}
+            for name in ("Hash", "METIS")
+        }
+        for ds, sc in scs.items()
+    }
+    figs = [
+        paper.live_elastic(scs["WG"], paper.elastic_runs(scs["WG"])),
+        paper.dynamic_repartitioning(scs, parts),
+    ]
+    fresh = paper.golden(figs)
+    assert paper.compare({key: GOLDEN[key] for key in fresh}, fresh) == []
+    assert [(f.key, f.failures()) for f in figs] == [
+        ("live_elastic", []), ("dynamic_repartitioning", [])]
 
 
 def test_compare_names_figure_row_and_column_of_a_one_ulp_change():
@@ -36,3 +57,9 @@ def test_compare_names_figure_row_and_column_of_a_one_ulp_change():
         f"fig16 / WG Fixed-8 / norm_time: "
         f"{GOLDEN['fig16']['WG Fixed-8']['norm_time']!r} -> {f8['norm_time']!r}",
     ]
+
+
+def test_compare_names_an_added_or_removed_figure_or_row_in_one_line():
+    old = {"a": {"r": {"c": 1.0}}, "gone": {"r": {"c": [1.0, 2.0]}}}
+    new = {"a": {"r": {"c": 1.0}, "s": {"c": 2.0}}, "b": {"r": {"c": [1.0], "d": 2}}}
+    assert paper.compare(old, new) == ["a / s: added", "gone: removed", "b: added"]
