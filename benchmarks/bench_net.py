@@ -18,7 +18,6 @@ Results land in ``BENCH_net.json``.
 """
 
 import json
-import multiprocessing as mp
 import socket
 import threading
 import time
@@ -35,6 +34,7 @@ from repro.net import (
     pack_frame,
     unpack_frame,
 )
+from repro.net.transport import fork_context
 
 from helpers import banner, run_once
 
@@ -80,9 +80,7 @@ def _pipe_echo(conn):
 
 
 def _bench_pipe_roundtrips(blob, rounds):
-    ctx = mp.get_context(
-        "fork" if "fork" in mp.get_all_start_methods() else None
-    )
+    ctx = fork_context()
     parent, child = ctx.Pipe(duplex=True)
     proc = ctx.Process(target=_pipe_echo, args=(child,), daemon=True)
     proc.start()

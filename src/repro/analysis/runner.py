@@ -65,10 +65,6 @@ class RunConfig:
     #: statically profile the program (repro.check.costmodel) and record
     #: the ProgramProfile on the JobResult + metrics; cheap (pure AST)
     auto_profile: bool = True
-    #: statically lift the program to a KernelPlan (repro.check.vectorize)
-    #: and record it on the JobResult + plan-coverage metrics; cheap
-    #: (pure AST; never fails the run — refusals just leave it None)
-    auto_kernel_plan: bool = True
 
     def with_memory(self, memory_bytes: int) -> "RunConfig":
         """Same config with the worker VM memory replaced (scaled regime)."""
@@ -140,12 +136,10 @@ def _auto_plan(cfg: RunConfig, program) -> Any:
     Mirrors :func:`_auto_profile`: never fails the run.  Returns the full
     :class:`~repro.check.vectorize.LiftResult` (engine auto-selection
     needs the refusal reason, not just the plan); programs whose
-    compute() the lifter refuses (or with no locatable source) come back
-    with no plan — the ``repro_kernel_plan_lifted`` gauge records 0 so
-    dashboards can tell "refused" apart from "analysis disabled".
+    compute() the lifter refuses come back with no plan, and the
+    ``repro_kernel_plan_lifted`` gauge records 0; a program with no
+    locatable source returns None and records nothing.
     """
-    if not cfg.auto_kernel_plan:
-        return None
     from ..check.vectorize import lift_of
 
     verdict = lift_of(program)

@@ -75,9 +75,9 @@ def dense_refused_features(program: Any, plan: "KernelPlan | None",
     return out
 
 
-def _lifted(program: Any, optimize: bool = True) -> "KernelPlan":
-    """The program's lifted plan, optimised unless ``optimize`` is False;
-    a refusal raises :class:`PlanRefusedError` naming the blocking rule."""
+def _lifted(program: Any) -> "KernelPlan":
+    """The program's lifted plan, optimised; a refusal raises
+    :class:`PlanRefusedError` naming the blocking rule."""
     from ..check.planopt import optimized  # lazy: avoids cycle
     from ..check.vectorize import lift_of
 
@@ -88,7 +88,7 @@ def _lifted(program: Any, optimize: bool = True) -> "KernelPlan":
     if verdict.plan is None:
         raise PlanRefusedError(f"{verdict.rule_id} at {verdict.file}:"
                                f"{verdict.refusal_line}: {verdict.reason}")
-    return optimized(verdict.plan) if optimize else verdict.plan
+    return optimized(verdict.plan)
 
 
 def shard_plan(program: Any, initial_messages: Any = ()) -> "KernelPlan | None":
@@ -111,17 +111,16 @@ class DenseRefEngine(BSPEngine):
     :class:`PlanRefusedError` with the blocking rule and reason.
     Auto-lifted plans run through the static optimizer
     (:func:`repro.check.planopt.optimize_plan`, certified bit-identical
-    by the test suite) unless ``optimize=False``; an explicitly passed
-    ``plan`` is always executed exactly as given.
+    by the test suite); an explicitly passed ``plan`` is always executed
+    exactly as given (``lift_of(program).plan`` runs unoptimised).
     """
 
     migrates = False  # shards hold rows in arrays, not per-vertex dicts
 
-    def __init__(self, job: JobSpec, plan: "KernelPlan | None" = None,
-                 optimize: bool = True):
+    def __init__(self, job: JobSpec, plan: "KernelPlan | None" = None):
         program = job.program
         if plan is None:
-            plan = _lifted(program, optimize)
+            plan = _lifted(program)
         refusals = dense_refused_features(program, plan, job.initial_messages)
         if refusals:
             raise PlanRefusedError(refusals[0])

@@ -237,11 +237,6 @@ class DenseLayout:
             return None
         return ~np.isin(self.rows(w), np.asarray(self.active_ids, dtype=np.int64))
 
-    def arcs_of(self) -> list[int]:
-        """Out-arcs per worker."""
-        deg = np.diff(self.graph.indptr)
-        return np.bincount(self._owner, deg, len(self.rows_of)).astype(int).tolist()
-
     def slice(self, w: int) -> ShardSlice:
         """Worker ``w``'s rows and out-arcs, the source side as runs."""
         g, rows = self.graph, self.rows(w)
@@ -287,9 +282,24 @@ class DenseShard:
 
     def __init__(self, part: ShardSlice, program: Any, model: Any,
                  plan: Any) -> None:
-        n = len(part.rows)
-        self._account(part.worker_id, n, len(part.dst), part.halted, program,
-                      model, plan)
+        self.worker_id, self.program, self.model = part.worker_id, program, model
+        self.n, self.m = n, m = len(part.rows), len(part.dst)
+        self.plan = plan
+        self.halted = np.zeros(n, dtype=bool) if part.halted is None else part.halted
+        # the worker's byte formulas on the plan dtype's sizes
+        self._mdt = mdt = np.dtype(plan.message_dtype)
+        sdt = np.dtype(plan.state_dtype)
+        self._payload_nb = int(program.payload_nbytes(mdt.type(0).item()))
+        self._wire = model.message_wire_bytes(self._payload_nb)
+        self.graph_bytes = m * 6 + n * model.vertex_overhead_bytes
+        self.total_state_bytes = n * int(program.state_nbytes(sdt.type(0).item()))
+        #: with a combiner, boxes fold by the plan's own monoid
+        self._combine = plan.reduce if program.combiner is not None else None
+        self.overlay_bytes = 0
+        self._injected: list[tuple[int, Any]] = []  # (row, payload)
+        self.stats = WorkerStepStats(worker=part.worker_id)
+        self.out_remote: dict[int, tuple] = {}
+        self.out_remote_wire_bytes = 0.0
         self.num_vertices = nv = part.num_vertices
         self._rows_of, self._starts = part.rows_of, part.bounds
         self.vertex_ids, self.dst = part.rows, part.dst
@@ -306,8 +316,7 @@ class DenseShard:
         self._agg_partials = {k: a.identity() for k, a in self._aggregators.items()}
         self.superstep = 0
         self._lower()
-        self.state = self._boot_state(np.dtype(plan.state_dtype),
-                                      self.static_degree)
+        self.state = self._boot_state(sdt, self.static_degree)
 
         # the peel plans' live arcs; a row that ever requested a removal
         # holds an explicit neighbour list, as a worker's overlay
@@ -327,43 +336,11 @@ class DenseShard:
             key = self.src * nv + part.nbr
             self._arc_order = np.argsort(key, kind="stable")
             self._arc_keys = np.append(key[self._arc_order], _INT_MAX)
+        self._has = self._box = None
         if self._combine is not None:
             self._has = np.empty(n, dtype=bool)
-            self._box = np.empty(n, dtype=self._mdt)
+            self._box = np.empty(n, dtype=mdt)
         self._empty_inbox()
-
-    def _account(self, worker_id: int, n: int, m: int, halted: Any,
-                 program: Any, model: Any, plan: Any) -> None:
-        """What the shard's counts alone fix: the worker's byte formulas
-        on the plan dtype's sizes, the rows asleep, nothing buffered."""
-        self.worker_id, self.program, self.model = worker_id, program, model
-        self.plan, self.n, self.m = plan, n, m
-        self.halted = np.zeros(n, dtype=bool) if halted is None else halted
-        self._mdt = mdt = np.dtype(plan.message_dtype)
-        sdt = np.dtype(plan.state_dtype)
-        self._payload_nb = int(program.payload_nbytes(mdt.type(0).item()))
-        self._wire = model.message_wire_bytes(self._payload_nb)
-        self.graph_bytes = m * 6 + n * model.vertex_overhead_bytes
-        self.total_state_bytes = n * int(program.state_nbytes(sdt.type(0).item()))
-        #: with a combiner, boxes fold by the plan's own monoid
-        self._combine = plan.reduce if program.combiner is not None else None
-        self.overlay_bytes = 0
-        self._injected: list[tuple[int, Any]] = []  # (row, payload)
-        self._has = self._box = None
-        self._empty_inbox()
-        self.stats = WorkerStepStats(worker=worker_id)
-        self.out_remote: dict[int, tuple] = {}
-        self.out_remote_wire_bytes = 0.0
-
-    @classmethod
-    def seed(cls, worker_id: int, rows: int, arcs: int, halted: Any,
-             program: Any, model: Any, plan: Any) -> "DenseShard":
-        """A never-computed shard known by its counts alone: what a
-        coordinator seeds its view of a remote shard from (the same byte
-        formulas, the rows asleep), holding none of the shard's arrays."""
-        shard = cls.__new__(cls)
-        shard._account(worker_id, rows, arcs, halted, program, model, plan)
-        return shard
 
     # -- array helpers -------------------------------------------------
     # Beyond ``dst`` an arc-sized array is built when a plan reads it; what

@@ -127,7 +127,8 @@ class BSPEngine:
 
     def _build_workers(self) -> None:
         """Build :attr:`workers` in the job's initial state (overridden
-        where the workers are :class:`~repro.bsp.dense_shard.DenseShard`\\ s)."""
+        where the workers are :class:`~repro.bsp.dense_shard.DenseShard`\\ s,
+        or views of remote sessions)."""
         job = self.job
         active_ids = job.initial_active_ids()
         assignment = self.partition.assignment
@@ -165,21 +166,12 @@ class BSPEngine:
 
     # ------------------------------------------------------------------
     @property
-    def _views(self):
-        """Per-worker views in worker-id order (see :meth:`_account_superstep`).
-
-        Read through ``self.workers`` every time: :meth:`migrate` grows and
-        shrinks that list between supersteps.
-        """
-        return self.workers
-
-    @property
     def active_vertices(self) -> int:
-        return sum(w.active_count for w in self._views)
+        return sum(w.active_count for w in self.workers)
 
     @property
     def buffered_messages(self) -> bool:
-        return any(w.has_buffered_messages for w in self._views)
+        return any(w.has_buffered_messages for w in self.workers)
 
     def aggregated(self, name: str) -> Any:
         """Current (last barrier's) value of a named aggregator."""
@@ -279,7 +271,7 @@ class BSPEngine:
         """The one superstep body: compute, flush, merge, master, account.
 
         An engine supplies :meth:`_compute_phase`, :meth:`_flush_phase`
-        and :attr:`_views`; everything around them is shared.
+        and :attr:`workers`; everything around them is shared.
         """
         tel = self.telemetry
         host_t0 = perf_counter()
@@ -354,9 +346,10 @@ class BSPEngine:
     ) -> None:
         """Convert true counts into simulated seconds, then record.
 
-        :attr:`_views` are per-worker resource views in worker-id order: the
-        live :class:`~repro.bsp.worker.PartitionWorker` objects for the
-        in-process engines, or the :mod:`repro.dist` engine's marshalled
+        :attr:`workers` are per-worker resource views in worker-id order:
+        the live :class:`~repro.bsp.worker.PartitionWorker` or
+        :class:`~repro.bsp.dense_shard.DenseShard` objects of the in-process
+        engines, or the :mod:`repro.dist` engine's views of its sessions'
         reports.  Each view exposes ``worker_id``, ``stats`` (a
         :class:`~repro.bsp.superstep.WorkerStepStats` with the compute-phase
         counts plus ``bytes_out``/``peers_out`` filled), and the resource
@@ -366,7 +359,7 @@ class BSPEngine:
         model = self.model
         eff = model.effective_cores(self.vm_spec.cores)
         restart_total = 0.0
-        for w in self._views:
+        for w in self.workers:
             ws = w.stats
             ws.bytes_in = float(recv_bytes[w.worker_id])
             ws.peers_in = int(peers_in[w.worker_id])
@@ -475,7 +468,7 @@ class BSPEngine:
     def _state_bytes_total(self) -> float:
         return sum(
             w.graph_bytes + w.total_state_bytes + w.in_next_payload_bytes
-            for w in self._views
+            for w in self.workers
         )
 
     def _capture_checkpoint(self, superstep: int) -> dict:

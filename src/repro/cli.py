@@ -194,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=[*ENGINES, "auto"],
         default="sim",
-        help="execution backend: sequential simulator, thread pool, real "
-             "worker processes (repro.dist), TCP worker daemons "
+        help="execution backend: sequential simulator, real worker "
+             "processes (repro.dist), TCP worker daemons "
              "(repro.net — see --hosts/--workers-file), the NumPy "
              "kernel-plan interpreter (refuses programs `repro check "
              "--kernel-plan` cannot lift), or 'auto' (static ranking "

@@ -15,7 +15,8 @@ Architecture (the paper's job-manager/worker split, §III):
   compute → deliver → aggregator merge → master compute → accounting),
   routes bulk message frames between workers, merges aggregator partials
   in worker-id order, runs ``master_compute``, prices the superstep on the
-  cloud models, and owns the checkpoint;
+  cloud models, and owns the checkpoint.  It hosts no vertex: its
+  ``workers`` are views of the resource report each session sends;
 * each worker owns its partition's state and serves the command loop in
   :class:`repro.net.session.WorkerSession`; messages cross the wire as
   length-prefixed pickle-5 frames (:mod:`repro.net.codec`), combiners
@@ -23,8 +24,7 @@ Architecture (the paper's job-manager/worker split, §III):
   runs the plan compiled here on its own rows (a dense shard, one
   ``(row index, value)`` array pair per frame) in place of a
   :class:`~repro.bsp.worker.PartitionWorker`; it folds like one.  Such a
-  session receives only its slice of the job's arc layout, and the
-  coordinator keeps only each shard's counts.
+  session receives only its slice of the job's arc layout.
 
 Transports (:mod:`repro.net`): the default
 :class:`~repro.net.transport.PipeTransport` forks one local OS process
@@ -68,11 +68,10 @@ from typing import Any
 import numpy as np
 
 from ..bsp.dense_ref import shard_plan
-from ..bsp.dense_shard import DenseLayout, DenseShard
+from ..bsp.dense_shard import DenseLayout
 from ..bsp.engine import BSPEngine
 from ..bsp.job import JobResult, JobSpec
-from ..bsp.superstep import SuperstepStats
-from ..net.session import worker_report
+from ..bsp.superstep import SuperstepStats, WorkerStepStats
 from ..net.transport import (
     PipeTransport,
     Transport,
@@ -136,8 +135,8 @@ class _WorkerView:
 
     Duck-types the per-worker surface :class:`BSPEngine` reads (fleet
     state and :meth:`BSPEngine._account_superstep`), under the worker's own
-    attribute names; refreshed from the worker's barrier report each
-    superstep.
+    attribute names; seeded from its session's first report and refreshed
+    from every later one.
     """
 
     __slots__ = (
@@ -146,12 +145,10 @@ class _WorkerView:
         "_buffered_bytes", "_queue_depth", "_memory",
     )
 
-    def __init__(self, worker) -> None:
-        # Seeded from the parent's never-computed worker of the sessions'
-        # kind, which carries the correct initial counts and footprints,
-        # through the report a session sends.
-        self.worker_id, self.stats = worker.worker_id, worker.stats
-        self.apply_report(worker_report(worker))
+    def __init__(self, worker_id: int, report: dict) -> None:
+        self.worker_id = worker_id
+        self.stats = WorkerStepStats(worker=worker_id)
+        self.apply_report(report)
 
     def apply_report(self, report: dict) -> None:
         self.active_count = int(report["active"])
@@ -183,28 +180,25 @@ class ProcessBSPEngine(BSPEngine):
         job: JobSpec,
         heartbeat_interval: float = 0.1,
         heartbeat_timeout: float | None = 30.0,
-        start_method: str | None = None,
         check_program: bool = True,
         max_respawns: int | None = None,
         transport: Transport | None = None,
     ) -> None:
         if check_program:
             self._gate_program(job.program)
-        #: the plan every session runs as a dense shard in place of a
-        #: PartitionWorker, or None (see repro.bsp.dense_ref.shard_plan)
-        self._plan = shard_plan(job.program, job.initial_messages)
-        #: the sessions' arc layout, held only while they launch
-        self._layout: DenseLayout | None = None
-        # Created first: the base __init__ injects the job's initial
-        # messages, which this engine buffers until the next boundary.
-        self._inject_buffer: list = []
-        super().__init__(job)
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         if heartbeat_timeout is not None and heartbeat_timeout <= heartbeat_interval:
             raise ValueError("heartbeat_timeout must exceed the interval")
         if max_respawns is not None and max_respawns < 0:
             raise ValueError("max_respawns must be >= 0 (or None: unlimited)")
+        #: the plan every session runs as a dense shard in place of a
+        #: PartitionWorker, or None (see repro.bsp.dense_ref.shard_plan)
+        self._plan = shard_plan(job.program, job.initial_messages)
+        # Set before the base __init__, which launches the sessions
+        # (_build_workers) and injects the job's initial messages, which
+        # this engine buffers until the next boundary.
+        self._inject_buffer: list = []
         self._hb_interval = float(heartbeat_interval)
         self._hb_timeout = (
             None if heartbeat_timeout is None else float(heartbeat_timeout)
@@ -213,22 +207,10 @@ class ProcessBSPEngine(BSPEngine):
         #: declared dead (None = unlimited, the historical behavior)
         self._max_respawns = max_respawns
         self._respawns = 0
-        self._transport = (
-            transport if transport is not None
-            else PipeTransport(start_method)
-        )
+        self._transport = transport if transport is not None else PipeTransport()
         self._epoch = 0
         self._active_ids = job.initial_active_ids()
-        self._mirrors = [_WorkerView(w) for w in self.workers]
-        self._handles: list[WorkerChannel | None] = [None] * self.num_workers
-        try:
-            for w in range(self.num_workers):
-                self._handles[w] = self._launch_worker(w)
-        except Exception:
-            self.shutdown()
-            raise
-        finally:
-            self._layout = None
+        super().__init__(job)
 
     @staticmethod
     def _gate_program(program: Any) -> None:
@@ -265,38 +247,37 @@ class ProcessBSPEngine(BSPEngine):
         for h in targets:
             self._send(h, ("inject", epoch, per_worker[h.worker_id]))
         for h in targets:
-            self._mirrors[h.worker_id].apply_report(
-                self._expect(h, "ok", epoch)
-            )
+            self.workers[h.worker_id].apply_report(self._expect(h, "ok", epoch))
 
     # ------------------------------------------------------------------
-    # Fleet state comes from the marshalled views, not the parent's
-    # (never-computed) workers.
+    # The fleet: one session per worker; the coordinator holds only a
+    # view of each, never the vertices.
     # ------------------------------------------------------------------
     def _build_workers(self) -> None:
-        """The views' seeds: shards known by their counts when the sessions
-        host shards, or :class:`~repro.bsp.worker.PartitionWorker`\\ s when
-        the program runs per vertex."""
-        if self._plan is None:
-            super()._build_workers()
-            return
-        job = self.job
-        layout = self._layout = self._dense_layout()
-        self.workers = [
-            DenseShard.seed(w, rows, arcs, layout.halted(w), job.program,
-                            self.model, self._plan)
-            for w, (rows, arcs) in enumerate(zip(layout.rows_of,
-                                                 layout.arcs_of()))
-        ]
+        """Launch every session, then seed :attr:`workers`, the views, from
+        the report each sends to an empty ``inject``: every session is
+        asked before any reply is read, so pipe sessions build in
+        parallel."""
+        self._handles: list[WorkerChannel | None] = [None] * self.num_workers
+        try:
+            layout = self._dense_layout() if self._plan is not None else None
+            for w in range(self.num_workers):
+                self._handles[w] = self._launch_worker(w, layout)
+            del layout  # the sessions hold their slices; a respawn re-slices
+            epoch = self._epoch
+            for h in self._handles:
+                self._send(h, ("inject", epoch, []))
+            self.workers = [
+                _WorkerView(h.worker_id, self._expect(h, "ok", epoch))
+                for h in self._handles
+            ]
+        except Exception:
+            self.shutdown()
+            raise
 
     def _dense_layout(self) -> DenseLayout:
         return DenseLayout(self.graph, self.partition.assignment,
-                           self.num_workers, self._plan,
-                           self.job.initial_active_ids())
-
-    @property
-    def _views(self):
-        return self._mirrors
+                           self.num_workers, self._plan, self._active_ids)
 
     @property
     def buffered_messages(self) -> bool:
@@ -371,7 +352,7 @@ class ProcessBSPEngine(BSPEngine):
 
         violations = getattr(self.job.program, "violations", None)
         for view, h, comp, deliv in zip(
-            self._mirrors, handles, computed, delivered
+            self.workers, handles, computed, delivered
         ):
             view.stats = comp["stats"]
             view.apply_report(deliv["report"])
@@ -487,7 +468,7 @@ class ProcessBSPEngine(BSPEngine):
         for h in self._handles:
             self._send(h, ("restore", epoch, snaps[h.worker_id]))
         for h in self._handles:
-            self._mirrors[h.worker_id].apply_report(
+            self.workers[h.worker_id].apply_report(
                 self._expect(h, "restored", epoch)
             )
 
@@ -520,7 +501,8 @@ class ProcessBSPEngine(BSPEngine):
     # Worker lifecycle and the request/reply protocol, written against
     # the Transport/WorkerChannel interface (repro.net.transport).
     # ------------------------------------------------------------------
-    def _worker_init(self, worker_id: int) -> WorkerInit:
+    def _worker_init(self, worker_id: int,
+                     layout: DenseLayout | None = None) -> WorkerInit:
         init = WorkerInit(
             worker_id=worker_id,
             program=self.job.program,
@@ -530,7 +512,7 @@ class ProcessBSPEngine(BSPEngine):
             plan=self._plan,
         )
         if self._plan is not None:  # a respawn slices a fresh layout
-            init.shard = (self._layout or self._dense_layout()).slice(worker_id)
+            init.shard = (layout or self._dense_layout()).slice(worker_id)
         else:
             init.graph = self.graph
             init.vertex_ids = self.partition.vertices_of(worker_id)
@@ -539,9 +521,10 @@ class ProcessBSPEngine(BSPEngine):
         return init
 
     def _launch_worker(
-        self, worker_id: int, respawn: bool = False
+        self, worker_id: int, layout: DenseLayout | None = None,
+        respawn: bool = False,
     ) -> WorkerChannel:
-        handle = self._transport.launch(self._worker_init(worker_id))
+        handle = self._transport.launch(self._worker_init(worker_id, layout))
         others = sum(
             1 for h in self._handles
             if h is not None and h.alive and h.worker_id != worker_id

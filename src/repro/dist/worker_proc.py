@@ -56,7 +56,7 @@ def worker_main(init, conn, hb_conn) -> None:
             captured.truncate()
         return text
 
-    session = WorkerSession.from_init(init, drain_output=_drain_output)
+    session = WorkerSession(init, drain_output=_drain_output)
 
     stop = threading.Event()
     threading.Thread(

@@ -247,7 +247,7 @@ class WorkerDaemon:
         # the hello); keep the loop free for other sessions' heartbeats.
         try:
             session = await loop.run_in_executor(
-                None, WorkerSession.from_init, init
+                None, WorkerSession, init
             )
         except Exception:
             # The refusal carries the traceback to the coordinator, which

@@ -14,7 +14,9 @@ which is what keeps the backends bit-identical.
 Commands (every frame is ``(cmd, epoch, payload)``; replies echo the
 epoch so the coordinator can discard ones that predate a recovery):
 
-``inject``    queue control-plane activation messages
+``inject``    queue control-plane activation messages, return the
+              resource report (empty, it is how the coordinator seeds
+              its view of the session)
 ``compute``   begin the superstep, run compute(), return the
               per-destination message frames (combiners already applied
               sender-side; a frame is the worker's ``out_remote`` bucket:
@@ -41,12 +43,10 @@ import traceback
 from time import perf_counter
 from typing import Any, Callable
 
-import numpy as np
-
-from ..bsp.dense_shard import DenseLayout, DenseShard
+from ..bsp.dense_shard import DenseShard
 from ..bsp.worker import PartitionWorker
 from .codec import pack_frame, unpack_frame
-from .transport import monotonic_now
+from .transport import WorkerInit, monotonic_now
 
 __all__ = ["WorkerSession", "worker_report"]
 
@@ -69,29 +69,17 @@ def worker_report(worker: PartitionWorker) -> dict[str, Any]:
 class WorkerSession:
     """One hosted worker plus its barrier-marshalled telemetry."""
 
-    def __init__(
-        self,
-        worker_id: int,
-        graph: Any,
-        vertex_ids: Any,
-        program: Any,
-        model: Any,
-        assignment: Any,
-        active_ids: Any,
-        *,
-        plan: Any = None,
-        shard: Any = None,
-        want_flight: bool = False,
-        drain_output: Callable[[], str] | None = None,
-    ) -> None:
-        self.worker_id = worker_id
+    def __init__(self, init: WorkerInit,
+                 drain_output: Callable[[], str] | None = None) -> None:
+        """The session ``init`` describes."""
+        self.worker_id = worker_id = init.worker_id
         self._drain_output = drain_output
         # Session-private flight recorder: the fresh tail ships to the
         # coordinator in every barrier ("delivered") reply, which folds it
         # in with FlightRecorder.merge_remote.
         self.flight = None
         self._flight_cursor = -1
-        if want_flight:
+        if init.want_flight:
             from ..obs.flight import FlightRecorder
 
             # The recorder runs on the liveness clock so its epoch and
@@ -99,20 +87,18 @@ class WorkerSession:
             # the coordinator can then restamp merged events exactly.
             self.flight = FlightRecorder(capacity=1024, clock=monotonic_now)
         #: hosts a DenseShard: every command is a few array operations
-        self.hosts_shard = plan is not None
+        self.hosts_shard = init.plan is not None
         if self.hosts_shard:
-            if shard is None:  # given the whole graph: slice it here
-                parts = int(np.max(assignment, initial=worker_id)) + 1
-                shard = DenseLayout(graph, assignment, parts, plan,
-                                    active_ids).slice(worker_id)
-            self.worker = DenseShard(shard, program, model, plan)
+            self.worker = DenseShard(init.shard, init.program, init.model,
+                                     init.plan)
         else:
+            assignment, active_ids = init.assignment, init.active_ids
             self.worker = PartitionWorker(
                 worker_id=worker_id,
-                graph=graph,
-                vertex_ids=vertex_ids,
-                program=program,
-                model=model,
+                graph=init.graph,
+                vertex_ids=init.vertex_ids,
+                program=init.program,
+                model=init.model,
                 assignment=assignment,
                 initially_active=active_ids is None,
             )
@@ -122,17 +108,6 @@ class WorkerSession:
                     if int(assignment[v]) == worker_id:
                         self.worker.halted[v] = False
         self._violations_seen = 0
-
-    @classmethod
-    def from_init(cls, init: Any, drain_output: Callable[[], str] | None = None
-                  ) -> "WorkerSession":
-        """The session a :class:`~repro.net.transport.WorkerInit` describes."""
-        return cls(
-            init.worker_id, init.graph, init.vertex_ids, init.program,
-            init.model, init.assignment, init.active_ids, plan=init.plan,
-            shard=init.shard, want_flight=init.want_flight,
-            drain_output=drain_output,
-        )
 
     def handle(self, cmd: str, epoch: int, payload: Any) -> tuple:
         """One command frame in, one reply frame out (never raises)."""

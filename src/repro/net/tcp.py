@@ -25,7 +25,6 @@ of the hosting daemon process when this transport spawned it.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import socket
 import struct
 from collections import deque
@@ -40,6 +39,7 @@ from .transport import (
     TransportError,
     WorkerChannel,
     WorkerInit,
+    fork_context,
     monotonic_now,
 )
 
@@ -201,12 +201,13 @@ class TcpChannel(WorkerChannel):
 
 
 class LocalDaemonFleet:
-    """N localhost daemons spawned as forked child processes.
+    """N localhost daemons started as child processes.
 
-    Forking (where available) keeps unpicklable-by-reference test
-    programs importable in the daemon — the same reason the pipe backend
-    prefers ``fork``.  Daemon processes are ``daemon=True`` so an
-    abandoned coordinator cannot leak them.
+    They start as the pipe backend's workers do
+    (:func:`~repro.net.transport.fork_context`), which keeps
+    unpicklable-by-reference test programs importable in the daemon.
+    Daemon processes are ``daemon=True`` so an abandoned coordinator
+    cannot leak them.
     """
 
     def __init__(
@@ -214,16 +215,11 @@ class LocalDaemonFleet:
         count: int,
         host: str = "127.0.0.1",
         max_sessions: int | None = None,
-        start_method: str | None = None,
         spawn_timeout: float = 30.0,
     ) -> None:
         if count < 1:
             raise ValueError("a daemon fleet needs at least one daemon")
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else None
-            )
-        ctx = mp.get_context(start_method)
+        ctx = fork_context()
         self._procs: dict[Endpoint, Any] = {}
         try:
             for _ in range(count):

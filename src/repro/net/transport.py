@@ -40,6 +40,7 @@ __all__ = [
     "TransportError",
     "WorkerChannel",
     "WorkerInit",
+    "fork_context",
     "monotonic_now",
 ]
 
@@ -47,6 +48,16 @@ __all__ = [
 def monotonic_now() -> float:
     """The transport plane's single liveness clock (monotonic, not wall)."""
     return monotonic()
+
+
+def fork_context():
+    """The multiprocessing context local hosts start in: ``fork`` where
+    the platform has it, as it keeps unpicklable (e.g. test-local)
+    programs usable, else the platform default."""
+    try:
+        return mp.get_context("fork")
+    except ValueError:  # the platform has no fork
+        return mp.get_context()
 
 
 class TransportError(RuntimeError):
@@ -233,17 +244,12 @@ class PipeChannel(WorkerChannel):
 
 
 class PipeTransport(Transport):
-    """One forked (or spawned) local OS process per worker."""
+    """One local OS process per worker (see :func:`fork_context`)."""
 
     name = "pipe"
 
-    def __init__(self, start_method: str | None = None) -> None:
-        if start_method is None:
-            # fork keeps unpicklable (e.g. test-local) programs usable.
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else None
-            )
-        self._mp = mp.get_context(start_method)
+    def __init__(self) -> None:
+        self._mp = fork_context()
 
     def launch(self, init: WorkerInit) -> PipeChannel:
         from ..dist.worker_proc import worker_main

@@ -285,8 +285,7 @@ def test_dense_ref_runs_optimized_plan_by_default():
     engine = DenseRefEngine(job)
     assert engine.plan.digest != raw.digest  # optimized form
     unopt = DenseRefEngine(
-        JobSpec(PageRankProgram(iterations=6), g, num_workers=1),
-        optimize=False,
+        JobSpec(PageRankProgram(iterations=6), g, num_workers=1), plan=raw,
     )
     assert unopt.plan.digest == raw.digest
     a = engine.run()
@@ -308,10 +307,11 @@ def test_hoisted_evaluation_matches_plain_arc_eval():
     mk = lambda: JobSpec(  # noqa: E731
         PageRankProgram(iterations=8), g, num_workers=1
     )
-    opt = optimize_plan(lift_of(mk().program).plan).plan
+    raw = lift_of(mk().program).plan
+    opt = optimize_plan(raw).plan
     assert any(op.hoist for p in opt.phases for op in p.ops)
     res = DenseRefEngine(mk(), plan=opt).run()
-    ref = DenseRefEngine(mk(), optimize=False).run()
+    ref = DenseRefEngine(mk(), plan=raw).run()
     for v in ref.values:
         assert res.values[v] == ref.values[v]  # bitwise, not approx
     del rng

@@ -427,14 +427,3 @@ def test_runner_attaches_plan_and_coverage_gauges():
         "repro_kernel_plan_phases", program="PageRankProgram"
     )
     assert phases is not None and phases.value == 2
-
-
-def test_runner_plan_attachment_can_be_disabled():
-    from dataclasses import replace
-
-    from repro.analysis.runner import RunConfig, run_pagerank
-
-    g = gen.barabasi_albert(40, 2, seed=3)
-    cfg = replace(RunConfig(num_workers=2), auto_kernel_plan=False)
-    res = run_pagerank(g, cfg, iterations=5)
-    assert res.kernel_plan is None

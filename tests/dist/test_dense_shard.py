@@ -16,11 +16,11 @@ from repro.algorithms import BCProgram, KCoreProgram, PageRankProgram, SSSPProgr
 from repro.algorithms.bc import start_messages
 from repro.bsp import JobSpec, SuperstepObserver, run_job
 from repro.bsp.dense_ref import shard_plan
-from repro.bsp.dense_shard import DenseShard
+from repro.bsp.dense_shard import DenseLayout, DenseShard
 from repro.bsp.worker import PartitionWorker
 from repro.check import SanitizingProgram
 from repro.dist import ProcessBSPEngine
-from repro.net import TcpBSPEngine, WorkerSession
+from repro.net import TcpBSPEngine, WorkerInit, WorkerSession
 from repro.net.codec import unpack_frame
 from tests.bsp.test_dense_trace import GRAPHS, PROGRAMS, assert_same_run
 
@@ -130,9 +130,9 @@ def test_injected_messages_follow_the_data_plane(kind):
         assert sum(step.injected for step in res.trace) == 12
 
 
-def test_coordinator_seeds_are_the_sessions_kind():
-    # the coordinator's never-computed workers only seed its views: shards
-    # when the sessions host shards, per-vertex workers otherwise
+def test_sessions_host_the_kind_their_init_names():
+    # what the coordinator sends decides what a session hosts: a shard when
+    # the program lifts, a per-vertex worker otherwise
     g = GRAPHS["ws"]()
     for make_job, kind in (
         (lambda: JobSpec(PageRankProgram(4), g, num_workers=3), DenseShard),
@@ -142,7 +142,10 @@ def test_coordinator_seeds_are_the_sessions_kind():
     ):
         sim = run_job(make_job(), "sim")
         engine = ProcessBSPEngine(make_job())
-        assert all(type(w) is kind for w in engine.workers)
+        for w in range(3):
+            session = WorkerSession(engine._worker_init(w))
+            assert type(session.worker) is kind
+            assert session.hosts_shard == (kind is DenseShard)
         res = engine.run()
         assert_same_run(sim, res)
         assert res.values == sim.values
@@ -150,11 +153,12 @@ def test_coordinator_seeds_are_the_sessions_kind():
 
 def _sessions(program, graph, workers=2):
     job = JobSpec(program, graph, num_workers=workers)
-    part = job.resolve_partition()
     plan = shard_plan(program)
+    layout = DenseLayout(graph, job.resolve_partition().assignment, workers,
+                         plan)
     return [
-        WorkerSession(w, graph, part.vertices_of(w), program, job.perf_model,
-                      part.assignment, None, plan=plan)
+        WorkerSession(WorkerInit(w, program, job.perf_model, 0.1, False,
+                                 plan=plan, shard=layout.slice(w)))
         for w in range(workers)
     ]
 

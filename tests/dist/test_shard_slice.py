@@ -2,8 +2,9 @@
 
 When the program lifts, a process or tcp session's ``WorkerInit`` carries
 its :class:`~repro.bsp.dense_shard.ShardSlice` — rows, grouped ``dst``,
-source runs, rows per worker — and no ``CSRGraph`` and no assignment; the
-coordinator seeds its views from each shard's counts and keeps no arcs.
+source runs, rows per worker — and no ``CSRGraph`` and no assignment.
+Whatever the sessions host, the coordinator seeds its view of each from
+the report the session sends and keeps no worker of its own.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ import tracemalloc
 
 import numpy as np
 
-from repro.algorithms import PageRankProgram
+from repro.algorithms import BCProgram, PageRankProgram
+from repro.algorithms.bc import start_messages
 from repro.bsp import JobSpec, run_job
-from repro.bsp.dense_shard import DenseShard, ShardSlice
+from repro.bsp.dense_shard import ShardSlice
 from repro.dist import ProcessBSPEngine
+from repro.dist.engine import _WorkerView
 from repro.graph import CSRGraph
 from repro.graph import generators as gen
 from repro.partition import HashPartitioner
@@ -26,10 +29,17 @@ from repro.partition import HashPartitioner
 WORKERS = 4
 
 
-def _job(scale: int = 12):
+def _job(scale: int = 12, program=None, **kwargs):
     g = gen.rmat(scale, 8, seed=3)
-    return JobSpec(PageRankProgram(8), g, num_workers=WORKERS,
-                   partition=HashPartitioner().partition(g, WORKERS))
+    return JobSpec(program or PageRankProgram(8), g, num_workers=WORKERS,
+                   partition=HashPartitioner().partition(g, WORKERS), **kwargs)
+
+
+def _bc_job(scale: int = 12):
+    """A per-vertex job: BC does not lift, so its sessions host
+    PartitionWorkers."""
+    return _job(scale, BCProgram(), initially_active=False,
+                initial_messages=start_messages([0, 5]))
 
 
 def _built(job) -> tuple[ProcessBSPEngine, int]:
@@ -87,20 +97,22 @@ def test_coordinator_keeps_counts_not_arcs():
     # The engine's fixed cost (telemetry, channels, process handles: ~27 kB)
     # alone is over a tenth of this graph's 246 kB, so the bound is on
     # what construction keeps beyond a 16-vertex job's.
-    ProcessBSPEngine(_job(4)).shutdown()  # imports and memoised lifts
-    engine, fixed = _built(_job(4))
-    engine.shutdown()
-    job = _job()
-    engine, growth = _built(job)
-    try:
-        assert engine._layout is None
-        for shard in engine.workers:
-            assert type(shard) is DenseShard
-            assert not hasattr(shard, "dst") and not hasattr(shard, "state")
-        g = job.graph
-        graph_bytes = g.indptr.nbytes + g.indices.nbytes
-        assert growth - fixed < 0.1 * graph_bytes, (growth, fixed, graph_bytes)
-        res = engine.run()
-    finally:
+    for make_job, shards in ((_job, True), (_bc_job, False)):
+        ProcessBSPEngine(make_job(4)).shutdown()  # imports and memoised lifts
+        engine, fixed = _built(make_job(4))
         engine.shutdown()
-    assert res.values == run_job(_job(), "sim").values
+        job = make_job()
+        engine, growth = _built(job)
+        try:
+            assert (engine._plan is not None) == shards
+            # the fleet is the sessions' reports, never a worker
+            assert len(engine.workers) == WORKERS
+            assert all(type(view) is _WorkerView for view in engine.workers)
+            g = job.graph
+            graph_bytes = g.indptr.nbytes + g.indices.nbytes
+            assert growth - fixed < 0.1 * graph_bytes, (
+                make_job.__name__, growth, fixed, graph_bytes)
+            res = engine.run()
+        finally:
+            engine.shutdown()
+        assert res.values == run_job(make_job(), "sim").values

@@ -208,6 +208,7 @@ class TestCommandDispatch:
 
         from repro.algorithms import PageRankProgram
         from repro.bsp.dense_ref import shard_plan
+        from repro.bsp.dense_shard import DenseLayout
         from repro.net.daemon import WorkerDaemon
         from repro.net.session import WorkerSession
 
@@ -229,13 +230,18 @@ class TestCommandDispatch:
             transport = TcpTransport(endpoints=[("127.0.0.1", daemon.port)])
             graph = generators.path(6)
             program = PageRankProgram(3)
-            for w, plan in enumerate((shard_plan(program), None)):
-                channels.append(transport.launch(WorkerInit(
-                    worker_id=w, graph=graph, vertex_ids=np.arange(w, 6, 2),
-                    program=program, model=DEFAULT_PERF_MODEL,
-                    assignment=np.arange(6) % 2, active_ids=None,
-                    heartbeat_interval=0.1, want_flight=False, plan=plan,
-                )))
+            plan, assignment = shard_plan(program), np.arange(6) % 2
+            channels.append(transport.launch(WorkerInit(
+                worker_id=0, program=program, model=DEFAULT_PERF_MODEL,
+                heartbeat_interval=0.1, want_flight=False, plan=plan,
+                shard=DenseLayout(graph, assignment, 2, plan).slice(0),
+            )))
+            channels.append(transport.launch(WorkerInit(
+                worker_id=1, graph=graph, vertex_ids=np.arange(1, 6, 2),
+                program=program, model=DEFAULT_PERF_MODEL,
+                assignment=assignment, active_ids=None,
+                heartbeat_interval=0.1, want_flight=False,
+            )))
             for cmd, expect in (("compute", "computed"), ("stop", "bye")):
                 for ch in channels:
                     ch.send((cmd, 0, (0, {})))
