@@ -14,7 +14,7 @@ from .combiners import Combiner, MaxCombiner, MinCombiner, SumCombiner
 from .dense_ref import DenseRefEngine, PlanRefusedError
 from .engine import BSPEngine, SuperstepObserver, run_job
 from .debug import InvariantChecker, MessageRecord, TracingProgram
-from .job import JobResult, JobSpec, RecoveryEvent
+from .job import JobResult, JobSpec, RecoveryEvent, VertexValues
 from .superstep import JobTrace, SuperstepStats, WorkerStepStats
 from .worker import PartitionWorker
 
@@ -44,6 +44,7 @@ __all__ = [
     "JobResult",
     "JobSpec",
     "RecoveryEvent",
+    "VertexValues",
     "JobTrace",
     "SuperstepStats",
     "WorkerStepStats",

@@ -782,9 +782,8 @@ class DenseShard:
             raise PlanRefusedError(_PEEL_INJECTED)
         self._injected.append((int(np.searchsorted(self.vertex_ids, dst)), payload))
 
-    @property
-    def states(self) -> dict[int, Any]:
-        return dict(zip(self.vertex_ids.tolist(), self.state.tolist()))
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.vertex_ids, self.state
 
     @property
     def active_count(self) -> int:

@@ -28,8 +28,10 @@ from ..cloud.costmeter import attribute_cost
 from ..cloud.memorymodel import MemoryModel
 from ..cloud.network import NetworkModel, TrafficSummary
 from ..partition.base import Partition
-from .api import MasterContext, VertexProgram
-from .job import JobResult, JobSpec, RecoveryEvent
+from .api import MasterContext
+from .job import (
+    JobResult, JobSpec, RecoveryEvent, VertexValues, extract_columns,
+)
 from .superstep import JobTrace, SuperstepStats
 from .telemetry import Telemetry
 from .worker import PartitionWorker
@@ -129,25 +131,16 @@ class BSPEngine:
         """Build :attr:`workers` in the job's initial state (overridden
         where the workers are :class:`~repro.bsp.dense_shard.DenseShard`\\ s,
         or views of remote sessions)."""
-        job = self.job
+        job, part = self.job, self.partition
         active_ids = job.initial_active_ids()
-        assignment = self.partition.assignment
-        self.workers: list[PartitionWorker] = []
-        for w in range(self.num_workers):
-            vids = self.partition.vertices_of(w)
-            worker = PartitionWorker(
-                worker_id=w,
-                graph=self.graph,
-                vertex_ids=vids,
-                program=job.program,
-                model=self.model,
-                assignment=assignment,
-                initially_active=active_ids is None,
+        self.workers: list[PartitionWorker] = [
+            PartitionWorker(
+                worker_id=w, graph=self.graph, vertex_ids=part.vertices_of(w),
+                program=job.program, model=self.model,
+                assignment=part.assignment, active_ids=active_ids,
             )
-            self.workers.append(worker)
-        if active_ids is not None and len(active_ids):
-            for v in active_ids:
-                self.workers[int(assignment[v])].halted[int(v)] = False
+            for w in range(self.num_workers)
+        ]
 
     # ------------------------------------------------------------------
     # Control-plane message injection (job-manager originated)
@@ -434,7 +427,7 @@ class BSPEngine:
                 worker_id=w, graph=self.graph,
                 vertex_ids=np.empty(0, dtype=np.int64),
                 program=self.job.program, model=self.model,
-                assignment=new, initially_active=False,
+                assignment=new,
             ))
         moving = np.flatnonzero(old != new).tolist()
         for v in moving:
@@ -449,18 +442,9 @@ class BSPEngine:
         self.num_workers = partition.num_parts
         return len(moving)
 
-    def _extract_values(self) -> dict[int, Any]:
+    def _extract_values(self) -> VertexValues:
         """Collect the user-facing result values from every worker."""
-        program = self.job.program
-        identity = type(program).extract is VertexProgram.extract
-        values: dict[int, Any] = {}
-        for w in self.workers:
-            if identity:
-                values.update(w.states)
-                continue
-            for v, st in w.states.items():
-                values[v] = program.extract(v, st)
-        return values
+        return VertexValues.concat(extract_columns(w) for w in self.workers)
 
     # ------------------------------------------------------------------
     # Checkpointing and failure recovery (Pregel-style coordinated rollback)

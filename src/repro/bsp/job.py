@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -15,7 +17,8 @@ from ..partition.hashing import HashPartitioner
 from .api import VertexProgram
 from .superstep import JobTrace
 
-__all__ = ["JobSpec", "JobResult", "RecoveryEvent"]
+__all__ = ["JobSpec", "JobResult", "RecoveryEvent", "VertexValues",
+           "extract_columns"]
 
 
 @dataclass
@@ -106,11 +109,61 @@ class RecoveryEvent:
     recovery_seconds: float
 
 
+class VertexValues(Mapping):
+    """A job's result, read-only: vertex id -> value, held as an id column
+    (``ids``) and a value column (``array``, numeric or objects), worker by
+    worker.  ``values[v]`` is ``array.item(i)``, the Python scalar or object
+    ``tolist()`` gives, found by an index built on the first lookup."""
+
+    def __init__(self, ids: np.ndarray, array: np.ndarray) -> None:
+        self.ids, self.array, self._pos = ids, array, None
+
+    @classmethod
+    def concat(cls, columns: Iterable[tuple]) -> VertexValues:
+        """One mapping from per-worker ``(ids, values)`` columns, in order."""
+        ids, vals = zip(*columns)
+        return cls(np.concatenate(ids), np.concatenate(vals))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __getitem__(self, v: Any) -> Any:
+        if self._pos is None:
+            self._pos = np.full(int(self.ids.max(initial=-1)) + 1, -1, np.intp)
+            self._pos[self.ids] = np.arange(len(self.ids))
+        try:
+            i = self._pos[operator.index(v)] if v >= 0 else -1
+        except (TypeError, IndexError):
+            i = -1
+        if i < 0:
+            raise KeyError(v)
+        return self.array.item(i)
+
+    def __repr__(self) -> str:
+        return f"VertexValues({dict(self)!r})"
+
+
+def extract_columns(worker: Any) -> tuple:
+    """A worker's ``(ids, values)`` result columns: its final states,
+    through its program's ``extract`` (into objects) when that is overridden."""
+    ids, states = worker.columns()
+    program = worker.program
+    if type(program).extract is VertexProgram.extract:
+        return ids, states
+    out = map(program.extract, ids.tolist(), states.tolist())
+    return ids, np.fromiter(out, dtype=object, count=len(ids))
+
+
 @dataclass
 class JobResult:
-    """Outcome of a BSP job run."""
+    """Outcome of a BSP job run; ``values`` is a read-only
+    :class:`VertexValues` mapping over the id and value columns (``.ids``,
+    ``.array``) concatenated from the workers'."""
 
-    values: dict[int, Any]
+    values: VertexValues
     trace: JobTrace
     supersteps: int
     halted: bool
@@ -142,8 +195,7 @@ class JobResult:
 
     def values_array(self, dtype=float) -> np.ndarray:
         """Dense result vector indexed by vertex id (for numeric programs)."""
-        n = max(self.values) + 1 if self.values else 0
-        out = np.zeros(n, dtype=dtype)
-        for v, val in self.values.items():
-            out[v] = val
+        ids = self.values.ids
+        out = np.zeros(int(ids.max(initial=-1)) + 1, dtype=dtype)
+        out[ids] = self.values.array
         return out

@@ -125,10 +125,6 @@ class SuperstepStats:
         mean = per.mean() if len(per) else 0.0
         return float(per.max() / mean) if mean > 0 else 1.0
 
-    @property
-    def any_restart(self) -> bool:
-        return any(w.restarted for w in self.workers)
-
 
 @dataclass
 class JobTrace:

@@ -36,7 +36,7 @@ class PartitionWorker:
         program: VertexProgram,
         model: PerfModel,
         assignment: np.ndarray,
-        initially_active: bool = True,
+        active_ids: np.ndarray | None = None,
     ) -> None:
         self.worker_id = worker_id
         self.graph = graph
@@ -57,8 +57,10 @@ class PartitionWorker:
             self._state_bytes[vi] = nb
             self.total_state_bytes += nb
 
+        # active at superstep 0: every vertex, or those in active_ids
+        awake = None if active_ids is None else set(np.asarray(active_ids).tolist())
         self.halted: dict[int, bool] = {
-            int(v): not initially_active for v in self.vertex_ids
+            v: awake is not None and v not in awake for v in self.vertex_ids.tolist()
         }
 
         # Message buffers: current superstep's input and next superstep's.
@@ -417,6 +419,11 @@ class PartitionWorker:
             + self.out_remote_wire_bytes
             + self.overlay_bytes
         )
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hosted vertex ids and their state objects, in ``states`` order."""
+        return (np.fromiter(self.states, np.int64, len(self.states)),
+                np.fromiter(self.states.values(), object, len(self.states)))
 
     # ------------------------------------------------------------------
     # Vertex migration (BSPEngine.migrate)

@@ -70,7 +70,7 @@ import numpy as np
 from ..bsp.dense_ref import shard_plan
 from ..bsp.dense_shard import DenseLayout
 from ..bsp.engine import BSPEngine
-from ..bsp.job import JobResult, JobSpec
+from ..bsp.job import JobResult, JobSpec, VertexValues
 from ..bsp.superstep import SuperstepStats, WorkerStepStats
 from ..net.transport import (
     PipeTransport,
@@ -264,13 +264,8 @@ class ProcessBSPEngine(BSPEngine):
             for w in range(self.num_workers):
                 self._handles[w] = self._launch_worker(w, layout)
             del layout  # the sessions hold their slices; a respawn re-slices
-            epoch = self._epoch
-            for h in self._handles:
-                self._send(h, ("inject", epoch, []))
-            self.workers = [
-                _WorkerView(h.worker_id, self._expect(h, "ok", epoch))
-                for h in self._handles
-            ]
+            reports = self._ask_all("inject", "ok", [[]] * self.num_workers)
+            self.workers = [_WorkerView(w, r) for w, r in enumerate(reports)]
         except Exception:
             self.shutdown()
             raise
@@ -319,11 +314,9 @@ class ProcessBSPEngine(BSPEngine):
         """Every worker drains its input buffer concurrently."""
         self._flush_injections()
         self._drain_heartbeats()
-        epoch = self._epoch
         handles = self._handles
-        for h in handles:
-            self._send(h, ("compute", epoch, (self.superstep, self._agg_values)))
-        computed = [self._expect(h, "computed", epoch) for h in handles]
+        computed = self._ask_all("compute", "computed",
+                                 [(self.superstep, self._agg_values)] * len(handles))
         for h, rep in zip(handles, computed):
             # How long ago the compute ended: the remote stamp mapped
             # through the channel's clock alignment, not reply arrival.
@@ -338,7 +331,6 @@ class ProcessBSPEngine(BSPEngine):
         """Route each source's frames to their destinations in
         source-worker-id order (the sequential engine's delivery order),
         then fold every worker's barrier reply into its view."""
-        epoch = self._epoch
         handles = self._handles
         computed, self._computed = self._computed, None
         inbound: list[list] = [[] for _ in range(self.num_workers)]
@@ -346,9 +338,7 @@ class ProcessBSPEngine(BSPEngine):
             for dst, frame in sorted(rep["frames"].items()):
                 inbound[dst].append((h.worker_id, frame))
                 self.telemetry.frame(len(frame))
-        for h in handles:
-            self._send(h, ("deliver", epoch, inbound[h.worker_id]))
-        delivered = [self._expect(h, "delivered", epoch) for h in handles]
+        delivered = self._ask_all("deliver", "delivered", inbound)
 
         violations = getattr(self.job.program, "violations", None)
         for view, h, comp, deliv in zip(
@@ -395,14 +385,11 @@ class ProcessBSPEngine(BSPEngine):
         # sequential engine injects straight into in_next, which
         # snapshot() captures).
         self._flush_injections()
-        epoch = self._epoch
-        for h in self._handles:
-            self._send(h, ("snapshot", epoch, None))
-        snaps = [self._expect(h, "snapshotted", epoch) for h in self._handles]
         return {
             "superstep": superstep,
             "agg_values": dict(self._agg_values),
-            "workers": snaps,
+            "workers": self._ask_all("snapshot", "snapshotted",
+                                     [None] * self.num_workers),
         }
 
     def _fail_worker(self, worker_id: int) -> None:
@@ -445,7 +432,6 @@ class ProcessBSPEngine(BSPEngine):
 
     def _restore_once(self) -> None:
         self._epoch += 1  # replies from before the rollback are now stale
-        epoch = self._epoch
         for i, h in enumerate(self._handles):
             if h is None or not h.alive or not h.healthy():
                 if h is not None:
@@ -464,13 +450,9 @@ class ProcessBSPEngine(BSPEngine):
                 self.telemetry.respawn(i, self._respawns, self._max_respawns)
             else:
                 self._drain(h)
-        snaps = self._checkpoint["workers"]
-        for h in self._handles:
-            self._send(h, ("restore", epoch, snaps[h.worker_id]))
-        for h in self._handles:
-            self.workers[h.worker_id].apply_report(
-                self._expect(h, "restored", epoch)
-            )
+        reports = self._ask_all("restore", "restored", self._checkpoint["workers"])
+        for view, report in zip(self.workers, reports):
+            view.apply_report(report)
 
     def worker_liveness(self) -> list[dict]:
         """Real per-worker liveness (the /healthz view of the fleet)."""
@@ -488,14 +470,9 @@ class ProcessBSPEngine(BSPEngine):
             })
         return out
 
-    def _extract_values(self) -> dict[int, Any]:
-        epoch = self._epoch
-        for h in self._handles:
-            self._send(h, ("extract", epoch, None))
-        values: dict[int, Any] = {}
-        for h in self._handles:
-            values.update(self._expect(h, "extracted", epoch))
-        return values
+    def _extract_values(self) -> VertexValues:
+        return VertexValues.concat(
+            self._ask_all("extract", "extracted", [None] * self.num_workers))
 
     # ------------------------------------------------------------------
     # Worker lifecycle and the request/reply protocol, written against
@@ -550,6 +527,15 @@ class ProcessBSPEngine(BSPEngine):
         self._mark_dead(h)
         h.kill()
         h.close()
+
+    def _ask_all(self, cmd: str, reply: str, payloads: list) -> list:
+        """Send session ``w`` ``(cmd, epoch, payloads[w])``, every session
+        before reading any reply so they work in parallel; the replies in
+        worker-id order."""
+        epoch = self._epoch
+        for h, payload in zip(self._handles, payloads):
+            self._send(h, (cmd, epoch, payload))
+        return [self._expect(h, reply, epoch) for h in self._handles]
 
     def _send(self, h: WorkerChannel, msg: tuple) -> None:
         self._drain(h)

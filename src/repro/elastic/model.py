@@ -20,7 +20,7 @@ the projected win survives realistic scaling costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -66,8 +66,9 @@ __all__ = ["PROTOCOL_VERSION", "WorkerDaemon", "serve"]
 #: shard session its slice of the arc layout (``WorkerInit.shard``: rows,
 #: grouped ``dst``, source runs, rows per worker, and weights or a peel
 #: plan's neighbour ids when the plan reads them) in place of the whole
-#: graph and assignment.
-PROTOCOL_VERSION = 6
+#: graph and assignment; v7's ``extracted`` reply is the session's
+#: ``(ids, values)`` column pair, not a ``vertex -> value`` dict.
+PROTOCOL_VERSION = 7
 
 
 async def read_stream_frame(

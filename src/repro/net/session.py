@@ -29,7 +29,8 @@ epoch so the coordinator can discard ones that predate a recovery):
               flight-event tail, captured output
 ``snapshot`` / ``restore``  checkpointing via the worker's own
               snapshot()/restore()
-``extract``   map final vertex states through ``program.extract``
+``extract``   the final ``(ids, values)`` columns, values through
+              ``program.extract`` when it is overridden
 ``stop``      acknowledged with ``bye``; the caller ends the loop
 
 Exceptions inside a handler come back as ``("error", epoch, traceback)``
@@ -44,6 +45,7 @@ from time import perf_counter
 from typing import Any, Callable
 
 from ..bsp.dense_shard import DenseShard
+from ..bsp.job import extract_columns
 from ..bsp.worker import PartitionWorker
 from .codec import pack_frame, unpack_frame
 from .transport import WorkerInit, monotonic_now
@@ -92,21 +94,12 @@ class WorkerSession:
             self.worker = DenseShard(init.shard, init.program, init.model,
                                      init.plan)
         else:
-            assignment, active_ids = init.assignment, init.active_ids
             self.worker = PartitionWorker(
-                worker_id=worker_id,
-                graph=init.graph,
-                vertex_ids=init.vertex_ids,
-                program=init.program,
-                model=init.model,
-                assignment=assignment,
-                initially_active=active_ids is None,
+                worker_id=worker_id, graph=init.graph,
+                vertex_ids=init.vertex_ids, program=init.program,
+                model=init.model, assignment=init.assignment,
+                active_ids=init.active_ids,
             )
-            if active_ids is not None:
-                for v in active_ids:
-                    v = int(v)
-                    if int(assignment[v]) == worker_id:
-                        self.worker.halted[v] = False
         self._violations_seen = 0
 
     def handle(self, cmd: str, epoch: int, payload: Any) -> tuple:
@@ -201,9 +194,5 @@ class WorkerSession:
             worker.restore(payload)
             return ("restored", epoch, worker_report(worker))
         if cmd == "extract":
-            prog = worker.program
-            return ("extracted", epoch, {
-                int(v): prog.extract(int(v), st)
-                for v, st in worker.states.items()
-            })
+            return ("extracted", epoch, extract_columns(worker))
         raise ValueError(f"unknown command {cmd!r}")

@@ -86,7 +86,6 @@ class ClockSync:
         # One-way drift tracking: first sample anchors the bias, later
         # samples regress (local_t, delta - anchor) to a drift rate.
         self._oneway_anchor: Optional[Tuple[float, float]] = None
-        self._oneway_last: Optional[Tuple[float, float]] = None
         self._oneway_count = 0
         self._drift = 0.0
 
@@ -111,7 +110,6 @@ class ClockSync:
         self._handshakes += 1
         # A fresh base invalidates the one-way bias anchor.
         self._oneway_anchor = None
-        self._oneway_last = None
         self._drift = 0.0
 
     def observe_oneway(self, remote_t: float, local_t: float) -> None:
@@ -120,10 +118,8 @@ class ClockSync:
         self._oneway_count += 1
         if self._oneway_anchor is None:
             self._oneway_anchor = (local_t, delta)
-            self._oneway_last = (local_t, delta)
             return
         t_a, d_a = self._oneway_anchor
-        self._oneway_last = (local_t, delta)
         span = local_t - t_a
         if span > 1e-9:
             # Drift rate in seconds of remote clock per second of local
@@ -321,9 +317,6 @@ class ClusterScraper:
         self.local_name = local_name
         self.timeout = timeout
         self._fetch = fetch or scrape_url
-
-    def add_member(self, name: str, url: str) -> None:
-        self.members.append(ClusterMember(name, url))
 
     # -- scraping -----------------------------------------------------
     def scrape(self) -> Tuple[MetricsRegistry, Dict[str, Any]]:

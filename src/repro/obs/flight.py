@@ -131,7 +131,6 @@ class FlightRecorder:
         self._next_seq = 0
         self.dropped = 0
         self._sink = None
-        self._sink_path: Path | None = None
         self._sink_pending = 0
         self._dropped_counter = None
 
@@ -315,16 +314,11 @@ class FlightRecorder:
         with self._lock:
             if self._sink is not None:
                 raise RuntimeError("a sink is already attached")
-            self._sink_path = Path(path)
-            self._sink = open(self._sink_path, "w")
+            self._sink = open(path, "w")
             for e in self._ring:
                 self._sink.write(json.dumps(e.to_dict()) + "\n")
             self._sink.flush()
             self._sink_pending = 0
-
-    @property
-    def sink_path(self) -> Path | None:
-        return self._sink_path
 
     def flush(self) -> None:
         with self._lock:

@@ -71,7 +71,6 @@ class SwathController(SuperstepObserver):
         self._window_size = 0
         self._steps_since_initiation = 0
         self._messages_history: list[int] = []
-        self._started_any = False
         # Sizer decisions ride the same registry as controller telemetry
         # (repro_swath_size / repro_swath_probe_mem_bytes) unless the
         # sizer was given its own.
@@ -150,7 +149,6 @@ class SwathController(SuperstepObserver):
         self._steps_since_initiation = 0
         self._messages_history = []
         self.initiation.reset()
-        self._started_any = True
         if self.metrics is not None:
             self.metrics.counter(
                 "swath_initiations_total",

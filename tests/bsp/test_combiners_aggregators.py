@@ -16,7 +16,6 @@ from repro.bsp import (
     VertexProgram,
     run_job,
 )
-from repro.graph import generators as gen
 
 
 class TestCombinerPrimitives:

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.bsp import BSPEngine, JobSpec, SumCombiner, VertexProgram, run_job
+from repro.bsp import BSPEngine, JobSpec, VertexProgram, run_job
 from repro.cloud import SMALL_VM
 from repro.graph import generators as gen
-from repro.graph.builder import from_edges
 
 
 class EchoOnce(VertexProgram):

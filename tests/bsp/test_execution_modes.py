@@ -1,9 +1,6 @@
 """Disk-buffered and MapReduce-style execution modes."""
 
-from dataclasses import replace
-
 import numpy as np
-import pytest
 
 from repro.algorithms import PageRankProgram, pagerank_reference
 from repro.bsp import JobSpec, run_job

@@ -10,7 +10,6 @@ from repro.algorithms import (
     PageRankProgram,
 )
 from repro.bsp import JobSpec, SumAggregator, VertexProgram, run_job
-from repro.graph import generators as gen
 from tests.conftest import to_networkx
 
 

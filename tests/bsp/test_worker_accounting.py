@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bsp import BSPEngine, JobSpec, VertexProgram, run_job
+from repro.bsp import JobSpec, VertexProgram, run_job
 from repro.cloud.costmodel import PerfModel
 from repro.graph import generators as gen
 

@@ -9,8 +9,6 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.algorithms import (
     ConnectedComponentsProgram,
     KCoreProgram,

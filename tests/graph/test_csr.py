@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.graph import generators as gen
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
 
