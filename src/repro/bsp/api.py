@@ -87,20 +87,22 @@ class VertexContext:
     hygiene; programs must not retain references across calls.
     """
 
-    __slots__ = ("_worker", "_vertex", "_superstep", "_halted_flag")
+    __slots__ = ("_worker", "_vertex", "_superstep", "_halted_flag",
+                 "_num_vertices")
 
     def __init__(self) -> None:
         self._worker = None
         self._vertex = -1
         self._superstep = -1
         self._halted_flag = False
+        self._num_vertices = 0
 
-    # Wired by the worker before each compute() call.
-    def _bind(self, worker, vertex: int, superstep: int) -> None:
+    # Wired by the worker once per superstep; before each compute() call
+    # it sets only ``_vertex`` and clears ``_halted_flag``.
+    def _bind(self, worker, superstep: int) -> None:
         self._worker = worker
-        self._vertex = vertex
         self._superstep = superstep
-        self._halted_flag = False
+        self._num_vertices = worker.graph.num_vertices
 
     # ------------------------------------------------------------------
     @property
@@ -116,7 +118,7 @@ class VertexContext:
     @property
     def num_vertices(self) -> int:
         """Total vertices in the graph."""
-        return self._worker.graph.num_vertices
+        return self._num_vertices
 
     @property
     def out_degree(self) -> int:

@@ -13,6 +13,7 @@ pairwise in arrival order.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from typing import Any
 
@@ -30,8 +31,8 @@ class Combiner(ABC):
 class SumCombiner(Combiner):
     """Numeric sum (PageRank's rank mass)."""
 
-    def combine(self, a, b):
-        return a + b
+    #: ``a + b``, called without a Python frame (a fold per message)
+    combine = staticmethod(operator.add)
 
 
 class MinCombiner(Combiner):

@@ -538,9 +538,13 @@ class DenseShard:
         """The next superstep's messages as one bucket, each row's in
         arrival order — the data plane's, then injected ones — and the
         message count per row: with a combiner its box flag, plus the
-        injected messages, which stay uncombined."""
+        injected messages, which stay uncombined.  When a combiner's boxes
+        are all there is, the bucket is ``(None, box column)``: a row holds
+        at most one box, so the column is already the fold."""
         parts = self._segs
         count = None
+        if self._has is not None and not self._injected:
+            return (None, self._box.copy()), self._has.astype(np.int64)
         if self._has is not None:
             boxed = np.flatnonzero(self._has)
             parts = [(boxed, self._box[boxed])]
@@ -592,7 +596,9 @@ class DenseShard:
         if reduce == "count":
             return msg_count
         mdt = self._mdt
-        if reduce in _FOLD:
+        if pend_dst is None:  # a combiner's box column (see _queued)
+            reduced = pend_val
+        elif reduce in _FOLD:
             reduced = _fold(reduce, self.n, pend_dst, pend_val, mdt)
         elif reduce == "mode":
             reduced = self._gather_mode(pend_dst, pend_val, msg_count)
@@ -721,7 +727,7 @@ class DenseShard:
         (pending, msg_count), self._pending = self._pending, None
         computed, sends, self._agg_partials = self._step(pending, msg_count)
         self.stats.compute_calls = int(np.count_nonzero(computed))
-        self.stats.msgs_in = len(pending[0])
+        self.stats.msgs_in = int(msg_count.sum())
         self._route(sends)
 
     def _route(self, sends: list) -> None:

@@ -142,6 +142,27 @@ class VertexValues(Mapping):
             raise KeyError(v)
         return self.array.item(i)
 
+    def __eq__(self, other: Any) -> bool:
+        """``Mapping`` equality; between two results, over the columns.
+
+        Both id columns are sorted and matched, then the values compared
+        per id: as arrays when both are numbers of one kind, else item by
+        item with the dict rule ``a is b or a == b`` (so a float NaN is
+        unequal to itself, as two dicts of ``tolist()`` values find)."""
+        if not isinstance(other, VertexValues):
+            return super().__eq__(other)
+        mine, theirs = np.argsort(self.ids), np.argsort(other.ids)
+        ids, other_ids = self.ids[mine], other.ids[theirs]
+        if (ids[1:] == ids[:-1]).any() or (other_ids[1:] == other_ids[:-1]).any():
+            return super().__eq__(other)  # repeated ids: Mapping's dict rule
+        if not np.array_equal(ids, other_ids):
+            return False
+        a, b = self.array[mine], other.array[theirs]
+        kinds = {a.dtype.kind, b.dtype.kind}
+        if len(kinds) == 1 and kinds <= set("biuf"):
+            return bool((a == b).all())
+        return all(x is y or x == y for x, y in zip(a.tolist(), b.tolist()))
+
     def __repr__(self) -> str:
         return f"VertexValues({dict(self)!r})"
 

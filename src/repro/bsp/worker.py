@@ -24,6 +24,9 @@ from .superstep import WorkerStepStats
 
 __all__ = ["PartitionWorker"]
 
+#: a missing dict entry (a combined box, like an aggregate, may be ``None``)
+_MISSING = object()
+
 
 class PartitionWorker:
     """One simulated worker VM's slice of the BSP computation."""
@@ -63,17 +66,29 @@ class PartitionWorker:
             v: awake is not None and v not in awake for v in self.vertex_ids.tolist()
         }
 
-        # Message buffers: current superstep's input and next superstep's.
-        self.in_cur: dict[int, list] = {}
-        self.in_next: dict[int, list] = {}
+        # Adjacency read as Python ints, zero copy (the mutation overlay
+        # below keeps its own lists).
+        self._indptr = memoryview(graph.indptr)
+        self._indices = memoryview(graph.indices)
+
+        # Message buffers: current superstep's input and next superstep's,
+        # one box per destination vertex.  With a combiner a box is the
+        # folded payload itself; without one it is the payload list.
+        # Injected control messages queue apart, uncombined, and follow
+        # the data plane's box into compute().
+        self._combine = None if program.combiner is None else program.combiner.combine
+        self.in_cur: dict[int, Any] = {}
+        self.in_next: dict[int, Any] = {}
+        self._injected_cur: dict[int, list] = {}
+        self._injected: dict[int, list] = {}
         self.in_next_payload_bytes = 0.0
 
         # Remote out buffers for the running superstep.  During compute
         # every non-hosted destination gets one box in the flat
         # ``_pending`` dict; run_compute() ends by splitting it into
-        # dst_worker -> dst_vertex -> list (or combined single payload).
-        self._pending: dict[int, list] = {}
-        self.out_remote: dict[int, dict[int, list]] = {}
+        # dst_worker -> dst_vertex -> box.
+        self._pending: dict[int, Any] = {}
+        self.out_remote: dict[int, dict[int, Any]] = {}
         self.out_remote_wire_bytes = 0.0
 
         self.refresh_partition_footprint()
@@ -101,6 +116,8 @@ class PartitionWorker:
         self._apply_mutations()
         self.in_cur = self.in_next
         self.in_next = {}
+        self._injected_cur = self._injected
+        self._injected = {}
         self.in_next_payload_bytes = 0.0
         self._pending = {}
         self.out_remote = {}
@@ -115,7 +132,8 @@ class PartitionWorker:
     def compute_set(self) -> list[int]:
         """Vertices that must run compute() this superstep (sorted)."""
         pending = set(self.in_cur)
-        pending.update(v for v, h in self.halted.items() if not h)
+        pending.update(self._injected_cur)
+        pending.update([v for v, h in self.halted.items() if not h])
         return sorted(pending)
 
     def run_compute(self) -> None:
@@ -127,25 +145,33 @@ class PartitionWorker:
         states = self.states
         state_bytes = self._state_bytes
         halted = self.halted
-        pop_msgs = self.in_cur.pop
+        pop_box = self.in_cur.pop
+        injected = self._injected_cur
+        combined = self._combine is not None
         ctx = self._ctx
-        bind = ctx._bind
-        superstep = self._superstep
-        calls = msgs_in = 0
-        for v in self.compute_set():
-            msgs = pop_msgs(v, ())
-            bind(self, v, superstep)
+        ctx._bind(self, self._superstep)
+        order = self.compute_set()
+        # every queued message is handed to a compute() call below
+        self.stats.msgs_in += self._queue_depth(self.in_cur, injected)
+        for v in order:
+            if combined:
+                box = pop_box(v, _MISSING)
+                msgs = () if box is _MISSING else (box,)
+            else:
+                msgs = pop_box(v, ())
+            if injected and v in injected:
+                msgs = [*msgs, *injected.pop(v)]
+            ctx._vertex = v
+            ctx._halted_flag = False
             states[v] = new_state = compute(ctx, states[v], msgs)
             nb = int(state_nbytes(new_state))
             if nb != state_bytes[v]:
                 self.total_state_bytes += nb - state_bytes[v]
                 state_bytes[v] = nb
             halted[v] = ctx._halted_flag
-            calls += 1
-            msgs_in += len(msgs)
         self.in_cur = {}
-        self.stats.compute_calls += calls
-        self.stats.msgs_in += msgs_in
+        self._injected_cur = {}
+        self.stats.compute_calls += len(order)
         self._route_pending()
 
     # ------------------------------------------------------------------
@@ -158,9 +184,11 @@ class PartitionWorker:
         return self.graph.neighbors(v)
 
     def effective_out_degree(self, v: int) -> int:
-        if v in self._overlay:
-            return len(self._overlay[v])
-        return self.graph.out_degree(v)
+        overlay = self._overlay
+        if overlay and v in overlay:
+            return len(overlay[v])
+        indptr = self._indptr
+        return indptr[v + 1] - indptr[v]
 
     def effective_neighbor_weights(self, v: int):
         """Out-edge weights aligned with :meth:`effective_neighbors`.
@@ -206,7 +234,8 @@ class PartitionWorker:
     # A destination is local iff this worker hosts it.  Counters track
     # *post-combine* messages — what is actually buffered and transferred,
     # the quantity the paper plots; combining folds an emit into an
-    # existing buffered message at no extra cost.  emit() and
+    # existing box at no extra cost.  With a combiner a box is the folded
+    # payload, so folding creates no object.  emit() and
     # emit_to_neighbors() state the same box rule twice (the bulk loop is
     # the hot path); tests/bsp/test_message_plane.py holds them equal.
     # ------------------------------------------------------------------
@@ -218,15 +247,15 @@ class PartitionWorker:
             boxes = self._pending
         else:
             raise ValueError(f"message to unknown vertex {dst}")
-        box = boxes.get(dst)
-        if box is None:
-            box = boxes[dst] = []
-        program = self.program
-        if box and program.combiner is not None:
-            box[0] = program.combiner.combine(box[0], payload)
+        combine = self._combine
+        if dst not in boxes:
+            boxes[dst] = payload if combine is not None else [payload]
+        elif combine is not None:
+            boxes[dst] = combine(boxes[dst], payload)
             return
-        box.append(payload)
-        nb = program.payload_nbytes(payload)
+        else:
+            boxes[dst].append(payload)
+        nb = self.program.payload_nbytes(payload)
         if local:
             self.in_next_payload_bytes += nb
             self.stats.msgs_out_local += 1
@@ -240,16 +269,18 @@ class PartitionWorker:
         Every recipient gets the same object; accounting is done once per
         call (fresh boxes x payload bytes).
         """
-        nbrs = self._overlay.get(v)
-        if nbrs is None:
-            indptr = self.graph.indptr
-            nbrs = self.graph.indices[indptr[v]:indptr[v + 1]].tolist()
+        overlay = self._overlay
+        if overlay and v in overlay:
+            nbrs = overlay[v]
+        else:
+            indptr = self._indptr
+            nbrs = self._indices[indptr[v]:indptr[v + 1]]
         states = self.states
         in_next = self.in_next
         pending = self._pending
-        combiner = self.program.combiner
+        combine = self._combine
         local = remote = 0
-        if combiner is None:
+        if combine is None:
             for u in nbrs:
                 if u in states:
                     box = in_next.get(u)
@@ -266,27 +297,17 @@ class PartitionWorker:
                         box.append(payload)
                     remote += 1
         else:
-            combine = combiner.combine
             for u in nbrs:
                 if u in states:
-                    box = in_next.get(u)
-                    if box:
-                        box[0] = combine(box[0], payload)
-                        continue
-                    if box is None:
-                        in_next[u] = [payload]
+                    if u in in_next:
+                        in_next[u] = combine(in_next[u], payload)
                     else:
-                        box.append(payload)
-                    local += 1
+                        in_next[u] = payload
+                        local += 1
+                elif u in pending:
+                    pending[u] = combine(pending[u], payload)
                 else:
-                    box = pending.get(u)
-                    if box:
-                        box[0] = combine(box[0], payload)
-                        continue
-                    if box is None:
-                        pending[u] = [payload]
-                    else:
-                        box.append(payload)
+                    pending[u] = payload
                     remote += 1
         if local or remote:
             nb = self.program.payload_nbytes(payload)
@@ -304,30 +325,42 @@ class PartitionWorker:
             return
         keys = np.fromiter(pending, dtype=np.int64, count=len(pending))
         owners = self.assignment[keys].tolist()
-        out = self.out_remote
+        # one bucket per owner, in first-emit order of the owners
+        out = self.out_remote = {dw: {} for dw in dict.fromkeys(owners)}
         for (dst, box), dw in zip(pending.items(), owners):
-            bucket = out.get(dw)
-            if bucket is None:
-                bucket = out[dw] = {}
-            bucket[dst] = box
+            out[dw][dst] = box
 
     def deliver_bucket(self, bucket: dict) -> tuple[int, float]:
-        """Accept one source worker's whole bucket: ``dst -> payloads``
-        for vertices hosted here, in the sender's emission order.
+        """Accept one source worker's whole bucket: ``dst -> box`` for
+        vertices hosted here, in the sender's emission order.
 
         Returns ``(messages, wire bytes)`` received, for the engine's
-        traffic matrix.  With a combiner, arriving payloads fold into the
-        buffered one; buffered bytes grow only when a box gains an element.
+        traffic matrix.  With a combiner each box is one folded payload,
+        which folds into the buffered one; buffered bytes grow only when
+        a vertex gains a box (combiner) or a payload (none).
         """
-        program = self.program
-        payload_nbytes = program.payload_nbytes
+        payload_nbytes = self.program.payload_nbytes
         wire_bytes = self.model.message_wire_bytes
-        combiner = program.combiner
+        combine = self._combine
         in_next = self.in_next
-        msgs = 0
         wire = 0.0
         buffered = 0
         last_nb = last_wire = None
+        if combine is not None:
+            for dst, p in bucket.items():
+                nb = payload_nbytes(p)
+                if nb != last_nb:
+                    last_nb = nb
+                    last_wire = wire_bytes(nb)
+                wire += last_wire
+                if dst in in_next:
+                    in_next[dst] = combine(in_next[dst], p)
+                else:
+                    in_next[dst] = p
+                    buffered += nb
+            self.in_next_payload_bytes += buffered
+            return len(bucket), wire
+        msgs = 0
         for dst, payloads in bucket.items():
             box = in_next.get(dst)
             if box is None:
@@ -339,27 +372,24 @@ class PartitionWorker:
                     last_nb = nb
                     last_wire = wire_bytes(nb)
                 wire += last_wire
-                if combiner is not None and box:
-                    box[0] = combiner.combine(box[0], p)
-                else:
-                    box.append(p)
-                    buffered += nb
+                box.append(p)
+                buffered += nb
         self.in_next_payload_bytes += buffered
         return msgs, wire
 
-    def deliver_remote(self, dst: int, payloads: list) -> float:
-        """Accept a batch of remote messages for local vertex ``dst``;
-        returns the wire bytes received (single-box :meth:`deliver_bucket`).
-        """
-        return self.deliver_bucket({dst: payloads})[1]
+    def deliver_remote(self, dst: int, box: Any) -> float:
+        """Accept one remote box for local vertex ``dst``; returns the wire
+        bytes received (single-box :meth:`deliver_bucket`)."""
+        return self.deliver_bucket({dst: box})[1]
 
     def inject(self, dst: int, payload: Any) -> None:
         """Control-plane activation message (job-manager originated).
 
-        Wakes ``dst`` next superstep; carries no data-plane cost (the paper's
-        manager uses the cheap Azure queues for control traffic).
+        Wakes ``dst`` next superstep, after the data plane's box and never
+        combined; carries no data-plane cost (the paper's manager uses the
+        cheap Azure queues for control traffic).
         """
-        self.in_next.setdefault(dst, []).append(payload)
+        self._injected.setdefault(dst, []).append(payload)
 
     # ------------------------------------------------------------------
     # Aggregators
@@ -371,9 +401,12 @@ class PartitionWorker:
         self._agg_partials[name] = agg.reduce(self._agg_partials[name], value)
 
     def aggregated(self, name: str) -> Any:
+        value = self._agg_previous.get(name, _MISSING)
+        if value is not _MISSING:
+            return value
         if name not in self._aggregators:
             raise KeyError(f"unknown aggregator {name!r}")
-        return self._agg_previous.get(name, self._aggregators[name].identity())
+        return self._aggregators[name].identity()
 
     # ------------------------------------------------------------------
     # Introspection used by the engine
@@ -385,11 +418,16 @@ class PartitionWorker:
 
     @property
     def has_buffered_messages(self) -> bool:
-        return bool(self.in_next)
+        return bool(self.in_next) or bool(self._injected)
 
     def buffered_message_count(self) -> int:
         """Messages buffered for the next superstep (post-combine)."""
-        return sum(len(box) for box in self.in_next.values())
+        return self._queue_depth(self.in_next, self._injected)
+
+    def _queue_depth(self, boxes: dict, injected: dict) -> int:
+        boxed = (len(boxes) if self._combine is not None
+                 else sum(map(len, boxes.values())))
+        return boxed + sum(map(len, injected.values()))
 
     def buffered_message_bytes(self) -> float:
         """Wire-equivalent bytes of messages buffered for the next superstep."""
@@ -429,20 +467,29 @@ class PartitionWorker:
     # Vertex migration (BSPEngine.migrate)
     # ------------------------------------------------------------------
     def export_vertex(self, v: int) -> tuple:
-        """Detach a vertex's live data for migration to another worker."""
+        """Detach a vertex's live data for migration to another worker:
+        ``(state, halted, box, injected, overlay)``, ``box`` being
+        ``_MISSING`` when none is buffered."""
         if v not in self.states:
             raise KeyError(f"vertex {v} not hosted by worker {self.worker_id}")
         state = self.states.pop(v)
         nb = self._state_bytes.pop(v)
         self.total_state_bytes -= nb
         halted = self.halted.pop(v)
-        pending = self.in_next.pop(v, [])
-        for p in pending:
+        box = self.in_next.pop(v, _MISSING)
+        injected = self._injected.pop(v, [])
+        for p in (*self._box_payloads(box), *injected):
             self.in_next_payload_bytes -= self.program.payload_nbytes(p)
         overlay = self._overlay.pop(v, None)
         if overlay is not None:
             self.overlay_bytes -= 16 + 8 * len(overlay)
-        return state, halted, pending, overlay
+        return state, halted, box, injected, overlay
+
+    def _box_payloads(self, box: Any) -> Any:
+        """The payloads a box holds, in order."""
+        if box is _MISSING:
+            return ()
+        return box if self._combine is None else (box,)
 
     def refresh_partition_footprint(self) -> None:
         """Fixed footprint of :attr:`vertex_ids`: CSR share + bookkeeping
@@ -456,7 +503,8 @@ class PartitionWorker:
         )
 
     def import_vertex(
-        self, v: int, state, halted: bool, pending: list, overlay=None
+        self, v: int, state, halted: bool, box: Any, injected: list,
+        overlay=None,
     ) -> None:
         """Adopt a vertex migrated from another worker."""
         self.states[v] = state
@@ -464,11 +512,12 @@ class PartitionWorker:
         self._state_bytes[v] = nb
         self.total_state_bytes += nb
         self.halted[v] = halted
-        if pending:
-            box = self.in_next.setdefault(v, [])
-            box.extend(pending)
-            for p in pending:
-                self.in_next_payload_bytes += self.program.payload_nbytes(p)
+        if box is not _MISSING:
+            self.in_next[v] = box
+        if injected:
+            self._injected[v] = injected
+        for p in (*self._box_payloads(box), *injected):
+            self.in_next_payload_bytes += self.program.payload_nbytes(p)
         if overlay is not None:
             self._overlay[v] = overlay
             self.overlay_bytes += 16 + 8 * len(overlay)
@@ -485,6 +534,7 @@ class PartitionWorker:
             "total_state_bytes": self.total_state_bytes,
             "halted": dict(self.halted),
             "in_next": copy.deepcopy(self.in_next),
+            "injected": copy.deepcopy(self._injected),
             "in_next_payload_bytes": self.in_next_payload_bytes,
             "overlay": copy.deepcopy(self._overlay),
             "overlay_bytes": self.overlay_bytes,
@@ -499,11 +549,13 @@ class PartitionWorker:
         self.total_state_bytes = snap["total_state_bytes"]
         self.halted = dict(snap["halted"])
         self.in_next = copy.deepcopy(snap["in_next"])
+        self._injected = copy.deepcopy(snap["injected"])
         self.in_next_payload_bytes = snap["in_next_payload_bytes"]
         self._overlay = copy.deepcopy(snap["overlay"])
         self.overlay_bytes = snap["overlay_bytes"]
         self._pending_mutations = list(snap["pending_mutations"])
         self.in_cur = {}
+        self._injected_cur = {}
         self._pending = {}
         self.out_remote = {}
         self.out_remote_wire_bytes = 0.0

@@ -224,7 +224,7 @@ class ProcessBSPEngine(BSPEngine):
     # ------------------------------------------------------------------
     # Control-plane injection: buffered here, flushed to workers at the
     # next superstep (or checkpoint) boundary — same visibility as the
-    # sequential engine's direct in_next append.
+    # sequential engine's direct worker.inject.
     # ------------------------------------------------------------------
     def inject_message(self, dst: int, payload: Any) -> None:
         if not 0 <= dst < self.graph.num_vertices:
@@ -382,8 +382,8 @@ class ProcessBSPEngine(BSPEngine):
     # ------------------------------------------------------------------
     def _capture_checkpoint(self, superstep: int) -> dict:
         # Buffered injections are part of the snapshot (sim parity: the
-        # sequential engine injects straight into in_next, which
-        # snapshot() captures).
+        # sequential engine injects straight into its workers, whose
+        # snapshot() captures them).
         self._flush_injections()
         return {
             "superstep": superstep,

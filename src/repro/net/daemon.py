@@ -67,8 +67,10 @@ __all__ = ["PROTOCOL_VERSION", "WorkerDaemon", "serve"]
 #: grouped ``dst``, source runs, rows per worker, and weights or a peel
 #: plan's neighbour ids when the plan reads them) in place of the whole
 #: graph and assignment; v7's ``extracted`` reply is the session's
-#: ``(ids, values)`` column pair, not a ``vertex -> value`` dict.
-PROTOCOL_VERSION = 7
+#: ``(ids, values)`` column pair, not a ``vertex -> value`` dict; in v8 a
+#: combiner program's bucket maps ``dst`` to its one folded payload, not
+#: to a one-element list.
+PROTOCOL_VERSION = 8
 
 
 async def read_stream_frame(

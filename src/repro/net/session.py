@@ -20,8 +20,10 @@ epoch so the coordinator can discard ones that predate a recovery):
 ``compute``   begin the superstep, run compute(), return the
               per-destination message frames (combiners already applied
               sender-side; a frame is the worker's ``out_remote`` bucket:
-              a ``dst -> payloads`` dict, or a shard's ``(row index,
-              value)`` arrays), step stats, and aggregator partials
+              a ``dst -> box`` dict, the box being the folded payload
+              with a combiner and the payload list without, or a shard's
+              ``(row index, value)`` arrays), step stats, and aggregator
+              partials
 ``deliver``   apply inbound frames in the order given (the coordinator
               sends them in source-worker-id order — the sequential
               engine's delivery order), return the barrier report:

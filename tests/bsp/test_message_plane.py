@@ -1,17 +1,23 @@
 """The bulk message plane against its per-message definition.
 
-Unit level: ``emit_to_neighbors`` vs a loop of ``emit`` vs the parent
-commit's per-message rule (kept here as the reference), and
-``deliver_bucket`` vs ``deliver_remote`` vs the old receive-side fold.
-Job level: bulk BC vs per-edge-loop BC, the unknown-vertex error path, and
-routing that follows a mid-job migration.
+Unit level: ``emit_to_neighbors`` vs a loop of ``emit`` vs the
+per-message rule (kept here as the reference), and ``deliver_bucket`` vs
+``deliver_remote`` vs a per-payload receive-side fold.  With a combiner a
+box is the folded payload itself, else the payload list; injected control
+messages queue apart and follow the box into ``compute()``.  Also: what
+``compute()`` receives, migration and checkpointing of combined boxes,
+adjacency reads with and without the mutation overlay, and an allocation
+guard.  Job level: bulk BC vs per-edge-loop BC, the unknown-vertex error
+path, and routing that follows a mid-job migration.
 """
+
+import gc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms import BCProgram, betweenness_reference
+from repro.algorithms import BCProgram, PageRankProgram, betweenness_reference
 from repro.algorithms import bc as bc_mod
 from repro.analysis.traces import trace_to_dict
 from repro.bsp import JobSpec, VertexProgram, run_job
@@ -50,12 +56,17 @@ def fleet(graph, assignment, combiner):
     ]
 
 
+def _copy(w, box):
+    return box if w.program.combiner is not None else list(box)
+
+
 def plane(w):
     """Everything the plane leaves behind, orders included."""
     return {
-        "in_next": [(k, list(box)) for k, box in w.in_next.items()],
+        "in_next": [(k, _copy(w, box)) for k, box in w.in_next.items()],
+        "injected": [(k, list(ps)) for k, ps in w._injected.items()],
         "out_remote": [
-            (dw, [(k, list(box)) for k, box in bucket.items()])
+            (dw, [(k, _copy(w, box)) for k, box in bucket.items()])
             for dw, bucket in w.out_remote.items()
         ],
         "msgs_local": w.stats.msgs_out_local,
@@ -66,40 +77,46 @@ def plane(w):
 
 
 def parent_emit(w, dst, payload):
-    """The per-message rule of the commit before the bulk plane: owner
-    looked up per message, boxes created straight in ``out_remote``."""
+    """The per-message rule: owner looked up per message, boxes created
+    straight in ``out_remote``; a combined box is the payload itself."""
     program, combiner = w.program, w.program.combiner
     owner = int(w.assignment[dst])
     if owner == w.worker_id:
-        box = w.in_next.setdefault(dst, [])
+        boxes = w.in_next
     else:
-        box = w.out_remote.setdefault(owner, {}).setdefault(dst, [])
-    if combiner is not None and box:
-        box[0] = combiner.combine(box[0], payload)
-    elif owner == w.worker_id:
-        box.append(payload)
+        boxes = w.out_remote.setdefault(owner, {})
+    if dst in boxes:
+        if combiner is not None:
+            boxes[dst] = combiner.combine(boxes[dst], payload)
+            return
+        boxes[dst].append(payload)
+    else:
+        boxes[dst] = payload if combiner is not None else [payload]
+    if owner == w.worker_id:
         w.in_next_payload_bytes += program.payload_nbytes(payload)
         w.stats.msgs_out_local += 1
     else:
-        box.append(payload)
         w.out_remote_wire_bytes += w.model.message_wire_bytes(
             program.payload_nbytes(payload)
         )
         w.stats.msgs_out_remote += 1
 
 
-def parent_deliver(w, dst, payloads):
-    """The receive-side fold of the commit before ``deliver_bucket``."""
+def parent_deliver(w, dst, box):
+    """The receive-side fold, one payload at a time."""
     program, combiner = w.program, w.program.combiner
-    box = w.in_next.setdefault(dst, [])
+    payloads = [box] if combiner is not None else box
     wire = 0.0
     for p in payloads:
         wire += w.model.message_wire_bytes(program.payload_nbytes(p))
-        if combiner is not None and box:
-            box[0] = combiner.combine(box[0], p)
+        if combiner is not None and dst in w.in_next:
+            w.in_next[dst] = combiner.combine(w.in_next[dst], p)
+            continue
+        if combiner is not None:
+            w.in_next[dst] = p
         else:
-            box.append(p)
-            w.in_next_payload_bytes += program.payload_nbytes(p)
+            w.in_next.setdefault(dst, []).append(p)
+        w.in_next_payload_bytes += program.payload_nbytes(p)
     return wire
 
 
@@ -248,10 +265,14 @@ class TestDeliverBucket:
             return
         # Two source workers' buckets in a row: keys unique inside one
         # bucket, repeated across them (the fold into an existing box).
+        # A combined box is one payload, a plain one a list of them.
+        if combiner == "none":
+            box = st.lists(st.sampled_from(payloads), min_size=1, max_size=3)
+        else:
+            box = st.sampled_from(payloads)
         buckets = [
             [
-                (dst, data.draw(st.lists(
-                    st.sampled_from(payloads), min_size=1, max_size=3)))
+                (dst, data.draw(box))
                 for dst in data.draw(st.lists(
                     st.sampled_from(hosted), max_size=6, unique=True))
             ]
@@ -269,9 +290,190 @@ class TestDeliverBucket:
             msgs, wire = bulk.deliver_bucket(dict(items))
             single_wire = sum(single.deliver_remote(d, ps) for d, ps in items)
             parent_wire = sum(parent_deliver(parent, d, ps) for d, ps in items)
-            assert msgs == sum(len(ps) for _, ps in items)
+            assert msgs == sum(
+                1 if combiner != "none" else len(ps) for _, ps in items)
             assert wire == single_wire == parent_wire
         assert plane(bulk) == plane(single) == plane(parent)
+
+
+class _Record(VertexProgram):
+    """Keeps what every compute() call receives (a test-only side effect)."""
+
+    def __init__(self, combiner=None):
+        self.combiner = combiner
+        self.seen = []
+
+    def compute(self, ctx, state, messages):
+        self.seen.append((ctx.vertex_id, list(messages)))
+        ctx.vote_to_halt()
+        return state
+
+
+def _recording_fleet(graph, assignment, combiner):
+    program = _Record(combiner)
+    assignment = np.asarray(assignment, dtype=np.int64)
+    workers = [
+        PartitionWorker(
+            worker_id=w, graph=graph,
+            vertex_ids=np.flatnonzero(assignment == w), program=program,
+            model=PerfModel(), assignment=assignment,
+            active_ids=np.empty(0, dtype=np.int64),  # messages wake them
+        )
+        for w in range(int(assignment.max()) + 1)
+    ]
+    for w in workers:
+        w.begin_superstep(0, {})
+    return program, workers
+
+
+def _received(program, workers, superstep=1):
+    """Run one superstep on every worker; vertex -> messages received."""
+    program.seen.clear()
+    for w in workers:
+        w.begin_superstep(superstep, {})
+        w.run_compute()
+    return dict(program.seen)
+
+
+class TestCombinedBoxes:
+    """A combined box is one payload; injected messages stay apart."""
+
+    def _seeded(self, combiner, inject_first):
+        program, (w,) = _recording_fleet(gen.ring(4), [0] * 4, combiner)
+        if inject_first:
+            w.inject(1, 9.0)
+        w.emit(0, 1, 0.5)
+        w.emit(2, 1, 0.25)
+        w.deliver_bucket({1: 1.0 if combiner else [1.0], 2: 4.0 if combiner else [4.0]})
+        if not inject_first:
+            w.inject(1, 9.0)
+        w.inject(1, 8.0)
+        w.inject(3, 7.0)
+        return program, w
+
+    @pytest.mark.parametrize("inject_first", [False, True])
+    def test_injected_messages_follow_the_combined_box(self, inject_first):
+        program, w = self._seeded(SumCombiner(), inject_first)
+        assert w.in_next == {1: 1.75, 2: 4.0}
+        assert w._injected == {1: [9.0, 8.0], 3: [7.0]}
+        assert w.buffered_message_count() == 2 + 3
+        assert w.in_next_payload_bytes == 2 * 8  # injected carry no bytes
+        got = _received(program, [w])
+        assert got == {1: [1.75, 9.0, 8.0], 2: [4.0], 3: [7.0]}
+        assert w.stats.msgs_in == 5 and w.buffered_message_count() == 0
+
+    @pytest.mark.parametrize("inject_first", [False, True])
+    def test_without_a_combiner_every_payload_arrives(self, inject_first):
+        program, w = self._seeded(None, inject_first)
+        got = _received(program, [w])
+        assert got == {1: [0.5, 0.25, 1.0, 9.0, 8.0], 2: [4.0], 3: [7.0]}
+
+    def test_snapshot_restore_keeps_boxes_and_injected(self):
+        def buffered(w):  # what a snapshot holds of the plane
+            p = plane(w)
+            return p["in_next"], p["injected"], p["in_next_bytes"]
+
+        program, w = self._seeded(SumCombiner(), False)
+        before = buffered(w)
+        snap = w.snapshot()
+        w.emit(0, 1, 2.0)
+        w.emit(0, 0, 2.0)
+        w.inject(1, 5.0)
+        assert buffered(w) != before
+        w.restore(snap)
+        assert buffered(w) == before
+        assert _received(program, [w]) == {1: [1.75, 9.0, 8.0], 2: [4.0], 3: [7.0]}
+        w.restore(snap)  # the snapshot was not consumed
+        assert buffered(w) == before
+
+    def test_migration_moves_box_injected_and_bytes(self):
+        program, workers = _recording_fleet(gen.ring(6), [0, 0, 0, 1, 1, 1],
+                                            SumCombiner())
+        src, dst = workers
+        src.emit(0, 1, 0.5)
+        src.emit(2, 1, 0.25)
+        src.inject(1, 9.0)
+        src_bytes, dst_bytes = src.in_next_payload_bytes, dst.in_next_payload_bytes
+        dst.import_vertex(1, *src.export_vertex(1))
+        assert 1 not in src.in_next and 1 not in src._injected
+        assert dst.in_next[1] == 0.75 and dst._injected[1] == [9.0]
+        moved = src_bytes - src.in_next_payload_bytes
+        assert moved == dst.in_next_payload_bytes - dst_bytes > 0
+        assert src.buffered_message_count() == 0
+        assert dst.buffered_message_count() == 2
+        for w in workers:
+            w.assignment = np.array([0, 1, 0, 1, 1, 1])
+        assert _received(program, workers) == {1: [0.75, 9.0]}
+
+    def test_migration_of_a_vertex_without_a_box(self):
+        program, workers = _recording_fleet(gen.ring(4), [0, 0, 1, 1],
+                                            SumCombiner())
+        workers[1].import_vertex(0, *workers[0].export_vertex(0))
+        assert 0 not in workers[1].in_next and not workers[1]._injected
+        assert workers[1].in_next_payload_bytes == 0
+
+    def test_pagerank_follows_a_mid_job_migration(self, small_world):
+        def run(observers):
+            return run_job(JobSpec(
+                program=PageRankProgram(12), graph=small_world, num_workers=4,
+                observers=observers,
+            ))
+
+        checker, policy = InvariantChecker(), DynamicRepartitioner(interval=3)
+        moved, plain = run([checker, policy]), run([])
+        assert policy.total_moved >= 1 and checker.ok, checker.violations
+        assert moved.supersteps == plain.supersteps
+        assert np.allclose(moved.values_array(), plain.values_array(),
+                           rtol=1e-12, atol=0)
+
+
+class TestAdjacencyReads:
+    def test_degrees_and_neighbours_are_python_ints(self):
+        g = gen.rmat(scale=6, edge_factor=4, seed=2)
+        n = g.num_vertices
+        (w,) = fleet(g, [0] * n, SumCombiner())
+        w.begin_superstep(0, {})
+        for v in range(n):
+            deg = w.effective_out_degree(v)
+            assert type(deg) is int and deg == g.out_degree(v)
+            w.emit_to_neighbors(v, 1.0)
+        assert all(type(k) is int for k in w.in_next)
+        indeg = np.bincount(g.indices, minlength=n)
+        assert w.in_next == {
+            v: float(indeg[v]) for v in g.indices.tolist()
+        }
+
+    def test_overlay_replaces_the_csr_slice(self):
+        g = gen.ring(5)
+        (w,) = fleet(g, [0] * 5, SumCombiner())
+        w.request_mutation(0, "add", 3)
+        w.request_mutation(0, "remove", 1)
+        w.begin_superstep(0, {})
+        assert w.effective_out_degree(0) == 1 + g.out_degree(0) - 1
+        assert w.effective_out_degree(2) == g.out_degree(2)
+        w.emit_to_neighbors(0, 2.0)
+        expect = sorted({int(u) for u in g.neighbors(0)} - {1} | {3})
+        assert sorted(w.in_next) == expect
+
+
+def test_pagerank_allocates_no_collectable_garbage():
+    """Combined boxes, memoryview adjacency and the bound context leave
+    the cyclic collector nothing to do (a list per box took 67 runs)."""
+    job = JobSpec(PageRankProgram(10), gen.watts_strogatz(2000, 8, 0.1, seed=7),
+                  num_workers=4)
+    young = []
+
+    def count(phase, info):
+        if phase == "start" and info["generation"] == 0:
+            young.append(info)
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        run_job(job)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(young) <= 3, len(young)
 
 
 class _LoopSendContext:

@@ -76,12 +76,12 @@ class TestHandshakeRefusals:
         assert "version mismatch" in msg
 
     def test_previous_protocol_refused(self, one_daemon):
-        # v7 extracts the result as (ids, values) columns: a v6
-        # coordinator would read the reply as a vertex -> value dict
-        assert PROTOCOL_VERSION == 7
-        kind, _epoch, msg = _roundtrip(one_daemon, ("hello", 0, {"version": 6}))
+        # v8 ships a combiner program's box as the folded payload: a v7
+        # peer would iterate it as a list of payloads
+        assert PROTOCOL_VERSION == 8
+        kind, _epoch, msg = _roundtrip(one_daemon, ("hello", 0, {"version": 7}))
         assert kind == "error"
-        assert "coordinator speaks 6, daemon speaks 7" in msg
+        assert "coordinator speaks 7, daemon speaks 8" in msg
 
     def test_session_build_failure_carries_the_traceback(self, one_daemon):
         # Reported as a refusal with the worker's traceback, not as a
