@@ -1,6 +1,6 @@
 """Extension bench — timeline recording overhead and detector precision.
 
-Two claims behind ``repro perf`` worth guarding numerically:
+Two claims behind ``repro trace report`` worth guarding numerically:
 
 * attaching a :class:`repro.obs.RunTimeline` must be cheap (it appends
   one dataclass row per worker per superstep on quantities the engine
@@ -79,7 +79,7 @@ def test_timeline_overhead_and_detector_precision(benchmark):
     (off_s, on_s), precision = run_once(benchmark, run_all)
     overhead = on_s / off_s - 1.0
 
-    banner("repro perf: timeline overhead + straggler detector precision")
+    banner("repro trace: timeline overhead + straggler detector precision")
     print(f"{'timeline off':<18} {off_s * 1e3:>10.1f} ms")
     print(f"{'timeline on':<18} {on_s * 1e3:>10.1f} ms  ({overhead:+.1%})")
     print(f"{'precision':<18} {precision:>10.1%}")

@@ -1,10 +1,24 @@
-"""Trace export: persist per-superstep statistics for external analysis.
+"""The run file: a run's per-superstep rows and its annotations, as JSON.
 
-The paper's figures are all per-superstep series; this module serializes a
-:class:`~repro.bsp.superstep.JobTrace` to JSON or CSV so traces can be
-archived next to bench output, plotted with any tool, or diffed across
-cost-model revisions.  JSON round-trips losslessly (tests assert it,
-including disk-buffered and jittered runs).
+The paper's core analyses (§V-§VII, Figs. 9-14) are per-superstep,
+per-worker tables.  The engines account every one of those quantities in
+the :class:`~repro.bsp.superstep.SuperstepStats` (one
+:class:`~repro.bsp.superstep.WorkerStepStats` row per worker) they append
+to the run's :class:`~repro.bsp.superstep.JobTrace`.  A
+:class:`RunTimeline` attached to the job (``JobSpec(timeline=...)``, or
+``repro run --trace-out``) collects every step as it closes — those very
+objects, no copy — plus free-form :meth:`RunTimeline.annotate` events
+(swath initiations, elastic resizes, repartitions).  :func:`write_json`
+persists it as the one run file that ``repro trace summarize|report|diff``
+read.  The rows carry only deterministic simulated quantities (no host
+clocks), so a run file is byte-identical across the sim, process, tcp and
+dense-ref engines on the same seed (CI compares them).
+
+A recovery replays supersteps, so a file can hold an index more than
+once.  :func:`committed` derives the steps the run kept: a row is
+committed unless a later row has an index <= its own.  Critical path,
+straggler flags and report cost read that view; the totals of ``trace
+summarize`` read every row, as ``JobResult.cost`` prices them.
 
 Format history: version 2 added ``disk_time`` and ``jitter_factor`` to
 worker rows and ``injected`` to step rows; version 3 added ``queue_depth``
@@ -14,26 +28,28 @@ step bills beyond ``num_workers x elapsed``: a scale-out's booting VMs)
 to step rows.  :func:`trace_from_dict` still reads version-1 to -3
 files; the missing fields take their dataclass defaults (no disk I/O, no
 jitter, no injections, empty queues, no extra VM-seconds), so an old
-trace prices as it did.
+trace prices as it did.  A file without ``"events"`` reads with none.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from ..bsp.superstep import JobTrace, SuperstepStats, WorkerStepStats
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
+    "RunTimeline",
+    "committed",
+    "rolled_back_rows",
     "trace_to_dict",
     "trace_from_dict",
     "write_json",
     "read_json",
-    "write_csv",
-    "to_csv_text",
 ]
 
 TRACE_FORMAT_VERSION = 4
@@ -73,6 +89,62 @@ _STEP_FIELDS = [
 ]
 
 
+@dataclass
+class RunTimeline(JobTrace):
+    """Every closed step of one run and its control-plane events.
+
+    Attach through the job spec (``JobSpec(timeline=...)`` or
+    ``RunConfig(timeline=...)``); the engine appends each step once every
+    cost charged to it has landed.  A recovery keeps the lost epoch's
+    rows (:func:`committed` drops them) and calls :meth:`rollback`,
+    which discards that epoch's annotations.
+    """
+
+    #: free-form annotations: {"superstep", "kind", ...attrs}
+    events: list[dict[str, Any]] = field(default_factory=list)
+
+    def annotate(self, superstep: int, kind: str, **attrs: Any) -> None:
+        """Attach a control-plane event (swath start, policy decision...)."""
+        self.events.append({"superstep": int(superstep), "kind": kind, **attrs})
+
+    def rollback(self, resume_from: int) -> None:
+        """Discard the events of supersteps >= ``resume_from``; the replayed
+        supersteps annotate again."""
+        self.events = [e for e in self.events if e["superstep"] < resume_from]
+
+
+def committed(trace: JobTrace) -> JobTrace:
+    """The steps a run kept: each row no later row's index undercuts.
+
+    A recovery resumes at a checkpoint index at or below the failing step,
+    so every row recorded since that index (the failing one included) is
+    superseded by its replay.
+    """
+    kept, low = [], math.inf
+    for s in reversed(trace.steps):
+        if s.index < low:
+            kept.append(s)
+            low = s.index
+    return JobTrace(kept[::-1])
+
+
+def rolled_back_rows(trace: JobTrace) -> int:
+    """Worker rows a recovery discarded after they had committed.
+
+    These are the rows outside :func:`committed` less each failing step's
+    own — the row right before the index falls back, which recovery
+    replaces before it ever counts as kept.  A worker death mid-superstep
+    leaves no row for the aborted attempt, so there the row before the
+    fall-back is a kept one and the count misses it.
+    """
+    kept = {id(s) for s in committed(trace)}
+    steps = trace.steps
+    return sum(
+        len(s.workers) for s, nxt in zip(steps, steps[1:])
+        if id(s) not in kept and nxt.index > s.index
+    )
+
+
 def trace_to_dict(trace: JobTrace) -> dict:
     """Plain-data representation of a trace (JSON-serializable)."""
     return {
@@ -86,26 +158,32 @@ def trace_to_dict(trace: JobTrace) -> dict:
             }
             for s in trace
         ],
+        "events": list(getattr(trace, "events", ())),
     }
 
 
-def trace_from_dict(data: dict) -> JobTrace:
+def trace_from_dict(data: dict) -> RunTimeline:
     """Inverse of :func:`trace_to_dict`; reads format versions 1 to 4."""
     version = data.get("version")
     if version not in (1, 2, 3, TRACE_FORMAT_VERSION):
         raise ValueError(f"unsupported trace version {version!r}")
     if "steps" not in data:
         raise ValueError("not a trace dump: no 'steps' key (is this a spans file?)")
-    trace = JobTrace()
-    for sd in data["steps"]:
-        stats = SuperstepStats(
-            **{f: sd[f] for f in _STEP_FIELDS if f in sd},
-        )
-        for wd in sd["workers"]:
-            stats.workers.append(
-                WorkerStepStats(**{f: wd[f] for f in _WORKER_FIELDS if f in wd})
+    if "rows" in data:
+        raise ValueError("retired timeline row format (top-level 'rows')")
+    trace = RunTimeline(events=[dict(e) for e in data.get("events", ())])
+    try:
+        for sd in data["steps"]:
+            stats = SuperstepStats(
+                **{f: sd[f] for f in _STEP_FIELDS if f in sd},
             )
-        trace.append(stats)
+            for wd in sd["workers"]:
+                stats.workers.append(
+                    WorkerStepStats(**{f: wd[f] for f in _WORKER_FIELDS if f in wd})
+                )
+            trace.append(stats)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed trace dump: {exc!r}") from exc
     return trace
 
 
@@ -113,26 +191,5 @@ def write_json(trace: JobTrace, path: str | Path) -> None:
     Path(path).write_text(json.dumps(trace_to_dict(trace), indent=1))
 
 
-def read_json(path: str | Path) -> JobTrace:
+def read_json(path: str | Path) -> RunTimeline:
     return trace_from_dict(json.loads(Path(path).read_text()))
-
-
-def write_csv(trace: JobTrace, path: str | Path) -> None:
-    """Flat per-(superstep, worker) rows — convenient for spreadsheets/plots.
-
-    Superstep-level fields repeat on each of its worker rows.
-    """
-    Path(path).write_text(to_csv_text(trace))
-
-
-def to_csv_text(trace: JobTrace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_STEP_FIELDS + _WORKER_FIELDS)
-    for s in trace:
-        step_part = [getattr(s, f) for f in _STEP_FIELDS]
-        if not s.workers:
-            writer.writerow(step_part + [""] * len(_WORKER_FIELDS))
-        for w in s.workers:
-            writer.writerow(step_part + [getattr(w, f) for f in _WORKER_FIELDS])
-    return buf.getvalue()

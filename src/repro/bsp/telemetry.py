@@ -540,7 +540,7 @@ class _Metrics:
 
 
 class _Timeline:
-    """:class:`repro.obs.RunTimeline`: the committed ``SuperstepStats``."""
+    """:class:`repro.obs.RunTimeline`: every closed ``SuperstepStats``."""
 
     def __init__(self, engine, timeline) -> None:
         self.timeline = timeline
@@ -548,12 +548,10 @@ class _Timeline:
         self.annotate = timeline.annotate
 
     def closed(self, stats, committed: bool) -> None:
-        # Committed steps only, after every cost charged to the step
-        # (checkpoint, recovery, elastic resize) has landed in
-        # stats.elapsed; a lost epoch's steps vanish with ``rollback`` and
-        # the replayed supersteps re-record here.
-        if committed:
-            self.timeline.record_superstep(stats)
+        # After every cost charged to the step (checkpoint, recovery,
+        # elastic resize) has landed in stats.elapsed.  A lost epoch's
+        # steps stay; readers derive the committed ones from the indices.
+        self.timeline.append(stats)
 
 
 class _Postmortem:

@@ -478,7 +478,8 @@ class PartitionWorker:
         halted = self.halted.pop(v)
         box = self.in_next.pop(v, _MISSING)
         injected = self._injected.pop(v, [])
-        for p in (*self._box_payloads(box), *injected):
+        # Injected messages are control plane: inject() never counted them.
+        for p in self._box_payloads(box):
             self.in_next_payload_bytes -= self.program.payload_nbytes(p)
         overlay = self._overlay.pop(v, None)
         if overlay is not None:
@@ -516,7 +517,7 @@ class PartitionWorker:
             self.in_next[v] = box
         if injected:
             self._injected[v] = injected
-        for p in (*self._box_payloads(box), *injected):
+        for p in self._box_payloads(box):
             self.in_next_payload_bytes += self.program.payload_nbytes(p)
         if overlay is not None:
             self._overlay[v] = overlay

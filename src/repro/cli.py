@@ -13,11 +13,10 @@ location, application, worker count, partitioning scheme) as a CLI::
     python -m repro run --dataset WG --app pagerank --workers 4 \\
         --metrics-out m.prom --spans-out s.json --progress
     python -m repro trace summarize trace.json
+    python -m repro trace report trace.json
+    python -m repro trace diff base.json new.json --threshold 0.1
     python -m repro check src/repro/algorithms examples --sanitize
     python -m repro run --dataset SD --app pagerank --sanitize
-    python -m repro run --dataset WG --app bc --timeline-out tl.json
-    python -m repro perf report tl.json
-    python -m repro perf diff base.json new.json --threshold 0.1
     python -m repro run --dataset SD --app pagerank --live-port 0 \\
         --live-port-file port.txt --events-out events.ndjson
     python -m repro trace summarize events.ndjson
@@ -27,16 +26,21 @@ location, application, worker count, partitioning scheme) as a CLI::
     python -m repro cluster status localhost:9001 localhost:9002
     python -m repro report
 
-``run`` prints the simulated runtime/cost summary and optionally dumps the
-per-superstep trace (JSON) for plotting.  The observability flags attach
-the :mod:`repro.obs` layer: ``--metrics-out`` writes the metrics registry
-(Prometheus text, or JSON when the path ends in ``.json``),
+``run`` prints the simulated runtime/cost summary.  ``--trace-out`` writes
+the run file: every per-(superstep, worker) row plus the annotations
+(swath initiations), byte-identical across ``--engine
+sim|process|tcp|dense-ref`` on the same seed.  The other observability
+flags attach the :mod:`repro.obs` layer: ``--metrics-out`` writes the
+metrics registry (Prometheus text, or JSON when the path ends in ``.json``),
 ``--spans-out``/``--chrome-out`` write engine phase spans (plain JSON /
 Chrome ``trace_event``), ``--progress`` streams live telemetry to stderr,
 and ``--check-invariants`` rides an
 :class:`~repro.bsp.debug.InvariantChecker` along and fails the run (exit
 code 1) on any violation.  ``trace summarize`` prints the paper-style
-utilization/breakdown tables from a saved trace file.
+utilization/breakdown tables of a run file, ``trace report`` its
+critical-path, per-worker, cost and straggler attribution, and ``trace
+diff`` compares two run files and exits 1 when any phase regressed
+beyond ``--threshold``.
 
 ``check`` is the Pregel-contract analyzer (:mod:`repro.check`): a static
 AST pass (rules RPC001..RPC014) over vertex programs, plus — with
@@ -46,14 +50,6 @@ and — with ``--profile`` — the static cost model per program (fan-out
 class, payload bytes, combiner/aggregator inference).  ``run --sanitize``
 rides the same sanitizer along a real run and fails it (exit code 1) on
 any violation.
-
-``run --timeline-out`` records the per-(superstep, worker)
-:class:`~repro.obs.RunTimeline` (rows are byte-identical across
-``--engine sim|process|tcp|dense-ref`` on the same seed) and rides a
-:class:`~repro.obs.DiagnosticMonitor` along for online straggler flags;
-``perf report`` renders a saved timeline's critical-path and straggler
-attribution tables, and ``perf diff`` compares two timelines and exits 1
-when any phase regressed beyond ``--threshold``.
 
 Every ``run`` carries an always-on flight recorder (bounded event ring,
 ``--flight-size``; tee to NDJSON with ``--events-out``) and a postmortem
@@ -86,7 +82,7 @@ import argparse
 import sys
 
 from .analysis import RunConfig, run_pagerank, run_traversal
-from .analysis.traces import read_json, write_json
+from .analysis.traces import RunTimeline, read_json, write_json
 from .bsp.debug import InvariantChecker
 from .bsp.engine import ENGINES
 from .cloud.costmodel import SCALED_PERF_MODEL
@@ -99,17 +95,15 @@ from .obs import (
     MetricsRegistry,
     PostmortemWriter,
     RunReporter,
-    RunTimeline,
     SpanTracer,
     discover_members,
     load_postmortem,
-    perf_diff,
-    perf_report,
     read_event_log,
-    read_timeline,
     render_incident_report,
     summarize_events,
     summarize_trace,
+    trace_diff,
+    trace_report,
     write_metrics_json,
     write_prometheus,
 )
@@ -227,11 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory-mb", type=float, default=None,
         help="worker memory cap in MB (default: unconstrained)",
     )
-    p.add_argument("--trace-out", help="write per-superstep trace JSON here")
     p.add_argument(
-        "--timeline-out",
-        help="write the per-(superstep, worker) attribution timeline "
-             "(JSON) here for `repro perf report`/`diff`",
+        "--trace-out",
+        help="write the run file (per-superstep rows + events, JSON) here "
+             "for `repro trace summarize|report|diff`",
     )
     p.add_argument(
         "--metrics-out",
@@ -297,27 +290,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_check_arguments(p)
 
-    p = sub.add_parser("trace", help="inspect saved per-superstep trace files")
+    p = sub.add_parser("trace", help="read run files (run --trace-out)")
     tsub = p.add_subparsers(dest="trace_command", required=True)
     ps = tsub.add_parser(
         "summarize",
-        help="print the utilization/breakdown tables of a saved trace",
+        help="print the utilization/breakdown tables of a run file "
+             "(or digest an --events-out log)",
     )
-    ps.add_argument("path", help="trace JSON written by run --trace-out")
+    ps.add_argument("path", help="run file written by run --trace-out")
     ps.add_argument(
         "--max-rows", type=int, default=24,
         help="per-superstep digest rows before eliding the middle",
     )
-
-    p = sub.add_parser(
-        "perf", help="analyze and diff recorded run timelines"
-    )
-    psub = p.add_subparsers(dest="perf_command", required=True)
-    pr = psub.add_parser(
+    pr = tsub.add_parser(
         "report",
-        help="print critical-path + straggler attribution of a timeline",
+        help="print critical-path, cost and straggler attribution of a "
+             "run file's committed steps",
     )
-    pr.add_argument("path", help="timeline JSON written by run --timeline-out")
+    pr.add_argument("path", help="run file written by run --trace-out")
     pr.add_argument(
         "--mad-threshold", type=float, default=3.5,
         help="MAD modified z-score above which a worker flags",
@@ -326,12 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-ratio", type=float, default=1.2,
         help="minimum elapsed/median ratio for a straggler flag",
     )
-    pd = psub.add_parser(
+    pd = tsub.add_parser(
         "diff",
-        help="compare two timelines; exit 1 on per-phase regression",
+        help="compare two run files; exit 1 on per-phase regression",
     )
-    pd.add_argument("base", help="baseline timeline JSON")
-    pd.add_argument("new", help="candidate timeline JSON")
+    pd.add_argument("base", help="baseline run file")
+    pd.add_argument("new", help="candidate run file")
     pd.add_argument(
         "--threshold", type=float, default=0.10,
         help="relative slowdown that counts as a regression",
@@ -484,20 +474,18 @@ def _make_initiation(args):
     return DynamicPeakDetect()
 
 
-def _write_obs_artifacts(args, metrics, tracer, timeline, monitor) -> None:
+def _write_obs_artifacts(args, metrics, tracer, timeline) -> None:
     """Flush the attached observability sinks to their --*-out files.
 
-    Called on success *and* from the failure path: partially-recorded
-    metrics/spans/timelines from a crashed run are exactly what the
-    postmortem workflow needs, so an engine failure must not lose them.
+    Called on success *and* from the failure path: the rows, metrics and
+    spans a crashed run recorded are exactly what the postmortem workflow
+    needs, so an engine failure must not lose them.
     """
     if timeline is not None:
-        timeline.write_json(args.timeline_out)
-        n_flags = len(monitor.flags) if monitor is not None else 0
+        write_json(timeline, args.trace_out)
         print(
-            f"timeline written to {args.timeline_out} "
-            f"({sum(len(s.workers) for s in timeline)} rows, "
-            f"{n_flags} straggler flags)"
+            f"trace written to {args.trace_out} ({len(timeline)} "
+            f"steps, {len(timeline.events)} events)"
         )
     if metrics is not None and args.metrics_out:
         if args.metrics_out.endswith(".json"):
@@ -519,7 +507,7 @@ def _cmd_run(args) -> int:
     live = args.live_port is not None
     metrics = MetricsRegistry() if (args.metrics_out or live) else None
     tracer = SpanTracer() if (args.spans_out or args.chrome_out) else None
-    timeline = RunTimeline() if args.timeline_out else None
+    timeline = RunTimeline() if args.trace_out else None
     # The flight recorder is always on for CLI runs: fixed-cost ring, and
     # the crash bundle / live /events tail are worthless without it.
     flight = FlightRecorder(capacity=args.flight_size)
@@ -534,12 +522,9 @@ def _cmd_run(args) -> int:
         )
     postmortem = PostmortemWriter(args.postmortem_out)
     extra_observers = []
-    monitor = None
-    if args.timeline_out or args.progress:
-        monitor = DiagnosticMonitor()
-        extra_observers.append(monitor)
     if args.progress:
-        extra_observers.append(RunReporter(monitor=monitor))
+        monitor = DiagnosticMonitor()
+        extra_observers += [monitor, RunReporter(monitor=monitor)]
     checker = InvariantChecker() if args.check_invariants else None
     if checker is not None:
         extra_observers.append(checker)
@@ -618,7 +603,6 @@ def _cmd_run(args) -> int:
                     g, cfg, iterations=args.iterations,
                     observers=extra_observers, wrap_program=wrap_program,
                 )
-                trace = res.trace
                 print(f"pagerank: {res.supersteps} supersteps")
             else:
                 profile = None
@@ -641,7 +625,6 @@ def _cmd_run(args) -> int:
                     wrap_program=wrap_program,
                 )
                 res = run.result
-                trace = res.trace
                 print(
                     f"{args.app}: {res.supersteps} supersteps, "
                     f"{run.num_swaths} swaths"
@@ -674,7 +657,7 @@ def _cmd_run(args) -> int:
         except (Exception, KeyboardInterrupt) as exc:
             # Abnormal end: the engine already dumped the postmortem via
             # its JobSpec sink; flush whatever the other sinks recorded.
-            _write_obs_artifacts(args, metrics, tracer, timeline, monitor)
+            _write_obs_artifacts(args, metrics, tracer, timeline)
             if postmortem.written is not None:
                 print(
                     f"postmortem bundle written to {postmortem.written} "
@@ -693,16 +676,14 @@ def _cmd_run(args) -> int:
         print(res.engine_decision.render())
     if res.profile is not None:
         print(f"profile: {res.profile.render()}")
+    trace = res.trace
     print(
         f"simulated time {trace.total_time:.2f}s | cost ${res.total_cost:.4f} | "
         f"messages {trace.total_messages:,} | peak worker memory "
         f"{trace.peak_memory / 1e6:.2f} MB"
     )
     print(f"cost attribution: {res.cost.summary()}")
-    if args.trace_out:
-        write_json(trace, args.trace_out)
-        print(f"trace written to {args.trace_out}")
-    _write_obs_artifacts(args, metrics, tracer, timeline, monitor)
+    _write_obs_artifacts(args, metrics, tracer, timeline)
     if args.events_out:
         print(f"events written to {args.events_out}")
     if checker is not None:
@@ -759,17 +740,28 @@ def _looks_like_event_log(path: str) -> bool:
 
 
 def _cmd_trace(args) -> int:
-    if _looks_like_event_log(args.path):
-        try:
-            events = read_event_log(args.path)
-        except (ValueError, OSError) as exc:
-            print(f"repro trace: {exc}", file=sys.stderr)
-            return 2
-        print(summarize_events(events))
+    """Exit 0, 1 when ``diff`` finds a regression, 2 on unreadable input."""
+    try:
+        if args.trace_command == "diff":
+            text, regressed = trace_diff(
+                read_json(args.base), read_json(args.new),
+                threshold=args.threshold,
+            )
+            print(text)
+            return 1 if regressed else 0
+        if args.trace_command == "report":
+            print(trace_report(
+                read_json(args.path),
+                mad_threshold=args.mad_threshold, min_ratio=args.min_ratio,
+            ))
+        elif _looks_like_event_log(args.path):
+            print(summarize_events(read_event_log(args.path)))
+        else:
+            print(summarize_trace(read_json(args.path), max_rows=args.max_rows))
         return 0
-    trace = read_json(args.path)
-    print(summarize_trace(trace, max_rows=args.max_rows))
-    return 0
+    except (ValueError, OSError) as exc:
+        print(f"repro trace: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_postmortem(args) -> int:
@@ -780,28 +772,6 @@ def _cmd_postmortem(args) -> int:
         return 2
     print(render_incident_report(bundle, last_events=args.last_events))
     return 0
-
-
-def _cmd_perf(args) -> int:
-    try:
-        if args.perf_command == "report":
-            tl = read_timeline(args.path)
-            print(
-                perf_report(
-                    tl,
-                    mad_threshold=args.mad_threshold,
-                    min_ratio=args.min_ratio,
-                )
-            )
-            return 0
-        base = read_timeline(args.base)
-        new = read_timeline(args.new)
-        text, regressed = perf_diff(base, new, threshold=args.threshold)
-        print(text)
-        return 1 if regressed else 0
-    except (ValueError, OSError) as exc:
-        print(f"repro perf: {exc}", file=sys.stderr)
-        return 2
 
 
 def _cmd_report(args) -> int:
@@ -863,7 +833,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "check": _cmd_check,
     "trace": _cmd_trace,
-    "perf": _cmd_perf,
     "postmortem": _cmd_postmortem,
     "report": _cmd_report,
     "worker": _cmd_worker,

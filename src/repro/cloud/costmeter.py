@@ -10,9 +10,9 @@ same per-step records through it:
   (per superstep, per worker).  It reads the steps of a
   :class:`~repro.bsp.superstep.JobTrace` (duck-typed): the engine prices
   the whole trace into every :class:`~repro.bsp.job.JobResult`
-  (``JobResult.total_cost`` is its instance part), and ``repro perf``
-  prices a :class:`~repro.obs.timeline.RunTimeline`, which is the
-  ``JobTrace`` of the committed steps only;
+  (``JobResult.total_cost`` is its instance part), and ``repro trace
+  report`` prices a run file's committed steps only
+  (:func:`repro.analysis.traces.committed`);
 * with a metrics registry attached, the telemetry spine prices each step
   as it closes into the ``repro_cost_*`` gauges, so the dollar burn is
   visible on ``/metrics`` mid-run and ends equal to the report's total.

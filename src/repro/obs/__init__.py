@@ -15,15 +15,12 @@ engine stack reports into:
   the registry;
 * :mod:`repro.obs.progress` — :class:`RunReporter`, a superstep observer
   emitting throttled live progress lines to stderr;
-* :mod:`repro.obs.summary` — utilization/breakdown tables from saved
-  traces (backs ``repro trace summarize``);
-* :mod:`repro.obs.timeline` — :class:`RunTimeline`, the ``JobTrace`` of
-  the run's committed supersteps plus its annotations, byte-identical
-  across execution backends and rolled back with failure recovery;
+* :mod:`repro.obs.summary` — the one reader of run files (backs
+  ``repro trace summarize|report|diff``); :class:`RunTimeline`, the
+  recorder behind ``repro run --trace-out``, is re-exported here from
+  :mod:`repro.analysis.traces`;
 * :mod:`repro.obs.diagnose` — straggler/skew detection with cause
   attribution (:class:`DiagnosticMonitor`) and critical-path breakdown;
-* :mod:`repro.obs.perf` — timeline report/diff rendering (backs
-  ``repro perf``);
 * :mod:`repro.obs.flight` — :class:`FlightRecorder`, the always-on
   bounded ring of structured events (the crash "black box");
 * :mod:`repro.obs.postmortem` — crash bundles dumped on abnormal job end
@@ -52,6 +49,7 @@ through one adapter.  A job with none attached dispatches every event to an
 empty list and runs exactly as before.
 """
 
+from ..analysis.traces import RunTimeline
 from .cluster import (
     ClockSync,
     ClusterMember,
@@ -86,7 +84,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .perf import perf_diff, perf_report
 from .postmortem import (
     PostmortemWriter,
     build_bundle,
@@ -96,8 +93,7 @@ from .postmortem import (
 )
 from .progress import RunReporter
 from .spans import Span, SpanTracer
-from .summary import summarize_events, summarize_spans, summarize_trace
-from .timeline import RunTimeline, read_timeline, timeline_from_dict
+from .summary import summarize_events, summarize_trace, trace_diff, trace_report
 
 __all__ = [
     "Counter",
@@ -114,21 +110,18 @@ __all__ = [
     "write_prometheus",
     "write_metrics_json",
     "summarize_trace",
-    "summarize_spans",
     "summarize_events",
+    "trace_report",
+    "trace_diff",
     "snapshot_registry",
     "apply_snapshot",
     "RunTimeline",
-    "read_timeline",
-    "timeline_from_dict",
     "DiagnosticMonitor",
     "StragglerFlag",
     "flag_stragglers_step",
     "attribute_run",
     "critical_path",
     "worker_skew",
-    "perf_report",
-    "perf_diff",
     "FlightEvent",
     "FlightRecorder",
     "read_event_log",

@@ -1,11 +1,11 @@
-"""Straggler/skew attribution and critical-path analysis over timelines.
+"""Straggler/skew attribution and critical-path analysis over run rows.
 
 The paper's §V-§VII diagnosis questions — *which worker is pacing the
 barrier, and why* — answered online.  Works on the trace's own rows — a
 :class:`~repro.bsp.superstep.SuperstepStats` and its
 :class:`~repro.bsp.superstep.WorkerStepStats` — so the same code runs
-inside the job as a superstep observer and offline over a saved
-timeline (``repro perf report``).
+inside the job as a superstep observer and offline over a saved run
+file (``repro trace report``).
 
 Detection: per superstep, the MAD modified z-score of per-worker elapsed
 times (z = 0.6745·(x−med)/MAD — robust to the one straggler it is looking
@@ -193,9 +193,9 @@ class DiagnosticMonitor:
     as ``straggler`` trace events on its tracer, and feed
     :meth:`skew_signal` — an EMA of the worst per-step slowdown ratio
     (1.0 = balanced) that :class:`~repro.elastic.live.LiveSkewGuard`
-    vetoes scale-in on.  Flags of a rolled-back epoch are dropped as the
-    timeline's steps are, so at job end :attr:`flags` equals
-    :func:`attribute_run` over the run's timeline.
+    vetoes scale-in on.  Flags of a rolled-back epoch are dropped, so at
+    job end :attr:`flags` equals :func:`attribute_run` over the run's
+    committed steps (:func:`repro.analysis.traces.committed`).
     """
 
     def __init__(
@@ -243,7 +243,7 @@ class DiagnosticMonitor:
         self._skew += self.ema_alpha * (worst - self._skew)
         if self.flags and self.flags[-1].superstep >= stats.index:
             # The index went back: a recovery resumed here, so the flags
-            # of the lost epoch roll back as the timeline's steps do.
+            # of the lost epoch roll back with it.
             self._drop_from(stats.index)
         step_flags = flag_stragglers_step(
             stats,

@@ -8,8 +8,9 @@ reconstruct the incident without re-running:
 
 * the **flight recorder** contents (:mod:`repro.obs.flight`) — the last N
   structured events per worker, including heartbeat misses and kills;
-* the partial :class:`~repro.obs.RunTimeline` and per-superstep trace as
-  recorded up to the failure;
+* the per-superstep rows recorded up to the failure, with the
+  :class:`~repro.obs.RunTimeline`'s annotations, in the run-file format
+  (:mod:`repro.analysis.traces`);
 * a **metrics snapshot** of the registry at death;
 * the **last-committed-superstep marker** plus the checkpoint the next
   attempt would resume from;
@@ -38,10 +39,10 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from ..analysis.tables import table
+from ..analysis.traces import committed, trace_from_dict, trace_to_dict
 from .diagnose import attribute_run, critical_path, dominant_cause
 from .export import to_json_dict
 from .flight import FlightEvent
-from .timeline import timeline_from_dict
 
 __all__ = [
     "POSTMORTEM_FORMAT_VERSION",
@@ -181,14 +182,6 @@ def build_bundle(engine: Any, error: BaseException,
         lambda: engine.flight.to_dict() if engine.flight is not None else None,
     )
     section(
-        "timeline",
-        lambda: (
-            engine.timeline.to_dict()
-            if engine.timeline is not None
-            else None
-        ),
-    )
-    section(
         "metrics",
         lambda: (
             to_json_dict(engine.metrics) if engine.metrics is not None else None
@@ -213,9 +206,10 @@ def build_bundle(engine: Any, error: BaseException,
     section("cost", _cost)
 
     def _trace():
-        from ..analysis.traces import trace_to_dict
-
-        return trace_to_dict(engine.trace)
+        data = trace_to_dict(engine.trace)
+        if engine.timeline is not None:
+            data["events"] = list(engine.timeline.events)
+        return data
 
     section("trace", _trace)
     return bundle
@@ -269,6 +263,16 @@ def load_postmortem(path: str | Path) -> dict:
 # ----------------------------------------------------------------------
 # Incident report rendering (`repro postmortem <bundle>`)
 # ----------------------------------------------------------------------
+def _committed_rows(bundle: dict):
+    """The committed steps of the bundle's ``"trace"`` section, or None
+    when it is missing or unreadable."""
+    data = bundle.get("trace")
+    try:
+        return committed(trace_from_dict(data)) if data else None
+    except ValueError:
+        return None
+
+
 def _suspects(bundle: dict) -> list[str]:
     """Who is to blame, most direct evidence first."""
     lines: list[str] = []
@@ -287,13 +291,9 @@ def _suspects(bundle: dict) -> list[str]:
                 f"miss at superstep {e.superstep} "
                 f"(age {e.attrs.get('age_seconds', '?')}s)"
             )
-    tl_data = bundle.get("timeline")
-    if tl_data:
-        try:
-            tl = timeline_from_dict(tl_data)
-            flags = attribute_run(tl)
-        except (ValueError, KeyError):
-            flags = []
+    rows = _committed_rows(bundle)
+    if rows is not None:
+        flags = attribute_run(rows)
         dom = dominant_cause(flags)
         if dom is not None:
             worst = max(flags, key=lambda f: f.ratio)
@@ -303,7 +303,7 @@ def _suspects(bundle: dict) -> list[str]:
                 f"at s{worst.superstep} ({worst.detail})"
             )
     saved = bundle.get("straggler_flags") or []
-    if saved and not tl_data:
+    if saved and rows is None:
         worst = max(saved, key=lambda f: f["ratio"])
         lines.append(
             f"live monitor: {len(saved)} straggler flags, worst "
@@ -362,13 +362,10 @@ def render_incident_report(bundle: dict, last_events: int = 8) -> str:
         "suspects\n" + "\n".join(f"  - {s}" for s in _suspects(bundle))
     )
 
-    tl_data = bundle.get("timeline")
-    if tl_data:
-        try:
-            cp = critical_path(timeline_from_dict(tl_data))
-        except (ValueError, KeyError):
-            cp = None
-        if cp and cp["total"] > 0:
+    steps = _committed_rows(bundle)
+    if steps is not None:
+        cp = critical_path(steps)
+        if cp["total"] > 0:
             rows = [
                 [k, cp[k], f"{cp[k] / cp['total']:.1%}"]
                 for k in ("compute", "comm", "barrier", "overhead")

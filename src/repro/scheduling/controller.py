@@ -56,7 +56,7 @@ class SwathController(SuperstepObserver):
     #: optional :class:`repro.obs.MetricsRegistry` for swath telemetry
     metrics: Any = None
     #: optional :class:`repro.obs.RunTimeline`; initiations annotate it so
-    #: `repro perf report` shows swath boundaries next to straggler flags
+    #: `repro trace report` shows swath boundaries next to straggler flags
     timeline: Any = None
 
     def __post_init__(self) -> None:

@@ -6,10 +6,8 @@ import pytest
 from repro.algorithms import PageRankProgram
 from repro.analysis.traces import (
     read_json,
-    to_csv_text,
     trace_from_dict,
     trace_to_dict,
-    write_csv,
     write_json,
 )
 from repro.bsp import JobSpec, run_job
@@ -49,20 +47,6 @@ class TestJsonRoundTrip:
 
         back = trace_from_dict(trace_to_dict(JobTrace()))
         assert len(back) == 0
-
-
-class TestCsv:
-    def test_header_and_row_count(self, trace):
-        text = to_csv_text(trace)
-        lines = text.strip().splitlines()
-        expected_rows = sum(max(1, len(s.workers)) for s in trace)
-        assert len(lines) == expected_rows + 1
-        assert lines[0].startswith("index,num_workers")
-
-    def test_write_csv_file(self, trace, tmp_path):
-        p = tmp_path / "t.csv"
-        write_csv(trace, p)
-        assert p.read_text().count("\n") > len(trace)
 
 
 class TestCLI:
@@ -219,46 +203,3 @@ class TestFullFieldFidelity:
         assert np.array_equal(
             back.series_messages(), rich_trace.series_messages()
         )
-
-    def test_csv_includes_new_columns(self, rich_trace):
-        header = to_csv_text(rich_trace).splitlines()[0].split(",")
-        assert "disk_time" in header
-        assert "jitter_factor" in header
-        assert "injected" in header
-
-
-class TestElasticCsv:
-    def test_csv_on_elastic_trace_with_varying_workers(self):
-        from repro.elastic.live import ElasticResizer, LivePolicy
-
-        class Alternate(LivePolicy):
-            def decide(self, engine, stats):
-                return 2 if stats.index % 2 else 4
-
-        g = gen.watts_strogatz(40, 4, 0.2, seed=4)
-        job = JobSpec(
-            program=PageRankProgram(6), graph=g, num_workers=4,
-            observers=[ElasticResizer(Alternate())],
-        )
-        trace = run_job(job).trace
-
-        text = to_csv_text(trace)
-        lines = text.strip().splitlines()
-        header = lines[0].split(",")
-        wcol = header.index("num_workers")
-        widcol = header.index("worker")
-        sizes = {int(row.split(",")[wcol]) for row in lines[1:]}
-        assert sizes == {2, 4}  # the fleet really varied
-        expected_rows = sum(max(1, len(s.workers)) for s in trace)
-        assert len(lines) == expected_rows + 1
-        # per-step worker rows match that step's fleet size
-        by_step = {}
-        for row in lines[1:]:
-            cells = row.split(",")
-            by_step.setdefault(int(cells[0]), []).append(int(cells[widcol]))
-        for idx, ids in by_step.items():
-            assert ids == list(range(len(ids)))
-            assert len(ids) == trace[idx].num_workers
-
-        back = trace_from_dict(trace_to_dict(trace))
-        assert [s.num_workers for s in back] == [s.num_workers for s in trace]

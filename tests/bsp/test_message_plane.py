@@ -405,6 +405,18 @@ class TestCombinedBoxes:
             w.assignment = np.array([0, 1, 0, 1, 1, 1])
         assert _received(program, workers) == {1: [0.75, 9.0]}
 
+    def test_migrating_an_injected_message_moves_no_payload_bytes(self):
+        # inject() is control plane and never counts payload bytes, so an
+        # injected-only vertex carries none across.
+        program, workers = _recording_fleet(gen.ring(4), [0, 0, 1, 1],
+                                            SumCombiner())
+        src, dst = workers
+        src.inject(1, 9.0)
+        dst.import_vertex(1, *src.export_vertex(1))
+        assert dst._injected[1] == [9.0]
+        assert src.in_next_payload_bytes == 0.0
+        assert dst.in_next_payload_bytes == 0.0
+
     def test_migration_of_a_vertex_without_a_box(self):
         program, workers = _recording_fleet(gen.ring(4), [0, 0, 1, 1],
                                             SumCombiner())

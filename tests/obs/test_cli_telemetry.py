@@ -45,7 +45,7 @@ class TestCrashFlush:
             "run", "--graph", graph_file, "--workers", "3",
             "--iterations", "6",
             "--metrics-out", str(m), "--spans-out", str(s),
-            "--timeline-out", str(t), "--events-out", str(e),
+            "--trace-out", str(t), "--events-out", str(e),
             "--postmortem-out", str(pm),
         ])
         err = capsys.readouterr().err
@@ -54,8 +54,11 @@ class TestCrashFlush:
         # every sink flushed despite the mid-run exception
         assert json.loads(m.read_text())
         assert json.loads(s.read_text())
-        timeline = json.loads(t.read_text())
-        assert timeline["steps"], "partial timeline must be preserved"
+        trace = json.loads(t.read_text())
+        # superstep 2 raised, so steps 0 and 1 closed
+        assert [s["index"] for s in trace["steps"]] == [0, 1], (
+            "partial trace must be preserved"
+        )
         events = [
             json.loads(ln) for ln in e.read_text().splitlines() if ln
         ]

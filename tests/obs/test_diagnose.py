@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms import PageRankProgram
+from repro.analysis.traces import committed
 from repro.bsp import JobSpec, run_job
 from repro.cloud.costmodel import DEFAULT_PERF_MODEL
 from repro.graph import generators as gen
@@ -228,14 +229,14 @@ class TestDiagnosticMonitor:
         assert res.recoveries[0].resumed_from == 5
         steps = [f.superstep for f in monitor.flags]
         assert steps == sorted(set(steps)) and 5 in steps
-        assert monitor.flags == attribute_run(tl)
+        assert monitor.flags == attribute_run(committed(tl))
 
     def test_unplanned_death_keeps_the_retried_steps_flags(
         self, balanced_graph, tmp_path
     ):
         # Worker death in step 6 resumes from 5; with this jitter seed
         # both the lost and the retried step 5 flag, and only the retried
-        # one is in the timeline.
+        # one is committed.
         model = dataclasses.replace(
             DEFAULT_PERF_MODEL, jitter=0.6, jitter_seed=9,
             jitter_workers=(2,),
@@ -253,7 +254,8 @@ class TestDiagnosticMonitor:
         # The offline pass has no degree shares, so causes may differ.
         live = [(f.superstep, f.worker, f.ratio) for f in monitor.flags]
         assert live == [
-            (f.superstep, f.worker, f.ratio) for f in attribute_run(tl)
+            (f.superstep, f.worker, f.ratio)
+            for f in attribute_run(committed(tl))
         ]
         assert [step for step, _, _ in live].count(5) == 1
 

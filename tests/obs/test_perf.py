@@ -1,24 +1,40 @@
-"""`repro perf`: report rendering, regression diffing, and the CLI.
+"""`repro trace report|diff`: attribution, regression diffing, and the CLI.
 
-Carries the issue's acceptance scenario: a BC swath run with injected
+Carries the attribution acceptance scenario: a BC swath run with injected
 jitter on one worker must produce a report attributing the straggler to
-that worker with the jitter cause, and `perf diff` must flag a 2x compute
-slowdown while staying clean on an unchanged run.
+that worker with the jitter cause, and `trace diff` must flag a 2x compute
+slowdown while staying clean on an unchanged run.  Every reader command
+also takes the files older releases wrote: version-1 and -3 trace dumps,
+and the separate timeline dump (``tests/obs/data/timeline_v4.json``, the
+committed steps plus events).
 """
 
 import copy
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.algorithms import PageRankProgram
 from repro.analysis import RunConfig, run_traversal
+from repro.analysis.traces import (
+    committed,
+    read_json,
+    trace_from_dict,
+    trace_to_dict,
+    write_json,
+)
+from repro.bsp import JobSpec, run_job
 from repro.cli import main as cli_main
 from repro.cloud.costmodel import DEFAULT_PERF_MODEL
 from repro.graph import generators as gen
 from repro.graph import io as graph_io
-from repro.obs import RunTimeline, perf_diff, perf_report, timeline_from_dict
+from repro.obs import RunTimeline, trace_diff, trace_report
 from repro.scheduling import StaticSizer
+
+OLD_TIMELINE = Path(__file__).parent / "data" / "timeline_v4.json"
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +55,17 @@ def bc_jitter_timeline():
     return tl
 
 
+def after_run_table(text):
+    """A report without its run table (the rolled-back row count)."""
+    return text.split("\n\n", 1)[1]
+
+
 class TestReport:
     def test_attributes_jitter_to_the_injected_worker(
         self, bc_jitter_timeline
     ):
-        text = perf_report(bc_jitter_timeline)
-        assert "critical path" in text
+        text = trace_report(bc_jitter_timeline)
+        assert "time along the pacing worker" in text
         assert "per-worker totals" in text
         assert "straggler flags" in text
         assert "dominant cause: jitter" in text
@@ -59,13 +80,30 @@ class TestReport:
         cfg = RunConfig(num_workers=4, timeline=tl)
         run_traversal(small_world, cfg, roots=range(6), kind="bc",
                       sizer=StaticSizer(3))
-        text = perf_report(tl)
+        text = trace_report(tl)
         assert "straggler flags: none" in text
+
+    def test_recovery_reports_the_committed_steps(self, small_world):
+        tl = RunTimeline()
+        res = run_job(JobSpec(
+            program=PageRankProgram(6), graph=small_world, num_workers=4,
+            checkpoint_interval=3, failure_schedule={4: 1}, timeline=tl,
+        ))
+        assert [s.index for s in tl] == [0, 1, 2, 3, 4, 3, 4, 5, 6]
+        text = trace_report(tl)
+        # The failing step 4 was never kept; step 3's 4 rows were.
+        assert re.search(r"rows rolled back by recovery +4 ", text)
+        kept = RunTimeline(steps=committed(tl).steps, events=tl.events)
+        assert "rolled back" not in trace_report(kept)
+        assert after_run_table(text) == after_run_table(trace_report(kept))
+        # Report dollars price the committed steps; the bill prices all.
+        cost = float(text.split("cost: $")[1].split()[0])
+        assert cost < res.cost.total
 
 
 def slow_compute_copy(tl, factor=2.0):
     """A doctored timeline whose every row computes ``factor`` x slower."""
-    doctored = timeline_from_dict(copy.deepcopy(tl.to_dict()))
+    doctored = trace_from_dict(copy.deepcopy(trace_to_dict(tl)))
     sim = 0.0
     for s in doctored.steps:
         overhead = s.overhead_time
@@ -79,14 +117,14 @@ def slow_compute_copy(tl, factor=2.0):
 
 class TestDiff:
     def test_unchanged_run_is_clean(self, bc_jitter_timeline):
-        text, regressed = perf_diff(bc_jitter_timeline, bc_jitter_timeline)
+        text, regressed = trace_diff(bc_jitter_timeline, bc_jitter_timeline)
         assert not regressed
         assert "clean" in text
         assert "REGRESSED" not in text
 
     def test_2x_compute_slowdown_flagged(self, bc_jitter_timeline):
         slow = slow_compute_copy(bc_jitter_timeline)
-        text, regressed = perf_diff(bc_jitter_timeline, slow)
+        text, regressed = trace_diff(bc_jitter_timeline, slow)
         assert regressed
         assert "REGRESSION" in text
         lines = [ln for ln in text.splitlines() if ln.lstrip().startswith("compute")]
@@ -94,7 +132,7 @@ class TestDiff:
 
     def test_improvement_is_not_a_regression(self, bc_jitter_timeline):
         slow = slow_compute_copy(bc_jitter_timeline)
-        _, regressed = perf_diff(slow, bc_jitter_timeline)
+        _, regressed = trace_diff(slow, bc_jitter_timeline)
         assert not regressed
 
 
@@ -107,39 +145,86 @@ class TestCLI:
         rc = cli_main([
             "run", "--graph", str(g), "--app", "pagerank",
             "--workers", "3", "--iterations", "6",
-            "--timeline-out", str(t),
+            "--trace-out", str(t),
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "timeline written to" in out
+        assert "trace written to" in out
         return t
 
     def test_report_command(self, timeline_file, capsys):
-        assert cli_main(["perf", "report", str(timeline_file)]) == 0
+        assert cli_main(["trace", "report", str(timeline_file)]) == 0
         out = capsys.readouterr().out
-        assert "critical path" in out
+        assert "time along the pacing worker" in out
         assert "per-worker totals" in out
 
     def test_diff_clean_and_regressed_exit_codes(
         self, timeline_file, tmp_path, capsys
     ):
         assert cli_main(
-            ["perf", "diff", str(timeline_file), str(timeline_file)]
+            ["trace", "diff", str(timeline_file), str(timeline_file)]
         ) == 0
         assert "clean" in capsys.readouterr().out
 
-        from repro.obs import read_timeline
-
-        slow = slow_compute_copy(read_timeline(timeline_file))
+        slow = slow_compute_copy(read_json(timeline_file))
         slow_path = tmp_path / "slow.json"
-        slow.write_json(slow_path)
+        write_json(slow, slow_path)
         assert cli_main(
-            ["perf", "diff", str(timeline_file), str(slow_path)]
+            ["trace", "diff", str(timeline_file), str(slow_path)]
         ) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_garbage_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"version": 1, "spans": []}))
-        assert cli_main(["perf", "report", str(bad)]) == 2
-        assert "spans file" in capsys.readouterr().err
+        for argv in (["report", str(bad)], ["summarize", str(bad)],
+                     ["diff", str(bad), str(bad)]):
+            assert cli_main(["trace", *argv]) == 2
+            assert "spans file" in capsys.readouterr().err
+
+
+def downgrade(data, version):
+    """A run file as an older release wrote it."""
+    data = copy.deepcopy(data)
+    data["version"] = version
+    del data["events"]
+    for sd in data["steps"]:
+        sd.pop("extra_vm_seconds")
+        if version == 1:
+            sd.pop("injected")
+            for wd in sd["workers"]:
+                for f in ("disk_time", "jitter_factor", "queue_depth"):
+                    wd.pop(f)
+    return data
+
+
+class TestOlderFiles:
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_old_trace_dumps_read_everywhere(
+        self, bc_jitter_timeline, tmp_path, capsys, version
+    ):
+        path = tmp_path / f"v{version}.json"
+        path.write_text(json.dumps(
+            downgrade(trace_to_dict(bc_jitter_timeline), version)
+        ))
+        assert cli_main(["trace", "summarize", str(path)]) == 0
+        assert "run summary" in capsys.readouterr().out
+        assert cli_main(["trace", "report", str(path)]) == 0
+        assert "per-worker totals" in capsys.readouterr().out
+        assert cli_main(["trace", "diff", str(path), str(path)]) == 0
+        assert "clean" in capsys.readouterr().out
+
+    def test_timeline_dump_reads_everywhere(self, tmp_path, capsys):
+        assert cli_main(["trace", "summarize", str(OLD_TIMELINE)]) == 0
+        assert "run summary" in capsys.readouterr().out
+        assert cli_main(["trace", "report", str(OLD_TIMELINE)]) == 0
+        assert "swath-initiation x1" in capsys.readouterr().out
+        # The same job today writes the same file.
+        tl = RunTimeline()
+        run_traversal(gen.ring(4), RunConfig(num_workers=2, timeline=tl),
+                      roots=[0, 2], kind="bc")
+        new = tmp_path / "new.json"
+        write_json(tl, new)
+        assert new.read_text() == OLD_TIMELINE.read_text()
+        assert cli_main(["trace", "diff", str(OLD_TIMELINE), str(new)]) == 0
+        assert "clean" in capsys.readouterr().out

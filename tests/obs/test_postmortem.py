@@ -72,7 +72,10 @@ class TestBundleCapture:
         assert bundle["manifest"]["num_workers"] == 3
         assert bundle["flight"]["events"]
         assert bundle["metrics"] is not None
-        assert bundle["timeline"] is not None
+        # one rows section, in the run-file format
+        assert "timeline" not in bundle
+        assert [s["index"] for s in bundle["trace"]["steps"]] == [0, 1]
+        assert bundle["trace"]["events"] == []
         # the abort event is the flight ring's last word
         last = bundle["flight"]["events"][-1]
         assert last["kind"] == "abort"
@@ -153,6 +156,17 @@ class TestIncidentReport:
         assert "ExplodeAt" in report
         assert "flight recorder" in report
         assert "traceback" in report.lower()
+
+    def test_report_reads_the_rows_section(self, small_world, tmp_path):
+        bundle = self._bundle(small_world, tmp_path)
+        assert "critical path so far" in render_incident_report(bundle)
+        # A bundle written before the sections merged held the same rows
+        # twice; it renders from "trace" and never reads "timeline".
+        legacy = dict(bundle, timeline=dict(bundle["trace"]))
+        del legacy["trace"]["events"]
+        assert "critical path so far" in render_incident_report(legacy)
+        del legacy["trace"]
+        assert "critical path so far" not in render_incident_report(legacy)
 
     def test_report_tails_are_bounded(self, small_world, tmp_path):
         bundle = self._bundle(small_world, tmp_path)

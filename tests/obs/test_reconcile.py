@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms import PageRankProgram
+from repro.analysis.traces import committed
 from repro.bsp import JobSpec
 from repro.bsp.engine import make_engine
 from repro.bsp.superstep import JobTrace
@@ -167,25 +168,29 @@ def test_timeline_is_the_committed_trace(run):
     _, result, _, _, timeline, *_ = run
     # A replayed superstep supersedes the lost one: the last trace entry of
     # each index is the committed one.
-    committed = list({s.index: s for s in result.trace}.values())
+    kept = list({s.index: s for s in result.trace}.values())
     # Something was rolled back exactly when a worker was lost.
-    assert (len(committed) < len(result.trace)) == bool(result.recoveries)
-    # The timeline holds the trace's own step objects, not copies.
-    assert len(timeline.steps) == len(committed)
-    assert all(t is s for t, s in zip(timeline.steps, committed))
+    assert (len(kept) < len(result.trace)) == bool(result.recoveries)
+    # The timeline holds the trace's own step objects, not copies, and its
+    # committed view derived from the indices is the kept steps.
+    assert len(timeline.steps) == len(result.trace)
+    assert all(t is s for t, s in zip(timeline.steps, result.trace))
+    view = committed(timeline).steps
+    assert len(view) == len(kept)
+    assert all(t is s for t, s in zip(view, kept))
 
 
 def test_timeline_prices_the_committed_steps(run):
     _, result, _, _, timeline, *_ = run
-    committed = JobTrace(list({s.index: s for s in result.trace}.values()))
-    # `repro perf` prices a timeline with the default book, which is the
-    # one these runs bill with.
-    assert attribute_cost(timeline) == attribute_cost(committed)
-    if len(committed) < len(result.trace):
+    kept = JobTrace(list({s.index: s for s in result.trace}.values()))
+    # `repro trace report` prices the committed steps with the default
+    # book, which is the one these runs bill with.
+    assert attribute_cost(committed(timeline)) == attribute_cost(kept)
+    if len(kept) < len(result.trace):
         # The lost epoch and its restore stall are in the bill only.
-        assert attribute_cost(timeline).total < result.cost.total
+        assert attribute_cost(committed(timeline)).total < result.cost.total
     else:
-        assert attribute_cost(timeline) == result.cost
+        assert attribute_cost(committed(timeline)) == result.cost
 
 
 def test_one_bill(run):

@@ -1,11 +1,12 @@
 """RunTimeline: recording, serialization, rollback, engine equivalence.
 
-The contracts: the timeline is the JobTrace of the committed steps, one
+The contracts: the timeline is the JobTrace of every closed step, one
 row per (superstep, worker) carrying only deterministic simulated
 quantities; its dump is the trace format plus ``events``; byte-identical
-JSON across the sim and process backends on the same seed; and rollback
-that makes a failed-and-recovered run's timeline equal an undisturbed
-run's — including on the process engine's real kill/respawn path.
+JSON across the sim and process backends on the same seed; and the
+committed view derived from the step indices makes a failed-and-recovered
+run's rows equal an undisturbed run's — including on the process engine's
+real kill/respawn path.
 """
 
 import dataclasses
@@ -14,12 +15,19 @@ import json
 import pytest
 
 from repro.algorithms import PageRankProgram
-from repro.analysis.traces import trace_to_dict
+from repro.analysis.traces import (
+    committed,
+    read_json,
+    rolled_back_rows,
+    trace_from_dict,
+    trace_to_dict,
+    write_json,
+)
 from repro.bsp import JobSpec, run_job
 from repro.bsp.superstep import SuperstepStats, WorkerStepStats
 from repro.cloud.costmodel import DEFAULT_PERF_MODEL
 from repro.dist import ProcessBSPEngine
-from repro.obs import RunTimeline, read_timeline, timeline_from_dict
+from repro.obs import RunTimeline
 
 
 def rows(tl):
@@ -43,7 +51,7 @@ class TestRecording:
         assert len(rows(tl)) == res.supersteps * 4
         assert {r.worker for r in rows(tl)} == {0, 1, 2, 3}
         assert tl.num_workers == 4
-        assert tl.rolled_back_rows == 0
+        assert rolled_back_rows(tl) == 0
 
     def test_totals_match_job_result(self, small_world):
         tl = RunTimeline()
@@ -85,32 +93,32 @@ class TestSerialization:
         run_job(make_job(small_world, tl))
         tl.annotate(2, "note", detail="x")
         p = tmp_path / "tl.json"
-        tl.write_json(p)
-        back = read_timeline(p)
-        assert back.to_dict() == tl.to_dict()
+        write_json(tl, p)
+        back = read_json(p)
+        assert trace_to_dict(back) == trace_to_dict(tl)
         assert back.events == [{"superstep": 2, "kind": "note", "detail": "x"}]
 
     def test_version_checked(self):
         with pytest.raises(ValueError, match="version"):
-            timeline_from_dict({"version": 99, "steps": []})
+            trace_from_dict({"version": 99, "steps": []})
 
     def test_rejects_non_timeline_dumps(self):
         with pytest.raises(ValueError, match="spans file"):
-            timeline_from_dict({"version": 1, "spans": []})
+            trace_from_dict({"version": 1, "spans": []})
 
     def test_dump_is_the_trace_dump_plus_events(self, small_world):
         # Failure-free, so every trace row is committed.
         tl = RunTimeline()
         res = run_job(make_job(small_world, tl))
-        dump = tl.to_dict()
+        dump = trace_to_dict(tl)
         assert list(dump) == ["version", "steps", "events"]
         assert dump["steps"] == trace_to_dict(res.trace)["steps"]
         assert dump["version"] == trace_to_dict(res.trace)["version"]
 
     def test_refuses_the_retired_row_format(self):
         old = {"version": 1, "steps": [], "rows": [], "events": []}
-        with pytest.raises(ValueError, match="re-record"):
-            timeline_from_dict(old)
+        with pytest.raises(ValueError, match="retired"):
+            trace_from_dict(old)
 
 
 def fake_stats(index, elapsed_by_worker, barrier=0.5):
@@ -129,14 +137,22 @@ def fake_stats(index, elapsed_by_worker, barrier=0.5):
 
 class TestRollback:
     def test_rollback_drops_and_counts(self):
+        # Step 5 fails and resumes from 3, in the engine's order: the
+        # rollback prunes events, then the failing step closes and the
+        # replay appends.
         tl = RunTimeline()
         for i in range(5):
-            tl.record_superstep(fake_stats(i, [1.0, 2.0]))
+            tl.append(fake_stats(i, [1.0, 2.0]))
         tl.annotate(1, "early")
         tl.annotate(4, "late")
         tl.rollback(3)
-        assert [s.index for s in tl.steps] == [0, 1, 2]
-        assert tl.rolled_back_rows == 4
+        for i in (5, 3, 4, 5):
+            tl.append(fake_stats(i, [1.0, 2.0]))
+        assert [s.index for s in tl.steps] == [0, 1, 2, 3, 4, 5, 3, 4, 5]
+        assert [s.index for s in committed(tl)] == [0, 1, 2, 3, 4, 5]
+        assert committed(tl).steps[3] is tl.steps[6]
+        # Steps 3 and 4 had committed; the failing step 5's row had not.
+        assert rolled_back_rows(tl) == 4
         assert [e["kind"] for e in tl.events] == ["early"]
 
     def test_recovered_run_records_like_clean_run(self, small_world):
@@ -152,11 +168,13 @@ class TestRollback:
             )
         )
         assert res.recoveries
-        assert failed.rolled_back_rows > 0
+        assert [s.index for s in failed] == [0, 1, 2, 3, 4, 3, 4, 5, 6]
+        assert failed.steps == res.trace.steps
+        assert rolled_back_rows(failed) == 4
         # Rows replay identically; only the recovery-charged step's
         # elapsed/cumulative sim times differ.
-        assert rows(clean) == rows(failed)
-        assert len(clean.steps) == len(failed.steps)
+        assert rows(clean) == rows(committed(failed))
+        assert len(clean.steps) == len(committed(failed))
 
     def test_failure_on_checkpoint_boundary_keeps_committed_row(
         self, small_world
@@ -168,7 +186,7 @@ class TestRollback:
         run_job(make_job(small_world, clean))
         res = run_job(make_job(small_world, failed, failure_schedule={3: 1}))
         assert res.recoveries and res.recoveries[0].resumed_from == 4
-        assert rows(clean) == rows(failed)
+        assert rows(clean) == rows(failed) == rows(committed(failed))
 
     def test_process_engine_kill_respawn_rows_roll_back(self, small_world):
         clean, killed = RunTimeline(), RunTimeline()
@@ -179,8 +197,9 @@ class TestRollback:
         engine.kill_worker_at(4, 1)
         res = engine.run()
         assert res.recoveries and res.recoveries[0].failed_worker == 1
-        assert killed.rolled_back_rows > 0
-        assert rows(clean) == rows(killed)
+        assert [s.index for s in killed] == [0, 1, 2, 3, 4, 3, 4, 5, 6]
+        assert rolled_back_rows(killed) == 4
+        assert rows(clean) == rows(committed(killed))
         # The replacement worker reports under the same worker id.
         assert {r.worker for r in rows(killed)} == {0, 1, 2, 3}
 
@@ -194,7 +213,7 @@ class TestEngineEquivalence:
         for name in ("sim", "process"):
             tl = RunTimeline()
             run_job(make_job(small_world, tl, perf_model=model), engine=name)
-            dumps[name] = json.dumps(tl.to_dict(), sort_keys=True)
+            dumps[name] = json.dumps(trace_to_dict(tl), sort_keys=True)
         assert dumps["sim"] == dumps["process"]
 
 
