@@ -7,9 +7,10 @@ regression is attributable:
   on the two shapes the engine actually ships: tiny control frames and
   bulk NumPy message buckets (out-of-band pickle-5 buffers);
 * **transport round-trips** — the same bulk frame echoed through a
-  ``multiprocessing`` pipe (the ``process`` backend's channel) vs a
-  TCP-loopback socket with stream framing (the ``tcp`` backend's
-  channel), isolating what the socket hop costs per barrier;
+  ``multiprocessing`` pipe vs a TCP-loopback socket with stream framing
+  (the framing both backends' channels read; the ``process`` backend's
+  runs over a ``socketpair``), isolating what the socket hop costs per
+  barrier;
 * **end to end** — PageRank on a web-Google analogue through the
   ``sim``, ``process``, and ``tcp`` engines: bit-equal results by
   contract, host wall-clock recorded for comparison.

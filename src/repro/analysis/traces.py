@@ -18,7 +18,10 @@ A recovery replays supersteps, so a file can hold an index more than
 once.  :func:`committed` derives the steps the run kept: a row is
 committed unless a later row has an index <= its own.  Critical path,
 straggler flags and report cost read that view; the totals of ``trace
-summarize`` read every row, as ``JobResult.cost`` prices them.
+summarize`` read every row, as ``JobResult.cost`` prices them.  A
+superstep aborted by a worker death closes no row; an
+``aborted-superstep`` event records it, so :func:`rolled_back_rows`
+counts from the file alone.
 
 Format history: version 2 added ``disk_time`` and ``jitter_factor`` to
 worker rows and ``injected`` to step rows; version 3 added ``queue_depth``
@@ -42,6 +45,7 @@ from typing import Any
 from ..bsp.superstep import JobTrace, SuperstepStats, WorkerStepStats
 
 __all__ = [
+    "ABORTED_SUPERSTEP",
     "TRACE_FORMAT_VERSION",
     "RunTimeline",
     "committed",
@@ -53,6 +57,10 @@ __all__ = [
 ]
 
 TRACE_FORMAT_VERSION = 4
+
+#: the event kind the process and tcp engines annotate when a worker dies
+#: mid-superstep, the attempt leaving no row (see :func:`rolled_back_rows`)
+ABORTED_SUPERSTEP = "aborted-superstep"
 
 _WORKER_FIELDS = [
     "worker",
@@ -109,8 +117,13 @@ class RunTimeline(JobTrace):
 
     def rollback(self, resume_from: int) -> None:
         """Discard the events of supersteps >= ``resume_from``; the replayed
-        supersteps annotate again."""
-        self.events = [e for e in self.events if e["superstep"] < resume_from]
+        supersteps annotate again.  An ``aborted-superstep`` event stays:
+        it marks rows that stay in the file."""
+        self.events = [
+            e for e in self.events
+            if e["superstep"] < resume_from
+            or e["kind"] == ABORTED_SUPERSTEP
+        ]
 
 
 def committed(trace: JobTrace) -> JobTrace:
@@ -134,14 +147,19 @@ def rolled_back_rows(trace: JobTrace) -> int:
     These are the rows outside :func:`committed` less each failing step's
     own — the row right before the index falls back, which recovery
     replaces before it ever counts as kept.  A worker death mid-superstep
-    leaves no row for the aborted attempt, so there the row before the
-    fall-back is a kept one and the count misses it.
+    leaves no row for the aborted attempt: its ``aborted-superstep``
+    event's ``rows_before`` (the rows closed before it) marks the row
+    before that fall-back as a kept one.
     """
     kept = {id(s) for s in committed(trace)}
+    aborted = {
+        e["rows_before"] for e in getattr(trace, "events", ())
+        if e["kind"] == ABORTED_SUPERSTEP
+    }
     steps = trace.steps
     return sum(
-        len(s.workers) for s, nxt in zip(steps, steps[1:])
-        if id(s) not in kept and nxt.index > s.index
+        len(s.workers) for i, (s, nxt) in enumerate(zip(steps, steps[1:]))
+        if id(s) not in kept and (nxt.index > s.index or i + 1 in aborted)
     )
 
 

@@ -17,22 +17,25 @@ Architecture (the paper's job-manager/worker split, §III):
   in worker-id order, runs ``master_compute``, prices the superstep on the
   cloud models, and owns the checkpoint.  It hosts no vertex: its
   ``workers`` are views of the resource report each session sends;
-* each worker owns its partition's state and serves the command loop in
-  :class:`repro.net.session.WorkerSession`; messages cross the wire as
-  length-prefixed pickle-5 frames (:mod:`repro.net.codec`), combiners
-  already applied sender-side.  When the program lifts, every session
-  runs the plan compiled here on its own rows (a dense shard, one
-  ``(row index, value)`` array pair per frame) in place of a
+* each worker owns its partition's state in a
+  :class:`repro.net.session.WorkerSession`, served by
+  :func:`repro.net.daemon.host_session` — the one session loop, in a
+  forked process or a ``repro worker`` daemon alike; messages cross the
+  wire as length-prefixed pickle-5 frames (:mod:`repro.net.codec`),
+  combiners already applied sender-side.  When the program lifts,
+  every session runs the plan compiled here on its own rows (a dense
+  shard, one ``(row index, value)`` array pair per frame) in place of a
   :class:`~repro.bsp.worker.PartitionWorker`; it folds like one.  Such a
   session receives only its slice of the job's arc layout.
 
 Transports (:mod:`repro.net`): the default
 :class:`~repro.net.transport.PipeTransport` forks one local OS process
-per worker (the historical ``repro.dist`` shape);
+per worker and reaches it over a ``socketpair``;
 :class:`~repro.net.tcp.TcpTransport` places sessions on ``repro worker``
-daemons over sockets (:class:`repro.net.TcpBSPEngine` is the
-pre-configured subclass behind ``--engine tcp``).  The coordinator logic
-below is transport-agnostic.
+daemons over TCP sockets (:class:`repro.net.TcpBSPEngine` is the
+pre-configured subclass behind ``--engine tcp``).  Both speak one wire,
+read on this side by :class:`~repro.net.tcp.TcpChannel`; the coordinator
+logic below is transport-agnostic.
 
 Determinism: workers compute independently, but frames are routed to each
 destination in source-worker-id order and applied in emission order —
@@ -41,7 +44,7 @@ in worker-id order, so ``extract()`` output is bit-identical to the
 sequential engine (``certify_determinism(engine="process")`` and
 ``engine="tcp"`` check this).
 
-Robustness: workers heartbeat through their channel; the parent detects
+Robustness: workers heartbeat on their reply stream; the parent detects
 death (``healthy()``/channel errors) and hangs (heartbeat age beyond
 ``heartbeat_timeout`` on the **monotonic** clock — wall-time jumps cannot
 fake a timeout), kills the victim if needed, launches a replacement, and
@@ -67,6 +70,7 @@ from typing import Any
 
 import numpy as np
 
+from ..analysis.traces import ABORTED_SUPERSTEP
 from ..bsp.dense_ref import shard_plan
 from ..bsp.dense_shard import DenseLayout
 from ..bsp.engine import BSPEngine
@@ -256,7 +260,7 @@ class ProcessBSPEngine(BSPEngine):
     def _build_workers(self) -> None:
         """Launch every session, then seed :attr:`workers`, the views, from
         the report each sends to an empty ``inject``: every session is
-        asked before any reply is read, so pipe sessions build in
+        asked before any reply is read, so forked sessions build in
         parallel."""
         self._handles: list[WorkerChannel | None] = [None] * self.num_workers
         try:
@@ -302,8 +306,16 @@ class ProcessBSPEngine(BSPEngine):
                 scratch = SuperstepStats(
                     index=self.superstep, num_workers=self.num_workers
                 )
+                failed_at = self.superstep
                 self._recover(failure.worker_id, scratch)
                 restored += scratch.elapsed
+                # No row marks where the lost epoch ended; the run file's
+                # event does (repro.analysis.traces.rolled_back_rows).
+                self.telemetry.annotate(
+                    failed_at, ABORTED_SUPERSTEP,
+                    failed_worker=failure.worker_id,
+                    resumed_from=self.superstep, rows_before=len(self.trace),
+                )
                 continue
             # The retried attempt's row carries the restore stalls, as a
             # scheduled failure's row does, so the trace bills them.
@@ -365,7 +377,7 @@ class ProcessBSPEngine(BSPEngine):
     def _emit_child_output(worker_id: int, text: str) -> None:
         """Relay a worker's captured stdout/stderr, atomically.
 
-        Pipe-backend children never touch the shared stderr (worker_proc
+        Forked workers never touch the shared stderr (worker_proc
         captures it); the coordinator is the only writer, so progress
         lines and worker prints cannot interleave mid-line.  One write()
         call per batch.

@@ -1,51 +1,39 @@
-"""Child-process side of the pipe (fork) transport.
+"""The forked worker: its process main and the coordinator's channel to it.
 
-:func:`worker_main` is the entry point each forked worker process runs.
-The command protocol itself — inject/compute/deliver/snapshot/restore/
-extract/stop with epoch-tagged replies — lives in the transport-shared
-:class:`repro.net.session.WorkerSession`; this module only supplies the
-pipe plumbing around it: frame I/O on the duplex command pipe, the
-heartbeat thread on its dedicated pipe, and stdout/stderr capture.
+:func:`worker_main` is the entry point each process-engine worker runs
+after :class:`~repro.net.transport.PipeTransport` forks it.  The child
+inherits its :class:`~repro.net.transport.WorkerInit` through the fork,
+builds its :class:`repro.net.session.WorkerSession`, and serves it with
+:func:`repro.net.daemon.host_session`, the loop a ``repro worker``
+daemon runs after its handshake, on one end of a ``socketpair``: the
+same stream frames, frame cap and multiplexed heartbeats as a TCP
+session.  :class:`ForkedChannel` is the coordinator's end.
 
 A worker process must never write to the shared stdout/stderr —
 concurrent children interleave mid-line and corrupt the parent's progress
 display.  Everything (user ``print()`` in compute(), library chatter) is
 captured and shipped to the coordinator at each barrier, which emits it
 atomically with a ``[worker N]`` prefix.
-
-A daemon thread sends a heartbeat byte on the dedicated pipe every
-``heartbeat_interval`` seconds; the parent tracks receive times on the
-monotonic clock to detect hung (not just dead) workers.
 """
 
 from __future__ import annotations
 
+import asyncio
 import io
 import sys
-import threading
 
-from ..net.codec import pack_frame, unpack_frame
+from ..net.daemon import host_session
 from ..net.session import WorkerSession
+from ..net.tcp import TcpChannel
 
-__all__ = ["worker_main"]
-
-
-def _heartbeat_loop(
-    conn, interval: float, stop: threading.Event, flight=None
-) -> None:
-    beats = 0
-    while not stop.wait(interval):
-        try:
-            conn.send_bytes(b"\x01")
-        except (BrokenPipeError, OSError):
-            return
-        beats += 1
-        if flight is not None:
-            flight.record("heartbeat-send", beats=beats)
+__all__ = ["ForkedChannel", "worker_main"]
 
 
-def worker_main(init, conn, hb_conn) -> None:
-    """Command loop for one worker process (the child's ``main``)."""
+def worker_main(init, sock, coordinator_end) -> None:
+    """The forked child's ``main``: serve one session on ``sock``."""
+    # The coordinator's end came along with the fork; holding it would
+    # keep this session from ever reading EOF should the coordinator die.
+    coordinator_end.close()
     captured = io.StringIO()
     sys.stdout = sys.stderr = captured
 
@@ -58,20 +46,45 @@ def worker_main(init, conn, hb_conn) -> None:
 
     session = WorkerSession(init, drain_output=_drain_output)
 
-    stop = threading.Event()
-    threading.Thread(
-        target=_heartbeat_loop,
-        args=(hb_conn, init.heartbeat_interval, stop, session.flight),
-        daemon=True,
-    ).start()
+    async def serve() -> None:
+        reader, writer = await asyncio.open_connection(sock=sock)
+        try:
+            await host_session(reader, writer, session,
+                               float(init.heartbeat_interval))
+        finally:
+            writer.close()
 
     try:
-        while True:
-            cmd, epoch, payload = unpack_frame(conn.recv_bytes())
-            conn.send_bytes(pack_frame(session.handle(cmd, epoch, payload)))
-            if cmd == "stop":
-                return
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass  # coordinator went away; exit quietly
-    finally:
-        stop.set()
+        asyncio.run(serve())
+    except KeyboardInterrupt:
+        pass
+
+
+class ForkedChannel(TcpChannel):
+    """A forked worker process over a socketpair.
+
+    Frames, heartbeats and EOF detection are :class:`TcpChannel`'s; the
+    process handle answers liveness, death and kill.  There is no
+    handshake, so the channel's ClockSync stays empty: the child reads the
+    coordinator's own monotonic clock, and an offset of 0.0 is exact.
+    """
+
+    transport = "pipe"
+
+    def __init__(self, worker_id: int, proc, sock) -> None:
+        super().__init__(worker_id, sock, endpoint=f"pid:{proc.pid}")
+        self.proc = proc
+
+    def healthy(self) -> bool:
+        return self.proc.is_alive()
+
+    def death_reason(self) -> str:
+        return f"process exited (code {self.proc.exitcode})"
+
+    def kill(self) -> None:
+        if self.proc.is_alive():
+            self.proc.kill()
+        self.proc.join()
+
+    def join(self, timeout: float | None = None) -> None:
+        self.proc.join(timeout)

@@ -13,10 +13,7 @@ from .live import (
     ElasticResizer,
     LiveActiveFraction,
     LiveFixed,
-    LiveFleetGuard,
-    LiveHealthGuard,
     LivePolicy,
-    LiveSkewGuard,
 )
 
 __all__ = [
@@ -34,8 +31,5 @@ __all__ = [
     "ElasticResizer",
     "LiveActiveFraction",
     "LiveFixed",
-    "LiveFleetGuard",
-    "LiveHealthGuard",
     "LivePolicy",
-    "LiveSkewGuard",
 ]

@@ -33,9 +33,6 @@ __all__ = [
     "LivePolicy",
     "LiveActiveFraction",
     "LiveFixed",
-    "LiveSkewGuard",
-    "LiveHealthGuard",
-    "LiveFleetGuard",
     "ElasticResizer",
 ]
 
@@ -94,107 +91,6 @@ class LiveActiveFraction(LivePolicy):
     @property
     def label(self) -> str:
         return f"LiveDynamic({self.threshold:.0%}, {self.low}<->{self.high})"
-
-
-@dataclass
-class LiveSkewGuard(LivePolicy):
-    """Wrap a policy; veto scale-*in* while the fleet is skewed.
-
-    Consumes the straggler signal of a
-    :class:`repro.obs.diagnose.DiagnosticMonitor` (duck-typed: anything
-    with a ``skew_signal() -> float``).  Scaling in during a straggler
-    episode concentrates the hot partition's load on fewer workers and
-    lengthens the barrier-dominated tail the scale-in was meant to trim —
-    so while ``skew_signal()`` exceeds ``threshold``, requests for a
-    smaller fleet hold at the current size.  Scale-*out* always passes.
-    """
-
-    inner: LivePolicy
-    monitor: "object"
-    threshold: float = 1.5
-    vetoes: int = field(default=0, repr=False)
-
-    def decide(self, engine, stats) -> int:
-        want = int(self.inner.decide(engine, stats))
-        if want < engine.num_workers and (
-            self.monitor.skew_signal() > self.threshold
-        ):
-            self.vetoes += 1
-            return engine.num_workers
-        return want
-
-    @property
-    def label(self) -> str:
-        return f"SkewGuard({self.inner.label}, >{self.threshold:g})"
-
-
-@dataclass
-class LiveHealthGuard(LivePolicy):
-    """Wrap a policy; veto *any* resize while run health is degraded.
-
-    Consumes the same liveness truth the ``/healthz`` endpoint serves: a
-    :class:`repro.obs.live.EngineHealth` (duck-typed: anything with a
-    ``snapshot() -> dict`` carrying ``ok``/``workers_alive``/
-    ``worker_liveness``).  Resizing while a worker is dead or the engine
-    has stopped crossing barriers would migrate state onto (or off of) a
-    fleet that is mid-recovery — so while the snapshot reports unhealthy,
-    requests for a different size hold at the current one.  External
-    scrapers and in-process policies thus act on one signal.
-    """
-
-    inner: LivePolicy
-    health: "object"
-    vetoes: int = field(default=0, repr=False)
-
-    def decide(self, engine, stats) -> int:
-        want = int(self.inner.decide(engine, stats))
-        if want != engine.num_workers:
-            snap = self.health.snapshot()
-            alive = snap.get("workers_alive", snap.get("workers", 0))
-            degraded = not snap.get("ok", True) or (
-                snap.get("worker_liveness") and alive < snap.get("workers", 0)
-            )
-            if degraded:
-                self.vetoes += 1
-                return engine.num_workers
-        return want
-
-    @property
-    def label(self) -> str:
-        return f"HealthGuard({self.inner.label})"
-
-
-@dataclass
-class LiveFleetGuard(LivePolicy):
-    """Wrap a policy; cap scale-*out* at a remote fleet's live capacity.
-
-    Consumes a :class:`repro.net.WorkerFleet` (duck-typed: anything with
-    a ``capacity() -> int``), which probes ``repro worker`` daemons and
-    sums their advertised session slots.  On a real cluster a scale-out
-    decision is only as good as the machines backing it — asking for 16
-    workers when the reachable daemons can host 8 sessions would stall
-    the resize (or land every extra worker on an overloaded host).  A
-    request beyond capacity is *clamped* to it, never below the current
-    size; scale-in always passes.  Capacity is probed only when the
-    inner policy actually asks to grow, so steady state costs nothing.
-    """
-
-    inner: LivePolicy
-    fleet: "object"
-    vetoes: int = field(default=0, repr=False)
-
-    def decide(self, engine, stats) -> int:
-        want = int(self.inner.decide(engine, stats))
-        if want > engine.num_workers:
-            cap = int(self.fleet.capacity())
-            if want > cap:
-                self.vetoes += 1
-                return max(engine.num_workers, cap)
-        return want
-
-    @property
-    def label(self) -> str:
-        return f"FleetGuard({self.inner.label})"
 
 
 class ElasticResizer(MigrationPolicy):

@@ -10,9 +10,10 @@ the coordinator logic is transport-agnostic:
   (forked local processes) backend;
 * :mod:`repro.net.session` — the worker-side command state machine,
   shared by the forked child and the TCP daemon;
-* :mod:`repro.net.daemon` — the ``repro worker`` asyncio TCP daemon;
-* :mod:`repro.net.tcp` — the coordinator-side TCP transport, local
-  daemon fleets, and fleet probing;
+* :mod:`repro.net.daemon` — the ``repro worker`` asyncio TCP daemon and
+  :func:`host_session`, the session loop forked workers run too;
+* :mod:`repro.net.tcp` — the coordinator-side stream channel, the TCP
+  transport, local daemon fleets, and daemon probing;
 * :mod:`repro.net.engine` — :class:`TcpBSPEngine`
   (``repro run --engine tcp``).
 
@@ -28,19 +29,17 @@ from .codec import (
     pack_frame,
     unpack_frame,
 )
-from .daemon import PROTOCOL_VERSION, WorkerDaemon, serve
+from .daemon import PROTOCOL_VERSION, WorkerDaemon, host_session, serve
 from .session import WorkerSession
 from .tcp import (
     LocalDaemonFleet,
     TcpChannel,
     TcpTransport,
-    WorkerFleet,
     load_workers_file,
     parse_endpoint,
     probe_endpoint,
 )
 from .transport import (
-    PipeChannel,
     PipeTransport,
     Transport,
     TransportClosed,
@@ -55,7 +54,6 @@ __all__ = [
     "FrameTooLarge",
     "LocalDaemonFleet",
     "PROTOCOL_VERSION",
-    "PipeChannel",
     "PipeTransport",
     "StreamDecoder",
     "TcpBSPEngine",
@@ -66,10 +64,10 @@ __all__ = [
     "TransportError",
     "WorkerChannel",
     "WorkerDaemon",
-    "WorkerFleet",
     "WorkerInit",
     "WorkerSession",
     "encode_stream_frame",
+    "host_session",
     "load_workers_file",
     "monotonic_now",
     "pack_frame",

@@ -4,19 +4,17 @@ One daemon process listens on a host:port and hosts worker *sessions*: a
 coordinator connects one TCP socket per worker it wants this daemon to
 run, performs a ``hello`` handshake carrying the
 :class:`~repro.net.transport.WorkerInit` payload, and then drives the
-standard ``(cmd, epoch, payload)`` command protocol.  Each session runs
-a :class:`~repro.net.session.WorkerSession` — the exact command state
-machine the forked pipe backend runs.  A
-:class:`~repro.bsp.worker.PartitionWorker` session's commands run in a
-thread-pool executor, so per-vertex ``compute()`` never starves the
-event loop's heartbeats.  A dense-shard session's run on the loop
-itself: each is a few array operations, shorter than the thread hop.
+standard ``(cmd, epoch, payload)`` command protocol.  Each session is a
+:class:`~repro.net.session.WorkerSession` served by :func:`host_session`,
+the one session loop: a forked process-engine worker runs the same
+coroutine on its socketpair, only without the handshake.
 
 Wire format: codec frames with an outer ``[u64 len]`` prefix
-(:func:`repro.net.codec.encode_stream_frame`).  The daemon multiplexes
-heartbeat frames ``("hb", -1, n)`` onto the reply stream every
-``heartbeat_interval`` seconds; the coordinator's channel routes them to
-its liveness clock instead of the reply inbox.
+(:func:`repro.net.codec.encode_stream_frame`), every one read checked
+against :data:`~repro.net.codec.MAX_FRAME_BYTES`.  The session loop
+multiplexes heartbeat frames ``("hb", -1, {...})`` onto the reply stream
+every ``heartbeat_interval`` seconds; the coordinator's channel routes
+them to its liveness clock instead of the reply inbox.
 
 Connection lifecycle: a session that fails to build is refused with its
 traceback; a dropped socket (coordinator gone) silently ends the
@@ -40,7 +38,7 @@ import traceback
 # on its first session.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .codec import (
     MAX_FRAME_BYTES,
@@ -52,7 +50,7 @@ from .codec import (
 )
 from .transport import monotonic_now
 
-__all__ = ["PROTOCOL_VERSION", "WorkerDaemon", "serve"]
+__all__ = ["PROTOCOL_VERSION", "WorkerDaemon", "host_session", "serve"]
 
 #: Handshake protocol version; a coordinator/daemon mismatch refuses the
 #: session rather than failing mid-superstep.  v2 added clock-alignment
@@ -283,74 +281,93 @@ class WorkerDaemon:
             ),
         })))
         await writer.drain()
-        stop = asyncio.Event()
-        hb_task = asyncio.create_task(self._heartbeats(
-            writer, float(init.heartbeat_interval), session.flight, stop
-        ))
         try:
-            while True:
-                try:
-                    cmd, epoch, payload = await read_stream_frame(reader)
-                except (
-                    asyncio.IncompleteReadError, FrameError, ConnectionError
-                ):
-                    return  # coordinator went away; drop the session
-                if session.hosts_shard:
-                    # A shard's command is shorter than the hop to a pool
-                    # thread and back; run on the loop, no thread contends
-                    # for the GIL and superstep latency stays steady.
-                    reply = session.handle(cmd, epoch, payload)
-                else:
-                    reply = await loop.run_in_executor(
-                        None, session.handle, cmd, epoch, payload
-                    )
-                try:
-                    writer.write(encode_stream_frame(reply))
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    return
-                if cmd == "stop":
-                    return
+            await host_session(reader, writer, session,
+                               float(init.heartbeat_interval), self._beat_sent)
         finally:
-            stop.set()
-            hb_task.cancel()
             self.sessions_active -= 1
             if self._m_sessions_active is not None:
                 self._m_sessions_active.set(self.sessions_active)
             if self.flight is not None:
                 self.flight.record("session-close", worker=init.worker_id)
 
-    async def _heartbeats(
-        self,
-        writer: asyncio.StreamWriter,
-        interval: float,
-        flight,
-        stop: asyncio.Event,
-    ) -> None:
-        """Multiplex ``("hb", -1, {...})`` frames onto the reply stream.
+    def _beat_sent(self) -> None:
+        self.heartbeats_sent += 1
+        if self._m_heartbeats is not None:
+            self._m_heartbeats.inc()
 
-        The payload carries this host's liveness-clock reading — each
-        arrival gives the coordinator a one-way clock sample for drift
-        tracking on long runs.  No ``drain()``: a concurrent drain with
-        the session loop's is not allowed on every Python, and heartbeat
-        frames are tiny — the transport buffer absorbs them even under
-        backpressure.
-        """
-        beats = 0
-        try:
-            while not stop.is_set():
-                await asyncio.sleep(interval)
-                writer.write(encode_stream_frame(
-                    ("hb", -1, {"n": beats, "clock": monotonic_now()})
-                ))
-                beats += 1
-                self.heartbeats_sent += 1
-                if self._m_heartbeats is not None:
-                    self._m_heartbeats.inc()
-                if flight is not None:
-                    flight.record("heartbeat-send", beats=beats)
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            return
+
+async def host_session(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    session,
+    interval: float,
+    on_beat: Callable[[], None] | None = None,
+) -> None:
+    """Serve one built :class:`~repro.net.session.WorkerSession` on a
+    stream until ``stop``, a dropped peer or a bad frame.
+
+    The one session loop: a daemon runs it after the handshake, a forked
+    worker (:mod:`repro.dist.worker_proc`) on its socketpair.  A
+    PartitionWorker session's commands run in the loop's thread-pool
+    executor, so per-vertex ``compute()`` never starves the heartbeats; a
+    dense shard's run on the loop itself, as each is a few array
+    operations, shorter than the thread hop, and no thread then contends
+    for the GIL.  Every frame read is checked against
+    :data:`~repro.net.codec.MAX_FRAME_BYTES`.
+    """
+    loop = asyncio.get_running_loop()
+    beats = asyncio.create_task(
+        _heartbeats(writer, interval, session.flight, on_beat)
+    )
+    try:
+        while True:
+            try:
+                cmd, epoch, payload = await read_stream_frame(reader)
+            except (asyncio.IncompleteReadError, FrameError, ConnectionError):
+                return  # the coordinator went away or spoke garbage
+            if session.hosts_shard:
+                reply = session.handle(cmd, epoch, payload)
+            else:
+                reply = await loop.run_in_executor(
+                    None, session.handle, cmd, epoch, payload
+                )
+            try:
+                writer.write(encode_stream_frame(reply))
+                await writer.drain()
+            except (ConnectionError, OSError):
+                return
+            if cmd == "stop":
+                return
+    finally:
+        beats.cancel()
+
+
+async def _heartbeats(writer: asyncio.StreamWriter, interval: float, flight,
+                      on_beat: Callable[[], None] | None) -> None:
+    """Multiplex ``("hb", -1, {...})`` frames onto the reply stream.
+
+    The payload carries this host's liveness-clock reading — each
+    arrival gives a coordinator that aligned clocks in a handshake a
+    one-way sample for drift tracking on long runs.  No ``drain()``: a
+    concurrent drain with the session loop's is not allowed on every
+    Python, and heartbeat frames are tiny — the transport buffer absorbs
+    them even under backpressure.
+    """
+    beats = 0
+    try:
+        while True:
+            await asyncio.sleep(interval)
+            writer.write(encode_stream_frame(
+                ("hb", -1, {"n": beats, "clock": monotonic_now()})
+            ))
+            beats += 1
+            if on_beat is not None:
+                on_beat()
+            if flight is not None:
+                flight.record("heartbeat-send", beats=beats)
+    except (ConnectionError, OSError, asyncio.CancelledError):
+        return
 
 
 class _DaemonHealth:

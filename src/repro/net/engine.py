@@ -5,7 +5,7 @@ the exact coordinator logic of
 :class:`~repro.dist.engine.ProcessBSPEngine` — barrier protocol, frame
 routing in source-worker-id order, checkpointed recovery, respawn
 budgets — driven over a :class:`~repro.net.tcp.TcpTransport` instead of
-forked pipes.  Because the coordinator is inherited verbatim, results
+forked worker processes.  Because the coordinator is inherited verbatim, results
 stay bit-identical to :class:`~repro.bsp.engine.BSPEngine`
 (``certify_determinism(engine="tcp")``) and the simulated accounting —
 including rollback charges after a daemon crash — matches the other

@@ -7,9 +7,10 @@ job's arc layout, plus its private telemetry
 (flight-recorder ring, sanitizer-violation cursor) and
 turns each coordinator command frame into a reply frame.  The forked
 child (:mod:`repro.dist.worker_proc`) and the TCP daemon
-(:mod:`repro.net.daemon`) differ only in how frames reach
-:meth:`WorkerSession.handle` — the protocol semantics live here once,
-which is what keeps the backends bit-identical.
+(:mod:`repro.net.daemon`) both serve it with
+:func:`repro.net.daemon.host_session` and differ only in how the session
+is built — the protocol semantics live here once, which is what keeps
+the backends bit-identical.
 
 Commands (every frame is ``(cmd, epoch, payload)``; replies echo the
 epoch so the coordinator can discard ones that predate a recovery):

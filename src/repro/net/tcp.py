@@ -29,7 +29,7 @@ import socket
 import struct
 from collections import deque
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .codec import StreamDecoder, encode_stream_frame
 from .daemon import PROTOCOL_VERSION, _daemon_process_main
@@ -47,7 +47,6 @@ __all__ = [
     "LocalDaemonFleet",
     "TcpChannel",
     "TcpTransport",
-    "WorkerFleet",
     "load_workers_file",
     "parse_endpoint",
 ]
@@ -130,12 +129,12 @@ class TcpChannel(WorkerChannel):
             if isinstance(msg, tuple) and msg and msg[0] == "hb":
                 self._beats += 1
                 self.note_beat()
-                # v2 heartbeats carry the daemon's liveness-clock stamp
-                # — a one-way clock sample for drift tracking.
-                payload = msg[2] if len(msg) > 2 else None
-                if isinstance(payload, dict) and "clock" in payload:
+                # Heartbeats carry the session host's liveness-clock stamp
+                # — a one-way sample for drift tracking, relative to the
+                # handshake's offset, so only a synchronized clock takes it.
+                if self.clock.synchronized:
                     self.clock.observe_oneway(
-                        float(payload["clock"]), monotonic_now()
+                        float(msg[2]["clock"]), monotonic_now()
                     )
             else:
                 self._inbox.append(msg)
@@ -266,52 +265,6 @@ class LocalDaemonFleet:
             if proc.is_alive():
                 proc.kill()
                 proc.join()
-
-
-class WorkerFleet:
-    """A probeable view of a daemon fleet (elastic scaling's worker pool).
-
-    ``capacity()`` answers "how many worker sessions can this fleet host
-    right now" — the number :class:`repro.elastic.LiveFleetGuard` caps
-    scale-out decisions at.  Daemons that advertise no ``max_sessions``
-    count as ``default_slots`` each.
-    """
-
-    def __init__(
-        self,
-        endpoints: Iterable[Endpoint],
-        default_slots: int = 8,
-        probe_timeout: float = 2.0,
-    ) -> None:
-        self.endpoints = [tuple(e) for e in endpoints]
-        self.default_slots = int(default_slots)
-        self.probe_timeout = float(probe_timeout)
-
-    def probe(self) -> list[dict[str, Any]]:
-        """``status`` every endpoint; unreachable ones report alive=False."""
-        out = []
-        for host, port in self.endpoints:
-            status: dict[str, Any] = {
-                "endpoint": f"{host}:{port}", "alive": False,
-            }
-            try:
-                status.update(probe_endpoint(
-                    (host, port), timeout=self.probe_timeout
-                ))
-                status["alive"] = True
-            except (TransportError, OSError):
-                pass
-            out.append(status)
-        return out
-
-    def capacity(self) -> int:
-        total = 0
-        for status in self.probe():
-            if not status["alive"]:
-                continue
-            slots = status.get("max_sessions")
-            total += self.default_slots if slots is None else int(slots)
-        return total
 
 
 def probe_endpoint(

@@ -4,13 +4,16 @@
 against abstract :class:`WorkerChannel`\\ s produced by a
 :class:`Transport`.  Two backends exist:
 
-* :class:`PipeTransport` — one forked OS process per worker, duplex
-  ``multiprocessing`` pipes, a dedicated heartbeat pipe (the original
-  :mod:`repro.dist` shape);
+* :class:`PipeTransport` — one forked OS process per worker, reached
+  over a ``socketpair`` (:mod:`repro.dist.worker_proc`);
 * :class:`~repro.net.tcp.TcpTransport` — sessions hosted by ``repro
   worker`` daemons reached over TCP sockets (:mod:`repro.net.tcp`).
 
-The engine's coordinator logic — frame routing in source-worker-id order,
+Both carry one wire: the codec's ``[u64 len]`` stream frames under one
+frame cap, heartbeats multiplexed on the reply stream, read on the
+coordinator by :class:`~repro.net.tcp.TcpChannel` and served on the
+worker by :func:`repro.net.daemon.host_session`.  The engine's
+coordinator logic — frame routing in source-worker-id order,
 epoch-tagged replies, checkpointed rollback, respawn budgets — is written
 entirely against this interface, which is what keeps the two backends
 bit-identical.
@@ -24,16 +27,15 @@ timeout and SIGKILL a healthy worker.
 from __future__ import annotations
 
 import multiprocessing as mp
+import socket
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from time import monotonic
 from typing import Any
 
 from ..obs.cluster import ClockSync
-from .codec import pack_frame, unpack_frame
 
 __all__ = [
-    "PipeChannel",
     "PipeTransport",
     "Transport",
     "TransportClosed",
@@ -178,91 +180,25 @@ class Transport(ABC):
         """Release fleet-level resources (idempotent)."""
 
 
-# ----------------------------------------------------------------------
-# Pipe backend: forked worker processes (the original repro.dist shape)
-# ----------------------------------------------------------------------
-
-
-class PipeChannel(WorkerChannel):
-    """A forked worker process with duplex command + heartbeat pipes."""
-
-    transport = "pipe"
-
-    def __init__(self, worker_id: int, proc, conn, hb_conn) -> None:
-        super().__init__(worker_id, endpoint=f"pid:{proc.pid}")
-        self.proc = proc
-        self.conn = conn
-        self.hb_conn = hb_conn
-
-    def send(self, msg: tuple) -> None:
-        try:
-            self.conn.send_bytes(pack_frame(msg))
-        except (BrokenPipeError, OSError) as exc:
-            raise TransportClosed(f"pipe closed: {exc}") from exc
-
-    def recv(self, timeout: float) -> tuple | None:
-        try:
-            if not self.conn.poll(timeout):
-                return None
-            data = self.conn.recv_bytes()
-        except (EOFError, OSError) as exc:
-            raise TransportClosed(f"pipe closed mid-reply: {exc}") from exc
-        return unpack_frame(data)
-
-    def drain_heartbeats(self) -> int:
-        beats = 0
-        try:
-            while self.hb_conn.poll(0):
-                self.hb_conn.recv_bytes()
-                beats += 1
-        except (EOFError, OSError):
-            pass  # beats stop when the child dies; healthy() decides
-        if beats:
-            self.note_beat()
-        return beats
-
-    def healthy(self) -> bool:
-        return self.proc.is_alive()
-
-    def death_reason(self) -> str:
-        return f"process exited (code {self.proc.exitcode})"
-
-    def kill(self) -> None:
-        if self.proc.is_alive():
-            self.proc.kill()
-        self.proc.join()
-
-    def join(self, timeout: float | None = None) -> None:
-        self.proc.join(timeout)
-
-    def close(self) -> None:
-        for conn in (self.conn, self.hb_conn):
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-
 class PipeTransport(Transport):
-    """One local OS process per worker (see :func:`fork_context`)."""
+    """One local OS process per worker (see :func:`fork_context`); the
+    child inherits its :class:`WorkerInit` through the fork."""
 
     name = "pipe"
 
     def __init__(self) -> None:
         self._mp = fork_context()
 
-    def launch(self, init: WorkerInit) -> PipeChannel:
-        from ..dist.worker_proc import worker_main
+    def launch(self, init: WorkerInit) -> WorkerChannel:
+        from ..dist.worker_proc import ForkedChannel, worker_main
 
-        parent_conn, child_conn = self._mp.Pipe(duplex=True)
-        hb_recv, hb_send = self._mp.Pipe(duplex=False)
+        ours, theirs = socket.socketpair()
         proc = self._mp.Process(
             target=worker_main,
             name=f"bsp-worker-{init.worker_id}",
-            args=(init, child_conn, hb_send),
+            args=(init, theirs, ours),
             daemon=True,
         )
         proc.start()
-        child_conn.close()
-        hb_send.close()
-        return PipeChannel(init.worker_id, proc, parent_conn, hb_recv)
+        theirs.close()
+        return ForkedChannel(init.worker_id, proc, ours)

@@ -27,10 +27,9 @@ Attribution walks the row's own decomposition, most-specific cause first:
 * ``unknown``         — slow without a story (surfaced, never guessed).
 
 :class:`DiagnosticMonitor` packages the detector as a superstep observer:
-flags export as ``repro_straggler_flags_total{cause=}``, trace events, and
-a :meth:`~DiagnosticMonitor.skew_signal` the elastic layer's
-:class:`~repro.elastic.live.LiveSkewGuard` and the repartition advisor
-(:func:`repro.partition.advisor.repartition_hint`) consume.
+flags export as ``repro_straggler_flags_total{cause=}`` and as trace
+events; the repartition advisor
+(:func:`repro.partition.advisor.repartition_hint`) reads the flags.
 """
 
 from __future__ import annotations
@@ -190,28 +189,21 @@ class DiagnosticMonitor:
     needs no timeline — it reads each superstep's live stats.  Flags
     accumulate on :attr:`flags`, export as
     ``repro_straggler_flags_total{cause=}`` on the engine's registry and
-    as ``straggler`` trace events on its tracer, and feed
-    :meth:`skew_signal` — an EMA of the worst per-step slowdown ratio
-    (1.0 = balanced) that :class:`~repro.elastic.live.LiveSkewGuard`
-    vetoes scale-in on.  Flags of a rolled-back epoch are dropped, so at
-    job end :attr:`flags` equals :func:`attribute_run` over the run's
-    committed steps (:func:`repro.analysis.traces.committed`).
+    as ``straggler`` trace events on its tracer.  Flags of a rolled-back
+    epoch are dropped, so at job end :attr:`flags` equals
+    :func:`attribute_run` over the run's committed steps
+    (:func:`repro.analysis.traces.committed`).
     """
 
     def __init__(
         self,
         mad_threshold: float = 3.5,
         min_ratio: float = 1.2,
-        ema_alpha: float = 0.3,
     ) -> None:
-        if not 0 < ema_alpha <= 1:
-            raise ValueError("ema_alpha must be in (0, 1]")
         self.mad_threshold = float(mad_threshold)
         self.min_ratio = float(min_ratio)
-        self.ema_alpha = float(ema_alpha)
         self.flags: list[StragglerFlag] = []
         self._degree_share = None
-        self._skew = 1.0
         self._metrics = None
         self._tracer = None
         self._flight = None
@@ -232,15 +224,10 @@ class DiagnosticMonitor:
         return deg / total if total > 0 else None
 
     def on_superstep_end(self, engine, stats) -> None:
-        rows = stats.workers
         ds = self._degree_share
         if ds is None or len(ds) != stats.num_workers:
             # Elastic resize changed the fleet; re-derive the shares.
             self._degree_share = self._degree_share_of(engine)
-        elapsed = [w.elapsed for w in rows]
-        med = float(np.median(elapsed)) if rows else 0.0
-        worst = max(elapsed) / med if med > 0 else 1.0
-        self._skew += self.ema_alpha * (worst - self._skew)
         if self.flags and self.flags[-1].superstep >= stats.index:
             # The index went back: a recovery resumed here, so the flags
             # of the lost epoch roll back with it.
@@ -281,15 +268,6 @@ class DiagnosticMonitor:
 
     def has_pending_work(self) -> bool:
         return False
-
-    # ---- consumers ----------------------------------------------------
-    def skew_signal(self) -> float:
-        """EMA of max-elapsed/median-elapsed per superstep (1.0 = even)."""
-        return self._skew
-
-    def worst_flag(self) -> StragglerFlag | None:
-        """Most severe flag so far (by slowdown ratio)."""
-        return max(self.flags, key=lambda f: f.ratio, default=None)
 
 
 # ----------------------------------------------------------------------

@@ -19,10 +19,11 @@ Design:
   absent from the reply, never re-ordered.
 * **Thread-safe.**  One lock guards the ring: the engine records from the
   superstep loop, the live HTTP server
-  reads from its own thread, and the process engine's heartbeat threads
-  record child-side.
-* **Cross-process.**  Each worker process keeps a private recorder;
-  :mod:`repro.dist.worker_proc` ships the fresh tail at every barrier and
+  reads from its own thread, and a worker session records from its
+  command thread and its heartbeat task.
+* **Cross-process.**  Each worker session keeps a private recorder;
+  :class:`repro.net.session.WorkerSession` ships the fresh tail at every
+  barrier and
   the coordinator folds it in with :meth:`FlightRecorder.merge_remote`,
   preserving each child's per-worker event order (re-stamped with
   coordinator sequence numbers; the child's own ``seq``/``host`` ride

@@ -28,9 +28,7 @@ daemon thread (bind port 0 by default — the OS picks a free port), serving:
 
 :class:`EngineHealth` is the glue: a superstep observer that keeps a
 thread-safe snapshot of engine progress, readable both by the HTTP
-handler and *in-process* — :class:`repro.elastic.live.LiveHealthGuard`
-consumes the same snapshot to veto fleet resizes while liveness is
-degraded, so policies and external scrapers see one truth.
+handler and in-process.
 
 Wire it manually or via ``repro run --live-port``::
 
@@ -65,8 +63,7 @@ class EngineHealth:
     boundary refreshes the snapshot under a lock.  :meth:`snapshot` is
     safe from any thread and never touches engine internals beyond plain
     attribute reads — the same information the HTTP endpoint serves is
-    available in-process to elastic policies
-    (:class:`repro.elastic.live.LiveHealthGuard`).
+    available in-process.
 
     ``stale_after`` bounds how old the last boundary may be before the
     snapshot reports ``ok: false`` (a hung superstep stops crossing

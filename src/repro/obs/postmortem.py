@@ -40,7 +40,12 @@ from typing import Any, Mapping
 
 from ..analysis.tables import table
 from ..analysis.traces import committed, trace_from_dict, trace_to_dict
-from .diagnose import attribute_run, critical_path, dominant_cause
+from .diagnose import (
+    DiagnosticMonitor,
+    attribute_run,
+    critical_path,
+    dominant_cause,
+)
 from .export import to_json_dict
 from .flight import FlightEvent
 
@@ -107,8 +112,7 @@ def _manifest(engine: Any) -> dict:
 def _observer_flags(engine: Any) -> list[dict]:
     """Straggler flags from any DiagnosticMonitor riding the job."""
     for obs in getattr(engine, "_observers", ()):
-        flags = getattr(obs, "flags", None)
-        if flags is not None and hasattr(obs, "skew_signal"):
+        if isinstance(obs, DiagnosticMonitor):
             return [
                 {
                     "superstep": f.superstep,
@@ -117,7 +121,7 @@ def _observer_flags(engine: Any) -> list[dict]:
                     "cause": f.cause,
                     "detail": f.detail,
                 }
-                for f in flags
+                for f in obs.flags
             ]
     return []
 

@@ -19,19 +19,20 @@ write_json` writes (``repro run --trace-out``), without re-running:
 
 ``summarize_events`` digests flight-recorder NDJSON logs (``repro run
 --events-out``): per-event-type counts, per-worker volume, and
-inter-barrier latency percentiles estimated the Prometheus way
-(:meth:`~repro.obs.metrics.Histogram.quantile` over bucket tallies).
+inter-barrier latency percentiles.  Both readers compute quantiles
+exactly from the values they hold (:func:`_quantiles`).
 ``repro trace summarize`` sniffs the file format and picks the right one.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..analysis.tables import table
 from ..analysis.traces import committed, rolled_back_rows
 from ..bsp.superstep import JobTrace
 from ..cloud.costmeter import attribute_cost
 from .diagnose import attribute_run, critical_path, dominant_cause, worker_skew
-from .metrics import DEFAULT_TIME_BUCKETS, Histogram
 
 __all__ = ["PHASES", "summarize_trace", "trace_report", "trace_diff",
            "summarize_events"]
@@ -45,12 +46,15 @@ def _fmt_secs(x: float) -> str:
     return f"{x:.3f}s" if abs(x) >= 10 else f"{x:.4g}s"
 
 
+def _quantiles(values) -> list[float]:
+    """p50, p90 and p99 of ``values`` (linear interpolation between the
+    two nearest values)."""
+    return np.quantile(np.asarray(values, dtype=float), (0.5, 0.9, 0.99)).tolist()
+
+
 def _overview(trace: JobTrace, view: JobTrace) -> list[str]:
     """The run table and the time breakdown of ``view``, a subset of
     ``trace``'s steps; each number prints once."""
-    hist = Histogram("superstep_elapsed", (), buckets=DEFAULT_TIME_BUCKETS)
-    for s in view:
-        hist.observe(s.elapsed)
     rows = [
         ["supersteps", len(view)],
         ["workers", view.num_workers],
@@ -62,11 +66,9 @@ def _overview(trace: JobTrace, view: JobTrace) -> list[str]:
     if lost:
         rows.append(["rows rolled back by recovery", lost])
     if len(view):
-        # Bucketed quantiles: the estimate a Prometheus histogram_quantile
-        # over the exported metrics would give.
         rows.append(
             ["superstep elapsed p50/p90/p99 (s)",
-             "/".join(f"{hist.quantile(q):.3g}" for q in (0.5, 0.9, 0.99))]
+             "/".join(f"{q:.3g}" for q in _quantiles([s.elapsed for s in view]))]
         )
     sections = [table(["metric", "value"], rows, title="run summary")]
 
@@ -273,7 +275,7 @@ def summarize_events(events, max_kinds: int = 32) -> str:
     Three tables: per-kind counts (with host-time span), per-worker event
     volume, and — when the log holds ``barrier-exit`` events — the
     inter-barrier latency distribution (host-clock gap between successive
-    coordinator barrier exits) as bucketed p50/p90/p99 quantiles.
+    coordinator barrier exits) as p50/p90/p99.
     """
     events = list(events)
     if not events:
@@ -314,15 +316,8 @@ def summarize_events(events, max_kinds: int = 32) -> str:
         (e.host for e in events if e.kind == "barrier-exit" and e.worker < 0)
     )
     if len(exits) >= 2:
-        hist = Histogram(
-            "inter_barrier_seconds", (), buckets=DEFAULT_TIME_BUCKETS
-        )
-        for a, b in zip(exits, exits[1:]):
-            hist.observe(b - a)
-        rows = [
-            [f"p{int(q * 100)}", f"{hist.quantile(q):.3g}"]
-            for q in (0.5, 0.9, 0.99)
-        ]
+        gaps = _quantiles([b - a for a, b in zip(exits, exits[1:])])
+        rows = [[f"p{p}", f"{q:.3g}"] for p, q in zip((50, 90, 99), gaps)]
         rows.append(["barriers", len(exits)])
         sections.append(
             table(

@@ -210,52 +210,3 @@ class TestLivePolicyBehaviour:
     def test_labels(self):
         assert "LiveFixed-4" == LiveFixed(4).label
         assert "50%" in LiveActiveFraction().label
-
-
-class TestLiveSkewGuard:
-    class _Monitor:
-        def __init__(self, skew):
-            self.skew = skew
-
-        def skew_signal(self):
-            return self.skew
-
-    class _Engine:
-        num_workers = 6
-
-    def test_vetoes_scale_in_under_skew(self):
-        from repro.elastic import LiveSkewGuard
-
-        guard = LiveSkewGuard(LiveFixed(4), self._Monitor(2.0))
-        assert guard.decide(self._Engine(), None) == 6
-        assert guard.vetoes == 1
-
-    def test_scale_in_passes_when_balanced(self):
-        from repro.elastic import LiveSkewGuard
-
-        guard = LiveSkewGuard(LiveFixed(4), self._Monitor(1.0))
-        assert guard.decide(self._Engine(), None) == 4
-        assert guard.vetoes == 0
-
-    def test_scale_out_always_passes(self):
-        from repro.elastic import LiveSkewGuard
-
-        guard = LiveSkewGuard(LiveFixed(8), self._Monitor(99.0))
-        assert guard.decide(self._Engine(), None) == 8
-        assert guard.vetoes == 0
-        assert "SkewGuard" in guard.label
-
-    def test_guarded_run_stays_correct(self, graph):
-        from repro.elastic import LiveSkewGuard
-        from repro.obs import DiagnosticMonitor
-
-        monitor = DiagnosticMonitor()
-        job = JobSpec(
-            program=PageRankProgram(10), graph=graph, num_workers=4,
-            observers=[monitor],
-        )
-        _, res = resized(
-            job, LiveSkewGuard(_EveryStepToggle(low=3, high=5), monitor)
-        )
-        ref = pagerank_reference(graph, iterations=10)
-        assert np.allclose(res.values_array(), ref, atol=1e-10)

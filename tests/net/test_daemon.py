@@ -1,5 +1,5 @@
 """The ``repro worker`` daemon: status probes, handshake refusals,
-fleet capacity accounting, and the worker CLI.
+telemetry, and the worker CLI.
 """
 
 import json
@@ -16,7 +16,6 @@ from repro.net.daemon import PROTOCOL_VERSION
 from repro.net.tcp import (
     LocalDaemonFleet,
     TcpTransport,
-    WorkerFleet,
     probe_endpoint,
 )
 from repro.net.transport import TransportError, WorkerInit
@@ -122,30 +121,6 @@ class TestHandshakeRefusals:
             assert "capacity" in msg
         finally:
             fleet.shutdown()
-
-
-class TestWorkerFleet:
-    def test_capacity_sums_advertised_slots(self):
-        fleet = LocalDaemonFleet(2, max_sessions=3)
-        try:
-            pool = WorkerFleet(fleet.endpoints())
-            assert pool.capacity() == 6
-        finally:
-            fleet.shutdown()
-
-    def test_unreachable_daemons_count_zero(self, one_daemon):
-        pool = WorkerFleet(
-            [one_daemon, ("127.0.0.1", 1)],
-            default_slots=5, probe_timeout=0.5,
-        )
-        rows = pool.probe()
-        assert [r["alive"] for r in rows] == [True, False]
-        # The live daemon advertises no max_sessions => default_slots.
-        assert pool.capacity() == 5
-
-    def test_probe_rows_name_their_endpoints(self, one_daemon):
-        (row,) = WorkerFleet([one_daemon]).probe()
-        assert row["endpoint"] == f"{one_daemon[0]}:{one_daemon[1]}"
 
 
 class TestDaemonTelemetry:
@@ -274,20 +249,6 @@ class TestWorkerCli:
 
         assert main(["worker", "status", "127.0.0.1:1"]) == 1
         assert "repro worker" in capsys.readouterr().err
-
-    def test_fleet_probe_is_what_the_guard_consumes(self, one_daemon):
-        # WorkerFleet satisfies LiveFleetGuard's duck type end to end.
-        from repro.elastic import LiveFixed, LiveFleetGuard
-
-        class Eng:
-            num_workers = 1
-
-        guard = LiveFleetGuard(
-            inner=LiveFixed(100),
-            fleet=WorkerFleet([one_daemon], default_slots=4),
-        )
-        assert guard.decide(Eng(), None) == 4
-        assert guard.vetoes == 1
 
     def test_transport_error_importable_from_net(self):
         import repro.net as net

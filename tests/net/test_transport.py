@@ -1,5 +1,5 @@
-"""The Transport/WorkerChannel interface: liveness clock, endpoint
-parsing, and the elastic fleet-capacity guard.
+"""The Transport/WorkerChannel interface: liveness clock and endpoint
+parsing.
 
 Satellite contract: every heartbeat stamp and age in the transport plane
 comes from the monotonic clock — wall-clock jumps (NTP steps) must never
@@ -11,7 +11,6 @@ import inspect
 import pytest
 
 import repro.net.transport as transport_mod
-from repro.elastic import LiveFixed, LiveFleetGuard
 from repro.net.tcp import load_workers_file, parse_endpoint
 from repro.net.transport import (
     PipeTransport,
@@ -138,46 +137,3 @@ class TestEndpointParsing:
         f.write_text("# nothing but comments\n")
         with pytest.raises(ValueError, match="no endpoints"):
             load_workers_file(f)
-
-
-class _FakeFleet:
-    def __init__(self, capacity):
-        self._capacity = capacity
-        self.probes = 0
-
-    def capacity(self):
-        self.probes += 1
-        return self._capacity
-
-
-class _FakeEngine:
-    num_workers = 4
-
-
-class TestLiveFleetGuard:
-    def test_clamps_scale_out_to_capacity(self):
-        fleet = _FakeFleet(capacity=6)
-        guard = LiveFleetGuard(inner=LiveFixed(8), fleet=fleet)
-        assert guard.decide(_FakeEngine(), None) == 6
-        assert guard.vetoes == 1
-
-    def test_scale_out_within_capacity_passes(self):
-        guard = LiveFleetGuard(inner=LiveFixed(8), fleet=_FakeFleet(16))
-        assert guard.decide(_FakeEngine(), None) == 8
-        assert guard.vetoes == 0
-
-    def test_scale_in_never_probes_the_fleet(self):
-        fleet = _FakeFleet(capacity=0)
-        guard = LiveFleetGuard(inner=LiveFixed(2), fleet=fleet)
-        assert guard.decide(_FakeEngine(), None) == 2
-        assert fleet.probes == 0  # steady state / shrink costs nothing
-
-    def test_never_clamps_below_current_size(self):
-        # A fleet that lost daemons mid-run reports capacity below the
-        # running fleet; the guard holds rather than forcing a shrink.
-        guard = LiveFleetGuard(inner=LiveFixed(8), fleet=_FakeFleet(2))
-        assert guard.decide(_FakeEngine(), None) == 4
-
-    def test_label_names_the_wrapped_policy(self):
-        guard = LiveFleetGuard(inner=LiveFixed(8), fleet=_FakeFleet(1))
-        assert guard.label == "FleetGuard(LiveFixed-8)"

@@ -195,10 +195,6 @@ class TestDiagnosticMonitor:
         assert c is not None and c.value >= by_worker[2]
         events = tracer.named("straggler")
         assert len(events) == len(monitor.flags)
-        assert monitor.skew_signal() > 1.0
-        assert monitor.worst_flag().ratio == max(
-            f.ratio for f in monitor.flags
-        )
 
     def test_offline_attribution_agrees_with_online(self, balanced_graph):
         tl = RunTimeline()
@@ -268,7 +264,6 @@ class TestDiagnosticMonitor:
             )
         )
         assert monitor.flags == []
-        assert monitor.skew_signal() == pytest.approx(1.0, abs=0.3)
 
 
 class TestCriticalPath:

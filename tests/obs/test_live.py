@@ -105,30 +105,6 @@ class TestHeartbeatAge:
         assert not snap["ok"]
         assert snap["workers_alive"] == 2  # lagging, not dead
 
-    def test_health_guard_vetoes_resize_while_lagging(self):
-        from repro.elastic import LiveHealthGuard
-
-        class WantsFive:
-            label = "wants-five"
-
-            def decide(self, engine, stats):
-                return 5
-
-        liveness = [
-            {"worker": 0, "alive": True, "heartbeat_age_seconds": 9.0},
-            {"worker": 1, "alive": True, "heartbeat_age_seconds": 0.0},
-        ]
-        engine = FakeLivenessEngine(liveness)
-        health = EngineHealth(max_heartbeat_age=1.0)
-        health.on_job_start(engine)
-        guard = LiveHealthGuard(inner=WantsFive(), health=health)
-        # one worker's heartbeat age is over threshold: resize vetoed
-        assert guard.decide(engine, None) == engine.num_workers
-        assert guard.vetoes == 1
-        # heartbeat recovers: the inner policy's decision passes through
-        liveness[0]["heartbeat_age_seconds"] = 0.2
-        assert guard.decide(engine, None) == 5
-
 
 class TestRoutes:
     def test_unwired_routes_answer_503(self):

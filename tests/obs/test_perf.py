@@ -31,7 +31,14 @@ from repro.cli import main as cli_main
 from repro.cloud.costmodel import DEFAULT_PERF_MODEL
 from repro.graph import generators as gen
 from repro.graph import io as graph_io
-from repro.obs import RunTimeline, trace_diff, trace_report
+from repro.obs import (
+    FlightEvent,
+    RunTimeline,
+    summarize_events,
+    summarize_trace,
+    trace_diff,
+    trace_report,
+)
 from repro.scheduling import StaticSizer
 
 OLD_TIMELINE = Path(__file__).parent / "data" / "timeline_v4.json"
@@ -99,6 +106,49 @@ class TestReport:
         # Report dollars price the committed steps; the bill prices all.
         cost = float(text.split("cost: $")[1].split()[0])
         assert cost < res.cost.total
+
+
+class TestQuantiles:
+    """Both summarize readers take p50/p90/p99 from the values they hold,
+    not from bucket tallies, which interpolate up to a bucket's bound."""
+
+    #: the recovery probe's shape: eight short steps and one carrying the
+    #: 120 s restore
+    ELAPSED = [0.0972, 0.0972, 0.0973, 0.0972, 120.0973, 0.0972, 0.0972,
+               0.0973, 0.0881]
+
+    @staticmethod
+    def numbers(text, label):
+        line = next(ln for ln in text.splitlines() if ln.startswith(label))
+        return [float(x) for x in re.findall(r"[\d.]+", line[len(label):])]
+
+    def assert_probe_shape(self, p50, p99):
+        *short, longest = sorted(self.ELAPSED)
+        assert short[0] <= p50 <= short[-1]
+        assert p99 <= longest
+
+    def test_run_file_step_quantiles(self, small_world):
+        tl = RunTimeline()
+        run_job(JobSpec(
+            program=PageRankProgram(6), graph=small_world, num_workers=4,
+            checkpoint_interval=3, failure_schedule={4: 1}, timeline=tl,
+        ))
+        assert [s.elapsed for s in tl] == pytest.approx(self.ELAPSED,
+                                                         abs=1e-4)
+        p50, _, p99 = self.numbers(
+            summarize_trace(tl), "superstep elapsed p50/p90/p99 (s)"
+        )
+        self.assert_probe_shape(p50, p99)
+
+    def test_inter_barrier_quantiles(self):
+        exits, host = [], 0.0
+        for gap in [0.0] + self.ELAPSED:
+            host += gap
+            exits.append(FlightEvent(seq=len(exits), kind="barrier-exit",
+                                     host=host))
+        text = summarize_events(exits)
+        [p50], [p99] = self.numbers(text, "p50"), self.numbers(text, "p99")
+        self.assert_probe_shape(p50, p99)
 
 
 def slow_compute_copy(tl, factor=2.0):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms import PageRankProgram
-from repro.analysis.traces import committed
+from repro.analysis.traces import committed, rolled_back_rows
 from repro.bsp import JobSpec
 from repro.bsp.engine import make_engine
 from repro.bsp.superstep import JobTrace
@@ -178,6 +178,16 @@ def test_timeline_is_the_committed_trace(run):
     view = committed(timeline).steps
     assert len(view) == len(kept)
     assert all(t is s for t, s in zip(view, kept))
+
+
+def test_rolled_back_rows_count_the_lost_epoch(run):
+    _, result, _, _, timeline, *_ = run
+    # Every failure strikes in step 6 and resumes from the checkpoint at
+    # 5: step 5's rows had committed and are lost, whether the failing
+    # step closed a row (scheduled) or died mid-compute (unplanned).
+    assert rolled_back_rows(timeline) == (
+        WORKERS if result.recoveries else 0
+    )
 
 
 def test_timeline_prices_the_committed_steps(run):
