@@ -6,11 +6,11 @@ regression is attributable:
 * **codec** — ``pack_frame``/``unpack_frame`` frames/sec and bytes/sec
   on the two shapes the engine actually ships: tiny control frames and
   bulk NumPy message buckets (out-of-band pickle-5 buffers);
-* **transport round-trips** — the same bulk frame echoed through a
-  ``multiprocessing`` pipe vs a TCP-loopback socket with stream framing
-  (the framing both backends' channels read; the ``process`` backend's
-  runs over a ``socketpair``), isolating what the socket hop costs per
-  barrier;
+* **transport round-trips** — the same bulk frame, in the ``[u64 len]``
+  stream framing both engines' channels read, echoed by a forked child
+  over a ``socketpair`` (the ``process`` engine's wire) vs a thread over
+  a TCP-loopback socket (the ``tcp`` engine's), isolating what each hop
+  costs per barrier;
 * **end to end** — PageRank on a web-Google analogue through the
   ``sim``, ``process``, and ``tcp`` engines: bit-equal results by
   contract, host wall-clock recorded for comparison.
@@ -72,34 +72,8 @@ def _bench_codec(obj, repeats):
     }
 
 
-def _pipe_echo(conn):
-    while True:
-        data = conn.recv_bytes()
-        if data == b"stop":
-            return
-        conn.send_bytes(data)
-
-
-def _bench_pipe_roundtrips(blob, rounds):
-    ctx = fork_context()
-    parent, child = ctx.Pipe(duplex=True)
-    proc = ctx.Process(target=_pipe_echo, args=(child,), daemon=True)
-    proc.start()
-    child.close()
-    parent.send_bytes(blob)  # warm-up
-    parent.recv_bytes()
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        parent.send_bytes(blob)
-        parent.recv_bytes()
-    elapsed = time.perf_counter() - t0
-    parent.send_bytes(b"stop")
-    proc.join()
-    return elapsed
-
-
-def _tcp_echo(server):
-    conn, _ = server.accept()
+def _stream_echo(conn):
+    """Echo every stream frame back until the peer closes."""
     with conn:
         decoder = StreamDecoder()
         while True:
@@ -107,33 +81,55 @@ def _tcp_echo(server):
             if not data:
                 return
             for msg in decoder.feed(data):
-                if msg == "stop":
-                    return
                 conn.sendall(encode_stream_frame(msg))
+
+
+def _time_roundtrips(sock, obj, rounds):
+    """Seconds for ``rounds`` echoes of ``obj`` after one warm-up."""
+    wire = encode_stream_frame(obj)
+    decoder = StreamDecoder()
+
+    def roundtrip():
+        sock.sendall(wire)
+        while True:
+            msgs = decoder.feed(sock.recv(1 << 20))
+            if msgs:
+                return msgs[0]
+
+    roundtrip()  # warm-up
+    t0 = time.perf_counter()
+    for _ in range(rounds):
+        roundtrip()
+    return time.perf_counter() - t0
+
+
+def _forked_echo(sock, parent_end):
+    parent_end.close()  # so the child reads EOF once the parent closes
+    _stream_echo(sock)
+
+
+def _bench_socketpair_roundtrips(obj, rounds):
+    ours, theirs = socket.socketpair()
+    proc = fork_context().Process(
+        target=_forked_echo, args=(theirs, ours), daemon=True
+    )
+    proc.start()
+    theirs.close()
+    with ours:
+        elapsed = _time_roundtrips(ours, obj, rounds)
+    proc.join()
+    return elapsed
 
 
 def _bench_tcp_roundtrips(obj, rounds):
     server = socket.create_server(("127.0.0.1", 0))
-    thread = threading.Thread(target=_tcp_echo, args=(server,), daemon=True)
+    thread = threading.Thread(
+        target=lambda: _stream_echo(server.accept()[0]), daemon=True
+    )
     thread.start()
-    wire = encode_stream_frame(obj)
     with socket.create_connection(server.getsockname()) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        decoder = StreamDecoder()
-
-        def roundtrip():
-            sock.sendall(wire)
-            while True:
-                msgs = decoder.feed(sock.recv(1 << 20))
-                if msgs:
-                    return msgs[0]
-
-        roundtrip()  # warm-up
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            roundtrip()
-        elapsed = time.perf_counter() - t0
-        sock.sendall(encode_stream_frame("stop"))
+        elapsed = _time_roundtrips(sock, obj, rounds)
     thread.join()
     server.close()
     return elapsed
@@ -173,19 +169,19 @@ def test_net_plane(benchmark):
     assert codec["bulk"]["bytes_per_second"] > codec["control"]["bytes_per_second"]
 
     # -- transport round-trips ----------------------------------------
-    blob = pack_frame(bulk_frame())
-    pipe_s = _bench_pipe_roundtrips(blob, ROUNDTRIPS)
+    frame_bytes = len(pack_frame(bulk_frame()))
+    socketpair_s = _bench_socketpair_roundtrips(bulk_frame(), ROUNDTRIPS)
     tcp_s = _bench_tcp_roundtrips(bulk_frame(), ROUNDTRIPS)
     payload["transport_roundtrips"] = {
         "rounds": ROUNDTRIPS,
-        "frame_bytes": len(blob),
-        "pipe_seconds": pipe_s,
+        "frame_bytes": frame_bytes,
+        "socketpair_seconds": socketpair_s,
         "tcp_loopback_seconds": tcp_s,
-        "pipe_rt_us": pipe_s / ROUNDTRIPS * 1e6,
+        "socketpair_rt_us": socketpair_s / ROUNDTRIPS * 1e6,
         "tcp_rt_us": tcp_s / ROUNDTRIPS * 1e6,
     }
-    banner(f"Transport round-trips ({len(blob)}B bulk frame x{ROUNDTRIPS})")
-    print(f"pipe         {pipe_s / ROUNDTRIPS * 1e6:>10.1f} us/rt")
+    banner(f"Transport round-trips ({frame_bytes}B bulk frame x{ROUNDTRIPS})")
+    print(f"socketpair   {socketpair_s / ROUNDTRIPS * 1e6:>10.1f} us/rt")
     print(f"tcp loopback {tcp_s / ROUNDTRIPS * 1e6:>10.1f} us/rt")
 
     # -- end to end ----------------------------------------------------

@@ -76,11 +76,11 @@ from ..bsp.dense_shard import DenseLayout
 from ..bsp.engine import BSPEngine
 from ..bsp.job import JobResult, JobSpec, VertexValues
 from ..bsp.superstep import SuperstepStats, WorkerStepStats
+from ..net.tcp import TcpChannel
 from ..net.transport import (
     PipeTransport,
     Transport,
     TransportClosed,
-    WorkerChannel,
     WorkerInit,
     monotonic_now,
 )
@@ -188,33 +188,42 @@ class ProcessBSPEngine(BSPEngine):
         max_respawns: int | None = None,
         transport: Transport | None = None,
     ) -> None:
-        if check_program:
-            self._gate_program(job.program)
-        if heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if heartbeat_timeout is not None and heartbeat_timeout <= heartbeat_interval:
-            raise ValueError("heartbeat_timeout must exceed the interval")
-        if max_respawns is not None and max_respawns < 0:
-            raise ValueError("max_respawns must be >= 0 (or None: unlimited)")
-        #: the plan every session runs as a dense shard in place of a
-        #: PartitionWorker, or None (see repro.bsp.dense_ref.shard_plan)
-        self._plan = shard_plan(job.program, job.initial_messages)
-        # Set before the base __init__, which launches the sessions
-        # (_build_workers) and injects the job's initial messages, which
-        # this engine buffers until the next boundary.
-        self._inject_buffer: list = []
-        self._hb_interval = float(heartbeat_interval)
-        self._hb_timeout = (
-            None if heartbeat_timeout is None else float(heartbeat_timeout)
-        )
-        #: respawn budget: replacement workers allowed before the run is
-        #: declared dead (None = unlimited, the historical behavior)
-        self._max_respawns = max_respawns
-        self._respawns = 0
+        # Set first: whatever fails below (the gate, validation, the
+        # launch or the initial injection) shuts down what was started,
+        # the transport's own fleet included.
         self._transport = transport if transport is not None else PipeTransport()
-        self._epoch = 0
-        self._active_ids = job.initial_active_ids()
-        super().__init__(job)
+        try:
+            if check_program:
+                self._gate_program(job.program)
+            if heartbeat_interval <= 0:
+                raise ValueError("heartbeat_interval must be positive")
+            if (heartbeat_timeout is not None
+                    and heartbeat_timeout <= heartbeat_interval):
+                raise ValueError("heartbeat_timeout must exceed the interval")
+            if max_respawns is not None and max_respawns < 0:
+                raise ValueError(
+                    "max_respawns must be >= 0 (or None: unlimited)")
+            #: the plan every session runs as a dense shard in place of a
+            #: PartitionWorker, or None (see repro.bsp.dense_ref.shard_plan)
+            self._plan = shard_plan(job.program, job.initial_messages)
+            # Set before the base __init__, which launches the sessions
+            # (_build_workers) and injects the job's initial messages,
+            # which this engine buffers until the next boundary.
+            self._inject_buffer: list = []
+            self._hb_interval = float(heartbeat_interval)
+            self._hb_timeout = (
+                None if heartbeat_timeout is None else float(heartbeat_timeout)
+            )
+            #: respawn budget: replacement workers allowed before the run
+            #: is declared dead (None = unlimited, the historical behavior)
+            self._max_respawns = max_respawns
+            self._respawns = 0
+            self._epoch = 0
+            self._active_ids = job.initial_active_ids()
+            super().__init__(job)
+        except BaseException:
+            self.shutdown()
+            raise
 
     @staticmethod
     def _gate_program(program: Any) -> None:
@@ -262,17 +271,13 @@ class ProcessBSPEngine(BSPEngine):
         the report each sends to an empty ``inject``: every session is
         asked before any reply is read, so forked sessions build in
         parallel."""
-        self._handles: list[WorkerChannel | None] = [None] * self.num_workers
-        try:
-            layout = self._dense_layout() if self._plan is not None else None
-            for w in range(self.num_workers):
-                self._handles[w] = self._launch_worker(w, layout)
-            del layout  # the sessions hold their slices; a respawn re-slices
-            reports = self._ask_all("inject", "ok", [[]] * self.num_workers)
-            self.workers = [_WorkerView(w, r) for w, r in enumerate(reports)]
-        except Exception:
-            self.shutdown()
-            raise
+        self._handles: list[TcpChannel | None] = [None] * self.num_workers
+        layout = self._dense_layout() if self._plan is not None else None
+        for w in range(self.num_workers):
+            self._handles[w] = self._launch_worker(w, layout)
+        del layout  # the sessions hold their slices; a respawn re-slices
+        reports = self._ask_all("inject", "ok", [[]] * self.num_workers)
+        self.workers = [_WorkerView(w, r) for w, r in enumerate(reports)]
 
     def _dense_layout(self) -> DenseLayout:
         return DenseLayout(self.graph, self.partition.assignment,
@@ -487,8 +492,8 @@ class ProcessBSPEngine(BSPEngine):
             self._ask_all("extract", "extracted", [None] * self.num_workers))
 
     # ------------------------------------------------------------------
-    # Worker lifecycle and the request/reply protocol, written against
-    # the Transport/WorkerChannel interface (repro.net.transport).
+    # Worker lifecycle and the request/reply protocol: a Transport
+    # launches each worker and hands back its TcpChannel (repro.net).
     # ------------------------------------------------------------------
     def _worker_init(self, worker_id: int,
                      layout: DenseLayout | None = None) -> WorkerInit:
@@ -512,7 +517,7 @@ class ProcessBSPEngine(BSPEngine):
     def _launch_worker(
         self, worker_id: int, layout: DenseLayout | None = None,
         respawn: bool = False,
-    ) -> WorkerChannel:
+    ) -> TcpChannel:
         handle = self._transport.launch(self._worker_init(worker_id, layout))
         others = sum(
             1 for h in self._handles
@@ -525,7 +530,7 @@ class ProcessBSPEngine(BSPEngine):
             self.telemetry.clock(worker_id, handle.endpoint, handle.clock.stats())
         return handle
 
-    def _mark_dead(self, h: WorkerChannel, reason: str = "unknown") -> None:
+    def _mark_dead(self, h: TcpChannel, reason: str = "unknown") -> None:
         if not h.alive:
             return
         h.alive = False
@@ -535,7 +540,7 @@ class ProcessBSPEngine(BSPEngine):
             sum(1 for x in self._handles if x is not None and x.alive),
         )
 
-    def _reap(self, h: WorkerChannel) -> None:
+    def _reap(self, h: TcpChannel) -> None:
         self._mark_dead(h)
         h.kill()
         h.close()
@@ -549,7 +554,7 @@ class ProcessBSPEngine(BSPEngine):
             self._send(h, (cmd, epoch, payload))
         return [self._expect(h, reply, epoch) for h in self._handles]
 
-    def _send(self, h: WorkerChannel, msg: tuple) -> None:
+    def _send(self, h: TcpChannel, msg: tuple) -> None:
         self._drain(h)
         if not h.alive:
             raise WorkerFailure(h.worker_id, "worker is gone")
@@ -560,12 +565,12 @@ class ProcessBSPEngine(BSPEngine):
             raise WorkerFailure(h.worker_id, str(exc)) from exc
         h.pending += 1
 
-    def _drain(self, h: WorkerChannel) -> None:
+    def _drain(self, h: TcpChannel) -> None:
         """Consume replies owed from an aborted exchange (discarded)."""
         while h.pending and h.alive:
             self._recv_raw(h)
 
-    def _recv_raw(self, h: WorkerChannel) -> tuple:
+    def _recv_raw(self, h: TcpChannel) -> tuple:
         while True:
             try:
                 msg = h.recv(0.01)
@@ -586,7 +591,7 @@ class ProcessBSPEngine(BSPEngine):
                 self.telemetry.heartbeats(h.worker_id, beats, h.clock)
 
     @staticmethod
-    def _remote_age(h: WorkerChannel, flight_epoch: float):
+    def _remote_age(h: TcpChannel, flight_epoch: float):
         """How long ago, in local seconds, a shipped flight event happened.
 
         A shipped event's ``host`` is seconds since the remote session
@@ -598,7 +603,7 @@ class ProcessBSPEngine(BSPEngine):
         clock, now = h.clock, monotonic_now()
         return lambda host: now - clock.to_local(flight_epoch + host)
 
-    def _check_liveness(self, waiting_on: WorkerChannel) -> None:
+    def _check_liveness(self, waiting_on: TcpChannel) -> None:
         """Drain heartbeats; fail the awaited worker if dead or hung."""
         self._drain_heartbeats()
         h = waiting_on
@@ -621,7 +626,7 @@ class ProcessBSPEngine(BSPEngine):
                 h.worker_id, f"heartbeat timeout ({self._hb_timeout:g}s)"
             )
 
-    def _expect(self, h: WorkerChannel, kind: str, epoch: int):
+    def _expect(self, h: TcpChannel, kind: str, epoch: int):
         while True:
             r_kind, r_epoch, payload = self._recv_raw(h)
             if r_epoch != epoch:
@@ -646,12 +651,8 @@ class ProcessBSPEngine(BSPEngine):
 
     def shutdown(self) -> None:
         """Stop and reap every worker, then the transport (idempotent)."""
-        handles = getattr(self, "_handles", None)
-        if not handles:
-            transport = getattr(self, "_transport", None)
-            if transport is not None:
-                transport.shutdown()
-            return
+        # No _handles yet: the constructor failed before the launch.
+        handles = getattr(self, "_handles", ())
         for h in handles:
             if h is None or not h.alive:
                 continue

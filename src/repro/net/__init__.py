@@ -5,15 +5,15 @@ the coordinator logic is transport-agnostic:
 
 * :mod:`repro.net.codec` — the pickle-5 out-of-band frame codec shared
   by every transport, plus stream framing for byte-oriented channels;
-* :mod:`repro.net.transport` — the :class:`Transport` /
-  :class:`WorkerChannel` interface and the :class:`PipeTransport`
-  (forked local processes) backend;
+* :mod:`repro.net.transport` — the :class:`Transport` interface and
+  the :class:`PipeTransport` (forked local processes) backend;
 * :mod:`repro.net.session` — the worker-side command state machine,
   shared by the forked child and the TCP daemon;
 * :mod:`repro.net.daemon` — the ``repro worker`` asyncio TCP daemon and
   :func:`host_session`, the session loop forked workers run too;
-* :mod:`repro.net.tcp` — the coordinator-side stream channel, the TCP
-  transport, local daemon fleets, and daemon probing;
+* :mod:`repro.net.tcp` — :class:`TcpChannel`, the coordinator's one
+  channel class (a forked worker's too), the TCP transport and the
+  local daemon fleet it spawns and owns, and daemon probing;
 * :mod:`repro.net.engine` — :class:`TcpBSPEngine`
   (``repro run --engine tcp``).
 
@@ -44,7 +44,6 @@ from .transport import (
     Transport,
     TransportClosed,
     TransportError,
-    WorkerChannel,
     WorkerInit,
     monotonic_now,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "Transport",
     "TransportClosed",
     "TransportError",
-    "WorkerChannel",
     "WorkerDaemon",
     "WorkerInit",
     "WorkerSession",

@@ -273,12 +273,6 @@ class WorkerDaemon:
             # arithmetic subtracts the build time from the RTT.
             "clock_recv": clock_recv,
             "clock_send": monotonic_now(),
-            # The session recorder's epoch on the same clock: lets the
-            # coordinator turn shipped flight-event offsets into
-            # absolute remote time for restamping.
-            "flight_epoch": (
-                session.flight.epoch if session.flight is not None else None
-            ),
         })))
         await writer.drain()
         try:

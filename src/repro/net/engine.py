@@ -17,9 +17,10 @@ Endpoints come from (first match wins):
 * ``workers_file=`` — one ``host:port`` per line, ``#`` comments
   (:func:`repro.net.tcp.load_workers_file`);
 * neither — an auto-spawned localhost :class:`~repro.net.tcp.LocalDaemonFleet`
-  of ``auto_daemons`` (default ``min(num_workers, 3)``) daemons, torn
-  down with the engine.  This is what lets tests and
-  ``certify_determinism`` run with zero external setup.
+  of ``auto_daemons`` (default ``min(num_workers, 3)``) daemons, owned
+  by the :class:`~repro.net.tcp.TcpTransport` and stopped when the
+  engine shuts it down, a failed constructor included.  This is what
+  lets tests and ``certify_determinism`` run with zero external setup.
 
 One daemon hosts many workers: placement is round-robin by worker id
 with failover, and after a daemon is lost, recovery relaunches its
@@ -33,7 +34,7 @@ from typing import Sequence
 
 from ..bsp.job import JobSpec
 from ..dist.engine import ProcessBSPEngine
-from .tcp import LocalDaemonFleet, TcpTransport, load_workers_file
+from .tcp import TcpTransport, load_workers_file
 
 __all__ = ["TcpBSPEngine"]
 
@@ -57,49 +58,16 @@ class TcpBSPEngine(ProcessBSPEngine):
         if transport is None:
             if endpoints is None and workers_file is not None:
                 endpoints = load_workers_file(workers_file)
-            local_fleet = None
-            if endpoints is None:
-                local_fleet = LocalDaemonFleet(
-                    auto_daemons or min(int(job.num_workers), 3)
-                )
             transport = TcpTransport(
                 endpoints=endpoints,
+                auto_daemons=auto_daemons or min(int(job.num_workers), 3),
                 connect_timeout=connect_timeout,
-                local_fleet=local_fleet,
             )
-            self._owned_fleet = local_fleet
-        else:
-            self._owned_fleet = None
-        try:
-            super().__init__(
-                job,
-                heartbeat_interval=heartbeat_interval,
-                heartbeat_timeout=heartbeat_timeout,
-                check_program=check_program,
-                max_respawns=max_respawns,
-                transport=transport,
-            )
-        except Exception:
-            # The base constructor only reaches its own cleanup once the
-            # launch loop starts; a failure before that (program gate,
-            # job validation) must still tear down an auto-spawned fleet.
-            if self._owned_fleet is not None:
-                self._owned_fleet.shutdown()
-            raise
-
-    def kill_daemon_of(self, worker_id: int) -> str:
-        """Kill the daemon hosting ``worker_id`` (failure injection).
-
-        Returns the endpoint that was killed.  Every worker hosted on
-        that daemon is lost at once — the hard-failure mode unique to
-        multi-session hosts, which recovery must survive by reassigning
-        them all to the surviving daemons.
-        """
-        h = self._handles[worker_id]
-        self._transport.kill_host(h)
-        return h.endpoint
-
-    def shutdown(self) -> None:
-        super().shutdown()
-        if self._owned_fleet is not None:
-            self._owned_fleet.shutdown()
+        super().__init__(
+            job,
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_timeout=heartbeat_timeout,
+            check_program=check_program,
+            max_respawns=max_respawns,
+            transport=transport,
+        )

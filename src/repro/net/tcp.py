@@ -6,7 +6,10 @@ hosted by :mod:`repro.net.daemon` daemons.  Endpoints come from an
 explicit host list, a ``--workers-file``, or — when neither is given —
 an auto-spawned :class:`LocalDaemonFleet` of localhost daemons (which is
 what lets ``certify_determinism(engine="tcp")`` and the tests run with
-zero external setup).
+zero external setup); the transport owns such a fleet and stops it on
+:meth:`TcpTransport.shutdown`.  :class:`TcpChannel` is the coordinator's
+one channel class: a forked process-engine worker is read through its
+subclass :class:`~repro.dist.worker_proc.ForkedChannel`.
 
 Placement is round-robin by worker id with failover: worker *w* is
 offered to endpoint ``w % n`` first, then the rest in order, and the
@@ -31,13 +34,13 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Sequence
 
+from ..obs.cluster import ClockSync
 from .codec import StreamDecoder, encode_stream_frame
 from .daemon import PROTOCOL_VERSION, _daemon_process_main
 from .transport import (
     Transport,
     TransportClosed,
     TransportError,
-    WorkerChannel,
     WorkerInit,
     fork_context,
     monotonic_now,
@@ -54,6 +57,10 @@ __all__ = [
 Endpoint = tuple  # (host, port)
 
 _RECV_CHUNK = 1 << 20
+#: seconds a spawned local daemon has to report its port
+_SPAWN_TIMEOUT = 30.0
+#: seconds a daemon has to answer ``hello`` (it builds the session first)
+_HANDSHAKE_TIMEOUT = 60.0
 
 
 def parse_endpoint(spec: str) -> Endpoint:
@@ -83,13 +90,31 @@ def load_workers_file(path: str | Path) -> list[Endpoint]:
     return endpoints
 
 
-class TcpChannel(WorkerChannel):
-    """One worker session on a remote daemon, over one TCP socket."""
+class TcpChannel:
+    """One live worker session over one stream socket, plus its liveness
+    bookkeeping: the one channel the coordinator reads.
 
+    The engine's protocol contract: :meth:`send` delivers one
+    ``(cmd, epoch, payload)`` frame or raises :class:`TransportClosed`;
+    :meth:`recv` returns one reply frame, ``None`` on timeout, or raises
+    :class:`TransportClosed`; heartbeats never surface through
+    :meth:`recv` — they update :attr:`last_beat` and are counted by
+    :meth:`drain_heartbeats`.
+    """
+
+    #: transport label stamped on ``dist_*`` metrics
     transport = "tcp"
 
     def __init__(self, worker_id: int, sock: socket.socket, endpoint: str) -> None:
-        super().__init__(worker_id, endpoint=endpoint)
+        self.worker_id = worker_id
+        self.endpoint = endpoint
+        self.pending = 0  # replies owed for commands already sent
+        self.last_beat = monotonic_now()
+        self.alive = True
+        #: remote-clock alignment, fed by the TCP handshake.  A forked
+        #: session has none and leaves it empty: offset() is then 0.0,
+        #: which is exact for a process on the coordinator's own clock.
+        self.clock = ClockSync()
         sock.setblocking(True)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -100,6 +125,13 @@ class TcpChannel(WorkerChannel):
         self._inbox: deque = deque()
         self._beats = 0  # heartbeats received but not yet drained
         self._eof = False
+
+    def heartbeat_age(self) -> float:
+        """Seconds since the last beat, on the monotonic clock."""
+        return monotonic_now() - self.last_beat
+
+    def note_beat(self) -> None:
+        self.last_beat = monotonic_now()
 
     # -- internals -----------------------------------------------------
     def _pump(self, timeout: float) -> bool:
@@ -140,7 +172,7 @@ class TcpChannel(WorkerChannel):
                 self._inbox.append(msg)
         return True
 
-    # -- WorkerChannel -------------------------------------------------
+    # -- the protocol ---------------------------------------------------
     def send(self, msg: tuple) -> None:
         if self._eof:
             raise TransportClosed(f"connection to {self.endpoint} is closed")
@@ -192,11 +224,16 @@ class TcpChannel(WorkerChannel):
         self.close()
 
     def close(self) -> None:
+        """Release the socket (idempotent; never raises)."""
         self._eof = True
         try:
             self._sock.close()
         except OSError:
             pass
+
+    def join(self, timeout: float | None = None) -> None:
+        """Wait for a graceful peer exit after a ``stop``: a remote
+        session has no local process to wait for."""
 
 
 class LocalDaemonFleet:
@@ -214,7 +251,6 @@ class LocalDaemonFleet:
         count: int,
         host: str = "127.0.0.1",
         max_sessions: int | None = None,
-        spawn_timeout: float = 30.0,
     ) -> None:
         if count < 1:
             raise ValueError("a daemon fleet needs at least one daemon")
@@ -231,11 +267,11 @@ class LocalDaemonFleet:
                 )
                 proc.start()
                 send.close()
-                if not recv.poll(spawn_timeout):
+                if not recv.poll(_SPAWN_TIMEOUT):
                     proc.kill()
                     raise TransportError(
                         "local worker daemon did not report a port within "
-                        f"{spawn_timeout:g}s"
+                        f"{_SPAWN_TIMEOUT:g}s"
                     )
                 port = recv.recv()
                 recv.close()
@@ -293,41 +329,29 @@ def probe_endpoint(
 
 
 class TcpTransport(Transport):
-    """Launch worker sessions on TCP daemons (round-robin + failover)."""
+    """Launch worker sessions on TCP daemons (round-robin + failover).
 
-    name = "tcp"
+    With no ``endpoints`` it spawns a :class:`LocalDaemonFleet` of
+    ``auto_daemons`` (default 3) localhost daemons, and owns it:
+    :meth:`kill_host` SIGKILLs its daemons and :meth:`shutdown` stops them.
+    """
 
     def __init__(
         self,
         endpoints: Sequence[Endpoint] | None = None,
         auto_daemons: int | None = None,
         connect_timeout: float = 10.0,
-        handshake_timeout: float = 60.0,
-        local_fleet: LocalDaemonFleet | None = None,
     ) -> None:
         self._connect_timeout = float(connect_timeout)
-        self._handshake_timeout = float(handshake_timeout)
-        self._fleet = local_fleet
-        self._owns_fleet = False
+        self._fleet: LocalDaemonFleet | None = None
         if endpoints is not None:
             self._endpoints = [tuple(e) for e in endpoints]
             if not self._endpoints:
                 raise ValueError("endpoint list is empty")
-        elif local_fleet is not None:
-            self._endpoints = local_fleet.endpoints()
         else:
             self._fleet = LocalDaemonFleet(auto_daemons or 3)
-            self._owns_fleet = True
             self._endpoints = self._fleet.endpoints()
         self._down: set[Endpoint] = set()
-
-    @property
-    def endpoints(self) -> list[Endpoint]:
-        return list(self._endpoints)
-
-    @property
-    def local_fleet(self) -> LocalDaemonFleet | None:
-        return self._fleet
 
     def launch(self, init: WorkerInit) -> TcpChannel:
         n = len(self._endpoints)
@@ -364,7 +388,7 @@ class TcpTransport(Transport):
                 "version": PROTOCOL_VERSION,
                 "init": init,
             }))
-            deadline = t0 + self._handshake_timeout
+            deadline = t0 + _HANDSHAKE_TIMEOUT
             while True:
                 reply = channel.recv(0.05)
                 if reply is not None:
@@ -372,7 +396,7 @@ class TcpTransport(Transport):
                 if monotonic_now() > deadline:
                     raise TransportError(
                         f"daemon at {host}:{port} did not answer the "
-                        f"handshake within {self._handshake_timeout:g}s"
+                        f"handshake within {_HANDSHAKE_TIMEOUT:g}s"
                     )
             t3 = monotonic_now()  # NTP t3: ready reached the coordinator
             kind, _epoch, payload = reply
@@ -390,7 +414,6 @@ class TcpTransport(Transport):
                     t0, float(payload["clock_recv"]),
                     float(payload["clock_send"]), t3,
                 )
-                channel.flight_epoch = payload.get("flight_epoch")
             return channel
         except TransportClosed as exc:
             channel.close()
@@ -401,7 +424,7 @@ class TcpTransport(Transport):
             channel.close()
             raise
 
-    def kill_host(self, channel: WorkerChannel) -> None:
+    def kill_host(self, channel: TcpChannel) -> None:
         """SIGKILL the hosting daemon when we spawned it; else cut the cord.
 
         Either way the daemon side experiences an abrupt loss — which is
@@ -415,5 +438,5 @@ class TcpTransport(Transport):
         channel.kill()
 
     def shutdown(self) -> None:
-        if self._owns_fleet and self._fleet is not None:
+        if self._fleet is not None:
             self._fleet.shutdown()

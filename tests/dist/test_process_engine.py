@@ -160,6 +160,23 @@ class TestChildFailureModes:
         with pytest.raises(RuntimeError, match="checkpointing"):
             engine.run()
 
+    def test_failed_constructor_reaps_launched_workers(self, ring10):
+        # The injection of the job's initial messages fails after both
+        # workers are forked: the constructor must stop them itself.
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="unknown vertex"):
+            ProcessBSPEngine(JobSpec(
+                program=PageRankProgram(3), graph=ring10, num_workers=2,
+                initial_messages=[(10**6, 1.0)],
+            ))
+        leaked = [
+            p for p in multiprocessing.active_children()
+            if p not in before and p.is_alive()
+        ]
+        assert not leaked
+
 
 class TestConfigValidation:
     def test_bad_heartbeat_interval(self, ring10):

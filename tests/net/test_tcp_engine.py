@@ -204,9 +204,6 @@ class TestClockAlignment:
                 assert abs(stats["offset_seconds"]) <= (
                     stats["uncertainty_seconds"] + 0.05
                 )
-                # the daemon advertises its session recorder's epoch so
-                # shipped events can be restamped (flight attached)
-                assert h.flight_epoch is not None
         finally:
             engine.shutdown()
 
@@ -285,3 +282,30 @@ class TestConfigValidation:
             if p not in before and p.is_alive()
         ]
         assert not leaked
+
+    def test_failed_constructor_closes_its_sessions(self, ring10):
+        # The injection of the job's initial messages fails after both
+        # sessions opened on a daemon the engine does not own: the
+        # constructor must close them, with no help from the collector.
+        import time
+
+        from repro.net import probe_endpoint
+
+        fleet = LocalDaemonFleet(1)
+        try:
+            endpoint = fleet.endpoints()[0]
+            with pytest.raises(ValueError, match="unknown vertex"):
+                TcpBSPEngine(
+                    JobSpec(
+                        program=PageRankProgram(3), graph=ring10,
+                        num_workers=2, initial_messages=[(10**6, 1.0)],
+                    ),
+                    endpoints=[endpoint],
+                )
+            deadline = time.monotonic() + 5.0
+            while (probe_endpoint(endpoint)["sessions_active"]
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            assert probe_endpoint(endpoint)["sessions_active"] == 0
+        finally:
+            fleet.shutdown()

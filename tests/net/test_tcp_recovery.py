@@ -159,14 +159,3 @@ class TestUnplannedDaemonCrash:
         )
         with pytest.raises(RuntimeError, match="checkpointing"):
             engine.run()
-
-
-class TestKillDaemonOf:
-    def test_returns_the_killed_endpoint(self, ring10):
-        engine = TcpBSPEngine(pr_job(ring10), auto_daemons=2)
-        try:
-            target = engine._handles[1].endpoint
-            assert engine.kill_daemon_of(1) == target
-            assert not engine._handles[1].healthy()
-        finally:
-            engine.shutdown()

@@ -1,5 +1,6 @@
-"""The Transport/WorkerChannel interface: liveness clock and endpoint
-parsing.
+"""The transport plane's one channel class, :class:`TcpChannel`, over a
+raw ``socketpair``: heartbeat routing, the liveness clock, peer loss;
+plus endpoint parsing.
 
 Satellite contract: every heartbeat stamp and age in the transport plane
 comes from the monotonic clock — wall-clock jumps (NTP steps) must never
@@ -7,61 +8,95 @@ fake a heartbeat timeout.
 """
 
 import inspect
+import socket
 
 import pytest
 
 import repro.net.transport as transport_mod
-from repro.net.tcp import load_workers_file, parse_endpoint
+from repro.net.codec import encode_stream_frame
+from repro.net.tcp import TcpChannel, load_workers_file, parse_endpoint
 from repro.net.transport import (
     PipeTransport,
     Transport,
     TransportClosed,
     TransportError,
-    WorkerChannel,
     monotonic_now,
 )
 
 
-class _StubChannel(WorkerChannel):
-    """Minimal concrete channel for exercising base-class bookkeeping."""
+@pytest.fixture
+def pair():
+    """A channel on one end of a socketpair and the raw peer end."""
+    ours, peer = socket.socketpair()
+    channel = TcpChannel(3, ours, "pair:0")
+    yield channel, peer
+    channel.close()
+    peer.close()
 
-    transport = "stub"
 
-    def __init__(self, worker_id=0):
-        super().__init__(worker_id, endpoint="stub:0")
+def _hb(clock=5.0):
+    return encode_stream_frame(("hb", -1, {"clock": clock}))
 
-    def send(self, msg):
-        pass
 
-    def recv(self, timeout):
-        return None
+class TestChannelContract:
+    def test_heartbeat_moves_last_beat_and_never_surfaces(self, pair):
+        channel, peer = pair
+        channel.last_beat -= 100.0
+        stale = channel.last_beat
+        peer.sendall(_hb() + encode_stream_frame(("ok", 0, "reply")) + _hb())
+        assert channel.recv(5.0) == ("ok", 0, "reply")
+        assert channel.last_beat > stale
+        assert channel.drain_heartbeats() == 2
+        assert channel.drain_heartbeats() == 0  # counted once
+        assert channel.recv(0.0) is None  # no heartbeat left in the inbox
 
-    def drain_heartbeats(self):
-        return 0
+    def test_unsynchronized_clock_ignores_the_stamp(self, pair):
+        # A forked session's clock: no handshake, so offset 0.0 stays exact.
+        channel, peer = pair
+        assert not channel.clock.synchronized
+        peer.sendall(_hb(clock=1e6))
+        assert channel.drain_heartbeats() == 1
+        assert channel.clock.stats()["oneway_samples"] == 0
+        assert channel.clock.offset() == 0.0
 
-    def healthy(self):
-        return True
+    def test_synchronized_clock_takes_the_stamp(self, pair):
+        channel, peer = pair
+        now = monotonic_now()
+        channel.clock.observe_handshake(now, now, now, now)
+        peer.sendall(_hb(clock=now))
+        assert channel.drain_heartbeats() == 1
+        assert channel.clock.stats()["oneway_samples"] == 1
 
-    def death_reason(self):
-        return "stub"
+    @pytest.mark.parametrize("op", ["recv", "send"])
+    def test_closed_peer_raises_transport_closed(self, pair, op):
+        channel, peer = pair
+        peer.close()
+        with pytest.raises(TransportClosed):
+            if op == "recv":
+                channel.recv(5.0)
+            else:
+                channel.send(("compute", 0, b"x" * (1 << 20)))
+        assert not channel.healthy()
 
-    def kill(self):
-        pass
-
-    def close(self):
-        pass
+    def test_closed_peer_is_not_healthy(self, pair):
+        channel, peer = pair
+        assert channel.healthy()
+        peer.close()
+        assert not channel.healthy()
 
 
 class TestMonotonicClock:
     def test_heartbeat_age_uses_the_transport_clock(self, monkeypatch):
         now = [100.0]
         monkeypatch.setattr(transport_mod, "monotonic", lambda: now[0])
-        ch = _StubChannel()
-        ch.note_beat()
-        now[0] += 3.5
-        assert ch.heartbeat_age() == pytest.approx(3.5)
-        ch.note_beat()
-        assert ch.heartbeat_age() == pytest.approx(0.0)
+        ours, peer = socket.socketpair()
+        with ours, peer:
+            ch = TcpChannel(0, ours, "pair:0")
+            ch.note_beat()
+            now[0] += 3.5
+            assert ch.heartbeat_age() == pytest.approx(3.5)
+            ch.note_beat()
+            assert ch.heartbeat_age() == pytest.approx(0.0)
 
     def test_monotonic_now_never_goes_backwards(self):
         samples = [monotonic_now() for _ in range(100)]
@@ -69,12 +104,17 @@ class TestMonotonicClock:
 
     def test_no_wall_clock_in_the_liveness_plane(self):
         # Regression guard for the monotonic-clock satellite: neither the
-        # transport layer nor the coordinator may consult wall time for
-        # liveness (time.time / datetime.now).
+        # transport layer, the coordinator, nor the session loops that
+        # send and stamp heartbeats may consult wall time for liveness
+        # (time.time / datetime.now).
         import repro.dist.engine as dist_engine
+        import repro.dist.worker_proc as worker_proc
+        import repro.net.daemon as daemon_mod
+        import repro.net.session as session_mod
         import repro.net.tcp as tcp_mod
 
-        for mod in (transport_mod, dist_engine, tcp_mod):
+        for mod in (transport_mod, dist_engine, tcp_mod, daemon_mod,
+                    session_mod, worker_proc):
             src = inspect.getsource(mod)
             assert "time.time(" not in src, mod.__name__
             assert "datetime.now" not in src, mod.__name__
@@ -85,25 +125,19 @@ class TestInterface:
         assert issubclass(TransportClosed, TransportError)
         assert issubclass(TransportError, RuntimeError)
 
-    def test_default_kill_host_kills_the_channel(self):
-        killed = []
-
+    def test_default_kill_host_kills_the_channel(self, pair):
         class T(Transport):
-            name = "t"
-
             def launch(self, init):
                 raise NotImplementedError
 
-        class C(_StubChannel):
-            def kill(self):
-                killed.append(self.worker_id)
-
-        T().kill_host(C(7))
-        assert killed == [7]
+        channel, peer = pair
+        T().kill_host(channel)
+        assert not channel.healthy()
+        assert peer.recv(1) == b""  # the peer reads the drop
 
     def test_pipe_transport_is_the_default_backend_shape(self):
         t = PipeTransport()
-        assert t.name == "pipe"
+        assert isinstance(t, Transport)
         t.shutdown()  # idempotent no-op
 
 
