@@ -12,10 +12,13 @@ events:
 
 The job stalls for the overhead, so the engine bills it on the step's
 trace row like any other second; :attr:`ScaleEvent.extra_vm_seconds` adds
-what the old fleet does not cover.  The paper's own projections "do not
-yet consider the overheads of scaling"; setting the three coefficients to
-zero reproduces that idealized analysis, and the elastic benches report
-both variants.
+what the old fleet does not cover.  This one class prices every fleet
+change: a live :class:`~repro.elastic.live.ElasticResizer` run and, when
+given a perf model, the §VIII projection
+(:class:`~repro.elastic.model.ElasticityModel`).  The paper's own
+projections "do not yet consider the overheads of scaling"; the
+projection without a perf model, or with the three coefficients at zero,
+reproduces that idealized analysis.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Elastic cloud scaling analysis (§VIII, Figs. 15-16)."""
+"""Elastic cloud scaling (§VIII, Figs. 15-16): one set of scaling policies
+drives both the projection from static runs and live resizing."""
 
 from .policies import (
     ActiveFractionPolicy,
@@ -8,13 +9,8 @@ from .policies import (
     ScalingPolicy,
 )
 from .model import AlignedTraces, ElasticityModel, ElasticOutcome
-from .report import NormalizedRow, normalize_outcomes, render_fig16
-from .live import (
-    ElasticResizer,
-    LiveActiveFraction,
-    LiveFixed,
-    LivePolicy,
-)
+from .report import NormalizedRow, normalize_outcomes
+from .live import ElasticResizer
 
 __all__ = [
     "ActiveFractionPolicy",
@@ -27,9 +23,5 @@ __all__ = [
     "ElasticOutcome",
     "NormalizedRow",
     "normalize_outcomes",
-    "render_fig16",
     "ElasticResizer",
-    "LiveActiveFraction",
-    "LiveFixed",
-    "LivePolicy",
 ]

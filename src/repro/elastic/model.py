@@ -12,10 +12,12 @@ both fleet sizes, align the two traces superstep-by-superstep, then
   ``chosen_workers x chosen_time`` VM-seconds — the paper's "pro-rata
   normalized cost per VM-second".
 
-``include_scaling_overheads=False`` matches the paper ("these projections do
-not yet consider the overheads of scaling"); setting it True additionally
-charges provisioning/drain delays per fleet change, quantifying how much of
-the projected win survives realistic scaling costs.
+With no ``perf_model`` (the default) nothing is charged for a fleet
+change, as in the paper ("these projections do not yet consider the
+overheads of scaling").  With one, every change is priced by the
+:class:`~repro.cloud.provisioner.ElasticProvisioner` a live
+:class:`~repro.elastic.live.ElasticResizer` run uses, which quantifies how
+much of the projected win survives realistic scaling costs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bsp.superstep import JobTrace
-from ..cloud.costmodel import DEFAULT_PERF_MODEL, PerfModel
+from ..cloud.costmodel import PerfModel
+from ..cloud.provisioner import ElasticProvisioner
 from ..cloud.specs import LARGE_VM, VMSpec
 from .policies import ScalingContext, ScalingPolicy
 
@@ -92,6 +95,7 @@ class ElasticOutcome:
     workers: np.ndarray
     step_times: np.ndarray
     scaling_overhead: float
+    overhead_vm_seconds: float  # billed during the scaling overheads
     vm_spec: VMSpec
 
     @property
@@ -100,10 +104,7 @@ class ElasticOutcome:
 
     @property
     def vm_seconds(self) -> float:
-        # During scaling overhead the larger fleet of each transition bills.
-        return float((self.workers * self.step_times).sum()) + self._overhead_vm_s
-
-    _overhead_vm_s: float = 0.0
+        return float((self.workers * self.step_times).sum()) + self.overhead_vm_seconds
 
     @property
     def cost(self) -> float:
@@ -116,12 +117,12 @@ class ElasticOutcome:
 
 @dataclass
 class ElasticityModel:
-    """Evaluates scaling policies over a pair of aligned traces."""
+    """Evaluates scaling policies over a pair of aligned traces; a
+    ``perf_model`` prices each fleet change (None: free, as the paper)."""
 
     traces: AlignedTraces
     vm_spec: VMSpec = LARGE_VM
-    perf_model: PerfModel = DEFAULT_PERF_MODEL
-    include_scaling_overheads: bool = False
+    perf_model: PerfModel | None = None
 
     # ------------------------------------------------------------------
     def speedup_series(self) -> np.ndarray:
@@ -135,53 +136,46 @@ class ElasticityModel:
         return self.traces.active
 
     # ------------------------------------------------------------------
-    def _context(self, i: int, max_active: int) -> ScalingContext:
-        t = self.traces
-        return ScalingContext(
-            step=i,
-            active_vertices=int(t.active[i]),
-            max_active=max_active,
-            num_graph_vertices=t.num_graph_vertices,
-            time_low=float(t.time_low[i]),
-            time_high=float(t.time_high[i]),
-            low=t.low,
-            high=t.high,
-        )
-
     def evaluate(self, policy: ScalingPolicy) -> ElasticOutcome:
-        """Project total runtime and cost for one policy."""
+        """Project total runtime and cost for one policy.  Before the
+        first step the context's fleet is ``low``; the first choice is free."""
         t = self.traces
-        n = t.num_steps
-        max_active = int(t.active.max()) if n else 0
-        workers = np.zeros(n, dtype=np.int64)
-        times = np.zeros(n)
-        for i in range(n):
-            w = policy.choose(self._context(i, max_active))
+        max_active = int(t.active.max()) if t.num_steps else 0
+        chosen: list[int] = []
+        changed_at: int | None = None
+        for i in range(t.num_steps):
+            w = policy.choose(ScalingContext(
+                step=i, active_vertices=int(t.active[i]), max_active=max_active,
+                num_graph_vertices=t.num_graph_vertices, low=t.low, high=t.high,
+                workers=chosen[-1] if chosen else t.low,
+                steps_since_change=None if changed_at is None else i - changed_at,
+                time_low=float(t.time_low[i]), time_high=float(t.time_high[i]),
+            ))
             if w not in (t.low, t.high):
                 raise ValueError(f"policy chose unmeasured fleet size {w}")
-            workers[i] = w
-            times[i] = t.time_low[i] if w == t.low else t.time_high[i]
+            if chosen and w != chosen[-1]:
+                changed_at = i
+            chosen.append(w)
+        workers = np.array(chosen, dtype=np.int64)
 
-        overhead = 0.0
-        overhead_vm_s = 0.0
-        if self.include_scaling_overheads and n:
-            m = self.perf_model
-            for i in range(1, n):
-                if workers[i] > workers[i - 1]:
-                    overhead += m.provision_delay
-                    overhead_vm_s += m.provision_delay * workers[i]
-                elif workers[i] < workers[i - 1]:
-                    overhead += m.release_delay
-                    overhead_vm_s += m.release_delay * workers[i - 1]
-        out = ElasticOutcome(
+        overhead = overhead_vm_s = 0.0
+        if self.perf_model is not None and chosen:
+            prov = ElasticProvisioner(self.perf_model, workers=chosen[0])
+            for i, w in enumerate(chosen):
+                prov.scale_to(w, superstep=i)
+            # The stall bills the old fleet plus the VMs a scale-out boots.
+            for e in prov.events:
+                overhead += e.overhead_seconds
+                overhead_vm_s += (
+                    e.old_workers * e.overhead_seconds + e.extra_vm_seconds)
+        return ElasticOutcome(
             policy_label=policy.label,
             workers=workers,
-            step_times=times,
+            step_times=np.where(workers == t.low, t.time_low, t.time_high),
             scaling_overhead=overhead,
+            overhead_vm_seconds=overhead_vm_s,
             vm_spec=self.vm_spec,
         )
-        out._overhead_vm_s = overhead_vm_s
-        return out
 
     def evaluate_all(self, policies) -> list[ElasticOutcome]:
         return [self.evaluate(p) for p in policies]

@@ -1,9 +1,11 @@
 """Worker-scaling policies for §VIII's elasticity analysis.
 
 The paper scales between two fleet sizes (4 and 8 workers) at superstep
-boundaries.  A policy sees one superstep's context (active vertices, and —
-for the oracle — the measured per-superstep times at both sizes) and picks
-the fleet size for that superstep.
+boundaries.  A policy sees one superstep's context (active vertices, the
+fleet running now and, in a projection, the measured per-superstep times
+at both sizes) and picks the fleet size for that superstep.  The same
+stateless policies drive the projection (``ElasticityModel``) and live
+runs (``ElasticResizer``), so one object can be reused across runs.
 """
 
 from __future__ import annotations
@@ -24,26 +26,16 @@ __all__ = [
 class ScalingContext:
     """Per-superstep information available to a scaling decision."""
 
-    step: int
+    step: int  # the superstep the choice is for
     active_vertices: int
-    max_active: int  # peak active count over the trace (normalization)
+    max_active: int  # peak active count: the trace's, or the run's so far
     num_graph_vertices: int
-    time_low: float  # measured superstep time with the small fleet
-    time_high: float  # measured superstep time with the large fleet
     low: int
     high: int
-
-    @property
-    def active_fraction_of_peak(self) -> float:
-        return self.active_vertices / self.max_active if self.max_active else 0.0
-
-    @property
-    def active_fraction_of_graph(self) -> float:
-        return (
-            self.active_vertices / self.num_graph_vertices
-            if self.num_graph_vertices
-            else 0.0
-        )
+    workers: int  # the fleet running now
+    steps_since_change: int | None = None  # since the fleet last changed size
+    time_low: float | None = None  # measured step time at ``low`` (projection)
+    time_high: float | None = None  # measured step time at ``high``
 
 
 class ScalingPolicy(ABC):
@@ -83,35 +75,46 @@ class ActiveFractionPolicy(ScalingPolicy):
     vertices are active (default 50%), scale in otherwise.
 
     ``reference`` selects the denominator: ``"peak"`` (fraction of the
-    trace's peak active count — robust across swath sizes, our default) or
-    ``"graph"`` (fraction of |V|).
+    peak active count — robust across swath sizes, our default) or
+    ``"graph"`` (fraction of |V|).  ``cooldown`` keeps a new fleet for at
+    least that many supersteps, which suppresses thrash around the
+    threshold.
     """
 
-    def __init__(self, threshold: float = 0.5, reference: str = "peak") -> None:
+    def __init__(
+        self, threshold: float = 0.5, reference: str = "peak", cooldown: int = 0
+    ) -> None:
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
         if reference not in ("peak", "graph"):
             raise ValueError("reference must be 'peak' or 'graph'")
+        if cooldown < 0:
+            raise ValueError("cooldown must be >= 0")
         self.threshold = threshold
         self.reference = reference
+        self.cooldown = cooldown
 
     def choose(self, ctx: ScalingContext) -> int:
-        frac = (
-            ctx.active_fraction_of_peak
-            if self.reference == "peak"
-            else ctx.active_fraction_of_graph
-        )
+        since = ctx.steps_since_change
+        if since is not None and since < self.cooldown:
+            return ctx.workers
+        total = ctx.max_active if self.reference == "peak" else ctx.num_graph_vertices
+        frac = ctx.active_vertices / total if total else 0.0
         return ctx.high if frac >= self.threshold else ctx.low
 
     @property
     def label(self) -> str:
-        return f"Dynamic({self.threshold:.0%} of {self.reference})"
+        hold = f", cooldown {self.cooldown}" if self.cooldown else ""
+        return f"Dynamic({self.threshold:.0%} of {self.reference}{hold})"
 
 
 class OraclePolicy(ScalingPolicy):
-    """Ideal scaling: per superstep, whichever size was measured faster."""
+    """Ideal scaling: per superstep, whichever size was measured faster
+    (a projection only: a live run has no measurements)."""
 
     def choose(self, ctx: ScalingContext) -> int:
+        if ctx.time_low is None or ctx.time_high is None:
+            raise ValueError("OraclePolicy needs the measured times of a projection")
         return ctx.high if ctx.time_high < ctx.time_low else ctx.low
 
     @property

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .model import ElasticOutcome
 
-__all__ = ["NormalizedRow", "normalize_outcomes", "render_fig16"]
+__all__ = ["NormalizedRow", "normalize_outcomes"]
 
 
 @dataclass(frozen=True)
@@ -17,12 +17,6 @@ class NormalizedRow:
     norm_time: float
     norm_cost: float
     scale_events: int
-
-    def row(self) -> str:
-        return (
-            f"{self.label:<28s} time={self.norm_time:6.3f}x "
-            f"cost={self.norm_cost:6.3f}x scale-events={self.scale_events}"
-        )
 
 
 def normalize_outcomes(
@@ -44,15 +38,3 @@ def normalize_outcomes(
         for o in outcomes
     ]
 
-
-def render_fig16(rows: list[NormalizedRow], title: str = "") -> str:
-    """Text rendering of a Fig. 16 panel."""
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"{'policy':<28s} {'norm. time':>10s} {'norm. cost':>10s}")
-    for r in rows:
-        lines.append(
-            f"{r.label:<28s} {r.norm_time:>9.3f}x {r.norm_cost:>9.3f}x"
-        )
-    return "\n".join(lines)

@@ -56,6 +56,9 @@ class TcpBSPEngine(ProcessBSPEngine):
         transport: TcpTransport | None = None,
     ) -> None:
         if transport is None:
+            if check_program:  # refuse before the transport forks a fleet
+                self._gate_program(job.program)
+                check_program = False
             if endpoints is None and workers_file is not None:
                 endpoints = load_workers_file(workers_file)
             transport = TcpTransport(

@@ -27,6 +27,7 @@ import numpy as np
 from ..bsp.engine import BSPEngine, MigrationPolicy
 from ..bsp.superstep import SuperstepStats
 from .base import Partition
+from .metrics import remote_edge_fraction
 
 __all__ = ["MigrationEvent", "DynamicRepartitioner"]
 
@@ -84,15 +85,6 @@ class DynamicRepartitioner(MigrationPolicy):
         self.migrations: list[MigrationEvent] = []
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _remote_fraction(engine: BSPEngine) -> float:
-        g, assignment = engine.graph, engine.partition.assignment
-        if g.num_arcs == 0:
-            return 0.0
-        src_parts = np.repeat(assignment, np.diff(g.indptr))
-        dst_parts = assignment[g.indices]
-        return float(np.count_nonzero(src_parts != dst_parts) / g.num_arcs)
-
     def _plan_moves(self, engine: BSPEngine) -> list[tuple[int, int]]:
         """Pick (vertex, destination) moves: largest neighbor-majority gain
         first, respecting the balance guard."""
@@ -132,7 +124,7 @@ class DynamicRepartitioner(MigrationPolicy):
     def at_boundary(self, engine: BSPEngine, stats: SuperstepStats) -> None:
         if (engine.superstep + 1) % self.interval != 0:
             return
-        before = self._remote_fraction(engine)
+        before = remote_edge_fraction(engine.graph, engine.partition)
         moves = self._plan_moves(engine)
         if not moves:
             return
@@ -151,7 +143,8 @@ class DynamicRepartitioner(MigrationPolicy):
                 superstep=engine.superstep,
                 vertices_moved=moved,
                 remote_fraction_before=before,
-                remote_fraction_after=self._remote_fraction(engine),
+                remote_fraction_after=remote_edge_fraction(
+                    engine.graph, engine.partition),
                 overhead_seconds=overhead,
             )
         )

@@ -124,16 +124,16 @@ class TestFullFieldFidelity:
 
     @pytest.fixture(scope="class")
     def elastic_trace(self):
-        from repro.elastic.live import ElasticResizer, LivePolicy
+        from repro.elastic import ElasticResizer, ScalingPolicy
 
-        class Toggle(LivePolicy):
-            def decide(self, engine, stats):
-                return 6 if engine.num_workers == 3 else 3
+        class Toggle(ScalingPolicy):
+            def choose(self, ctx):
+                return 6 if ctx.workers == 3 else 3
 
         g = gen.watts_strogatz(48, 4, 0.2, seed=7)
         job = JobSpec(
             program=PageRankProgram(6), graph=g, num_workers=3,
-            observers=[ElasticResizer(Toggle())],
+            observers=[ElasticResizer(Toggle(), low=3, high=6)],
         )
         return run_job(job).trace
 

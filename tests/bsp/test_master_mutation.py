@@ -234,16 +234,16 @@ class TestKCore:
 
     def test_kcore_under_live_scaling(self, small_world):
         """Mutations must migrate correctly when the fleet resizes."""
-        from repro.elastic import ElasticResizer, LiveActiveFraction
+        from repro.elastic import ElasticResizer, ScalingPolicy
 
-        class Toggle(LiveActiveFraction):
-            def decide(self, engine, stats):
-                return 6 if engine.num_workers == 3 else 3
+        class Toggle(ScalingPolicy):
+            def choose(self, ctx):
+                return 6 if ctx.workers == 3 else 3
 
         res = run_job(
             JobSpec(
                 program=KCoreProgram(2), graph=small_world, num_workers=3,
-                observers=[ElasticResizer(Toggle(low=3, high=6))],
+                observers=[ElasticResizer(Toggle(), low=3, high=6)],
             )
         )
         ours = {v for v, alive in res.values.items() if alive}

@@ -5,15 +5,15 @@ import pytest
 from repro.algorithms import PageRankProgram
 from repro.bsp import JobSpec, run_job
 from repro.cloud import ElasticProvisioner, PerfModel
-from repro.elastic import ElasticResizer, LiveActiveFraction
+from repro.elastic import ElasticResizer, ScalingPolicy
 from repro.graph import generators as gen
 
 
-class _Toggle(LiveActiveFraction):
+class _Toggle(ScalingPolicy):
     """Alternate the fleet between ``low`` and ``high`` every superstep."""
 
-    def decide(self, engine, stats):
-        return self.high if engine.num_workers == self.low else self.low
+    def choose(self, ctx):
+        return ctx.high if ctx.workers == ctx.low else ctx.low
 
 
 class TestElasticProvisioner:
@@ -57,7 +57,7 @@ class TestElasticProvisioner:
         assert shrink.extra_vm_seconds == 0.0
 
     def test_scaling_overhead_is_billed(self):
-        resizer = ElasticResizer(_Toggle(low=4, high=8))
+        resizer = ElasticResizer(_Toggle(), low=4, high=8)
         job = JobSpec(
             program=PageRankProgram(6),
             graph=gen.watts_strogatz(60, 4, 0.3, seed=7), num_workers=4,

@@ -1,5 +1,7 @@
 """Elastic scaling: policies, extrapolation model, Fig. 16 reporting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from repro.elastic import (
     FixedWorkers,
     OraclePolicy,
     ScalingContext,
+    ScalingPolicy,
     normalize_outcomes,
-    render_fig16,
 )
 
 
@@ -58,7 +60,7 @@ class TestPolicies:
     def ctx(self, **kw):
         defaults = dict(
             step=0, active_vertices=50, max_active=100, num_graph_vertices=200,
-            time_low=10.0, time_high=5.0, low=4, high=8,
+            time_low=10.0, time_high=5.0, low=4, high=8, workers=4,
         )
         defaults.update(kw)
         return ScalingContext(**defaults)
@@ -95,6 +97,21 @@ class TestPolicies:
         p = OraclePolicy()
         assert p.choose(self.ctx(time_low=10.0, time_high=5.0)) == 8
         assert p.choose(self.ctx(time_low=5.0, time_high=10.0)) == 4
+
+    def test_oracle_needs_measured_times(self):
+        with pytest.raises(ValueError, match="measured times"):
+            OraclePolicy().choose(self.ctx(time_low=None, time_high=None))
+
+    def test_active_fraction_holds_the_fleet_through_its_cooldown(self):
+        p = ActiveFractionPolicy(0.5, cooldown=2)
+        busy = self.ctx(active_vertices=100, workers=4)
+        assert p.choose(busy) == 8  # the fleet has not changed yet
+        assert p.choose(replace(busy, steps_since_change=1)) == 4
+        assert p.choose(replace(busy, steps_since_change=2)) == 8
+
+    def test_cooldown_validation(self):
+        with pytest.raises(ValueError):
+            ActiveFractionPolicy(0.5, cooldown=-1)
 
     def test_zero_max_active(self):
         p = ActiveFractionPolicy(0.5)
@@ -133,12 +150,30 @@ class TestElasticityModel:
     def test_scaling_overheads_add_time_and_cost(self, simple_traces):
         m = PerfModel()
         plain = ElasticityModel(simple_traces).evaluate(ActiveFractionPolicy(0.5))
-        loaded = ElasticityModel(
-            simple_traces, include_scaling_overheads=True, perf_model=m
-        ).evaluate(ActiveFractionPolicy(0.5))
+        loaded = ElasticityModel(simple_traces, perf_model=m).evaluate(
+            ActiveFractionPolicy(0.5))
         assert loaded.total_time > plain.total_time
         assert loaded.cost > plain.cost
         assert loaded.num_scale_events == plain.num_scale_events > 0
+
+    def test_perf_model_prices_each_change_like_the_provisioner(
+        self, simple_traces
+    ):
+        class FlipFlop(ScalingPolicy):
+            def choose(self, ctx):
+                return (8, 4, 8, 4)[ctx.step]
+
+        m = PerfModel(provision_delay=7.0, release_delay=3.0)
+        plain = ElasticityModel(simple_traces).evaluate(FlipFlop())
+        out = ElasticityModel(simple_traces, perf_model=m).evaluate(FlipFlop())
+        # In at step 1, out at 2, in at 3: the delays ElasticProvisioner
+        # charges, and the larger fleet of each change billed through them.
+        assert out.scaling_overhead == 3.0 + 7.0 + 3.0
+        assert out.overhead_vm_seconds == 8 * 3.0 + 8 * 7.0 + 8 * 3.0
+        assert out.total_time == plain.total_time + 13.0
+        assert out.vm_seconds == plain.vm_seconds + 104.0
+        assert plain.scaling_overhead == plain.overhead_vm_seconds == 0.0
+        assert out.num_scale_events == 3
 
     def test_policy_choosing_invalid_size_rejected(self, simple_traces):
         class Weird(FixedWorkers):
@@ -168,9 +203,3 @@ class TestReporting:
         outs = [em.evaluate(FixedWorkers(8))]
         with pytest.raises(ValueError):
             normalize_outcomes(outs, "Fixed-4")
-
-    def test_render_fig16(self, simple_traces):
-        em = ElasticityModel(simple_traces)
-        outs = em.evaluate_all([FixedWorkers(4), OraclePolicy()])
-        text = render_fig16(normalize_outcomes(outs, "Fixed-4"), title="WG")
-        assert "WG" in text and "Oracle" in text and "1.000x" in text

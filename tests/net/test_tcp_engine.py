@@ -264,13 +264,21 @@ class TestConfigValidation:
                 connect_timeout=0.5,
             )
 
-    def test_gate_failure_tears_down_auto_fleet(self, ring10):
-        # An unpicklable program fails the RPC011 gate *before* launch;
-        # the auto-spawned daemon fleet must not leak.
+    def test_gate_failure_tears_down_auto_fleet(self, ring10, monkeypatch):
+        # An unpicklable program fails the RPC011 gate *before* launch:
+        # no daemon fleet is spawned for it, and none leaks.
         import multiprocessing
 
         from repro.dist import ProgramSafetyError
+        from repro.net import tcp
 
+        spawned = []
+
+        def spy(*args, **kwargs):
+            spawned.append(args)
+            return LocalDaemonFleet(*args, **kwargs)
+
+        monkeypatch.setattr(tcp, "LocalDaemonFleet", spy)
         before = set(multiprocessing.active_children())
         with pytest.raises(ProgramSafetyError):
             TcpBSPEngine(
@@ -282,6 +290,7 @@ class TestConfigValidation:
             if p not in before and p.is_alive()
         ]
         assert not leaked
+        assert spawned == []
 
     def test_failed_constructor_closes_its_sessions(self, ring10):
         # The injection of the job's initial messages fails after both

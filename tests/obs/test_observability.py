@@ -15,7 +15,7 @@ from repro.algorithms import PageRankProgram
 from repro.analysis import RunConfig, run_pagerank, run_traversal
 from repro.bsp import JobSpec, run_job
 from repro.cli import main as cli_main
-from repro.elastic.live import ElasticResizer, LivePolicy
+from repro.elastic import ElasticResizer, ScalingPolicy
 from repro.graph import io as graph_io
 from repro.obs import MetricsRegistry, RunReporter, SpanTracer
 from repro.scheduling import StaticSizer
@@ -138,16 +138,16 @@ class TestEngineMetrics:
         assert metrics.get("swath_window_peak_memory_bytes").value > 0
 
     def test_elastic_engine_metrics_and_spans(self, small_world):
-        class Alternate(LivePolicy):
-            def decide(self, engine, stats):
-                return 2 if stats.index % 2 else 4
+        class Alternate(ScalingPolicy):
+            def choose(self, ctx):
+                return 4 if ctx.step % 2 else 2
 
         tracer = SpanTracer()
         metrics = MetricsRegistry()
         job = JobSpec(
             program=PageRankProgram(8), graph=small_world, num_workers=4,
             tracer=tracer, metrics=metrics,
-            observers=[ElasticResizer(Alternate())],
+            observers=[ElasticResizer(Alternate(), low=2, high=4)],
         )
         res = run_job(job)
         resizes = tracer.named("elastic-resize")

@@ -20,7 +20,7 @@ from repro.bsp import JobSpec
 from repro.bsp.engine import make_engine
 from repro.bsp.superstep import JobTrace
 from repro.cloud import LARGE_VM, SMALL_VM, attribute_cost
-from repro.elastic import ElasticResizer, LiveActiveFraction
+from repro.elastic import ElasticResizer, ScalingPolicy
 from repro.graph import generators
 from repro.obs import (
     FlightRecorder,
@@ -35,11 +35,11 @@ WORKERS = 3
 STEP_PHASES = ("compute", "flush", "aggregate-merge", "master-compute")
 
 
-class Toggle(LiveActiveFraction):
+class Toggle(ScalingPolicy):
     """Alternate the fleet between ``low`` and ``high`` every superstep."""
 
-    def decide(self, engine, stats):
-        return self.high if engine.num_workers == self.low else self.low
+    def choose(self, ctx):
+        return ctx.high if ctx.workers == ctx.low else ctx.low
 
 
 class DieOnce(PageRankProgram):
@@ -85,7 +85,7 @@ def run(request, tmp_path_factory):
     elif case == "live-elastic":
         # both policies refuse failure injection
         failures, workers, name = {}, 4, "sim"
-        policies = [ElasticResizer(Toggle(low=4, high=8))]
+        policies = [ElasticResizer(Toggle(), low=4, high=8)]
     elif case == "repartition":
         failures, name = {}, "sim"
         policies = [DynamicRepartitioner(interval=2)]

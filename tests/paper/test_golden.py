@@ -4,12 +4,12 @@
 ``BENCH_SCALE``; a change that moves a paper number must regenerate it
 (and EXPERIMENTS.md) and say why.  Table 1 and Fig. 3 are recomputed
 here and compared exactly: their numbers are counts, or NumPy arithmetic
-on counts, which every Python computes alike.  The two records that
-migrate vertices mid-run, live elastic resizing and dynamic
-re-partitioning, are recomputed too and their checks asserted.  Their
-times and costs are Python float sums, which the compensated ``sum`` of
-Python 3.12 rounds differently, so only their integer columns are
-compared exactly and the rest to a relative 1e-9.  ``repro report``
+on counts, which every Python computes alike.  Figs. 15-16 (the §VIII
+projection) and the two records that migrate vertices mid-run, live
+elastic resizing and dynamic re-partitioning, are recomputed too and
+their checks asserted.  Their times and costs are Python float sums,
+which the compensated ``sum`` of Python 3.12 rounds differently, so only
+their integers are compared exactly and the rest to a relative 1e-9.  ``repro report``
 compares every number exactly, on one Python.
 """
 
@@ -27,13 +27,35 @@ GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 
 
 def _columns(record: dict, exact: bool) -> dict:
-    """(figure, row, column) -> value of ``record``'s integer columns
-    (``exact``) or of its float ones."""
+    """(figure, row, column, index) -> value of ``record``'s integers
+    (``exact``) or of its floats; a list column yields one per element."""
     return {
-        (key, label, col): v
+        (key, label, col, i): x
         for key, rows in record.items() for label, row in rows.items()
-        for col, v in row.items() if isinstance(v, int) == exact
+        for col, v in row.items()
+        for i, x in enumerate(v if isinstance(v, list) else [v])
+        if isinstance(x, int) == exact
     }
+
+
+def _assert_matches_golden(figs: list) -> None:
+    fresh = paper.golden(figs)
+    want = {key: GOLDEN[key] for key in fresh}
+    assert _columns(fresh, exact=True) == _columns(want, exact=True)
+    assert _columns(fresh, exact=False) == pytest.approx(
+        _columns(want, exact=False), rel=1e-9)
+    assert [(f.key, f.failures()) for f in figs] == [(f.key, []) for f in figs]
+
+
+@pytest.fixture(scope="module")
+def scs():
+    return {ds: bc_scenario(ds) for ds in ("WG", "CP")}
+
+
+@pytest.fixture(scope="module")
+def elastic(scs):
+    """Figs. 15-16's static 4- and 8-worker runs, per dataset."""
+    return {ds: paper.elastic_runs(sc) for ds, sc in scs.items()}
 
 
 def test_table1_and_fig3_equal_the_golden_file():
@@ -45,8 +67,14 @@ def test_table1_and_fig3_equal_the_golden_file():
     assert paper.compare({key: GOLDEN[key] for key in fresh}, fresh) == []
 
 
-def test_migration_records_match_the_golden_file_and_pass_their_checks():
-    scs = {ds: bc_scenario(ds) for ds in ("WG", "CP")}
+def test_fig15_and_fig16_match_the_golden_file_and_pass_their_checks(scs, elastic):
+    traces = {ds: paper.elastic_traces(scs[ds], runs) for ds, runs in elastic.items()}
+    _assert_matches_golden([paper.fig15(traces), paper.fig16(traces)])
+
+
+def test_migration_records_match_the_golden_file_and_pass_their_checks(
+    scs, elastic
+):
     parts = {
         ds: {
             name: {"BC": paper.partition_run(sc, paper_partitioners()[name], "BC")}
@@ -54,17 +82,10 @@ def test_migration_records_match_the_golden_file_and_pass_their_checks():
         }
         for ds, sc in scs.items()
     }
-    figs = [
-        paper.live_elastic(scs["WG"], paper.elastic_runs(scs["WG"])),
+    _assert_matches_golden([
+        paper.live_elastic(scs["WG"], elastic["WG"]),
         paper.dynamic_repartitioning(scs, parts),
-    ]
-    fresh = paper.golden(figs)
-    want = {key: GOLDEN[key] for key in fresh}
-    assert _columns(fresh, exact=True) == _columns(want, exact=True)
-    assert _columns(fresh, exact=False) == pytest.approx(
-        _columns(want, exact=False), rel=1e-9)
-    assert [(f.key, f.failures()) for f in figs] == [
-        ("live_elastic", []), ("dynamic_repartitioning", [])]
+    ])
 
 
 def test_compare_names_figure_row_and_column_of_a_one_ulp_change():

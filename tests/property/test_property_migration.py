@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms import PageRankProgram, pagerank_reference
 from repro.analysis.traces import trace_from_dict, trace_to_dict
 from repro.bsp import JobSpec, run_job
-from repro.elastic import ElasticResizer, LiveActiveFraction
+from repro.elastic import ElasticResizer, ScalingPolicy
 from repro.graph.builder import from_edges
 from repro.partition.dynamic import DynamicRepartitioner
 
@@ -24,15 +24,14 @@ def connected_graphs(draw, max_n=20):
     return from_edges(n, edges + extra, undirected=True)
 
 
-class _Toggle(LiveActiveFraction):
-    def __init__(self, low, high, period):
-        super().__init__(low=low, high=high)
+class _Toggle(ScalingPolicy):
+    def __init__(self, period):
         self.period = period
 
-    def decide(self, engine, stats):
-        if (stats.index + 1) % self.period:
-            return engine.num_workers
-        return self.high if engine.num_workers == self.low else self.low
+    def choose(self, ctx):
+        if ctx.step % self.period:
+            return ctx.workers
+        return ctx.high if ctx.workers == ctx.low else ctx.low
 
 
 class TestMigrationProperties:
@@ -42,7 +41,7 @@ class TestMigrationProperties:
         high = low + extra
         job = JobSpec(
             program=PageRankProgram(6), graph=g, num_workers=low,
-            observers=[ElasticResizer(_Toggle(low, high, period=2))],
+            observers=[ElasticResizer(_Toggle(period=2), low, high)],
         )
         res = run_job(job)
         ref = pagerank_reference(g, iterations=6)
