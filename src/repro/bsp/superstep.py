@@ -8,6 +8,7 @@ per-superstep times at different worker counts (Figs. 15-16).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,8 +148,9 @@ class JobTrace:
     # ---- headline scalars ----------------------------------------------
     @property
     def total_time(self) -> float:
-        """Simulated wall-clock time of the whole job."""
-        return sum(s.elapsed for s in self.steps)
+        """Simulated wall-clock time of the whole job: the correctly
+        rounded sum, the same on every Python version."""
+        return math.fsum(s.elapsed for s in self.steps)
 
     @property
     def total_messages(self) -> int:

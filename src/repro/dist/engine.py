@@ -1,4 +1,4 @@
-"""Distributed BSP engine: one worker per process or remote session.
+"""Distributed BSP engine: workers in forked processes or daemon sessions.
 
 :class:`ProcessBSPEngine` is the reproduction's distributed *execution
 backend* — the same job model, vertex programs, simulated-cloud
@@ -17,16 +17,19 @@ Architecture (the paper's job-manager/worker split, §III):
   in worker-id order, runs ``master_compute``, prices the superstep on the
   cloud models, and owns the checkpoint.  It hosts no vertex: its
   ``workers`` are views of the resource report each session sends;
-* each worker owns its partition's state in a
-  :class:`repro.net.session.WorkerSession`, served by
+* each worker owns its partition's state in the
+  :class:`repro.net.session.WorkerSession` of its *host*, served by
   :func:`repro.net.daemon.host_session` — the one session loop, in a
-  forked process or a ``repro worker`` daemon alike; messages cross the
-  wire as length-prefixed pickle-5 frames (:mod:`repro.net.codec`),
-  combiners already applied sender-side.  When the program lifts,
-  every session runs the plan compiled here on its own rows (a dense
-  shard, one ``(row index, value)`` array pair per frame) in place of a
-  :class:`~repro.bsp.worker.PartitionWorker`; it folds like one.  Such a
-  session receives only its slice of the job's arc layout.
+  forked process (a host of one worker) or a ``repro worker`` daemon (a
+  host of every worker placed on it) alike.  Messages between hosts
+  cross the wire as length-prefixed pickle-5 frames
+  (:mod:`repro.net.codec`), combiners already applied sender-side;
+  between co-hosted workers they stay in the session's memory.  When the
+  program lifts, every worker runs the plan compiled here on its own
+  rows (a dense shard, one ``(row index, value)`` array pair per frame)
+  in place of a :class:`~repro.bsp.worker.PartitionWorker`; it folds
+  like one.  Such a session receives only its workers' slices of the
+  job's arc layout.
 
 Transports (:mod:`repro.net`): the default
 :class:`~repro.net.transport.PipeTransport` forks one local OS process
@@ -37,19 +40,22 @@ pre-configured subclass behind ``--engine tcp``).  Both speak one wire,
 read on this side by :class:`~repro.net.tcp.TcpChannel`; the coordinator
 logic below is transport-agnostic.
 
-Determinism: workers compute independently, but frames are routed to each
-destination in source-worker-id order and applied in emission order —
-exactly the sequential engine's flush order — and aggregator partials merge
-in worker-id order, so ``extract()`` output is bit-identical to the
-sequential engine (``certify_determinism(engine="process")`` and
-``engine="tcp"`` check this).
+Determinism: workers compute independently, but each worker folds its
+inbound buckets, co-hosted and routed alike, in source-worker-id order and
+each in emission order — exactly the sequential engine's flush order — and
+aggregator partials merge in worker-id order, so ``extract()`` output is
+bit-identical to the sequential engine (``certify_determinism(engine=
+"process")`` and ``engine="tcp"`` check this).  Each host gets one
+``compute`` and one ``deliver`` per superstep.
 
-Robustness: workers heartbeat on their reply stream; the parent detects
+Robustness: hosts heartbeat on their reply stream; the parent detects
 death (``healthy()``/channel errors) and hangs (heartbeat age beyond
 ``heartbeat_timeout`` on the **monotonic** clock — wall-time jumps cannot
 fake a timeout), kills the victim if needed, launches a replacement, and
 replays Pregel-style coordinated rollback from the last checkpoint using
-the engine's existing checkpoint machinery.
+the engine's existing checkpoint machinery.  The host is the unit of
+failure: losing it loses all of its workers, which relaunch together as
+one session, each counted against ``max_respawns``.
 :meth:`ProcessBSPEngine.kill_worker_at` schedules a *real* kill through
 the same ``failure_schedule`` dict that
 :func:`repro.cloud.spot.spot_failure_schedule` produces.
@@ -248,35 +254,35 @@ class ProcessBSPEngine(BSPEngine):
     def _flush_injections(self) -> None:
         if not self._inject_buffer:
             return
-        per_worker: dict[int, list] = {}
+        per_worker: list[list] = [[] for _ in range(self.num_workers)]
         assignment = self.partition.assignment
         for dst, payload in self._inject_buffer:
-            per_worker.setdefault(int(assignment[dst]), []).append(
-                (dst, payload)
-            )
+            per_worker[int(assignment[dst])].append((dst, payload))
         self._inject_buffer = []
-        epoch = self._epoch
-        targets = [self._handles[w] for w in sorted(per_worker)]
-        for h in targets:
-            self._send(h, ("inject", epoch, per_worker[h.worker_id]))
-        for h in targets:
-            self.workers[h.worker_id].apply_report(self._expect(h, "ok", epoch))
+        reports = self._ask_workers("inject", "ok", per_worker)
+        for view, report in zip(self.workers, reports):
+            view.apply_report(report)
 
     # ------------------------------------------------------------------
-    # The fleet: one session per worker; the coordinator holds only a
-    # view of each, never the vertices.
+    # The fleet: one session per host, running the workers the transport
+    # places together; the coordinator holds only a view of each worker,
+    # never the vertices.
     # ------------------------------------------------------------------
     def _build_workers(self) -> None:
-        """Launch every session, then seed :attr:`workers`, the views, from
-        the report each sends to an empty ``inject``: every session is
+        """Launch every host, then seed :attr:`workers`, the views, from
+        the reports each sends to an empty ``inject``: every host is
         asked before any reply is read, so forked sessions build in
         parallel."""
-        self._handles: list[TcpChannel | None] = [None] * self.num_workers
+        #: one channel per host; a relaunch keeps the slot and the group
+        self._handles: list[TcpChannel] = []
         layout = self._dense_layout() if self._plan is not None else None
-        for w in range(self.num_workers):
-            self._handles[w] = self._launch_worker(w, layout)
+        for group in self._transport.place(self.num_workers):
+            self._handles.append(self._launch_host(group, layout))
         del layout  # the sessions hold their slices; a respawn re-slices
-        reports = self._ask_all("inject", "ok", [[]] * self.num_workers)
+        #: worker id -> the index of its host in _handles
+        self._host_of = {w: i for i, h in enumerate(self._handles)
+                         for w in h.worker_ids}
+        reports = self._ask_workers("inject", "ok", [[]] * self.num_workers)
         self.workers = [_WorkerView(w, r) for w, r in enumerate(reports)]
 
     def _dense_layout(self) -> DenseLayout:
@@ -328,54 +334,63 @@ class ProcessBSPEngine(BSPEngine):
             return stats
 
     def _compute_phase(self) -> list[dict]:
-        """Every worker drains its input buffer concurrently."""
+        """Every host runs its workers' compute, concurrently with the
+        other hosts."""
         self._flush_injections()
         self._drain_heartbeats()
         handles = self._handles
         computed = self._ask_all("compute", "computed",
                                  [(self.superstep, self._agg_values)] * len(handles))
-        for h, rep in zip(handles, computed):
+        # Route every cross-host frame to the host of its destination and
+        # start every host's fold now: the bookkeeping from here to the
+        # flush phase overlaps it.
+        routed: list[dict] = [{} for _ in handles]
+        for c in computed:
+            for (src, dst), frame in c["frames"].items():
+                routed[self._host_of[dst]][src, dst] = frame
+                self.telemetry.frame(len(frame))
+        self._send_all("deliver", routed)
+        #: per-worker stats, consumed by the flush
+        self._computed = reps = self._scatter([c["workers"] for c in computed])
+        for w, rep in enumerate(reps):
             # How long ago the compute ended: the remote stamp mapped
             # through the channel's clock alignment, not reply arrival.
-            ended_ago = monotonic_now() - h.clock.to_local(rep["clock_end"])
+            clock = handles[self._host_of[w]].clock
+            ended_ago = monotonic_now() - clock.to_local(rep["clock_end"])
             self.telemetry.worker_compute(
-                h.worker_id, rep["host_seconds"], max(0.0, ended_ago)
+                w, rep["host_seconds"], max(0.0, ended_ago)
             )
-        self._computed = computed  # frames + stats, consumed by the flush
-        return [c["agg_partials"] for c in computed]
+        return [rep["agg_partials"] for rep in reps]
 
     def _flush_phase(self):
-        """Route each source's frames to their destinations in
-        source-worker-id order (the sequential engine's delivery order),
+        """Await every host's fold of its workers' inbound buckets, each in
+        source-worker-id order (the sequential engine's delivery order);
         then fold every worker's barrier reply into its view."""
         handles = self._handles
-        computed, self._computed = self._computed, None
-        inbound: list[list] = [[] for _ in range(self.num_workers)]
-        for h, rep in zip(handles, computed):
-            for dst, frame in sorted(rep["frames"].items()):
-                inbound[dst].append((h.worker_id, frame))
-                self.telemetry.frame(len(frame))
-        delivered = self._ask_all("deliver", "delivered", inbound)
+        comps, self._computed = self._computed, None
+        delivered = self._expect_all("delivered")
 
         violations = getattr(self.job.program, "violations", None)
-        for view, h, comp, deliv in zip(
-            self.workers, handles, computed, delivered
-        ):
+        delivs = self._scatter([d["workers"] for d in delivered])
+        for view, comp, deliv in zip(self.workers, comps, delivs):
             view.stats = comp["stats"]
             view.apply_report(deliv["report"])
+            if isinstance(violations, list) and comp["violations"]:
+                violations.extend(comp["violations"])
+        for h, deliv in zip(handles, delivered):
+            # Host-wide: its heartbeat events and its captured output go
+            # under its first worker (a forked host's only one).
             if deliv["flight"]:
                 self.telemetry.remote_tail(
-                    view.worker_id, deliv["flight"],
+                    h.worker_ids[0], deliv["flight"],
                     self._remote_age(h, deliv["flight_epoch"]),
                 )
-            if isinstance(violations, list) and deliv["violations"]:
-                violations.extend(deliv["violations"])
             if deliv.get("output"):
-                self._emit_child_output(view.worker_id, deliv["output"])
+                self._emit_child_output(h.worker_ids[0], deliv["output"])
         return (
-            np.array([d["recv_msgs"] for d in delivered], dtype=np.int64),
-            np.array([d["recv_bytes"] for d in delivered]),
-            [len(frames) for frames in inbound],
+            np.array([d["recv_msgs"] for d in delivs], dtype=np.int64),
+            np.array([d["recv_bytes"] for d in delivs]),
+            [d["peers_in"] for d in delivs],
         )
 
     @staticmethod
@@ -405,17 +420,18 @@ class ProcessBSPEngine(BSPEngine):
         return {
             "superstep": superstep,
             "agg_values": dict(self._agg_values),
-            "workers": self._ask_all("snapshot", "snapshotted",
-                                     [None] * self.num_workers),
+            "workers": self._ask_workers("snapshot", "snapshotted",
+                                         [None] * self.num_workers),
         }
 
     def _fail_worker(self, worker_id: int) -> None:
         """The scheduled-failure hook: a real kill, not a model.
 
         The transport decides what "kill" means: SIGKILL the worker
-        process (pipe) or SIGKILL/sever the hosting daemon (tcp).
+        process (pipe) or SIGKILL/sever the hosting daemon (tcp).  Either
+        way every worker of the host is lost.
         """
-        h = self._handles[worker_id]
+        h = self._handles[self._host_of[worker_id]]
         self._transport.kill_host(h)
         self._mark_dead(h, "SIGKILL (scheduled failure)")
 
@@ -450,34 +466,36 @@ class ProcessBSPEngine(BSPEngine):
     def _restore_once(self) -> None:
         self._epoch += 1  # replies from before the rollback are now stale
         for i, h in enumerate(self._handles):
-            if h is None or not h.alive or not h.healthy():
-                if h is not None:
-                    self._reap(h)
+            if not h.alive or not h.healthy():
+                self._reap(h)
+                group = h.worker_ids
                 if (
                     self._max_respawns is not None
-                    and self._respawns >= self._max_respawns
+                    and self._respawns + len(group) > self._max_respawns
                 ):
                     raise RuntimeError(
-                        f"worker {i} needs a replacement but the respawn "
-                        f"budget ({self._max_respawns}) is exhausted after "
-                        f"{self._respawns} respawns"
+                        f"worker {group[0]} needs a replacement but the "
+                        f"respawn budget ({self._max_respawns}) is exhausted "
+                        f"after {self._respawns} respawns"
                     )
-                self._handles[i] = self._launch_worker(i, respawn=True)
-                self._respawns += 1
-                self.telemetry.respawn(i, self._respawns, self._max_respawns)
+                self._handles[i] = self._launch_host(group, respawn=True)
+                for w in group:  # every lost worker is one respawn
+                    self._respawns += 1
+                    self.telemetry.respawn(w, self._respawns,
+                                           self._max_respawns)
             else:
                 self._drain(h)
-        reports = self._ask_all("restore", "restored", self._checkpoint["workers"])
+        reports = self._ask_workers("restore", "restored",
+                                    self._checkpoint["workers"])
         for view, report in zip(self.workers, reports):
             view.apply_report(report)
 
     def worker_liveness(self) -> list[dict]:
-        """Real per-worker liveness (the /healthz view of the fleet)."""
+        """Real per-worker liveness (the /healthz view of the fleet): a
+        worker is as alive as its host."""
         out = []
-        for w, h in enumerate(self._handles):
-            if h is None:
-                out.append({"worker": w, "alive": False})
-                continue
+        for w in range(self.num_workers):
+            h = self._handles[self._host_of[w]]
             out.append({
                 "worker": w,
                 "alive": bool(h.alive and h.healthy()),
@@ -488,17 +506,17 @@ class ProcessBSPEngine(BSPEngine):
         return out
 
     def _extract_values(self) -> VertexValues:
-        return VertexValues.concat(
-            self._ask_all("extract", "extracted", [None] * self.num_workers))
+        return VertexValues.concat(self._ask_workers(
+            "extract", "extracted", [None] * self.num_workers))
 
     # ------------------------------------------------------------------
-    # Worker lifecycle and the request/reply protocol: a Transport
-    # launches each worker and hands back its TcpChannel (repro.net).
+    # Host lifecycle and the request/reply protocol: a Transport launches
+    # each host and hands back its TcpChannel (repro.net).
     # ------------------------------------------------------------------
-    def _worker_init(self, worker_id: int,
-                     layout: DenseLayout | None = None) -> WorkerInit:
+    def _host_init(self, worker_ids: tuple,
+                   layout: DenseLayout | None = None) -> WorkerInit:
         init = WorkerInit(
-            worker_id=worker_id,
+            worker_ids=tuple(worker_ids),
             program=self.job.program,
             model=self.model,
             heartbeat_interval=self._hb_interval,
@@ -506,28 +524,31 @@ class ProcessBSPEngine(BSPEngine):
             plan=self._plan,
         )
         if self._plan is not None:  # a respawn slices a fresh layout
-            init.shard = (layout or self._dense_layout()).slice(worker_id)
+            layout = layout or self._dense_layout()
+            init.shards = [layout.slice(w) for w in worker_ids]
         else:
             init.graph = self.graph
-            init.vertex_ids = self.partition.vertices_of(worker_id)
+            init.vertex_ids = [self.partition.vertices_of(w)
+                               for w in worker_ids]
             init.assignment = self.partition.assignment
             init.active_ids = self._active_ids
         return init
 
-    def _launch_worker(
-        self, worker_id: int, layout: DenseLayout | None = None,
+    def _alive_workers(self) -> int:
+        return sum(len(h.worker_ids) for h in self._handles if h.alive)
+
+    def _launch_host(
+        self, worker_ids: tuple, layout: DenseLayout | None = None,
         respawn: bool = False,
     ) -> TcpChannel:
-        handle = self._transport.launch(self._worker_init(worker_id, layout))
-        others = sum(
-            1 for h in self._handles
-            if h is not None and h.alive and h.worker_id != worker_id
-        )
-        self.telemetry.worker_up(
-            worker_id, handle.endpoint, handle.transport, respawn, 1 + others
-        )
-        if handle.clock.synchronized:
-            self.telemetry.clock(worker_id, handle.endpoint, handle.clock.stats())
+        handle = self._transport.launch(self._host_init(worker_ids, layout))
+        alive = self._alive_workers() + len(worker_ids)
+        for w in handle.worker_ids:
+            self.telemetry.worker_up(
+                w, handle.endpoint, handle.transport, respawn, alive
+            )
+            if handle.clock.synchronized:
+                self.telemetry.clock(w, handle.endpoint, handle.clock.stats())
         return handle
 
     def _mark_dead(self, h: TcpChannel, reason: str = "unknown") -> None:
@@ -535,10 +556,8 @@ class ProcessBSPEngine(BSPEngine):
             return
         h.alive = False
         h.pending = 0
-        self.telemetry.worker_lost(
-            h.worker_id, reason,
-            sum(1 for x in self._handles if x is not None and x.alive),
-        )
+        for w in h.worker_ids:
+            self.telemetry.worker_lost(w, reason, self._alive_workers())
 
     def _reap(self, h: TcpChannel) -> None:
         self._mark_dead(h)
@@ -546,23 +565,45 @@ class ProcessBSPEngine(BSPEngine):
         h.close()
 
     def _ask_all(self, cmd: str, reply: str, payloads: list) -> list:
-        """Send session ``w`` ``(cmd, epoch, payloads[w])``, every session
-        before reading any reply so they work in parallel; the replies in
-        worker-id order."""
-        epoch = self._epoch
+        """Send host ``i`` ``(cmd, epoch, payloads[i])``, every host before
+        reading any reply so they work in parallel; the replies in host
+        order."""
+        self._send_all(cmd, payloads)
+        return self._expect_all(reply)
+
+    def _send_all(self, cmd: str, payloads: list) -> None:
         for h, payload in zip(self._handles, payloads):
-            self._send(h, (cmd, epoch, payload))
-        return [self._expect(h, reply, epoch) for h in self._handles]
+            self._send(h, (cmd, self._epoch, payload))
+
+    def _expect_all(self, reply: str) -> list:
+        return [self._expect(h, reply, self._epoch) for h in self._handles]
+
+    def _ask_workers(self, cmd: str, reply: str, payloads: list) -> list:
+        """:meth:`_ask_all` with one payload and one reply per worker, both
+        indexed by worker id; a host gets and answers a list of its own
+        workers' in worker-id order."""
+        return self._scatter(self._ask_all(cmd, reply, [
+            [payloads[w] for w in h.worker_ids] for h in self._handles
+        ]))
+
+    def _scatter(self, per_host: list) -> list:
+        """Per-host lists in each host's worker order -> one list indexed
+        by worker id."""
+        out: list = [None] * self.num_workers
+        for h, items in zip(self._handles, per_host):
+            for w, item in zip(h.worker_ids, items):
+                out[w] = item
+        return out
 
     def _send(self, h: TcpChannel, msg: tuple) -> None:
         self._drain(h)
         if not h.alive:
-            raise WorkerFailure(h.worker_id, "worker is gone")
+            raise WorkerFailure(h.worker_ids[0], "worker is gone")
         try:
             h.send(msg)
         except TransportClosed as exc:
             self._mark_dead(h, str(exc))
-            raise WorkerFailure(h.worker_id, str(exc)) from exc
+            raise WorkerFailure(h.worker_ids[0], str(exc)) from exc
         h.pending += 1
 
     def _drain(self, h: TcpChannel) -> None:
@@ -576,7 +617,7 @@ class ProcessBSPEngine(BSPEngine):
                 msg = h.recv(0.01)
             except TransportClosed as exc:
                 self._mark_dead(h, str(exc))
-                raise WorkerFailure(h.worker_id, str(exc)) from exc
+                raise WorkerFailure(h.worker_ids[0], str(exc)) from exc
             if msg is not None:
                 h.pending -= 1
                 return msg
@@ -584,11 +625,12 @@ class ProcessBSPEngine(BSPEngine):
 
     def _drain_heartbeats(self) -> None:
         for h in self._handles:
-            if h is None or not h.alive:
+            if not h.alive:
                 continue
             beats = h.drain_heartbeats()
-            if beats:
-                self.telemetry.heartbeats(h.worker_id, beats, h.clock)
+            if beats:  # a host's beats vouch for each of its workers
+                for w in h.worker_ids:
+                    self.telemetry.heartbeats(w, beats, h.clock)
 
     @staticmethod
     def _remote_age(h: TcpChannel, flight_epoch: float):
@@ -604,27 +646,25 @@ class ProcessBSPEngine(BSPEngine):
         return lambda host: now - clock.to_local(flight_epoch + host)
 
     def _check_liveness(self, waiting_on: TcpChannel) -> None:
-        """Drain heartbeats; fail the awaited worker if dead or hung."""
+        """Drain heartbeats; fail the awaited host if dead or hung."""
         self._drain_heartbeats()
         h = waiting_on
         if not h.healthy():
             reason = h.death_reason()
             self._mark_dead(h, reason)
-            raise WorkerFailure(h.worker_id, reason)
+            raise WorkerFailure(h.worker_ids[0], reason)
         # Heartbeat ages live on the monotonic clock (channel-internal):
         # a wall-clock jump must never fake a timeout.
         if (
             self._hb_timeout is not None
             and h.heartbeat_age() > self._hb_timeout
         ):
-            self.telemetry.heartbeat_miss(h.worker_id, h.heartbeat_age())
+            for w in h.worker_ids:
+                self.telemetry.heartbeat_miss(w, h.heartbeat_age())
             h.kill()
-            self._mark_dead(
-                h, f"heartbeat timeout ({self._hb_timeout:g}s)"
-            )
-            raise WorkerFailure(
-                h.worker_id, f"heartbeat timeout ({self._hb_timeout:g}s)"
-            )
+            reason = f"heartbeat timeout ({self._hb_timeout:g}s)"
+            self._mark_dead(h, reason)
+            raise WorkerFailure(h.worker_ids[0], reason)
 
     def _expect(self, h: TcpChannel, kind: str, epoch: int):
         while True:
@@ -633,11 +673,12 @@ class ProcessBSPEngine(BSPEngine):
                 continue  # stale reply from before a recovery
             if r_kind == "error":
                 raise ChildError(
-                    f"worker {h.worker_id} failed handling {kind!r}:\n{payload}"
+                    f"worker {h.worker_ids[0]} failed handling {kind!r}:\n"
+                    f"{payload}"
                 )
             if r_kind != kind:
                 raise RuntimeError(
-                    f"worker {h.worker_id}: expected {kind!r} reply, "
+                    f"worker {h.worker_ids[0]}: expected {kind!r} reply, "
                     f"got {r_kind!r}"
                 )
             return payload
@@ -654,7 +695,7 @@ class ProcessBSPEngine(BSPEngine):
         # No _handles yet: the constructor failed before the launch.
         handles = getattr(self, "_handles", ())
         for h in handles:
-            if h is None or not h.alive:
+            if not h.alive:
                 continue
             try:
                 self._drain(h)
@@ -662,8 +703,6 @@ class ProcessBSPEngine(BSPEngine):
             except (WorkerFailure, TransportClosed):
                 continue
         for h in handles:
-            if h is None:
-                continue
             h.join(timeout=5.0)
             if h.healthy():
                 h.kill()

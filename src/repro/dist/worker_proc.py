@@ -3,7 +3,8 @@
 :func:`worker_main` is the entry point each process-engine worker runs
 after :class:`~repro.net.transport.PipeTransport` forks it.  The child
 inherits its :class:`~repro.net.transport.WorkerInit` through the fork,
-builds its :class:`repro.net.session.WorkerSession`, and serves it with
+builds its :class:`repro.net.session.WorkerSession` — a host of one
+worker — and serves it with
 :func:`repro.net.daemon.host_session`, the loop a ``repro worker``
 daemon runs after its handshake, on one end of a ``socketpair``: the
 same stream frames, frame cap and multiplexed heartbeats as a TCP
@@ -71,8 +72,8 @@ class ForkedChannel(TcpChannel):
 
     transport = "pipe"
 
-    def __init__(self, worker_id: int, proc, sock) -> None:
-        super().__init__(worker_id, sock, endpoint=f"pid:{proc.pid}")
+    def __init__(self, worker_ids: tuple, proc, sock) -> None:
+        super().__init__(worker_ids, sock, endpoint=f"pid:{proc.pid}")
         self.proc = proc
 
     def healthy(self) -> bool:

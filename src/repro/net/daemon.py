@@ -1,13 +1,14 @@
 """``repro worker`` — the TCP worker daemon (asyncio).
 
-One daemon process listens on a host:port and hosts worker *sessions*: a
-coordinator connects one TCP socket per worker it wants this daemon to
-run, performs a ``hello`` handshake carrying the
-:class:`~repro.net.transport.WorkerInit` payload, and then drives the
-standard ``(cmd, epoch, payload)`` command protocol.  Each session is a
-:class:`~repro.net.session.WorkerSession` served by :func:`host_session`,
-the one session loop: a forked process-engine worker runs the same
-coroutine on its socketpair, only without the handshake.
+One daemon process listens on a host:port and hosts *sessions*: a
+coordinator connects one TCP socket per job, performs a ``hello``
+handshake carrying the :class:`~repro.net.transport.WorkerInit` of every
+worker it places on this daemon, and then drives the standard ``(cmd,
+epoch, payload)`` command protocol, one command per phase for all of
+them.  Each session is a :class:`~repro.net.session.WorkerSession`
+served by :func:`host_session`, the one session loop: a forked
+process-engine worker runs the same coroutine on its socketpair, only
+without the handshake.
 
 Wire format: codec frames with an outer ``[u64 len]`` prefix
 (:func:`repro.net.codec.encode_stream_frame`), every one read checked
@@ -67,8 +68,10 @@ __all__ = ["PROTOCOL_VERSION", "WorkerDaemon", "host_session", "serve"]
 #: graph and assignment; v7's ``extracted`` reply is the session's
 #: ``(ids, values)`` column pair, not a ``vertex -> value`` dict; in v8 a
 #: combiner program's bucket maps ``dst`` to its one folded payload, not
-#: to a one-element list.
-PROTOCOL_VERSION = 8
+#: to a one-element list; in v9 one session hosts every worker placed on
+#: the daemon (``WorkerInit.worker_ids``), keeps the buckets between them
+#: in memory and answers each command with per-worker lists.
+PROTOCOL_VERSION = 9
 
 
 async def read_stream_frame(
@@ -95,7 +98,7 @@ async def read_stream_frame(
 
 
 class WorkerDaemon:
-    """Asyncio TCP server hosting PartitionWorker sessions."""
+    """Asyncio TCP server hosting worker sessions."""
 
     def __init__(
         self,
@@ -262,11 +265,11 @@ class WorkerDaemon:
             self._m_sessions_active.set(self.sessions_active)
             self._m_sessions_total.inc()
         if self.flight is not None:
-            self.flight.record("session-open", worker=init.worker_id)
+            self.flight.record("session-open", workers=init.worker_ids)
         writer.write(encode_stream_frame(("ready", 0, {
             "pid": os.getpid(),
             "endpoint": self.endpoint,
-            "worker_id": init.worker_id,
+            "worker_ids": init.worker_ids,
             # Clock-alignment stamps: t1 (hello receipt) and t2 (ready
             # send) on this host's liveness clock.  t2 is read here —
             # after session construction — so the coordinator's NTP
@@ -283,7 +286,7 @@ class WorkerDaemon:
             if self._m_sessions_active is not None:
                 self._m_sessions_active.set(self.sessions_active)
             if self.flight is not None:
-                self.flight.record("session-close", worker=init.worker_id)
+                self.flight.record("session-close", workers=init.worker_ids)
 
     def _beat_sent(self) -> None:
         self.heartbeats_sent += 1

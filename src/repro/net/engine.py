@@ -22,10 +22,15 @@ Endpoints come from (first match wins):
   engine shuts it down, a failed constructor included.  This is what
   lets tests and ``certify_determinism`` run with zero external setup.
 
-One daemon hosts many workers: placement is round-robin by worker id
-with failover, and after a daemon is lost, recovery relaunches its
-workers on the survivors (respawn-or-reassign) before restoring the last
-checkpoint.
+One daemon hosts many workers in one session: worker *w* goes to
+endpoint ``w % n`` (failing over to the next endpoint in order), and
+every worker placed on a daemon shares its session's command stream —
+one ``compute`` and one ``deliver`` per superstep — with the buckets
+between them folded in the session's memory; only cross-host frames
+pass through the coordinator.  The host is the unit of failure: after a
+daemon is lost, recovery relaunches its session, all of its workers, on
+a survivor (respawn-or-reassign), each worker counted once against
+``max_respawns``, before restoring the last checkpoint.
 """
 
 from __future__ import annotations

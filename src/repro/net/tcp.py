@@ -11,13 +11,14 @@ zero external setup); the transport owns such a fleet and stops it on
 one channel class: a forked process-engine worker is read through its
 subclass :class:`~repro.dist.worker_proc.ForkedChannel`.
 
-Placement is round-robin by worker id with failover: worker *w* is
-offered to endpoint ``w % n`` first, then the rest in order, and the
-first daemon that completes the handshake hosts it.  That single rule is
-both initial placement and the *respawn-or-reassign* policy — when a
-daemon dies mid-job, the engine's existing checkpoint recovery relaunches
-the lost workers and this transport simply lands them on the surviving
-daemons (or on the original's replacement if one came back).
+Placement is by host, round-robin by worker id with failover: the
+workers ``w`` with ``w % n == i`` form one host session, offered to
+endpoint ``i`` first, then the rest in order, and the first daemon that
+completes the handshake hosts the whole group.  That single rule is both
+initial placement and the *respawn-or-reassign* policy — when a daemon
+dies mid-job, the engine's existing checkpoint recovery relaunches each
+lost session and this transport simply lands it on a surviving daemon
+(or on the original's replacement if one came back).
 
 SIGKILL-equivalent semantics: :meth:`TcpChannel.kill` closes the socket
 abortively (``SO_LINGER`` zero ⇒ RST), so the daemon observes a drop —
@@ -91,8 +92,9 @@ def load_workers_file(path: str | Path) -> list[Endpoint]:
 
 
 class TcpChannel:
-    """One live worker session over one stream socket, plus its liveness
-    bookkeeping: the one channel the coordinator reads.
+    """One live host session over one stream socket, plus its liveness
+    bookkeeping: the one channel the coordinator reads.  ``worker_ids``
+    are the workers the session runs, in ascending order.
 
     The engine's protocol contract: :meth:`send` delivers one
     ``(cmd, epoch, payload)`` frame or raises :class:`TransportClosed`;
@@ -105,8 +107,9 @@ class TcpChannel:
     #: transport label stamped on ``dist_*`` metrics
     transport = "tcp"
 
-    def __init__(self, worker_id: int, sock: socket.socket, endpoint: str) -> None:
-        self.worker_id = worker_id
+    def __init__(self, worker_ids: tuple, sock: socket.socket,
+                 endpoint: str) -> None:
+        self.worker_ids = tuple(worker_ids)
         self.endpoint = endpoint
         self.pending = 0  # replies owed for commands already sent
         self.last_beat = monotonic_now()
@@ -236,6 +239,10 @@ class TcpChannel:
         session has no local process to wait for."""
 
 
+def _ids(init: WorkerInit) -> str:
+    return ", ".join(map(str, init.worker_ids))
+
+
 class LocalDaemonFleet:
     """N localhost daemons started as child processes.
 
@@ -329,7 +336,7 @@ def probe_endpoint(
 
 
 class TcpTransport(Transport):
-    """Launch worker sessions on TCP daemons (round-robin + failover).
+    """Launch host sessions on TCP daemons (round-robin + failover).
 
     With no ``endpoints`` it spawns a :class:`LocalDaemonFleet` of
     ``auto_daemons`` (default 3) localhost daemons, and owns it:
@@ -353,10 +360,16 @@ class TcpTransport(Transport):
             self._endpoints = self._fleet.endpoints()
         self._down: set[Endpoint] = set()
 
+    def place(self, num_workers: int) -> list[tuple]:
+        """One host per endpoint: endpoint ``i`` runs every ``w % n == i``."""
+        n = len(self._endpoints)
+        return [tuple(range(i, num_workers, n))
+                for i in range(min(n, num_workers))]
+
     def launch(self, init: WorkerInit) -> TcpChannel:
         n = len(self._endpoints)
         order = [
-            self._endpoints[(init.worker_id + i) % n] for i in range(n)
+            self._endpoints[(init.worker_ids[0] + i) % n] for i in range(n)
         ]
         errors: list[str] = []
         for endpoint in order:
@@ -372,7 +385,7 @@ class TcpTransport(Transport):
                     self._down.add(endpoint)
                 errors.append(f"{endpoint[0]}:{endpoint[1]}: {exc}")
         raise TransportError(
-            f"no worker daemon accepted worker {init.worker_id}; tried: "
+            f"no worker daemon accepted worker {_ids(init)}; tried: "
             + "; ".join(errors or ["(all endpoints marked down)"])
         )
 
@@ -381,7 +394,7 @@ class TcpTransport(Transport):
         sock = socket.create_connection(
             (host, port), timeout=self._connect_timeout
         )
-        channel = TcpChannel(init.worker_id, sock, f"{host}:{port}")
+        channel = TcpChannel(init.worker_ids, sock, f"{host}:{port}")
         try:
             t0 = monotonic_now()  # NTP t0: hello leaves the coordinator
             channel.send(("hello", 0, {
@@ -403,7 +416,7 @@ class TcpTransport(Transport):
             if kind != "ready":
                 raise TransportError(
                     f"daemon at {host}:{port} refused worker "
-                    f"{init.worker_id}: {payload}"
+                    f"{_ids(init)}: {payload}"
                 )
             # v2 ready payloads stamp t1/t2 on the daemon's clock; feed
             # the four-timestamp exchange into the channel's ClockSync.

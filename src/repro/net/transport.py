@@ -9,6 +9,12 @@ launches.  Two transports exist:
 * :class:`~repro.net.tcp.TcpTransport` — sessions hosted by ``repro
   worker`` daemons reached over TCP sockets (:mod:`repro.net.tcp`).
 
+A channel reaches one *host*: one session running every worker
+:meth:`Transport.place` puts together, which a :class:`WorkerInit`
+describes.  A forked process hosts one worker, a daemon every worker
+placed on it; the host is also the unit of failure, so losing it loses
+all of its workers at once.
+
 Both carry one wire: the codec's ``[u64 len]`` stream frames under one
 frame cap, heartbeats multiplexed on the reply stream, read on the
 coordinator by one channel class, :class:`~repro.net.tcp.TcpChannel`,
@@ -72,19 +78,19 @@ class TransportClosed(TransportError):
 
 @dataclass
 class WorkerInit:
-    """Everything a remote worker needs to build its worker.  With ``plan``
-    set it hosts a dense shard built from ``shard``, its
-    :class:`~repro.bsp.dense_shard.ShardSlice`: the coordinator then sends
-    no graph and no assignment.  Otherwise it builds a PartitionWorker
-    over ``vertex_ids`` of the whole ``graph``."""
+    """Everything one host needs to build its workers, ``worker_ids`` in
+    ascending order.  With ``plan`` set each is a dense shard built from
+    its :class:`~repro.bsp.dense_shard.ShardSlice` in ``shards``: the
+    coordinator then sends no graph and no assignment.  Otherwise each is
+    a PartitionWorker over its ``vertex_ids`` of the whole ``graph``."""
 
-    worker_id: int
+    worker_ids: tuple
     program: Any
     model: Any
     heartbeat_interval: float
     want_flight: bool
     plan: Any = None
-    shard: Any = None
+    shards: Any = None
     graph: Any = None
     vertex_ids: Any = None
     assignment: Any = None
@@ -95,9 +101,13 @@ class Transport(ABC):
     """Factory for :class:`~repro.net.tcp.TcpChannel`\\ s plus fleet-level
     lifecycle."""
 
+    def place(self, num_workers: int) -> list[tuple]:
+        """The worker ids each host runs: one process per worker."""
+        return [(w,) for w in range(num_workers)]
+
     @abstractmethod
     def launch(self, init: WorkerInit) -> TcpChannel:
-        """Start (or connect to) one worker and hand back its channel."""
+        """Start (or connect to) one host and hand back its channel."""
 
     def kill_host(self, channel: TcpChannel) -> None:
         """Scheduled-failure hook: kill the *host* serving ``channel``.
@@ -125,10 +135,10 @@ class PipeTransport(Transport):
         ours, theirs = socket.socketpair()
         proc = self._mp.Process(
             target=worker_main,
-            name=f"bsp-worker-{init.worker_id}",
+            name=f"bsp-worker-{init.worker_ids[0]}",
             args=(init, theirs, ours),
             daemon=True,
         )
         proc.start()
         theirs.close()
-        return ForkedChannel(init.worker_id, proc, ours)
+        return ForkedChannel(init.worker_ids, proc, ours)

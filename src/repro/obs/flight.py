@@ -206,7 +206,9 @@ class FlightRecorder:
         Events are appended in the order given (the child sends its own
         recording order, so per-worker order is preserved); each gets a
         fresh coordinator ``seq``, with the child's own ``seq``/``host``
-        preserved as ``worker_seq``/``worker_host`` attrs.
+        preserved as ``worker_seq``/``worker_host`` attrs.  An event keeps
+        the worker it names; one that names none (a host-wide event, such
+        as a heartbeat) goes under ``worker``.
 
         Without ``restamp`` the coordinator stamps merge time (arrival
         order — fine on one host, where all clocks agree).  With it,
@@ -220,11 +222,12 @@ class FlightRecorder:
         with self._lock:
             for d in events:
                 worker_host = float(d.get("host", 0.0))
+                own = int(d.get("worker", COORDINATOR))
                 event = FlightEvent(
                     seq=self._next_seq,
                     kind=str(d["kind"]),
                     superstep=int(d.get("superstep", -1)),
-                    worker=int(worker),
+                    worker=own if own >= 0 else int(worker),
                     host=(
                         self._now() if restamp is None
                         else restamp(worker_host)

@@ -150,10 +150,11 @@ def test_shard_extract_frame_carries_its_columns_out_of_band():
     job = JobSpec(program, g, num_workers=2)
     plan = shard_plan(program)
     layout = DenseLayout(g, job.resolve_partition().assignment, 2, plan)
-    session = WorkerSession(WorkerInit(0, program, job.perf_model, 0.1, False,
-                                       plan=plan, shard=layout.slice(0)))
-    assert isinstance(session.worker, DenseShard)
-    kind, _epoch, (ids, vals) = session.handle("extract", 0, None)
+    session = WorkerSession(WorkerInit((0,), program, job.perf_model, 0.1,
+                                       False, plan=plan,
+                                       shards=[layout.slice(0)]))
+    assert isinstance(session.workers[0], DenseShard)
+    kind, _epoch, [(ids, vals)] = session.handle("extract", 0, None)
     assert kind == "extracted" and ids.dtype == np.int64
     assert vals.dtype == np.float64 and len(ids) == len(vals) > 50
     frame = pack_frame(session.handle("extract", 0, None))

@@ -143,8 +143,8 @@ def test_sessions_host_the_kind_their_init_names():
         sim = run_job(make_job(), "sim")
         engine = ProcessBSPEngine(make_job())
         for w in range(3):
-            session = WorkerSession(engine._worker_init(w))
-            assert type(session.worker) is kind
+            session = WorkerSession(engine._host_init((w,)))
+            assert [type(x) for x in session.workers] == [kind]
             assert session.hosts_shard == (kind is DenseShard)
         res = engine.run()
         assert_same_run(sim, res)
@@ -157,8 +157,8 @@ def _sessions(program, graph, workers=2):
     layout = DenseLayout(graph, job.resolve_partition().assignment, workers,
                          plan)
     return [
-        WorkerSession(WorkerInit(w, program, job.perf_model, 0.1, False,
-                                 plan=plan, shard=layout.slice(w)))
+        WorkerSession(WorkerInit((w,), program, job.perf_model, 0.1, False,
+                                 plan=plan, shards=[layout.slice(w)]))
         for w in range(workers)
     ]
 
@@ -167,13 +167,13 @@ def _sessions(program, graph, workers=2):
 def test_session_frames_are_array_pairs_and_snapshots_round_trip(use_combiner):
     g = GRAPHS["ws"]()
     sessions = _sessions(PageRankProgram(6, use_combiner=use_combiner), g)
-    assert all(isinstance(s.worker, DenseShard) for s in sessions)
+    assert all(isinstance(s.workers[0], DenseShard) for s in sessions)
 
     def superstep(step):
         computed = [s.handle("compute", 0, (step, {}))[2] for s in sessions]
         for dst, s in enumerate(sessions):
-            inbound = [(src, c["frames"][dst]) for src, c in enumerate(computed)
-                       if dst in c["frames"]]
+            inbound = {key: frame for c in computed
+                       for key, frame in c["frames"].items() if key[1] == dst}
             kind, _epoch, report = s.handle("deliver", 0, inbound)
             assert kind == "delivered"
         return computed
@@ -190,16 +190,16 @@ def test_session_frames_are_array_pairs_and_snapshots_round_trip(use_combiner):
     assert {kind for kind, _epoch, _snap in snaps} == {"snapshotted"}
 
     def states():  # each session's state column, as Python scalars
-        return [s.worker.columns()[1].tolist() for s in sessions]
+        return [s.workers[0].columns()[1].tolist() for s in sessions]
 
     before = states()
     superstep(1)
     after = states()
     assert after != before
     for s, (_kind, _epoch, snap) in zip(sessions, snaps):
-        kind, _epoch, report = s.handle("restore", 0, snap)
+        kind, _epoch, (report,) = s.handle("restore", 0, snap)
         assert kind == "restored"
-        assert report["queue_depth"] == s.worker.buffered_message_count() > 0
+        assert report["queue_depth"] == s.workers[0].buffered_message_count() > 0
     assert states() == before
     superstep(1)  # the replay from the restored inboxes is exact
     assert states() == after
@@ -213,5 +213,5 @@ def test_peel_frames_carry_the_source_vertices():
     rows, vals, sources = unpack_frame(frame)
     assert rows.shape == vals.shape == sources.shape and rows.size
     # every source is a vertex of the sending worker, in its emit order
-    assert set(sources.tolist()) <= set(a.worker.vertex_ids.tolist())
+    assert set(sources.tolist()) <= set(a.workers[0].vertex_ids.tolist())
     assert (np.diff(sources) >= 0).all()

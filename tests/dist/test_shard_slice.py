@@ -78,10 +78,10 @@ def test_shard_init_carries_its_slice_and_no_graph():
     try:
         assert engine._plan is not None
         for w in range(WORKERS):
-            init = engine._worker_init(w)
+            init = engine._host_init((w,))
             assert init.graph is None and init.assignment is None
             assert init.vertex_ids is None and init.active_ids is None
-            part = init.shard
+            (part,) = init.shards
             assert isinstance(part, ShardSlice) and part.worker_id == w
             rec = _Recorder(io.BytesIO())
             rec.dump(init)

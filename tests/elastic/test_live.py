@@ -205,7 +205,8 @@ class TestMechanics:
         assert res.supersteps == 49
         assert len(resizer.scale_events) == 48
         assert resizer.scale_events[-1].superstep == 47
-        assert res.total_time == 2404.8428857999984
+        # the correctly rounded (math.fsum) total of the 49 steps
+        assert res.total_time == 2404.8428858
 
 
 class TestCooldown:

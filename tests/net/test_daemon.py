@@ -75,12 +75,12 @@ class TestHandshakeRefusals:
         assert "version mismatch" in msg
 
     def test_previous_protocol_refused(self, one_daemon):
-        # v8 ships a combiner program's box as the folded payload: a v7
-        # peer would iterate it as a list of payloads
-        assert PROTOCOL_VERSION == 8
-        kind, _epoch, msg = _roundtrip(one_daemon, ("hello", 0, {"version": 7}))
+        # v9 answers every command with one list per host session: a v8
+        # peer would read it as one worker's reply
+        assert PROTOCOL_VERSION == 9
+        kind, _epoch, msg = _roundtrip(one_daemon, ("hello", 0, {"version": 8}))
         assert kind == "error"
-        assert "coordinator speaks 7, daemon speaks 8" in msg
+        assert "coordinator speaks 8, daemon speaks 9" in msg
 
     def test_session_build_failure_carries_the_traceback(self, one_daemon):
         # Reported as a refusal with the worker's traceback, not as a
@@ -88,7 +88,7 @@ class TestHandshakeRefusals:
         transport = TcpTransport(endpoints=[one_daemon])
         graph = generators.path(4)
         init = WorkerInit(
-            worker_id=0, graph=graph, vertex_ids=np.arange(4),
+            worker_ids=(0,), graph=graph, vertex_ids=[np.arange(4)],
             program=_BrokenInit(), model=DEFAULT_PERF_MODEL,
             assignment=np.zeros(4, dtype=np.int64), active_ids=None,
             heartbeat_interval=0.1, want_flight=False,
@@ -191,7 +191,7 @@ class TestCommandDispatch:
         handle = WorkerSession.handle
 
         def spy(session, cmd, epoch, payload):
-            threads.setdefault(session.worker_id, set()).add(threading.get_ident())
+            threads.setdefault(session.worker_ids, set()).add(threading.get_ident())
             return handle(session, cmd, epoch, payload)
 
         monkeypatch.setattr(WorkerSession, "handle", spy)
@@ -207,12 +207,12 @@ class TestCommandDispatch:
             program = PageRankProgram(3)
             plan, assignment = shard_plan(program), np.arange(6) % 2
             channels.append(transport.launch(WorkerInit(
-                worker_id=0, program=program, model=DEFAULT_PERF_MODEL,
+                worker_ids=(0,), program=program, model=DEFAULT_PERF_MODEL,
                 heartbeat_interval=0.1, want_flight=False, plan=plan,
-                shard=DenseLayout(graph, assignment, 2, plan).slice(0),
+                shards=[DenseLayout(graph, assignment, 2, plan).slice(0)],
             )))
             channels.append(transport.launch(WorkerInit(
-                worker_id=1, graph=graph, vertex_ids=np.arange(1, 6, 2),
+                worker_ids=(1,), graph=graph, vertex_ids=[np.arange(1, 6, 2)],
                 program=program, model=DEFAULT_PERF_MODEL,
                 assignment=assignment, active_ids=None,
                 heartbeat_interval=0.1, want_flight=False,
@@ -231,8 +231,8 @@ class TestCommandDispatch:
             server.join(timeout=5.0)
             loop.run_until_complete(daemon.close())
             loop.close()
-        assert threads[0] == {server.ident}
-        assert server.ident not in threads[1]
+        assert threads[(0,)] == {server.ident}
+        assert server.ident not in threads[(1,)]
 
 
 class TestWorkerCli:

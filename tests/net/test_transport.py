@@ -28,7 +28,7 @@ from repro.net.transport import (
 def pair():
     """A channel on one end of a socketpair and the raw peer end."""
     ours, peer = socket.socketpair()
-    channel = TcpChannel(3, ours, "pair:0")
+    channel = TcpChannel((3,), ours, "pair:0")
     yield channel, peer
     channel.close()
     peer.close()
@@ -91,7 +91,7 @@ class TestMonotonicClock:
         monkeypatch.setattr(transport_mod, "monotonic", lambda: now[0])
         ours, peer = socket.socketpair()
         with ours, peer:
-            ch = TcpChannel(0, ours, "pair:0")
+            ch = TcpChannel((0,), ours, "pair:0")
             ch.note_beat()
             now[0] += 3.5
             assert ch.heartbeat_age() == pytest.approx(3.5)
